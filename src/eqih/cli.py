@@ -26,9 +26,12 @@ from .localize import cone_formula_check, localize, localized_gysin
 from .model import (
     Perversity,
     load_model,
+    mat_from_json,
+    mat_to_json,
     model_to_dict,
     save_model,
     validate,
+    vec_to_json,
 )
 from .perverse import (
     cogysin_cohomology,
@@ -38,7 +41,6 @@ from .perverse import (
     gysin_les,
     omega_cohomology,
 )
-from .ratla import rat_str
 from .spectral import (
     d3_check,
     fixed_point_preconditions,
@@ -53,15 +55,11 @@ SCHEMA = "eqih-report/1"
 # serialization helpers
 
 
-def _mat_json(mat):
-    return [[rat_str(x) for x in row] for row in mat.entries]
-
-
 def _les_json(seq):
     return {
         "nodes": [{"label": lab, "dim": dim}
                   for lab, dim in zip(seq.labels, seq.dims)],
-        "maps": [_mat_json(m) for m in seq.maps],
+        "maps": [mat_to_json(m) for m in seq.maps],
         "exact": is_exact(seq),
     }
 
@@ -162,7 +160,7 @@ def _cmd_gysin(args):
         "gysin", m, perversity=p.label(),
         gysin_dims=list(gysin_cohomology(m, p).dims()),
         cogysin_dims=list(cogysin_cohomology(m, p).dims()),
-        euler_maps={str(k): _mat_json(eub.mat(k)) for k in range(top + 1)},
+        euler_maps={str(k): mat_to_json(eub.mat(k)) for k in range(top + 1)},
         gysin_les=_les_json(gles),
         cogysin_les=_les_json(kles),
     )
@@ -174,6 +172,8 @@ def _cmd_equivariant(args):
     m = _load(args.file)
     p = _perversity(args.perversity, m)
     n_u = args.nu if args.nu is not None else default_window(m)
+    if n_u < 1:
+        raise InputError("--nu must be at least 1, not %d" % n_u)
     eq = build_equivariant(m, p, n_u)
     seq, les_report = equivariant_gysin_les(m, p, n_u)
     report = _report(
@@ -195,7 +195,7 @@ def _cmd_spectral(args):
         "pages": [{
             "r": pg.r,
             "cells": {"%d,%d" % c: d for c, d in sorted(pg.cells.items())},
-            "differentials": {"%d,%d" % c: _mat_json(mat)
+            "differentials": {"%d,%d" % c: mat_to_json(mat)
                               for c, mat in sorted(pg.differentials.items())
                               if not mat.is_zero()},
         } for pg in pgs],
@@ -243,10 +243,19 @@ def _load_iso(path):
             data = json.load(fh)
     if not isinstance(data, dict):
         raise InputError("iso document must be a JSON object")
-    from .ratla import Matrix
+    raw = data.get("mats") or {}
+    if not isinstance(raw, dict):
+        raise InputError("iso field 'mats' must map degrees to matrices")
     mats = {}
-    for key, rows in (data.get("mats") or {}).items():
-        mats[int(key)] = Matrix.from_rows(rows)
+    for key, rows in raw.items():
+        try:
+            degree = int(key)
+        except ValueError:
+            raise InputError("iso degree %r is not an integer" % key)
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise InputError("iso matrix for degree %r must be a list of rows" % key)
+        mats[degree] = mat_from_json(rows, len(rows), len(rows[0]) if rows else 0,
+                                     "iso degree %s" % key)
     return ModelIso(mats, dict(data.get("strata") or {}))
 
 
@@ -260,7 +269,7 @@ def _cmd_compare(args):
         related, gamma = f_related(iso, m1, m2)
         body["related"] = related
         if related:
-            body["witness"] = [rat_str(x) for x in gamma]
+            body["witness"] = vec_to_json(gamma)
             body["consequences"] = consequence_check(iso, m1, m2)
     report = _report("compare", **body)
     return report, 0
@@ -367,7 +376,7 @@ def _build_parser():
              "truncated equivariant cohomology and its Gysin sequence",
              perv=True)
     sp.add_argument("--nu", type=int, default=None,
-                    help="truncation degree override")
+                    help="truncation degree override (at least 1)")
 
     sp = add("spectral", _cmd_spectral,
              "spectral sequence pages of the u-power filtration", perv=True)

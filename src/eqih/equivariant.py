@@ -4,14 +4,17 @@ generator u, and the equivariant Gysin sequence.
 Degree-k elements of the pair complex are pairs (alpha, beta) with alpha in
 the p-level of degree k, beta in the one-step-lower perverse complex of
 degree k-1, and d(alpha) + sign * E(beta) again in level; its cohomology
-plays the role of the intersection cohomology of the total space.  Tensoring
-with powers of a degree-2 generator u and twisting the differential by a
-beta-shift yields the equivariant complex; u acts by shifting the power.
+plays the role of the intersection cohomology of the total space.  Beside
+its differential d the pair complex carries the signed u-shift
+S: (alpha, beta) |-> sign(k) * (beta, 0), one pair degree down.  The
+equivariant complex is the pair complex tensored with Q[u] (u of degree 2)
+with differential D = d + u * S; u acts by raising the power.
 
-Everything is truncated at a window n_u: spaces are built up to total degree
-n_u + 2 and reported values are trusted for degrees <= n_u, which is safe
-because the Gysin sequence forces the u-action to stabilize above the
-ambient top degree.
+The module over Q[u] is infinite, so the reports that list it degree by
+degree (dims, u-ranks, the equivariant Gysin sequence, the spectral pages)
+read a window n_u: spaces are built up to total degree n_u + 2 and reported
+values are trusted for degrees <= n_u.  Inverting u needs no window; see
+localize.
 """
 
 from __future__ import annotations
@@ -22,15 +25,15 @@ from .errors import DecompositionMismatch, InternalInvariantViolation
 from .homalg import ChainMap, Cohomology, Complex, LongExactSequence, SesData, chain_map, check_exact
 from .model import ModelInstance, Perversity
 from .perverse import (
-    PerverseComplex,
-    _shift_down,
     _sign,
     euler_map,
+    gysin_maps,
     perverse_complex,
 )
 from .ratla import (
     Matrix,
     Subspace,
+    block_matrix,
     image,
     intersect,
     kernel,
@@ -61,9 +64,6 @@ class Eq1Complex:
         if k in self.spaces:
             return self.spaces[k]
         return Subspace.zero(0)
-
-    def pair_dim(self, k) -> int:
-        return self.complex.dim(k)
 
 
 def build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
@@ -119,6 +119,29 @@ def _twisted_d(a, k, pair_vec):
     return tuple(head) + a.diff(k - 1).apply(beta)
 
 
+def pair_shift(m: ModelInstance, p: Perversity) -> dict:
+    """The signed u-shift S_k: Eq1^k -> Eq1^{k-1}, (alpha, beta) |->
+    sign(k) * (beta, 0), per pair degree k, in the pair-space bases."""
+    return m.cached(("eq1_shift", p), lambda: _pair_shift(m, p))
+
+
+def _pair_shift(m: ModelInstance, p: Perversity) -> dict:
+    a = m.ambient
+    eq1 = build_eq1(m, p)
+    shift = {}
+    for k in eq1.complex.degrees():
+        na = a.dim(k)
+        cols = []
+        for w in eq1.space(k).vectors():
+            c = eq1.space(k - 1).coords(tuple(w[na:]) + (0,) * a.dim(k - 2))
+            if c is None:
+                raise InternalInvariantViolation(
+                    "u-shift escaped the pair space in degree %d" % k)
+            cols.append(c)
+        shift[k] = Matrix.from_columns(eq1.complex.dim(k - 1), cols).scale(_sign(k))
+    return shift
+
+
 def eq1_cohomology(m: ModelInstance, p: Perversity) -> Cohomology:
     """Cohomology of the pair complex: the intersection cohomology of the
     total space."""
@@ -126,14 +149,17 @@ def eq1_cohomology(m: ModelInstance, p: Perversity) -> Cohomology:
 
 
 # ---------------------------------------------------------------------------
-# Lambda-u extensions
+# tensoring with Q[u]
 
 
 class LambdaExtension:
-    """A complex tensored with powers of the degree-2 generator u, truncated
-    to total degrees lo..hi; the differential ignores u (block diagonal)."""
+    """A complex tensored with Q[u] (u of degree 2), truncated to total
+    degrees 0..hi.  Total degree n holds one component u^j X^k for every
+    base degree k = n - 2j.  The differential is the base differential on
+    each component plus, when shift (a dict of S_k: X^k -> X^{k-1}) is
+    given, S one u-power up."""
 
-    def __init__(self, base: Complex, hi: int):
+    def __init__(self, base: Complex, hi: int, shift=None):
         self.base = base
         self.hi = hi
         self.offsets = {}
@@ -146,21 +172,15 @@ class LambdaExtension:
                 total += base.dim(k)
             self.offsets[n] = off
             dims.append(total)
-        diffs = []
-        for n in range(0, hi + 1):
-            tgt = dims[n + 1] if n + 1 <= hi else 0
-            cols = []
-            for j, k in self.components(n):
-                for i in range(base.dim(k)):
-                    out = [0] * tgt
-                    if n + 1 <= hi and j in self.offsets[n + 1]:
-                        col = base.d(k).column(i)
-                        o = self.offsets[n + 1][j]
-                        for t, x in enumerate(col):
-                            out[o + t] += x
-                    cols.append(tuple(out))
-            diffs.append(Matrix.from_columns(tgt, cols))
-        self.complex = Complex.build(0, hi, dims, diffs, check=False)
+        self.dims = tuple(dims)
+        terms = [(0, base.d)]
+        if shift is not None:
+            terms.append((1, shift.__getitem__))
+        diffs = [self.tensor(n, self, 1, terms) for n in range(0, hi + 1)]
+        self.complex = Complex.build(0, hi, dims, diffs, check=shift is not None)
+
+    def dim(self, n) -> int:
+        return self.dims[n] if 0 <= n <= self.hi else 0
 
     def components(self, n):
         out = []
@@ -172,8 +192,26 @@ class LambdaExtension:
             j += 1
         return out
 
+    def tensor(self, n, target: "LambdaExtension", degree, terms) -> Matrix:
+        """The map from total degree n to total degree n + degree of target
+        that sends u^j x, for x in base degree k, to the sum over the terms
+        (dj, f) of u^(j+dj) f(k) x; components outside the target window are
+        dropped."""
+        tgt = target.offsets.get(n + degree, {})
+        blocks = []
+        for j, col in self.offsets.get(n, {}).items():
+            for dj, f in terms:
+                if j + dj in tgt:
+                    blocks.append((tgt[j + dj], col, f(n - 2 * j)))
+        return block_matrix(target.dim(n + degree), self.dim(n), blocks)
+
+    def chain_map(self, target: "LambdaExtension", f) -> ChainMap:
+        """The chain map f tensor Q[u] for per-degree base matrices f(k)."""
+        maps = {n: self.tensor(n, target, 0, [(0, f)]) for n in range(0, self.hi + 1)}
+        return chain_map(self.complex, target.complex, maps)
+
     def inject(self, n, j, coords):
-        out = [0] * self.complex.dim(n)
+        out = [0] * self.dim(n)
         o = self.offsets[n][j]
         for t, x in enumerate(coords):
             out[o + t] = x
@@ -187,20 +225,13 @@ class LambdaExtension:
         return tuple(vec[o:o + self.base.dim(k)])
 
     def u_matrix(self, n) -> Matrix:
-        """The u-action C^n -> C^{n+2}: shift the power by one."""
-        tgt = self.complex.dim(n + 2)
-        cols = []
-        for j, k in self.components(n):
-            for i in range(self.base.dim(k)):
-                out = [0] * tgt
-                if n + 2 <= self.hi and j + 1 in self.offsets[n + 2]:
-                    out[self.offsets[n + 2][j + 1] + i] = 1
-                cols.append(tuple(out))
-        return Matrix.from_columns(tgt, cols)
+        """The u-action C^n -> C^{n+2}: raise the power by one."""
+        return self.tensor(n, self, 2, [(1, lambda k: Matrix.identity(self.base.dim(k)))])
 
 
 class EquivariantComplex:
-    """Truncated equivariant complex with the twisted differential."""
+    """Truncated equivariant complex: the pair complex tensored with Q[u],
+    with the twisted differential d + u * S."""
 
     def __init__(self, m: ModelInstance, p: Perversity, n_u: int):
         m.check_perversity(p)
@@ -209,47 +240,9 @@ class EquivariantComplex:
         self.n_u = n_u
         self.eq1 = build_eq1(m, p)
         self.hi = n_u + 2
-        ext = LambdaExtension(self.eq1.complex, self.hi)
-        self.offsets = ext.offsets
-        self.ext = ext
-        a = m.ambient
-
-        dims = [ext.complex.dim(n) for n in range(0, self.hi + 1)]
-        diffs = []
-        for n in range(0, self.hi + 1):
-            tgt = dims[n + 1] if n + 1 <= self.hi else 0
-            cols = []
-            for j, k in ext.components(n):
-                sp = self.eq1.space(k)
-                na = a.dim(k)
-                for w in sp.vectors():
-                    out = [0] * tgt
-                    if n + 1 <= self.hi:
-                        # differential part: same u-power
-                        if j in ext.offsets[n + 1]:
-                            img = _twisted_d(a, k, w)
-                            c = self.eq1.space(k + 1).coords(img)
-                            if c is None:
-                                raise InternalInvariantViolation(
-                                    "twisted differential escaped in degree %d" % n)
-                            o = ext.offsets[n + 1][j]
-                            for t, x in enumerate(c):
-                                out[o + t] += x
-                        # u part: (beta, 0) one power up, with the degree sign
-                        if j + 1 in ext.offsets[n + 1]:
-                            beta = w[na:]
-                            upair = tuple(beta) + (0,) * a.dim(k - 2)
-                            c = self.eq1.space(k - 1).coords(upair)
-                            if c is None:
-                                raise InternalInvariantViolation(
-                                    "u-shift escaped the pair space in degree %d" % n)
-                            o = ext.offsets[n + 1][j + 1]
-                            s = _sign(k)
-                            for t, x in enumerate(c):
-                                out[o + t] += s * x
-                    cols.append(tuple(out))
-            diffs.append(Matrix.from_columns(tgt, cols))
-        self.complex = Complex.build(0, self.hi, dims, diffs, check=True)
+        self.ext = LambdaExtension(self.eq1.complex, self.hi, pair_shift(m, p))
+        self.offsets = self.ext.offsets
+        self.complex = self.ext.complex
         self.cohomology = Cohomology(self.complex, check=False)
 
     def components(self, n):
@@ -307,8 +300,9 @@ def truncation_stable(m: ModelInstance, p: Perversity, n_u=None) -> bool:
 
 
 class EquivariantGysin:
-    """The u-extended Gysin short exact sequence with its long exact sequence
-    and the verified decomposition of the connecting morphism."""
+    """The Gysin short exact sequence tensored with Q[u], with its long
+    exact sequence and the verified decomposition of the connecting
+    morphism."""
 
     def __init__(self, m: ModelInstance, p: Perversity, n_u=None):
         if n_u is None:
@@ -318,47 +312,11 @@ class EquivariantGysin:
         self.n_u = n_u
         self.eq = build_equivariant(m, p, n_u)
         self.pc = perverse_complex(m, p)
-        self.q = p.minus(m.characteristic_perversity())
-        self.lower = perverse_complex(m, self.q)
-        a = m.ambient
-        hi = self.eq.hi
-
-        omega_ext = Complex.build(0, self.pc.omega.hi, self.pc.omega.dims,
-                                  self.pc.omega.diffs, check=False)
-        self.head = LambdaExtension(omega_ext, hi)
-        self.tail = LambdaExtension(_shift_down(self.pc.gysin), hi)
-
-        inc = {}
-        quo = {}
-        for n in range(0, hi + 1):
-            cols = []
-            for j, k in self.head.components(n):
-                for v in self.pc.omega_spaces.get(k, Subspace.zero(a.dim(k))).vectors():
-                    pair = tuple(v) + (0,) * a.dim(k - 1)
-                    c = self.eq.eq1.space(k).coords(pair)
-                    if c is None:
-                        raise InternalInvariantViolation(
-                            "head inclusion escaped the pair space in degree %d" % n)
-                    cols.append(self.eq.ext.inject(n, j, c))
-            inc[n] = Matrix.from_columns(self.eq.complex.dim(n), cols)
-
-            qcols = []
-            for j, k in self.eq.components(n):
-                na = a.dim(k)
-                for w in self.eq.eq1.space(k).vectors():
-                    beta = w[na:]
-                    c = self.pc.gysin_spaces.get(k - 1, Subspace.zero(a.dim(k - 1))).coords(beta)
-                    if c is None:
-                        raise InternalInvariantViolation(
-                            "pair tail escaped the Gysin term in degree %d" % n)
-                    if j in self.tail.offsets[n]:
-                        qcols.append(self.tail.inject(n, j, c))
-                    else:
-                        qcols.append(zero_vec(self.tail.complex.dim(n)))
-            quo[n] = Matrix.from_columns(self.tail.complex.dim(n), qcols)
-
-        self.i = chain_map(self.head.complex, self.eq.complex, inc)
-        self.s = chain_map(self.eq.complex, self.tail.complex, quo)
+        i, s = gysin_maps(m, p)
+        self.head = LambdaExtension(self.pc.omega, self.eq.hi)
+        self.tail = LambdaExtension(s.target, self.eq.hi)
+        self.i = self.head.chain_map(self.eq.ext, i.mat)
+        self.s = self.eq.ext.chain_map(self.tail, s.mat)
         self.ses = SesData(self.i, self.s)
         self.eub = euler_map(m, p)
 
@@ -414,6 +372,8 @@ class EquivariantGysin:
 
 def equivariant_gysin_les(m: ModelInstance, p: Perversity, n_u=None):
     """(long exact sequence, report) for the u-extended Gysin sequence."""
+    if n_u is None:
+        n_u = default_window(m)
     gy = m.cached(("eq_gysin", p, n_u),
                   lambda: EquivariantGysin(m, p, n_u))
     seq = gy.les()

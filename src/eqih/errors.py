@@ -34,10 +34,6 @@ class NotExact(EqihError):
     pass
 
 
-class TruncationTooSmall(EqihError):
-    pass
-
-
 class NotAConeModel(EqihError):
     pass
 

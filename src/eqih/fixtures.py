@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 
 from .errors import InputError, InternalInvariantViolation
-from .model import ModelInstance, Perversity, model_from_dict
+from .model import _EBAR, _XBAR, ModelInstance, Perversity, mat_to_json, model_from_dict, vec_to_json
 from .ratla import (
     Matrix,
     Subspace,
@@ -28,7 +28,6 @@ from .ratla import (
     kernel,
     map_image,
     quotient,
-    rat_str,
     subspace_sum,
 )
 
@@ -259,12 +258,10 @@ def _solve_euler_op(rng, dims, diffs, filtration_constraints):
             for k in range(n)]
 
 
-_EBAR_BY_KIND = {"mobile": 0, "fixed_nonperverse": 1, "fixed_perverse": 2}
-_XBAR_BY_KIND = {"mobile": 0, "fixed_nonperverse": 1, "fixed_perverse": 1}
-
-
 def random_model(seed: int, size: int = 2) -> ModelInstance:
     """Deterministic random model passing strict validation, for property tests."""
+    if size < 1:
+        raise InputError("random model size must be at least 1, not %d" % size)
     rng = random.Random(("model", seed, size).__repr__())
     top = rng.randint(2, 3)
     dims = [rng.randint(1, size)] + [rng.randint(0, size) for _ in range(top)]
@@ -289,7 +286,7 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
 
     constraints = []
     for s in strata:
-        shift = _EBAR_BY_KIND[s["kind"]]
+        shift = _EBAR[s["kind"]]
         for level in range(kmax[s["name"]]):
             if level + shift >= kmax[s["name"]]:
                 continue
@@ -301,7 +298,7 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
     # closed cocycle inside every stratum's Euler level in degree 2
     eps_space = kernel(diffs[2]) if top >= 2 else Subspace.zero(dims[2] if top >= 2 else 0)
     for s in strata:
-        eps_space = intersect(eps_space, filt(s["name"], _EBAR_BY_KIND[s["kind"]], 2))
+        eps_space = intersect(eps_space, filt(s["name"], _EBAR[s["kind"]], 2))
     n2 = dims[2] if top >= 2 else 0
     eps = [0] * n2
     for b in eps_space.vectors():
@@ -309,8 +306,8 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
         eps = [x + c * y for x, y in zip(eps, b)]
 
     # perversity working set closed under subtracting the characteristic one
-    xbar = {s["name"]: _XBAR_BY_KIND[s["kind"]] for s in strata}
-    ebar = {s["name"]: _EBAR_BY_KIND[s["kind"]] for s in strata}
+    xbar = {s["name"]: _XBAR[s["kind"]] for s in strata}
+    ebar = {s["name"]: _EBAR[s["kind"]] for s in strata}
     base = [
         {s["name"]: 0 for s in strata},
         ebar,
@@ -326,23 +323,20 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
         todo.append(tuple(sorted((k, max(-1, v - xbar[k])) for k, v in p)))
     pset.sort()
 
-    def mat_json(m):
-        return [[rat_str(x) for x in row] for row in m.entries]
-
     data = {
         "name": "random-%d-%d" % (seed, size),
         "top_degree": top,
         "dims": dims,
-        "d": [mat_json(d) for d in diffs],
+        "d": [mat_to_json(d) for d in diffs],
         "strata": strata,
         "filtrations": {
-            name: {str(level): [[[rat_str(x) for x in v] for v in spaces[deg].vectors()]
+            name: {str(level): [[vec_to_json(v) for v in spaces[deg].vectors()]
                                 for deg in range(top + 1)]
                    for level, spaces in levels.items()}
             for name, levels in filtrations.items()
         },
-        "euler_cocycle": [rat_str(x) for x in eps],
-        "euler_op": [mat_json(e) for e in euler],
+        "euler_cocycle": vec_to_json(eps),
+        "euler_op": [mat_to_json(e) for e in euler],
         "perversities": [dict(p) for p in pset],
     }
     return model_from_dict(data)

@@ -13,17 +13,7 @@ from dataclasses import dataclass, field
 
 from . import ratla
 from .errors import NotAComplex, NotExact, InternalInvariantViolation
-from .ratla import (
-    Matrix,
-    QuotientSpace,
-    Subspace,
-    image,
-    intersect,
-    kernel,
-    map_image,
-    quotient,
-    subspace_sum,
-)
+from .ratla import Matrix, Subspace, image, kernel, quotient
 
 
 @dataclass(frozen=True)
@@ -200,9 +190,6 @@ class Cohomology:
             return self._data[k][1]
         return Subspace.zero(self.complex.dim(k))
 
-    def quotient_space(self, k) -> QuotientSpace:
-        return self._data[k][2]
-
     def class_of(self, k, cocycle):
         z = self.cocycles(k)
         if not z.contains(cocycle):
@@ -325,10 +312,3 @@ class SesData:
                 maps.append(self.connecting(k))
         return LongExactSequence(labels, dims, maps)
 
-
-def les_from_ses(i: ChainMap, s: ChainMap, lo=None, hi=None) -> LongExactSequence:
-    seq = SesData(i, s).les(lo, hi)
-    bad = [r for r in check_exact(seq) if not r["exact"]]
-    if bad:
-        raise NotExact("long exact sequence fails at %s" % bad[0]["node"])
-    return seq

@@ -3,26 +3,26 @@ polynomial ring on the degree-2 generator u.
 
 The equivariant cohomology is a module over polynomials in u; inverting u
 kills every torsion class and leaves a two-periodic (parity-graded) vector
-space over rational functions in u, whose even/odd ranks are read off from
-the stabilized dims of the truncated module.  The localized Gysin sequence
-expresses the same ranks through the rank over the fraction field of the
-connecting matrix (Euler map plus u times the inclusion), and the cone
-formula predicts them from link data for cone models.
+space over rational functions in u.  Localization is exact, so that space is
+the cohomology of the pair complex tensored with Q[u, 1/u]; setting u = 1
+identifies it with the two-periodic complex over Q whose parity-r term is
+the sum of the pair-complex terms of parity r, with differential d + S.  Its
+even/odd dims are two matrix ranks, with no truncation window.  The
+localized Gysin sequence expresses the same ranks through the rank over the
+fraction field of the connecting matrix (Euler map plus u times the
+inclusion), and the cone formula predicts them from link data for cone
+models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    InternalInvariantViolation,
-    NotAConeModel,
-    NotExact,
-    TruncationTooSmall,
-)
-from .model import ModelInstance, Perversity
+from .equivariant import build_eq1, pair_shift
+from .errors import InternalInvariantViolation, NotAConeModel, NotExact
+from .model import ModelInstance, Perversity, rat_from_json
 from .perverse import euler_map, gysin_cohomology, omega_cohomology, perverse_complex
-from .ratla import Matrix, Subspace, rat
+from .ratla import Matrix, Subspace, block_matrix, rat
 
 # ---------------------------------------------------------------------------
 # polynomials in u with rational coefficients
@@ -162,46 +162,6 @@ class PolyMatrix:
 
 
 @dataclass(frozen=True)
-class LambdaUModule:
-    """Equivariant cohomology as a truncated module over polynomials in u:
-    graded dims, the u-action on cohomology, and the degree from which the
-    u-action is an isomorphism."""
-
-    dims: tuple         # degrees 0 .. n_u
-    u_maps: dict        # n -> Matrix of u: H^n -> H^{n+2}
-    n0: int
-
-    def stable_dim(self, parity) -> int:
-        n = self.n0 + ((parity - self.n0) % 2)
-        return self.dims[n]
-
-
-def lambda_u_module(m: ModelInstance, p: Perversity, n_u=None) -> LambdaUModule:
-    from .equivariant import build_equivariant, default_window
-
-    if n_u is None:
-        n_u = default_window(m)
-    eq = build_equivariant(m, p, n_u)
-    dims = eq.dims()
-    u_maps = {n: eq.u_cohomology_matrix(n) for n in range(0, n_u - 1)}
-
-    def iso(n):
-        mat = u_maps[n]
-        return mat.rows == mat.cols and mat.rank() == mat.rows
-
-    n0 = None
-    for start in range(0, n_u - 4):
-        if all(iso(n) for n in range(start, n_u - 1)):
-            n0 = start
-            break
-    if n0 is None or n_u - 2 - n0 < 3:
-        raise TruncationTooSmall(
-            "no u-stabilization window of two parity steps below the "
-            "truncation degree %d" % n_u)
-    return LambdaUModule(dims, u_maps, n0)
-
-
-@dataclass(frozen=True)
 class LocalizedModule:
     even_rank: int
     odd_rank: int
@@ -210,11 +170,42 @@ class LocalizedModule:
         return (self.even_rank, self.odd_rank)
 
 
-def localize(m: ModelInstance, p: Perversity, n_u=None) -> LocalizedModule:
+def lambda_u_module(m: ModelInstance, p: Perversity) -> LocalizedModule:
     """Even/odd ranks of the equivariant cohomology over rational functions
-    in u: the stabilized parity dims of the truncated module."""
-    mod = lambda_u_module(m, p, n_u)
-    return LocalizedModule(mod.stable_dim(0), mod.stable_dim(1))
+    in u: the cohomology of the two-periodic complex of the pair complex with
+    differential d + S."""
+    return m.cached(("localized", p), lambda: _periodic_cohomology(m, p))
+
+
+def _periodic_cohomology(m: ModelInstance, p: Perversity) -> LocalizedModule:
+    cx = build_eq1(m, p).complex
+    shift = pair_shift(m, p)
+    offsets = []
+    for r in (0, 1):
+        off, total = {}, 0
+        for k in cx.degrees():
+            if k % 2 == r:
+                off[k] = total
+                total += cx.dim(k)
+        offsets.append((off, total))
+    ranks = []
+    for r in (0, 1):
+        (src, cols), (tgt, rows) = offsets[r], offsets[1 - r]
+        blocks = []
+        for k, col in src.items():
+            if k + 1 in tgt:
+                blocks.append((tgt[k + 1], col, cx.d(k)))
+            if k - 1 in tgt:
+                blocks.append((tgt[k - 1], col, shift[k]))
+        ranks.append(block_matrix(rows, cols, blocks).rank())
+    # dim H_r = dim C_r - rank(C_r -> C_{1-r}) - rank(C_{1-r} -> C_r)
+    return LocalizedModule(offsets[0][1] - sum(ranks), offsets[1][1] - sum(ranks))
+
+
+def localize(m: ModelInstance, p: Perversity) -> LocalizedModule:
+    """Even/odd ranks of the equivariant cohomology over rational functions
+    in u."""
+    return lambda_u_module(m, p)
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +250,19 @@ def localized_connecting(m: ModelInstance, p: Perversity, parity) -> PolyMatrix:
                                   [hg.dim(k) for k in src], blocks)
 
 
-def localized_gysin(m: ModelInstance, p: Perversity, n_u=None) -> dict:
+def localized_gysin(m: ModelInstance, p: Perversity) -> dict:
     """Exactness report for the two-periodic localized Gysin sequence.
 
     Exactness of the six-term periodic sequence is equivalent to the rank
     bookkeeping  dim IL_r = dim IH_r(B) - rank(delta_r) + dim HG_{1-r} -
     rank(delta_{1-r})  per parity r; both sides are computed independently
-    (stabilized module dims vs. fraction-field ranks) and compared.  Raises
-    NotExact on disagreement.
+    (cohomology of the periodic pair complex vs. fraction-field ranks of the
+    connecting matrices) and compared.  Raises NotExact on disagreement.
     """
     top = m.ambient.top_degree
     ih = omega_cohomology(m, p)
     hg = gysin_cohomology(m, p)
-    il = localize(m, p, n_u)
+    il = localize(m, p)
     report = {"parities": [], "exact": True}
     b_dims = [sum(ih.dim(k) for k in range(0, top + 1) if k % 2 == r)
               for r in (0, 1)]
@@ -304,7 +295,7 @@ def localized_gysin(m: ModelInstance, p: Perversity, n_u=None) -> dict:
 # the cone formula
 
 
-def cone_formula_check(m: ModelInstance, p: Perversity, n_u=None) -> dict:
+def cone_formula_check(m: ModelInstance, p: Perversity) -> dict:
     """Compare the localized ranks with the link-data prediction for cone
     models: the quotient of the link cohomology one degree below the cone
     degree by the kernel of its Euler map, plus the link cohomology at the
@@ -338,9 +329,9 @@ def cone_formula_check(m: ModelInstance, p: Perversity, n_u=None) -> dict:
             quotient = 0
         else:
             quotient = Matrix.from_rows(
-                [[rat(x) for x in row] for row in raw]).rank()
+                [[rat_from_json(x, "cone link_eub") for x in row] for row in raw]).rank()
         predicted[(deg - 1) % 2] += quotient
-    computed = localize(m, p, n_u).ranks()
+    computed = localize(m, p).ranks()
     return {
         "cone_degree": deg,
         "predicted": tuple(predicted),

@@ -34,10 +34,6 @@ class Stratum:
         if self.kind not in STRATUM_KINDS:
             raise InputError("unknown stratum kind %r" % self.kind)
 
-    @property
-    def is_fixed(self) -> bool:
-        return self.kind != "mobile"
-
 
 class Perversity:
     """Integer weight per singular stratum; totally defined on a model."""
@@ -98,10 +94,6 @@ class Perversity:
 
 def zero_perversity(strata) -> Perversity:
     return Perversity({s.name: 0 for s in strata})
-
-
-def perversity_ops(p: Perversity, q: Perversity) -> dict:
-    return {"sum": p + q, "difference": p.minus(q), "leq": p <= q}
 
 
 @dataclass(frozen=True)
@@ -268,7 +260,7 @@ def validate(m: ModelInstance, strict: bool = False):
     eps = a.euler_cocycle
     deps = a.diff(2).apply(eps) if a.dim(2) else ()
     _check(report, "euler cocycle: closed", all(x == 0 for x in deps),
-           "" if all(x == 0 for x in deps) else "d(epsilon) = %s" % (_vec_to_json(deps),))
+           "" if all(x == 0 for x in deps) else "d(epsilon) = %s" % (vec_to_json(deps),))
 
     ok, bad = True, ""
     ebar = m.euler_perversity()
@@ -374,38 +366,39 @@ def _validate_product(m: ModelInstance, report):
     _check(report, "strict: product adds perverse degrees", ok, bad)
 
 
-def validation_passed(report) -> bool:
-    return all(r["passed"] for r in report)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _vec_to_json(v):
+def rat_from_json(x, where):
+    """A JSON integer or 'p/q' string as an exact rational.  A JSON float is
+    refused: it arrives as a binary fraction, not the number its text shows."""
+    if isinstance(x, (bool, float)):
+        raise InputError("%s: %r is not an integer or a 'p/q' string" % (where, x))
+    try:
+        return rat(x)
+    except (ValueError, ZeroDivisionError, TypeError) as e:
+        raise InputError("bad rational in %s: %s" % (where, e))
+
+
+def vec_to_json(v):
     return [rat_str(x) for x in v]
+
+
+def mat_to_json(m: Matrix):
+    return [vec_to_json(row) for row in m.entries]
 
 
 def _vec_from_json(v, n, where):
     if len(v) != n:
         raise InputError("vector length %d != %d in %s" % (len(v), n, where))
-    try:
-        return tuple(rat(x) for x in v)
-    except (ValueError, ZeroDivisionError, TypeError) as e:
-        raise InputError("bad rational in %s: %s" % (where, e))
+    return tuple(rat_from_json(x, where) for x in v)
 
 
-def _mat_to_json(m: Matrix):
-    return [[rat_str(x) for x in row] for row in m.entries]
-
-
-def _mat_from_json(rows, nrows, ncols, where) -> Matrix:
+def mat_from_json(rows, nrows, ncols, where) -> Matrix:
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise InputError("matrix shape mismatch in %s (want %dx%d)" % (where, nrows, ncols))
-    try:
-        return Matrix(nrows, ncols, rows)
-    except (ValueError, ZeroDivisionError, TypeError) as e:
-        raise InputError("bad rational in %s: %s" % (where, e))
+    return Matrix(nrows, ncols, [[rat_from_json(x, where) for x in r] for r in rows])
 
 
 def model_to_dict(m: ModelInstance) -> dict:
@@ -415,7 +408,7 @@ def model_to_dict(m: ModelInstance) -> dict:
         levels = {}
         for level in range(0, a.kmax[s.name]):
             levels[str(level)] = [
-                [_vec_to_json(v) for v in a.filtration(s.name, level, deg).vectors()]
+                [vec_to_json(v) for v in a.filtration(s.name, level, deg).vectors()]
                 for deg in range(a.top_degree + 1)
             ]
         filt[s.name] = levels
@@ -423,16 +416,16 @@ def model_to_dict(m: ModelInstance) -> dict:
         "name": m.name,
         "top_degree": a.top_degree,
         "dims": list(a.dims),
-        "d": [_mat_to_json(a.diff(k)) for k in range(a.top_degree + 1)],
+        "d": [mat_to_json(a.diff(k)) for k in range(a.top_degree + 1)],
         "strata": [{"name": s.name, "kind": s.kind} for s in m.strata],
         "filtrations": filt,
-        "euler_cocycle": _vec_to_json(a.euler_cocycle),
-        "euler_op": [_mat_to_json(a.euler(k)) for k in range(a.top_degree + 1)],
+        "euler_cocycle": vec_to_json(a.euler_cocycle),
+        "euler_op": [mat_to_json(a.euler(k)) for k in range(a.top_degree + 1)],
         "perversities": [dict(p.items) for p in m.perversity_set],
     }
     if a.product is not None:
         out["product"] = {
-            "%d,%d" % key: _mat_to_json(mat) for key, mat in sorted(a.product.items())
+            "%d,%d" % key: mat_to_json(mat) for key, mat in sorted(a.product.items())
         }
     if m.metadata:
         out["metadata"] = m.metadata
@@ -456,7 +449,7 @@ def model_from_dict(data: dict) -> ModelInstance:
 
     if len(data["d"]) != n + 1:
         raise InputError("d must list one matrix per degree")
-    d = tuple(_mat_from_json(rows, dim(k + 1), dim(k), "d[%d]" % k)
+    d = tuple(mat_from_json(rows, dim(k + 1), dim(k), "d[%d]" % k)
               for k, rows in enumerate(data["d"]))
 
     strata = tuple(Stratum(s["name"], s["kind"]) for s in data["strata"])
@@ -491,7 +484,7 @@ def model_from_dict(data: dict) -> ModelInstance:
     euler_cocycle = _vec_from_json(data["euler_cocycle"], dim(2), "euler_cocycle")
     if len(data["euler_op"]) != n + 1:
         raise InputError("euler_op must list one matrix per degree")
-    euler_op = tuple(_mat_from_json(rows, dim(k + 2), dim(k), "euler_op[%d]" % k)
+    euler_op = tuple(mat_from_json(rows, dim(k + 2), dim(k), "euler_op[%d]" % k)
                      for k, rows in enumerate(data["euler_op"]))
 
     product = None
@@ -502,7 +495,7 @@ def model_from_dict(data: dict) -> ModelInstance:
                 i, j = (int(x) for x in key.split(","))
             except ValueError:
                 raise InputError("bad product key %r" % key)
-            product[(i, j)] = _mat_from_json(rows, dim(i + j), dim(i) * dim(j),
+            product[(i, j)] = mat_from_json(rows, dim(i + j), dim(i) * dim(j),
                                              "product[%s]" % key)
 
     names = {s.name for s in strata}

@@ -107,14 +107,6 @@ def _build(m: ModelInstance, p: Perversity) -> PerverseComplex:
                            gysin, gysin_incl, gysin_spaces, cogysin, projection)
 
 
-def build_omega(m: ModelInstance, p: Perversity) -> Complex:
-    return perverse_complex(m, p).omega
-
-
-def build_gysin(m: ModelInstance, p: Perversity) -> Complex:
-    return perverse_complex(m, p).gysin
-
-
 def build_cogysin(m: ModelInstance, p: Perversity):
     """The quotient complex K_p with the projection and the connecting data
     of 0 -> G_p -> Omega_p -> K_p -> 0."""
@@ -158,35 +150,6 @@ def inclusion_map(m: ModelInstance, p: Perversity, q: Perversity) -> ChainMap:
             cols.append(c)
         maps[k] = Matrix.from_columns(cq.omega.dim(k), cols)
     return chain_map(cp.omega, cq.omega, maps)
-
-
-def gysin_inclusion(m: ModelInstance, p: Perversity, q: Perversity) -> ChainMap:
-    """The inclusion G_p -> G_q for p <= q, in the chosen bases."""
-    if not p <= q:
-        raise InputError("inclusion needs comparable perversities (p <= q)")
-    cp = perverse_complex(m, p)
-    cq = perverse_complex(m, q)
-    maps = {}
-    for k in cp.ambient.degrees():
-        cols = []
-        for v in cp.gysin_ambient_mat(k).columns():
-            c = cq.gysin_ambient_mat(k).solve(v)
-            if c is None:
-                raise InternalInvariantViolation(
-                    "Gysin monotonicity failed in degree %d" % k)
-            cols.append(c)
-        maps[k] = Matrix.from_columns(cq.gysin.dim(k), cols)
-    return chain_map(cp.gysin, cq.gysin, maps)
-
-
-def gysin_is_shifted_omega(m: ModelInstance, p: Perversity) -> bool:
-    """Whether G_p equals Omega_{p - xbar} on the nose (automatic when no
-    stratum is perverse)."""
-    pc = perverse_complex(m, p)
-    q = p.minus(m.characteristic_perversity())
-    lower = perverse_complex(m, q)
-    return all(pc.gysin_spaces[k] == lower.omega_spaces[k]
-               for k in pc.ambient.degrees())
 
 
 class EulerMap:
@@ -272,12 +235,17 @@ def _shift_down(c: Complex) -> Complex:
     return Complex.build(c.lo, c.hi + 1, dims, diffs, check=False)
 
 
-def gysin_ses(m: ModelInstance, p: Perversity):
-    """0 -> Omega_p -> (twisted pair complex) -> G_p[-1] -> 0.
+def gysin_maps(m: ModelInstance, p: Perversity):
+    """The chain maps (i, s) of 0 -> Omega_p -> (twisted pair complex) ->
+    G_p[-1] -> 0.
 
-    The middle term is the complex of admissible pairs; the first map is
-    alpha |-> (alpha, 0) and the second (alpha, beta) |-> beta.
+    The middle term is the complex of admissible pairs; i is
+    alpha |-> (alpha, 0) and s is (alpha, beta) |-> beta.
     """
+    return m.cached(("gysin_maps", p), lambda: _gysin_maps(m, p))
+
+
+def _gysin_maps(m: ModelInstance, p: Perversity):
     from .equivariant import build_eq1
 
     pc = perverse_complex(m, p)
@@ -314,13 +282,13 @@ def gysin_ses(m: ModelInstance, p: Perversity):
                               check=False)
     i = chain_map(omega_ext, eq1.complex, inc)
     s = chain_map(eq1.complex, shifted, quo)
-    return SesData(i, s)
+    return i, s
 
 
 def gysin_les(m: ModelInstance, p: Perversity) -> LongExactSequence:
     """The Gysin long exact sequence; its connecting morphism is verified to
     coincide with the Euler map."""
-    ses = m.cached(("gysin_ses", p), lambda: gysin_ses(m, p))
+    ses = m.cached(("gysin_ses", p), lambda: SesData(*gysin_maps(m, p)))
     eub = euler_map(m, p)
     seq = ses.les()
     for k in range(ses.i.source.lo, ses.i.source.hi):

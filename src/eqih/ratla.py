@@ -22,8 +22,6 @@ ONE = QNUM(1)
 
 def rat(x) -> "QNUM":
     """Coerce ints, 'p/q' strings and rationals to the scalar type."""
-    if isinstance(x, str):
-        return QNUM(x)
     return QNUM(x)
 
 
@@ -193,13 +191,14 @@ class Matrix:
         return tuple(x)
 
 
-def rref(m: Matrix):
-    return m.rref()
-
-
-def solve_preimage(m: Matrix, target):
-    """Particular preimage of target under m, or None when unsolvable."""
-    return m.solve(target)
+def block_matrix(rows, cols, blocks) -> Matrix:
+    """rows x cols matrix holding each (row offset, column offset, Matrix)
+    of blocks and zero elsewhere; blocks must not overlap."""
+    grid = [[ZERO] * cols for _ in range(rows)]
+    for r0, c0, blk in blocks:
+        for i, row in enumerate(blk.entries):
+            grid[r0 + i][c0:c0 + blk.cols] = row
+    return Matrix(rows, cols, grid)
 
 
 @dataclass(frozen=True)
@@ -374,6 +373,3 @@ def vec_scale(c, a):
 def zero_vec(n):
     return (ZERO,) * n
 
-
-def is_zero_vec(v) -> bool:
-    return all(x == 0 for x in v)

@@ -26,7 +26,7 @@ from .errors import (
     TheoremViolation,
 )
 from .homalg import LongExactSequence, check_exact
-from .model import ModelInstance, Perversity
+from .model import ModelInstance, Perversity, mat_to_json
 from .perverse import (
     build_cogysin,
     cogysin_cohomology,
@@ -44,7 +44,6 @@ from .ratla import (
     map_image,
     preimage,
     quotient,
-    rat_str,
     subspace_sum,
 )
 
@@ -394,10 +393,6 @@ def e3_isomorphisms(m: ModelInstance, p: Perversity, n_u=None) -> dict:
     return out
 
 
-def _mat_strings(mat: Matrix):
-    return [[rat_str(x) for x in row] for row in mat.entries]
-
-
 def d3_check(m: ModelInstance, p: Perversity, n_u=None) -> dict:
     """Entrywise comparison of the engine's third differential with the
     composite of the co-Gysin connecting morphism, the Euler map and (for
@@ -428,8 +423,8 @@ def d3_check(m: ModelInstance, p: Perversity, n_u=None) -> dict:
                 if engine_raw.is_zero() else engine_raw
         entry = {
             "cell": [i, 2 * j],
-            "engine": _mat_strings(engine),
-            "expected": _mat_strings(composite),
+            "engine": mat_to_json(engine),
+            "expected": mat_to_json(composite),
             "equal": engine == composite,
             "nonzero": not engine.is_zero(),
         }

@@ -4,7 +4,7 @@ import pytest
 
 from eqih.cli import main
 from eqih.fixtures import cone2, hopf
-from eqih.model import save_model
+from eqih.model import model_to_dict, save_model
 
 
 @pytest.fixture()
@@ -115,6 +115,15 @@ class TestCompare:
         assert code == 2
         assert json.loads(err)["error"] == "InvalidIso"
 
+    @pytest.mark.parametrize("mats", [{"x": [["1"]]}, {"0": [[0.5]]}])
+    def test_malformed_iso_exits_2(self, capsys, tmp_path, hopf_file, mats):
+        iso = tmp_path / "iso.json"
+        iso.write_text(json.dumps({"mats": mats, "strata": {}}))
+        code, out, err = run(capsys, "compare", hopf_file, hopf_file,
+                             "--iso", str(iso))
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InputError"
+
 
 class TestFixtureCommand:
     def test_roundtrip(self, capsys, tmp_path):
@@ -133,6 +142,11 @@ class TestFixtureCommand:
         code, _, err = run(capsys, "fixture", "nope")
         assert code == 2
 
+    def test_random_size_below_one_exits_2(self, capsys):
+        code, out, err = run(capsys, "fixture", "random", "--size", "0")
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InputError"
+
 
 class TestErrors:
     def test_bad_perversity_syntax(self, capsys, cone_file):
@@ -143,6 +157,23 @@ class TestErrors:
     def test_unknown_stratum(self, capsys, cone_file):
         code, _, err = run(capsys, "cohomology", cone_file, "-p", "nope=1")
         assert code == 2
+
+    def test_float_entry_exits_2(self, capsys, tmp_path):
+        # a JSON float is a binary fraction, never the decimal it shows
+        data = model_to_dict(cone2())
+        data["euler_cocycle"] = [0.1]
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", str(path), "--strict")
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("nu", ["0", "-3"])
+    def test_window_below_one_exits_2(self, capsys, cone_file, nu):
+        code, out, err = run(capsys, "equivariant", cone_file, "-p", "apex=2",
+                             "--nu", nu)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InputError"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/model.json")

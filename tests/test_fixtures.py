@@ -6,7 +6,7 @@ import pytest
 from eqih.errors import InputError
 from eqih.fixtures import FIXTURE_NAMES, make, oracle_cohomology, random_model
 from eqih.homalg import cohomology
-from eqih.model import Perversity, model_from_dict, model_to_dict, validate, validation_passed
+from eqih.model import Perversity, model_from_dict, model_to_dict, validate
 
 EXPECT = json.loads(
     (pathlib.Path(__file__).parent / "expectations.json").read_text())["fixtures"]
@@ -32,7 +32,7 @@ def perversity_from_label(m, label):
 class TestNamedFixtures:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_strict_validation(self, name):
-        assert validation_passed(validate(make(name), strict=True))
+        assert all(r["passed"] for r in validate(make(name), strict=True))
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_ambient_cohomology(self, name):
@@ -90,7 +90,7 @@ class TestRandomModels:
     @pytest.mark.parametrize("seed", range(25))
     def test_strict_validation(self, seed):
         m = random_model(seed)
-        assert validation_passed(validate(m, strict=True))
+        assert all(r["passed"] for r in validate(m, strict=True))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_round_trip(self, seed):
@@ -100,4 +100,4 @@ class TestRandomModels:
     def test_size_parameter(self):
         m = random_model(0, size=3)
         assert max(m.ambient.dims) <= 3
-        assert validation_passed(validate(m, strict=True))
+        assert all(r["passed"] for r in validate(m, strict=True))

@@ -1,11 +1,11 @@
 import pytest
 
-from eqih.errors import NotAConeModel, TruncationTooSmall
+from eqih.equivariant import build_equivariant
+from eqih.errors import NotAConeModel
 from eqih.fixtures import cone2, hopf, noperv, random_model, rot
 from eqih.localize import (
     PolyMatrix,
     cone_formula_check,
-    lambda_u_module,
     localize,
     localized_connecting,
     localized_gysin,
@@ -83,15 +83,18 @@ class TestLocalize:
         })
         assert localize(m, Perversity({})).ranks() == (0, 0)
 
-    def test_stabilization_degree(self):
-        mod = lambda_u_module(hopf(), Perversity({}))
-        # u: H^2 -> H^4 is not square, so stabilization starts above it
-        assert mod.n0 == 3
-        assert mod.stable_dim(0) == 0 and mod.stable_dim(1) == 0
-
-    def test_truncation_too_small(self):
-        with pytest.raises(TruncationTooSmall):
-            lambda_u_module(hopf(), Perversity({}), n_u=4)
+    def test_ranks_match_top_window_dims(self):
+        # the periodic complex and the truncated module are separate paths:
+        # above the top degree u is an isomorphism, so the two highest
+        # trusted window dims are the localized ranks of their parities
+        models = [hopf(), rot(), cone2(), noperv()]
+        models += [random_model(seed) for seed in range(30)]
+        for m in models:
+            for p in m.perversity_set:
+                eq = build_equivariant(m, p)
+                ranks = localize(m, p).ranks()
+                for n in (eq.n_u - 1, eq.n_u):
+                    assert eq.dims()[n] == ranks[n % 2], (m.name, p.label(), n)
 
 
 class TestStoredExpectations:

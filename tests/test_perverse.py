@@ -4,18 +4,14 @@ import pytest
 
 from eqih.errors import InputError
 from eqih.fixtures import cone2, hopf, noperv, random_model, rot
-from eqih.homalg import cohomology, is_exact
+from eqih.homalg import chain_map, cohomology, is_exact
 from eqih.model import Perversity, model_from_dict, model_to_dict
 from eqih.perverse import (
     build_cogysin,
-    build_gysin,
-    build_omega,
     cogysin_cohomology,
     cogysin_les,
     euler_map,
     gysin_cohomology,
-    gysin_inclusion,
-    gysin_is_shifted_omega,
     gysin_les,
     inclusion_map,
     omega_cohomology,
@@ -33,29 +29,50 @@ def comparable_pairs(m):
     return [(p, q) for p in ps for q in ps if p <= q]
 
 
+def gysin_is_shifted_omega(m, p):
+    """Whether G_p equals Omega_{p - xbar} on the nose."""
+    pc = perverse_complex(m, p)
+    lower = perverse_complex(m, p.minus(m.characteristic_perversity()))
+    return all(pc.gysin_spaces[k] == lower.omega_spaces[k]
+               for k in pc.ambient.degrees())
+
+
+def gysin_inclusion(m, p, q):
+    """The inclusion G_p -> G_q for p <= q, as a checked chain map."""
+    cp = perverse_complex(m, p)
+    cq = perverse_complex(m, q)
+    maps = {}
+    for k in cp.ambient.degrees():
+        cols = [cq.gysin_ambient_mat(k).solve(v)
+                for v in cp.gysin_ambient_mat(k).columns()]
+        assert all(c is not None for c in cols)
+        maps[k] = Matrix.from_columns(cq.gysin.dim(k), cols)
+    return chain_map(cp.gysin, cq.gysin, maps)
+
+
 class TestOmega:
     def test_no_strata_gives_full_ambient(self):
         m = hopf()
-        omega = build_omega(m, Perversity({}))
+        omega = perverse_complex(m, Perversity({})).omega
         assert omega.dims == m.ambient.dims
 
     def test_cone_low_perversity(self):
-        omega = build_omega(cone2(), P(apex=0))
+        omega = perverse_complex(cone2(), P(apex=0)).omega
         assert omega.dims == (1, 0, 0)
 
     def test_cone_top_perversity(self):
-        omega = build_omega(cone2(), P(apex=2))
+        omega = perverse_complex(cone2(), P(apex=2)).omega
         assert omega.dims == (1, 0, 1)
 
     def test_floor_perversity_is_zero_complex(self):
-        omega = build_omega(cone2(), P(apex=-1))
+        omega = perverse_complex(cone2(), P(apex=-1)).omega
         assert omega.total_dim() == 0
 
     def test_d_condition_enforced(self):
         # noperv at level 0: w has dw = v outside level 0, so degree-1 level
         # forms with unstable differential are excluded
         m = noperv()
-        omega = build_omega(m, P(apex=0))
+        omega = perverse_complex(m, P(apex=0)).omega
         assert omega.dims == (1, 0, 0)
 
     def test_monotone(self):
@@ -84,7 +101,7 @@ class TestOmega:
 class TestGysin:
     def test_free_action_full(self):
         m = hopf()
-        assert build_gysin(m, Perversity({})).dims == m.ambient.dims
+        assert perverse_complex(m, Perversity({})).gysin.dims == m.ambient.dims
 
     def test_zero_euler_gives_lower_omega(self):
         m = rot()
@@ -102,11 +119,11 @@ class TestGysin:
         # Gysin term is strictly smaller than the lower perverse complex
         m = cone2()
         assert not gysin_is_shifted_omega(m, P(apex=1))
-        assert build_gysin(m, P(apex=1)).total_dim() == 0
-        assert build_omega(m, P(apex=0)).total_dim() == 1
+        assert perverse_complex(m, P(apex=1)).gysin.total_dim() == 0
+        assert perverse_complex(m, P(apex=0)).omega.total_dim() == 1
 
     def test_cone_top_perversity(self):
-        g = build_gysin(cone2(), P(apex=2))
+        g = perverse_complex(cone2(), P(apex=2)).gysin
         assert g.dims == (1, 0, 0)
 
     def test_gysin_inside_omega_and_d_stable(self):
@@ -120,7 +137,11 @@ class TestGysin:
     def test_gysin_monotone(self):
         m = cone2()
         for p, q in comparable_pairs(m):
-            gysin_inclusion(m, p, q).check()
+            cp = perverse_complex(m, p)
+            cq = perverse_complex(m, q)
+            for k in range(3):
+                assert cq.gysin_spaces[k].contains_subspace(cp.gysin_spaces[k])
+            gysin_inclusion(m, p, q)
 
 
 class TestCogysin:

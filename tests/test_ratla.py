@@ -12,7 +12,6 @@ from eqih.ratla import (
     preimage,
     quotient,
     rat,
-    solve_preimage,
     subspace_sum,
 )
 
@@ -117,13 +116,13 @@ class TestQuotient:
 
 class TestSolve:
     def test_identity(self):
-        assert solve_preimage(Matrix.identity(3), (1, 2, 3)) == tuple(map(rat, (1, 2, 3)))
+        assert Matrix.identity(3).solve((1, 2, 3)) == tuple(map(rat, (1, 2, 3)))
 
     def test_no_solution(self):
-        assert solve_preimage(Matrix.zero(2, 2), (1, 0)) is None
+        assert Matrix.zero(2, 2).solve((1, 0)) is None
 
     def test_scaling(self):
-        assert solve_preimage(M([[1], [2]]), (2, 4)) == (rat(2),)
+        assert M([[1], [2]]).solve((2, 4)) == (rat(2),)
 
     def test_preimage_subspace(self):
         m = M([[1, 0], [0, 1], [0, 0]])
