@@ -190,6 +190,8 @@ def _cmd_equivariant(args):
 def _cmd_spectral(args):
     m = _load(args.file)
     p = _perversity(args.perversity, m)
+    if args.pages is not None and args.pages < 1:
+        raise InputError("--pages must be at least 1, not %d" % args.pages)
     pgs, limit = pages(m, p, r_max=args.pages)
     body = {
         "pages": [{
@@ -286,6 +288,8 @@ def _cmd_fixture(args):
 
 
 def _cmd_selftest(args):
+    if args.seeds < 0:
+        raise InputError("--seeds must be at least 0, not %d" % args.seeds)
     models = [fixtures.make(n) for n in ("hopf", "rot", "cone2", "noperv")]
     models += [fixtures.random_model(seed) for seed in range(args.seeds)]
     counters = {
@@ -381,7 +385,7 @@ def _build_parser():
     sp = add("spectral", _cmd_spectral,
              "spectral sequence pages of the u-power filtration", perv=True)
     sp.add_argument("--pages", type=int, default=None,
-                    help="highest page to report")
+                    help="highest page to report (at least 1)")
     sp.add_argument("--d3-check", action="store_true",
                     help="verify the closed form of the third differential")
 
@@ -413,7 +417,7 @@ def _build_parser():
 
     sp = sub.add_parser("selftest", help="run the full invariant suite")
     sp.add_argument("--seeds", type=int, default=10,
-                    help="number of seeded random models")
+                    help="number of seeded random models (at least 0)")
     sp.add_argument("--human", action="store_true")
     sp.set_defaults(fn=_cmd_selftest)
 

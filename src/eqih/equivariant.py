@@ -217,6 +217,16 @@ class LambdaExtension:
             out[o + t] = x
         return tuple(out)
 
+    def coordinates(self, n, lo, hi):
+        """Coordinates of total degree n in the components of base degree
+        lo <= k < hi."""
+        out = []
+        for j, off in self.offsets.get(n, {}).items():
+            k = n - 2 * j
+            if lo <= k < hi:
+                out += range(off, off + self.base.dim(k))
+        return out
+
     def component_of(self, n, vec, j):
         if j not in self.offsets[n]:
             return ()

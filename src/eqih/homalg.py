@@ -213,10 +213,6 @@ class Cohomology:
         return Matrix.from_columns(other.dim(k + f.shift), cols)
 
 
-def cohomology(c: Complex) -> Cohomology:
-    return Cohomology(c)
-
-
 def _unit(n, i):
     return tuple(ratla.ONE if j == i else ratla.ZERO for j in range(n))
 

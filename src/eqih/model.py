@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, StrataMismatch, UnknownStratum
 from .homalg import Complex
-from .ratla import Matrix, Subspace, intersect, map_image, rat, rat_str
+from .ratla import Matrix, Subspace, intersect, map_image, rat
 
 STRATUM_KINDS = ("mobile", "fixed_nonperverse", "fixed_perverse")
 
@@ -381,8 +381,25 @@ def rat_from_json(x, where):
         raise InputError("bad rational in %s: %s" % (where, e))
 
 
+def int_from_json(x, where):
+    """A JSON integer.  Booleans, floats and strings are refused rather than
+    truncated or parsed."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError("%s: %r is not a JSON integer" % (where, x))
+    return x
+
+
+_JSON_KINDS = {list: "array", dict: "object", str: "string"}
+
+
+def _typed(x, kind, where):
+    if not isinstance(x, kind):
+        raise InputError("%s must be a JSON %s, not %r" % (where, _JSON_KINDS[kind], x))
+    return x
+
+
 def vec_to_json(v):
-    return [rat_str(x) for x in v]
+    return [str(x) for x in v]
 
 
 def mat_to_json(m: Matrix):
@@ -390,13 +407,14 @@ def mat_to_json(m: Matrix):
 
 
 def _vec_from_json(v, n, where):
-    if len(v) != n:
+    if len(_typed(v, list, where)) != n:
         raise InputError("vector length %d != %d in %s" % (len(v), n, where))
     return tuple(rat_from_json(x, where) for x in v)
 
 
 def mat_from_json(rows, nrows, ncols, where) -> Matrix:
-    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+    if len(_typed(rows, list, where)) != nrows \
+            or any(len(_typed(r, list, where)) != ncols for r in rows):
         raise InputError("matrix shape mismatch in %s (want %dx%d)" % (where, nrows, ncols))
     return Matrix(nrows, ncols, [[rat_from_json(x, where) for x in r] for r in rows])
 
@@ -433,56 +451,66 @@ def model_to_dict(m: ModelInstance) -> dict:
 
 
 def model_from_dict(data: dict) -> ModelInstance:
-    if not isinstance(data, dict):
-        raise InputError("model document must be a JSON object")
+    _typed(data, dict, "model document")
     for key in ("name", "top_degree", "dims", "d", "strata", "filtrations",
                 "euler_cocycle", "euler_op", "perversities"):
         if key not in data:
             raise InputError("missing field %r" % key)
-    n = data["top_degree"]
-    dims = tuple(int(x) for x in data["dims"])
+    n = int_from_json(data["top_degree"], "top_degree")
+    dims = tuple(int_from_json(x, "dims") for x in _typed(data["dims"], list, "dims"))
     if len(dims) != n + 1:
         raise InputError("dims must have top_degree + 1 entries")
+    if any(x < 0 for x in dims):
+        raise InputError("dims must not be negative")
 
     def dim(k):
         return dims[k] if 0 <= k <= n else 0
 
-    if len(data["d"]) != n + 1:
+    if len(_typed(data["d"], list, "d")) != n + 1:
         raise InputError("d must list one matrix per degree")
     d = tuple(mat_from_json(rows, dim(k + 1), dim(k), "d[%d]" % k)
               for k, rows in enumerate(data["d"]))
 
-    strata = tuple(Stratum(s["name"], s["kind"]) for s in data["strata"])
+    strata = []
+    for s in _typed(data["strata"], list, "strata"):
+        _typed(s, dict, "stratum")
+        for key in ("name", "kind"):
+            _typed(s.get(key), str, "stratum field %r" % key)
+        strata.append(Stratum(s["name"], s["kind"]))
+    strata = tuple(strata)
     if len({s.name for s in strata}) != len(strata):
         raise InputError("duplicate stratum names")
 
     filtrations = {}
     kmax = {}
+    filt_json = _typed(data["filtrations"], dict, "filtrations")
     for s in strata:
-        levels_json = data["filtrations"].get(s.name)
+        levels_json = filt_json.get(s.name)
         if levels_json is None:
             raise InputError("missing filtration for stratum %r" % s.name)
-        levels = {}
-        level_keys = sorted(int(k) for k in levels_json)
-        if level_keys != list(range(len(level_keys))):
+        _typed(levels_json, dict, "filtration of %r" % s.name)
+        level_count = len(levels_json)
+        if set(levels_json) != {str(level) for level in range(level_count)}:
             raise InputError("filtration levels for %r must be 0..kmax-1" % s.name)
-        for level in level_keys:
-            per_degree = levels_json[str(level)]
+        levels = {}
+        for level in range(level_count):
+            where = "filtration %s/%d" % (s.name, level)
+            per_degree = _typed(levels_json[str(level)], list, where)
             if len(per_degree) != n + 1:
                 raise InputError("filtration of %r level %d must list every degree"
                                  % (s.name, level))
             levels[level] = tuple(
                 Subspace.from_vectors(
                     dim(deg),
-                    [_vec_from_json(v, dim(deg), "filtration %s/%d/%d" % (s.name, level, deg))
-                     for v in vecs])
+                    [_vec_from_json(v, dim(deg), "%s/%d" % (where, deg))
+                     for v in _typed(vecs, list, "%s/%d" % (where, deg))])
                 for deg, vecs in enumerate(per_degree)
             )
         filtrations[s.name] = levels
-        kmax[s.name] = len(level_keys)
+        kmax[s.name] = level_count
 
     euler_cocycle = _vec_from_json(data["euler_cocycle"], dim(2), "euler_cocycle")
-    if len(data["euler_op"]) != n + 1:
+    if len(_typed(data["euler_op"], list, "euler_op")) != n + 1:
         raise InputError("euler_op must list one matrix per degree")
     euler_op = tuple(mat_from_json(rows, dim(k + 2), dim(k), "euler_op[%d]" % k)
                      for k, rows in enumerate(data["euler_op"]))
@@ -490,7 +518,7 @@ def model_from_dict(data: dict) -> ModelInstance:
     product = None
     if "product" in data:
         product = {}
-        for key, rows in data["product"].items():
+        for key, rows in _typed(data["product"], dict, "product").items():
             try:
                 i, j = (int(x) for x in key.split(","))
             except ValueError:
@@ -500,14 +528,16 @@ def model_from_dict(data: dict) -> ModelInstance:
 
     names = {s.name for s in strata}
     perversities = []
-    for entry in data["perversities"]:
-        if set(entry) != names:
+    for entry in _typed(data["perversities"], list, "perversities"):
+        if set(_typed(entry, dict, "perversity")) != names:
             raise InputError("perversity %s does not cover the strata" % entry)
-        perversities.append(Perversity({k: int(v) for k, v in entry.items()}))
+        perversities.append(Perversity(
+            {k: int_from_json(v, "perversity value") for k, v in entry.items()}))
 
+    metadata = _typed(data.get("metadata", {}), dict, "metadata")
     ambient = AmbientModel(n, dims, d, filtrations, kmax, euler_cocycle, euler_op, product)
     return ModelInstance(str(data["name"]), ambient, strata, tuple(perversities),
-                         dict(data.get("metadata", {})))
+                         dict(metadata))
 
 
 def load_model(path_or_file) -> ModelInstance:

@@ -25,10 +25,6 @@ def rat(x) -> "QNUM":
     return QNUM(x)
 
 
-def rat_str(x) -> str:
-    return str(x)
-
-
 class Matrix:
     """Immutable dense matrix over the rationals."""
 
@@ -217,6 +213,8 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim, vectors) -> "Subspace":
+        if not vectors:
+            return Subspace.zero(ambient_dim)
         return Subspace.from_matrix(Matrix.from_columns(ambient_dim, vectors))
 
     @staticmethod
@@ -284,8 +282,9 @@ def preimage(m: Matrix, w: Subspace) -> Subspace:
         raise AmbientMismatch(m.rows, w.ambient_dim)
     if w.is_full():
         return Subspace.full(m.cols)
-    q = quotient(Subspace.full(w.ambient_dim), w)
-    return kernel(q.projection * m)
+    # m*x = w.basis*t exactly when (x, t) in ker[m | -w.basis]
+    stacked = m.hstack(w.basis.scale(-1))
+    return Subspace.from_vectors(m.cols, [k[:m.cols] for k in stacked.kernel_basis()])
 
 
 def map_image(m: Matrix, v: Subspace) -> Subspace:
@@ -316,45 +315,38 @@ class QuotientSpace:
 
 
 def quotient(v: Subspace, w: Subspace) -> QuotientSpace:
+    """v/w, with the complement of w in v and the completion to an ambient
+    basis taken as the pivot columns of the rref of [w | v | identity]:
+    each canonical basis column of v, then each unit vector, is kept when it
+    is independent of the columns before it.  The kept v columns are the
+    lift, so the class bases that reports print depend only on the two
+    canonical arguments."""
     if v.ambient_dim != w.ambient_dim:
         raise AmbientMismatch(v.ambient_dim, w.ambient_dim)
-    if not v.contains_subspace(w):
-        raise NotASubspace("quotient denominator is not contained in numerator")
     n = v.ambient_dim
-    # complete w-basis to a v-basis, then to an ambient basis
-    chosen = list(w.basis.columns())
-    comp = []
-    for c in v.basis.columns():
-        if not Subspace.from_vectors(n, chosen).contains(c):
-            chosen.append(c)
-            comp.append(c)
-    extra = []
-    for i in range(n):
-        if len(chosen) == n:
-            break
-        e = tuple(ONE if j == i else ZERO for j in range(n))
-        if not Subspace.from_vectors(n, chosen).contains(e):
-            chosen.append(e)
-            extra.append(e)
-    basis = Matrix.from_columns(n, list(w.basis.columns()) + comp + extra)
-    inv = _inverse(basis)
+    if v == w:
+        return QuotientSpace(n, 0, Matrix.zero(0, n), Matrix.zero(n, 0))
+    cands = w.basis.hstack(v.basis).hstack(Matrix.identity(n))
+    _, pivots = cands.rref()
+    head = w.dim + v.dim
+    # dim(w + v) = dim v exactly when w lies in v
+    if sum(1 for c in pivots if c < head) != v.dim:
+        raise NotASubspace("quotient denominator is not contained in numerator")
+    comp = [cands.column(c) for c in pivots if w.dim <= c < head]
+    inv = inverse(Matrix.from_columns(n, [cands.column(c) for c in pivots]))
     q = len(comp)
     proj = Matrix(q, n, [inv.entries[w.dim + i] for i in range(q)])
     lift = Matrix.from_columns(n, comp)
     return QuotientSpace(n, q, proj, lift)
 
 
-def _inverse(m: Matrix) -> Matrix:
+def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     red, pivots = m.hstack(Matrix.identity(m.rows)).rref()
     if len(pivots) != m.rows or pivots != list(range(m.rows)):
         raise ValueError("matrix is singular")
     return Matrix(m.rows, m.rows, [row[m.rows:] for row in red.entries])
-
-
-def inverse(m: Matrix) -> Matrix:
-    return _inverse(m)
 
 
 def vec_add(a, b):

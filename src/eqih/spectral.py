@@ -3,15 +3,19 @@ long exact sequence.
 
 The equivariant complex is filtered by the pair degree: F^i collects the
 elements supported in pair degrees >= i whose twisted differential is again
-supported there.  The associated first-quadrant spectral sequence has even
-rows only; its third page carries the intersection cohomology of the orbit
-space on row zero and the co-Gysin cohomology (tensored with u-powers) on the
-higher even rows, with third differential given by the Euler map composed
-with the co-Gysin connecting morphism.  When the Gysin term at the zero
-perversity coincides with the lower perverse complex the same data assembles
-into a long exact sequence relating the orbit-space cohomology, the
-equivariant cohomology and the co-Gysin cohomology at positive u-powers (the
-co-Gysin term playing the role of the fixed-point set).
+supported there.  In the block basis sum_j u^j Eq1^{n-2j} of the complex,
+support in pair degrees >= i is a condition on coordinates, so, since
+D^2 = 0, every term Z_r of the spectral sequence is the kernel of one block
+of D (see SpectralSequence).  The associated first-quadrant spectral
+sequence has even rows only; its third page carries the intersection
+cohomology of the orbit space on row zero and the co-Gysin cohomology
+(tensored with u-powers) on the higher even rows, with third differential
+given by the Euler map composed with the co-Gysin connecting morphism.  When
+the Gysin term at the zero perversity coincides with the lower perverse
+complex the same data assembles into a long exact sequence relating the
+orbit-space cohomology, the equivariant cohomology and the co-Gysin
+cohomology at positive u-powers (the co-Gysin term playing the role of the
+fixed-point set).
 """
 
 from __future__ import annotations
@@ -39,80 +43,11 @@ from .perverse import (
 from .ratla import (
     Matrix,
     Subspace,
-    intersect,
     inverse,
     map_image,
-    preimage,
     quotient,
     subspace_sum,
 )
-
-
-# ---------------------------------------------------------------------------
-# the filtration by pair degree
-
-
-class FilteredComplex:
-    """The equivariant complex together with the decreasing filtration by
-    pair degree: F^i C^n consists of the elements whose components sit in
-    pair degrees >= i and whose differential again has that support."""
-
-    def __init__(self, eq):
-        self.eq = eq
-        self.complex = eq.complex
-        # pair degrees run 0 .. top_degree + 1
-        self.i_top = eq.eq1.complex.hi
-        self._raw = {}
-        self._filt = {}
-
-    def raw(self, i, n) -> Subspace:
-        """Coordinate subspace of C^n spanned by the components of pair
-        degree >= i (no differential condition)."""
-        amb = self.complex.dim(n)
-        if i <= 0:
-            return Subspace.full(amb)
-        key = (i, n)
-        if key not in self._raw:
-            vecs = []
-            for j, k in self.eq.components(n):
-                if k < i:
-                    continue
-                off = self.eq.offsets[n][j]
-                for t in range(self.eq.eq1.complex.dim(k)):
-                    v = [0] * amb
-                    v[off + t] = 1
-                    vecs.append(tuple(v))
-            self._raw[key] = Subspace.from_vectors(amb, vecs)
-        return self._raw[key]
-
-    def filtration(self, i, n) -> Subspace:
-        amb = self.complex.dim(n)
-        if i <= 0:
-            return Subspace.full(amb)
-        if i > self.i_top:
-            return Subspace.zero(amb)
-        key = (i, n)
-        if key not in self._filt:
-            self._filt[key] = intersect(
-                self.raw(i, n), preimage(self.complex.d(n), self.raw(i, n + 1)))
-        return self._filt[key]
-
-    def check(self, n_max) -> bool:
-        """Decreasing, differential-stable, exhaustive and bounded over the
-        trusted degree window."""
-        for n in range(0, n_max + 1):
-            if not self.filtration(0, n).is_full():
-                return False
-            if not self.filtration(self.i_top + 1, n).is_zero():
-                return False
-            for i in range(0, self.i_top + 2):
-                f = self.filtration(i, n)
-                if not self.filtration(max(i - 1, 0), n).contains_subspace(f):
-                    return False
-                moved = map_image(self.complex.d(n), f)
-                if not self.filtration(i, n + 1).contains_subspace(moved):
-                    return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -134,19 +69,29 @@ class SpectralPage:
 
 
 class SpectralSequence:
-    """Page engine for the filtered equivariant complex.
+    """Page engine for the equivariant complex filtered by pair degree.
 
-    Cells are computed by the subspace formulas
-        Z_r^{i,j} = F^i C^{i+j} intersect d^{-1}(F^{i+r} C^{i+j+1}),
-        E_r^{i,j} = Z_r / (Z_{r-1}^{i+1,j-1} + d Z_{r-1}^{i-r+1,j+r-2}),
-    all over exact rational arithmetic.  Cells are trusted for total degree
-    <= n_max and differentials for source total degree <= n_max - 1.
+    The cells follow the subspace formulas
+        Z_r^{i,j} = F^i C^{i+j} intersect D^{-1}(F^{i+r} C^{i+j+1}),
+        E_r^{i,j} = Z_r / (Z_{r-1}^{i+1,j-1} + D Z_{r-1}^{i-r+1,j+r-2}),
+    over exact rational arithmetic, but each Z_r is one kernel: that of the
+    block of D_{i+j} whose columns are the coordinates of C^{i+j} in pair
+    degrees >= i and whose rows are the coordinates of C^{i+j+1} in pair
+    degrees < i + r.  The block basis sum_j u^j Eq1^{n-2j} spans each raw^i
+    C^n (pair degrees >= i) by coordinates, and as D^2 = 0 an element whose
+    image lies in raw^{i+r} has its image in F^{i+r} = raw^{i+r} intersect
+    D^{-1}(raw^{i+r}); with raw^{i+r} inside raw^i for r >= 0 the formula
+    reduces to raw^i intersect D^{-1}(raw^{i+r}).  F^i C^n itself is
+    Z_0^{i,n-i}.  Cells are trusted for total degree <= n_max and
+    differentials for source total degree <= n_max - 1.
     """
 
-    def __init__(self, fc: FilteredComplex, n_max: int):
-        self.fc = fc
-        self.cx = fc.complex
+    def __init__(self, eq, n_max: int):
+        self.eq = eq
+        self.cx = eq.complex
         self.n_max = n_max
+        # pair degrees run 0 .. top_degree + 1
+        self.i_top = eq.eq1.complex.hi
         self._z = {}
         self._cells = {}
         self._d = {}
@@ -154,31 +99,34 @@ class SpectralSequence:
     @property
     def r_infinity(self) -> int:
         """Pages stabilize from this index on."""
-        return self.fc.i_top + 2
+        return self.i_top + 2
 
     def z(self, r, i, j) -> Subspace:
-        n = i + j
-        if n < 0 or n > self.cx.hi:
-            return Subspace.zero(self.cx.dim(n))
         key = (r, i, j)
         if key not in self._z:
-            self._z[key] = intersect(
-                self.fc.filtration(i, n),
-                preimage(self.cx.d(n), self.fc.filtration(i + r, n + 1)))
+            n = i + j
+            amb = self.cx.dim(n)
+            cols = self.eq.ext.coordinates(n, i, self.i_top + 1)
+            rows = self.eq.ext.coordinates(n + 1, 0, i + r)
+            d = self.cx.d(n).entries
+            block = Matrix(len(rows), len(cols), [[d[a][b] for b in cols] for a in rows])
+            vecs = []
+            for k in block.kernel_basis():
+                v = [0] * amb
+                for b, x in zip(cols, k):
+                    v[b] = x
+                vecs.append(v)
+            self._z[key] = Subspace.from_vectors(amb, vecs)
         return self._z[key]
 
-    def _boundary_part(self, r, i, j) -> Subspace:
-        src = self.z(r - 1, i - r + 1, j + r - 2)
-        return map_image(self.cx.d(i + j - 1), src)
-
     def cell(self, r, i, j):
-        """(quotient space, numerator) of the page-r cell."""
+        """(quotient space, numerator, denominator) of the page-r cell."""
         key = (r, i, j)
         if key not in self._cells:
             num = self.z(r, i, j)
-            den = subspace_sum(self.z(r - 1, i + 1, j - 1),
-                               self._boundary_part(r, i, j))
-            self._cells[key] = (quotient(num, den), num)
+            moved = map_image(self.cx.d(i + j - 1), self.z(r - 1, i - r + 1, j + r - 2))
+            den = subspace_sum(self.z(r - 1, i + 1, j - 1), moved)
+            self._cells[key] = (quotient(num, den), num, den)
         return self._cells[key]
 
     def dim(self, r, i, j) -> int:
@@ -187,8 +135,8 @@ class SpectralSequence:
     def d_matrix(self, r, i, j) -> Matrix:
         key = (r, i, j)
         if key not in self._d:
-            src, src_num = self.cell(r, i, j)
-            tgt, tgt_num = self.cell(r, i + r, j - r + 1)
+            src, _, _ = self.cell(r, i, j)
+            tgt, tgt_num, _ = self.cell(r, i + r, j - r + 1)
             cols = []
             for rep in src.lift.columns():
                 img = self.cx.d(i + j).apply(rep)
@@ -203,7 +151,7 @@ class SpectralSequence:
     def page(self, r) -> SpectralPage:
         cells = {}
         diffs = {}
-        for i in range(0, self.fc.i_top + 1):
+        for i in range(0, self.i_top + 1):
             for j in range(0, self.n_max - i + 1):
                 d = self.dim(r, i, j)
                 if d:
@@ -218,10 +166,8 @@ def spectral_sequence(m: ModelInstance, p: Perversity, n_u=None) -> SpectralSequ
 
     if n_u is None:
         n_u = default_window(m)
-    def make():
-        eq = build_equivariant(m, p, n_u)
-        return SpectralSequence(FilteredComplex(eq), n_u)
-    return m.cached(("spectral", p, n_u), make)
+    return m.cached(("spectral", p, n_u),
+                    lambda: SpectralSequence(build_equivariant(m, p, n_u), n_u))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +175,7 @@ def spectral_sequence(m: ModelInstance, p: Perversity, n_u=None) -> SpectralSequ
 
 
 def _cells_in_window(ss, n_cap):
-    for i in range(0, ss.fc.i_top + 1):
+    for i in range(0, ss.i_top + 1):
         for j in range(0, n_cap - i + 1):
             yield i, j
 
@@ -295,7 +241,7 @@ def pages(m: ModelInstance, p: Perversity, r_max=None, n_u=None):
                     "on page %d" % (i, r))
 
     # the limit page adds up to the equivariant cohomology
-    eq = ss.fc.eq
+    eq = ss.eq
     limit = {}
     for i, j in _cells_in_window(ss, ss.n_max):
         d = ss.dim(r_inf, i, j)
@@ -327,7 +273,7 @@ def pages(m: ModelInstance, p: Perversity, r_max=None, n_u=None):
 def _component_pair(ss, n, vec, j):
     """(alpha, beta) ambient pair of the u^j component of an equivariant
     cochain of total degree n."""
-    eq = ss.fc.eq
+    eq = ss.eq
     k = n - 2 * j
     coords = eq.ext.component_of(n, vec, j)
     a = eq.m.ambient
@@ -353,9 +299,9 @@ def e3_isomorphisms(m: ModelInstance, p: Perversity, n_u=None) -> dict:
     hk = cogysin_cohomology(m, p)
     a = m.ambient
     out = {}
-    for i in range(0, ss.fc.i_top + 1):
+    for i in range(0, ss.i_top + 1):
         for j in range(0, (ss.n_max - i) // 2 + 1):
-            cellq, _ = ss.cell(3, i, 2 * j)
+            cellq, _, den = ss.cell(3, i, 2 * j)
             target = ih if j == 0 else hk
 
             def classify(vec, i=i, j=j, target=target):
@@ -377,9 +323,6 @@ def e3_isomorphisms(m: ModelInstance, p: Perversity, n_u=None) -> dict:
             sign = (-1) ** (i * (i + 1) // 2)
             phi = Matrix.from_columns(target.dim(i), cols).scale(sign)
             # well-defined: the denominator maps to zero classes
-            num = ss.z(3, i, 2 * j)
-            den = subspace_sum(ss.z(2, i + 1, 2 * j - 1),
-                               ss._boundary_part(3, i, 2 * j))
             for v in den.vectors():
                 if any(x != 0 for x in classify(v)):
                     raise PropertyViolation(

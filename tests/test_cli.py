@@ -175,6 +175,39 @@ class TestErrors:
         assert code == 2 and not out
         assert json.loads(err)["error"] == "InputError"
 
+    @pytest.mark.parametrize("argv", [
+        ["spectral", "-p", "apex=2", "--pages", "-2"],
+        ["spectral", "-p", "apex=2", "--pages", "0"],
+        ["selftest", "--seeds", "-2"],
+    ])
+    def test_option_below_range_exits_2(self, capsys, cone_file, argv):
+        if argv[0] == "spectral":
+            argv = argv[:1] + [cone_file] + argv[1:]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(top_degree="2"),
+        lambda d: d["strata"][0].pop("kind"),
+        lambda d: d.update(filtrations=[]),
+        lambda d: d["perversities"][0].update(apex="x"),
+        lambda d: d.update(d=5),
+        lambda d: d.update(strata=3),
+        lambda d: d["filtrations"]["apex"].update(x=d["filtrations"]["apex"].pop("1")),
+        # JSON floats that int() would truncate
+        lambda d: d.update(dims=[1.0, 0, 1.5]),
+        lambda d: d.update(perversities=[{"apex": v} for v in (-1.0, 0.4, 1, 2.9)]),
+    ])
+    def test_malformed_model_exits_2(self, capsys, tmp_path, edit):
+        data = model_to_dict(cone2())
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", str(path), "--strict")
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InputError"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/model.json")
         assert code == 2

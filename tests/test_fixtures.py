@@ -5,7 +5,7 @@ import pytest
 
 from eqih.errors import InputError
 from eqih.fixtures import FIXTURE_NAMES, make, oracle_cohomology, random_model
-from eqih.homalg import cohomology
+from eqih.homalg import Cohomology
 from eqih.model import Perversity, model_from_dict, model_to_dict, validate
 
 EXPECT = json.loads(
@@ -37,7 +37,7 @@ class TestNamedFixtures:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_ambient_cohomology(self, name):
         m = make(name)
-        dims = cohomology(m.ambient.complex()).dims()
+        dims = Cohomology(m.ambient.complex()).dims()
         assert list(dims) == EXPECT[name]["ambient_cohomology"]["value"]
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)

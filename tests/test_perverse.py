@@ -4,7 +4,7 @@ import pytest
 
 from eqih.errors import InputError
 from eqih.fixtures import cone2, hopf, noperv, random_model, rot
-from eqih.homalg import chain_map, cohomology, is_exact
+from eqih.homalg import Cohomology, chain_map, is_exact
 from eqih.model import Perversity, model_from_dict, model_to_dict
 from eqih.perverse import (
     build_cogysin,
@@ -171,7 +171,7 @@ class TestCogysin:
             perverse_complex(m0, p).omega.dim(k) - perverse_complex(m0, q).omega.dim(k)
             for k in range(3))
         assert tuple(perverse_complex(m0, p).cogysin.dims) == quot_dims
-        assert hk.dims() == cohomology(perverse_complex(m0, p).cogysin).dims()
+        assert hk.dims() == Cohomology(perverse_complex(m0, p).cogysin).dims()
 
     def test_les_exact_random(self):
         for seed in range(10):

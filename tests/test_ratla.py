@@ -4,10 +4,13 @@ from hypothesis import strategies as st
 
 from eqih.errors import AmbientMismatch, NotASubspace
 from eqih.ratla import (
+    ONE,
+    ZERO,
     Matrix,
     Subspace,
     image,
     intersect,
+    inverse,
     kernel,
     preimage,
     quotient,
@@ -183,3 +186,66 @@ def test_solve_consistency(m):
     x = m.solve(target)
     assert x is not None
     assert m.apply(x) == tuple(target)
+
+
+def greedy_quotient(v, w):
+    """Reference quotient: complete the w basis to a v basis and then to an
+    ambient basis one candidate column at a time, and invert."""
+    if not v.contains_subspace(w):
+        raise NotASubspace("reference")
+    n = v.ambient_dim
+    chosen = list(w.basis.columns())
+    comp = []
+    for c in v.basis.columns():
+        if not Subspace.from_vectors(n, chosen).contains(c):
+            chosen.append(c)
+            comp.append(c)
+    for i in range(n):
+        if len(chosen) == n:
+            break
+        e = tuple(ONE if j == i else ZERO for j in range(n))
+        if not Subspace.from_vectors(n, chosen).contains(e):
+            chosen.append(e)
+    inv = inverse(Matrix.from_columns(n, chosen))
+    proj = Matrix(len(comp), n, [inv.entries[w.dim + i] for i in range(len(comp))])
+    return proj, Matrix.from_columns(n, comp)
+
+
+@st.composite
+def nested_pairs(draw, ambient=4):
+    """(v, w) with w inside v: w is spanned by combinations of v's basis."""
+    v = draw(subspaces(ambient))
+    coeffs = draw(st.lists(st.lists(small_entries, min_size=v.dim, max_size=v.dim),
+                           max_size=v.dim + 1))
+    return v, Subspace.from_vectors(ambient, [v.basis.apply(c) for c in coeffs])
+
+
+@settings(max_examples=80, deadline=None)
+@given(nested_pairs())
+def test_quotient_matches_greedy_reference(pair):
+    v, w = pair
+    q = quotient(v, w)
+    proj, lift = greedy_quotient(v, w)
+    assert (q.projection, q.lift) == (proj, lift)
+    assert q.dim == v.dim - w.dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspaces(3), subspaces(3))
+def test_quotient_refuses_like_reference(v, w):
+    outcomes = []
+    for fn in (quotient, greedy_quotient):
+        try:
+            fn(v, w)
+            outcomes.append(True)
+        except NotASubspace:
+            outcomes.append(False)
+    assert outcomes[0] == outcomes[1] == v.contains_subspace(w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_preimage_matches_projection_kernel(m, data):
+    w = data.draw(subspaces(m.rows))
+    reference = kernel(quotient(Subspace.full(m.rows), w).projection * m)
+    assert preimage(m, w) == reference

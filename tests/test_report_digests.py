@@ -1,0 +1,108 @@
+"""Report bytes guard.
+
+Every report command on the four fixtures and one random model, run through
+``cli.main``, must print the same stdout bytes and exit with the same code as
+recorded in ``report_digests.json``.  Per model and perversity the commands
+are ``cohomology``, ``gysin``, ``equivariant`` (default window and
+``--nu 3``), ``spectral --d3-check`` and ``localize`` (with ``--cone-check``
+on cone2); ``skjelbred`` runs once per model.
+
+Regenerate the digests, only when a report change is intended, with
+
+    PYTHONPATH=src python tests/test_report_digests.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+
+import pytest
+
+from eqih import fixtures
+from eqih.cli import main
+from eqih.model import save_model
+
+DIGESTS = os.path.join(os.path.dirname(__file__), "report_digests.json")
+
+# model token used in the command keys -> fixtures.make arguments
+MODELS = {
+    "hopf": ("hopf", {}),
+    "rot": ("rot", {}),
+    "cone2": ("cone2", {}),
+    "noperv": ("noperv", {}),
+    "random-121-3": ("random", {"seed": 121, "size": 3}),
+}
+
+
+def commands():
+    """argv lists with the model token in place of the model file."""
+    out = []
+    for token, (name, kwargs) in MODELS.items():
+        m = fixtures.make(name, **kwargs)
+        for p in m.perversity_set:
+            perv = ["-p", p.label()] if p.items else []
+            out += [
+                ["cohomology", token] + perv,
+                ["gysin", token] + perv,
+                ["equivariant", token] + perv,
+                ["equivariant", token] + perv + ["--nu", "3"],
+                ["spectral", token] + perv + ["--d3-check"],
+                ["localize", token] + perv
+                + (["--cone-check"] if token == "cone2" else []),
+            ]
+        out.append(["skjelbred", token])
+    return out
+
+
+def _write_models(directory):
+    paths = {}
+    for token, (name, kwargs) in MODELS.items():
+        paths[token] = os.path.join(directory, token + ".json")
+        save_model(fixtures.make(name, **kwargs), paths[token])
+    return paths
+
+
+def _run(argv, paths):
+    """(sha256 of stdout, exit code) of one command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([paths.get(a, a) for a in argv])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+
+
+def _load_digests():
+    with open(DIGESTS) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def model_paths(tmp_path_factory):
+    return _write_models(str(tmp_path_factory.mktemp("digest_models")))
+
+
+def test_digest_set_covers_every_command():
+    assert sorted(_load_digests()) == sorted(" ".join(a) for a in commands())
+
+
+@pytest.mark.parametrize("argv", commands(), ids=" ".join)
+def test_report_bytes_unchanged(model_paths, argv):
+    want = _load_digests()[" ".join(argv)]
+    assert _run(argv, model_paths) == (want["sha256"], want["exit"])
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write_models(tmp)
+        table = {}
+        for argv in commands():
+            sha, code = _run(argv, paths)
+            table[" ".join(argv)] = {"sha256": sha, "exit": code}
+    with open(DIGESTS, "w") as fh:
+        json.dump(table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print("wrote %d digests to %s" % (len(table), DIGESTS))

@@ -4,8 +4,8 @@ from eqih.equivariant import build_equivariant, default_window
 from eqih.errors import IdentificationFails
 from eqih.fixtures import cone2, hopf, noperv, random_model, rot
 from eqih.model import Perversity, model_from_dict, model_to_dict, validate
+from eqih.ratla import Subspace, intersect, map_image, preimage
 from eqih.spectral import (
-    FilteredComplex,
     d3_check,
     e3_isomorphisms,
     fixed_point_preconditions,
@@ -47,20 +47,79 @@ def witness_d3_model():
     })
 
 
+def raw(ss, i, n):
+    """Coordinate subspace of C^n spanned by the pair degrees >= i."""
+    amb = ss.cx.dim(n)
+    vecs = []
+    for j, off in ss.eq.offsets.get(n, {}).items():
+        k = n - 2 * j
+        if k >= i:
+            for t in range(off, off + ss.eq.eq1.complex.dim(k)):
+                vecs.append([1 if s == t else 0 for s in range(amb)])
+    return Subspace.from_vectors(amb, vecs)
+
+
+def filtration_by_subspaces(ss, i, n):
+    """F^i C^n = raw^i C^n intersect D^{-1}(raw^i C^{n+1})."""
+    if i <= 0:
+        return Subspace.full(ss.cx.dim(n))
+    return intersect(raw(ss, i, n), preimage(ss.cx.d(n), raw(ss, i, n + 1)))
+
+
+def filtration_holds(ss, n_max):
+    """F^i is decreasing, D-stable, exhaustive and bounded in degrees
+    0..n_max, with F^i C^n read off the engine as Z_0^{i, n - i}."""
+    def f(i, n):
+        return ss.z(0, i, n - i)
+
+    for n in range(0, n_max + 1):
+        if not f(0, n).is_full() or not f(ss.i_top + 1, n).is_zero():
+            return False
+        for i in range(0, ss.i_top + 2):
+            if not f(max(i - 1, 0), n).contains_subspace(f(i, n)):
+                return False
+            if not f(i, n + 1).contains_subspace(map_image(ss.cx.d(n), f(i, n))):
+                return False
+    return True
+
+
 class TestFiltration:
     def test_invariants(self):
         for m in (hopf(), cone2(), random_model(1)):
             for p in m.perversity_set:
-                fc = FilteredComplex(build_equivariant(m, p))
-                assert fc.check(default_window(m) - 1)
+                assert filtration_holds(spectral_sequence(m, p), default_window(m) - 1)
 
     def test_pair_degree_support(self):
         m = cone2()
-        fc = FilteredComplex(build_equivariant(m, P(apex=2)))
-        # degree-i part of F^i consists of the bottom component alone
-        assert fc.filtration(2, 2).dim <= fc.raw(2, 2).dim
-        assert fc.filtration(0, 4).is_full()
-        assert fc.filtration(fc.i_top + 1, 4).is_zero()
+        ss = spectral_sequence(m, P(apex=2))
+        eq = ss.eq
+        for n in range(0, 5):
+            for i in range(0, ss.i_top + 2):
+                f = ss.z(0, i, n - i)
+                # F^i is supported in the components of pair degree >= i
+                for vec in f.vectors():
+                    for j, k in eq.components(n):
+                        if k < i:
+                            assert not any(eq.ext.component_of(n, vec, j))
+                assert f.dim <= sum(eq.eq1.complex.dim(k)
+                                    for _, k in eq.components(n) if k >= i)
+        assert ss.z(0, 0, 4).is_full()
+        assert ss.z(0, ss.i_top + 1, 4 - ss.i_top - 1).is_zero()
+
+    def test_block_kernel_matches_subspace_formula(self):
+        # Z_r^{i,j} = F^i C^n intersect D^{-1}(F^{i+r} C^{n+1}), n = i + j
+        models = [hopf(), rot(), cone2(), noperv()]
+        models += [random_model(seed) for seed in range(4)]
+        for m in models:
+            for p in m.perversity_set:
+                ss = spectral_sequence(m, p)
+                for n in range(0, ss.eq.hi + 1):
+                    for i in range(0, ss.i_top + 2):
+                        f_i = filtration_by_subspaces(ss, i, n)
+                        for r in range(0, ss.r_infinity + 2):
+                            ref = intersect(f_i, preimage(
+                                ss.cx.d(n), filtration_by_subspaces(ss, i + r, n + 1)))
+                            assert ss.z(r, i, n - i) == ref, (m.name, p.label(), r, i, n)
 
 
 class TestPages:
