@@ -26,9 +26,9 @@ from .localize import cone_formula_check, localize, localized_gysin
 from .model import (
     Perversity,
     load_model,
-    mat_from_json,
     mat_to_json,
     model_to_dict,
+    rows_from_json,
     save_model,
     validate,
     vec_to_json,
@@ -254,11 +254,11 @@ def _load_iso(path):
             degree = int(key)
         except ValueError:
             raise InputError("iso degree %r is not an integer" % key)
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise InputError("iso matrix for degree %r must be a list of rows" % key)
-        mats[degree] = mat_from_json(rows, len(rows), len(rows[0]) if rows else 0,
-                                     "iso degree %s" % key)
-    return ModelIso(mats, dict(data.get("strata") or {}))
+        mats[degree] = rows_from_json(rows, "iso matrix for degree %s" % key)
+    strata = data.get("strata") or {}
+    if not isinstance(strata, dict) or not all(isinstance(v, str) for v in strata.values()):
+        raise InputError("iso field 'strata' must map stratum names to stratum names")
+    return ModelIso(mats, strata)
 
 
 def _cmd_compare(args):

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .equivariant import build_eq1, pair_shift
-from .errors import InternalInvariantViolation, NotAConeModel, NotExact
-from .model import ModelInstance, Perversity, rat_from_json
+from .errors import InputError, InternalInvariantViolation, NotAConeModel, NotExact
+from .model import ModelInstance, Perversity, _typed, int_from_json, rows_from_json
 from .perverse import euler_map, gysin_cohomology, omega_cohomology, perverse_complex
 from .ratla import Matrix, Subspace, block_matrix, rat
 
@@ -303,19 +303,24 @@ def cone_formula_check(m: ModelInstance, p: Perversity) -> dict:
 
     The cone degree is the perversity value on the apex stratum; the link
     quotient cohomology dims and its Euler map are read from the model
-    metadata (NotAConeModel if absent).
+    metadata (NotAConeModel if absent, InputError if malformed).
     """
     meta = (m.metadata or {}).get("cone")
     needed = ("apex_stratum", "cone_degree", "link_quotient_ih", "link_eub")
     if not isinstance(meta, dict) or any(key not in meta for key in needed):
         raise NotAConeModel(
             "model %r lacks cone metadata (%s)" % (m.name, ", ".join(needed)))
-    apex = meta["apex_stratum"]
+    apex = _typed(meta["apex_stratum"], str, "cone apex_stratum")
     values = dict(p.items)
     if apex not in values:
         raise NotAConeModel("perversity does not mention the apex stratum %r" % apex)
     deg = values[apex]
-    link = [int(x) for x in meta["link_quotient_ih"]]
+    link = [int_from_json(x, "cone link_quotient_ih")
+            for x in _typed(meta["link_quotient_ih"], list, "cone link_quotient_ih")]
+    if any(x < 0 for x in link):
+        raise InputError("cone link_quotient_ih: a dimension is negative in %r" % link)
+    eub = {key: rows_from_json(rows, "cone link_eub %s" % key)
+           for key, rows in _typed(meta["link_eub"], dict, "cone link_eub").items()}
 
     def link_dim(k):
         return link[k] if 0 <= k < len(link) else 0
@@ -323,14 +328,8 @@ def cone_formula_check(m: ModelInstance, p: Perversity) -> dict:
     predicted = [0, 0]
     if link_dim(deg):
         predicted[deg % 2] += link_dim(deg)
-    if deg >= 1 and link_dim(deg - 1):
-        raw = meta["link_eub"].get(str(deg - 1))
-        if raw is None:
-            quotient = 0
-        else:
-            quotient = Matrix.from_rows(
-                [[rat_from_json(x, "cone link_eub") for x in row] for row in raw]).rank()
-        predicted[(deg - 1) % 2] += quotient
+    if deg >= 1 and link_dim(deg - 1) and str(deg - 1) in eub:
+        predicted[(deg - 1) % 2] += eub[str(deg - 1)].rank()
     computed = localize(m, p).ranks()
     return {
         "cone_degree": deg,

@@ -419,6 +419,13 @@ def mat_from_json(rows, nrows, ncols, where) -> Matrix:
     return Matrix(nrows, ncols, [[rat_from_json(x, where) for x in r] for r in rows])
 
 
+def rows_from_json(rows, where) -> Matrix:
+    """A JSON list of equally long rows as a matrix of that shape."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InputError("%s must be a list of rows" % where)
+    return mat_from_json(rows, len(rows), len(rows[0]) if rows else 0, where)
+
+
 def model_to_dict(m: ModelInstance) -> dict:
     a = m.ambient
     filt = {}

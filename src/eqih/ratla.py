@@ -3,11 +3,18 @@
 Matrices are immutable grids of rationals; subspaces are stored through a
 canonical reduced-column-echelon basis, so two equal subspaces compare (and
 hash) identically.  Everything downstream relies on that canonicalization.
+
+Every matrix entry is a ``QNUM``.  The public ``Matrix(rows, cols, entries)``
+coerces each entry through ``rat`` and checks the declared shape; the private
+``Matrix._of`` does neither and takes a tuple of tuples of ``QNUM`` as it is,
+so it is used only for entries that come out of ``QNUM`` arithmetic or out of
+existing matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as QNUM
@@ -22,7 +29,7 @@ ONE = QNUM(1)
 
 def rat(x) -> "QNUM":
     """Coerce ints, 'p/q' strings and rationals to the scalar type."""
-    return QNUM(x)
+    return x if type(x) is QNUM else QNUM(x)
 
 
 class Matrix:
@@ -34,10 +41,21 @@ class Matrix:
         entries = tuple(tuple(rat(x) for x in row) for row in entries)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", None)
+        _SET_ROWS(self, rows)
+        _SET_COLS(self, cols)
+        _SET_ENTRIES(self, entries)
+        _SET_HASH(self, None)
+
+    @classmethod
+    def _of(cls, rows, cols, entries) -> "Matrix":
+        """Matrix over a tuple of tuples of QNUM, taken without coercion or
+        shape check."""
+        m = object.__new__(cls)
+        _SET_ROWS(m, rows)
+        _SET_COLS(m, cols)
+        _SET_ENTRIES(m, entries)
+        _SET_HASH(m, None)
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -50,11 +68,12 @@ class Matrix:
 
     @staticmethod
     def zero(rows, cols) -> "Matrix":
-        return Matrix(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return Matrix._of(rows, cols, ((ZERO,) * cols,) * rows)
 
     @staticmethod
     def identity(n) -> "Matrix":
-        return Matrix(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix._of(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n))
+                                        for i in range(n)))
 
     @staticmethod
     def from_columns(ambient_dim, columns) -> "Matrix":
@@ -71,8 +90,8 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix._of(self.cols, self.rows, entries)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -80,7 +99,7 @@ class Matrix:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.entries)))
+            _SET_HASH(self, hash((self.rows, self.cols, self.entries)))
         return self._hash
 
     def __repr__(self):
@@ -90,69 +109,96 @@ class Matrix:
     def __add__(self, other) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Matrix(self.rows, self.cols,
-                      [[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols,
+                          tuple(tuple(a + b for a, b in zip(r1, r2))
+                                for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other) -> "Matrix":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
-        return Matrix(self.rows, self.cols, [[c * x for x in row] for row in self.entries])
+        return Matrix._of(self.rows, self.cols,
+                          tuple(tuple(c * x for x in row) for row in self.entries))
 
     def __mul__(self, other) -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product: %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        ot = other.transpose().entries
-        return Matrix(self.rows, other.cols,
-                      [[sum((a * b for a, b in zip(row, col)), ZERO) for col in ot]
-                       for row in self.entries])
+        # only products of two non-zero factors are added
+        nonzero = [[(j, b) for j, b in enumerate(orow) if b] for orow in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [ZERO] * other.cols
+            for a, terms in zip(row, nonzero):
+                if a:
+                    for j, b in terms:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return Matrix._of(self.rows, other.cols, tuple(out))
 
     def apply(self, vec):
         """Matrix times a column vector (given as a sequence)."""
         vec = [rat(x) for x in vec]
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((a * b for a, b in zip(row, vec)), ZERO) for row in self.entries)
+        terms = [(k, b) for k, b in enumerate(vec) if b]
+        return tuple(sum((row[k] * b for k, b in terms if row[k]), ZERO)
+                     for row in self.entries)
 
     def hstack(self, other) -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return Matrix(self.rows, self.cols + other.cols,
-                      [r1 + r2 for r1, r2 in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols + other.cols,
+                          tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
     def rref(self):
-        """Reduced row echelon form; returns (Matrix, pivot column list)."""
-        m = [list(row) for row in self.entries]
+        """Reduced row echelon form; returns (Matrix, pivot column list).
+
+        The elimination runs on integer rows: each row is scaled to a
+        primitive integer row, a pivot row r clears column c of row i by
+        row_i <- p*row_i - f*row_r (p the pivot, f the entry of row i), and
+        the result is divided by the gcd of its entries.  Only the pivot rows
+        are divided by their pivots, at the end.  Every step multiplies a row
+        by a non-zero scalar or adds a multiple of another row, so the row
+        space is the one of the rational elimination; the reduced row
+        echelon form of a row space is unique, so the matrix and pivots are
+        exactly those of the rational Gauss-Jordan elimination."""
+        nrows, ncols = self.rows, self.cols
+        if not nrows or not ncols:
+            return self, []
+        m = []
+        for row in self.entries:
+            den = lcm(*[x.denominator for x in row])
+            m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
         pivots = []
         r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c] != 0:
-                    pr = i
+        for c in range(ncols):
+            for pr in range(r, nrows):
+                if m[pr][c]:
                     break
-            if pr is None:
+            else:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            p = m[r][c]
-            if p != 1:
-                m[r] = [x / p for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    mr = m[r]
-                    m[i] = [a - f * b for a, b in zip(m[i], mr)]
+            prow = m[r]
+            p = prow[c]
+            for i in range(nrows):
+                f = m[i][c]
+                if f and i != r:
+                    m[i] = _primitive([p * a - f * b for a, b in zip(m[i], prow)])
             pivots.append(c)
             r += 1
-        return Matrix(self.rows, self.cols, m), pivots
+            if r == nrows:
+                break
+        out = []
+        for row, c in zip(m, pivots):
+            p = row[c]
+            out.append(tuple(QNUM(a, p) if a else ZERO for a in row))
+        out.extend([(ZERO,) * ncols] * (nrows - r))
+        return Matrix._of(nrows, ncols, tuple(out)), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -187,6 +233,17 @@ class Matrix:
         return tuple(x)
 
 
+# the slots' own setters, since Matrix.__setattr__ refuses every assignment
+_SET_ROWS, _SET_COLS, _SET_ENTRIES, _SET_HASH = (
+    getattr(Matrix, name).__set__ for name in Matrix.__slots__)
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [a // g for a in row]
+
+
 def block_matrix(rows, cols, blocks) -> Matrix:
     """rows x cols matrix holding each (row offset, column offset, Matrix)
     of blocks and zero elsewhere; blocks must not overlap."""
@@ -194,7 +251,7 @@ def block_matrix(rows, cols, blocks) -> Matrix:
     for r0, c0, blk in blocks:
         for i, row in enumerate(blk.entries):
             grid[r0 + i][c0:c0 + blk.cols] = row
-    return Matrix(rows, cols, grid)
+    return Matrix._of(rows, cols, tuple(map(tuple, grid)))
 
 
 @dataclass(frozen=True)
@@ -208,8 +265,8 @@ class Subspace:
     def from_matrix(m: Matrix) -> "Subspace":
         """Column span of m, canonicalized."""
         red, pivots = m.transpose().rref()
-        cols = [red.entries[i] for i in range(len(pivots))]
-        return Subspace(m.rows, Matrix.from_columns(m.rows, cols))
+        rows = Matrix._of(len(pivots), m.rows, red.entries[:len(pivots)])
+        return Subspace(m.rows, rows.transpose())
 
     @staticmethod
     def from_vectors(ambient_dim, vectors) -> "Subspace":
@@ -219,7 +276,7 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(ambient_dim, 0, [[] for _ in range(ambient_dim)]))
+        return Subspace(ambient_dim, Matrix.zero(ambient_dim, 0))
 
     @staticmethod
     def full(ambient_dim) -> "Subspace":
@@ -346,7 +403,7 @@ def inverse(m: Matrix) -> Matrix:
     red, pivots = m.hstack(Matrix.identity(m.rows)).rref()
     if len(pivots) != m.rows or pivots != list(range(m.rows)):
         raise ValueError("matrix is singular")
-    return Matrix(m.rows, m.rows, [row[m.rows:] for row in red.entries])
+    return Matrix._of(m.rows, m.rows, tuple(row[m.rows:] for row in red.entries))
 
 
 def vec_add(a, b):

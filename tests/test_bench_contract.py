@@ -1,8 +1,10 @@
 """The benchmark's tracer wraps eqih functions and methods by name; every
 name it lists must still exist, or a traced run breaks."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import pathlib
 
 import pytest
@@ -45,3 +47,23 @@ def test_tracer_installs_and_records(spans):
     assert all(tracer.patched_namespaces[name] for name in spans.FUNCTIONS)
     calls = {name: c for name, (c, _) in tracer.summary().items()}
     assert calls["localize.lambda_u"] == 1
+
+
+def test_tracer_sees_the_matrix_kernel(spans, tmp_path):
+    from eqih.cli import main
+    from eqih.fixtures import hopf
+    from eqih.model import save_model
+
+    path = str(tmp_path / "hopf.json")
+    save_model(hopf(), path)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = tracer.run_op(lambda: main(["cohomology", path]))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counts["ratla.rref.max_cells"] > 0
+    assert tracer.counts["ratla.entries_coerced"] > 0
+    assert tracer.summary()["ratla.rref"][0] > 0

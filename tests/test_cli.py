@@ -124,6 +124,15 @@ class TestCompare:
         assert code == 2 and not out
         assert json.loads(err)["error"] == "InputError"
 
+    @pytest.mark.parametrize("strata", [[1], "ab"])
+    def test_malformed_iso_strata_exits_2(self, capsys, tmp_path, hopf_file, strata):
+        iso = tmp_path / "iso.json"
+        iso.write_text(json.dumps({"mats": {}, "strata": strata}))
+        code, out, err = run(capsys, "compare", hopf_file, hopf_file,
+                             "--iso", str(iso))
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InputError"
+
 
 class TestFixtureCommand:
     def test_roundtrip(self, capsys, tmp_path):
@@ -205,6 +214,26 @@ class TestErrors:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, "validate", str(path), "--strict")
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("apex, field, value", [
+        ("2", "link_quotient_ih", [1, 0, 0.4]),
+        ("2", "link_quotient_ih", [1, "x", 1]),
+        ("2", "link_quotient_ih", "abc"),
+        ("2", "link_quotient_ih", [1, 0, True]),
+        ("2", "link_quotient_ih", [1, 0, -1]),
+        ("1", "link_eub", [[["1"]]]),
+        ("1", "link_eub", {"0": [["1"], ["1", "2"]]}),
+        ("2", "apex_stratum", ["apex"]),
+    ])
+    def test_malformed_cone_metadata_exits_2(self, capsys, tmp_path, apex, field, value):
+        data = model_to_dict(cone2())
+        data["metadata"]["cone"][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "localize", str(path), "-p", "apex=" + apex,
+                             "--cone-check")
         assert code == 2 and not out
         assert json.loads(err)["error"] == "InputError"
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from eqih.errors import AmbientMismatch, NotASubspace
 from eqih.ratla import (
     ONE,
+    QNUM,
     ZERO,
     Matrix,
     Subspace,
@@ -249,3 +250,94 @@ def test_preimage_matches_projection_kernel(m, data):
     w = data.draw(subspaces(m.rows))
     reference = kernel(quotient(Subspace.full(m.rows), w).projection * m)
     assert preimage(m, w) == reference
+
+
+# -- integer elimination against the rational reference ----------------------
+
+def rational_rref(m):
+    """Reference: Gauss-Jordan elimination over the rationals, dividing the
+    pivot row by its pivot and clearing the pivot column in every other row."""
+    rows = [list(row) for row in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, rows)), pivots
+
+
+def dense_product(a, b):
+    return tuple(tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), ZERO)
+                       for j in range(b.cols)) for i in range(a.rows))
+
+
+# zero half the time, otherwise a signed rational with a non-unit denominator
+# in most draws
+rationals = st.one_of(
+    st.just(0),
+    st.builds(lambda n, d: rat("%d/%d" % (n, d)),
+              st.integers(-7, 7).filter(bool), st.sampled_from([1, 2, 3, 4, 6, 9])))
+
+
+@st.composite
+def rational_matrices(draw, rows=None, max_dim=8):
+    """Matrices of 0-8 rows and columns mixing drawn rows, zero rows and
+    rational combinations of two earlier rows."""
+    r = draw(st.integers(0, max_dim)) if rows is None else rows
+    c = draw(st.integers(0, max_dim))
+    grid = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(["drawn", "drawn", "zero", "dependent"]))
+        if kind == "zero":
+            grid.append([0] * c)
+        elif kind == "dependent" and grid:
+            a, b = draw(st.sampled_from(grid)), draw(st.sampled_from(grid))
+            s, t = draw(rationals), draw(rationals)
+            grid.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            grid.append(draw(st.lists(rationals, min_size=c, max_size=c)))
+    return Matrix(r, c, grid)
+
+
+def all_qnum(entries):
+    return all(type(x) is QNUM for row in entries for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_rref_matches_rational_reference(m):
+    red, pivots = m.rref()
+    assert (red.entries, pivots) == rational_rref(m)
+    assert (red.rows, red.cols) == (m.rows, m.cols) and all_qnum(red.entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_product_and_apply_match_dense_reference(a, data):
+    b = data.draw(rational_matrices(rows=a.cols))
+    p = a * b
+    assert (p.rows, p.cols, p.entries) == (a.rows, b.cols, dense_product(a, b))
+    vec = data.draw(st.lists(rationals, min_size=a.cols, max_size=a.cols))
+    col = Matrix(a.cols, 1, [[x] for x in vec])
+    assert a.apply(vec) == tuple(row[0] for row in dense_product(a, col))
+
+
+@settings(max_examples=50, deadline=None)
+@given(rational_matrices())
+def test_kernel_entries_are_qnum(m):
+    square = m * m.transpose() + Matrix.identity(m.rows)  # positive definite
+    built = [m.rref()[0], m * m.transpose(), m.transpose(), m.hstack(m),
+             m.scale(-1), m.scale(rat("2/3")), m + m, inverse(square)]
+    assert all(all_qnum(x.entries) for x in built)
+    assert all_qnum(m.kernel_basis())
+    q = quotient(Subspace.full(m.cols), kernel(m))
+    assert all_qnum(q.projection.entries) and all_qnum(q.lift.entries)

@@ -7,6 +7,10 @@ are ``cohomology``, ``gysin``, ``equivariant`` (default window and
 ``--nu 3``), ``spectral --d3-check`` and ``localize`` (with ``--cone-check``
 on cone2); ``skjelbred`` runs once per model.
 
+The saved model documents of the seeded generator are guarded the same way:
+the kernel bases that ``fixtures.random_model`` solves for decide the bytes
+it writes, so a change to exact elimination that altered a basis shows here.
+
 Regenerate the digests, only when a report change is intended, with
 
     PYTHONPATH=src python tests/test_report_digests.py
@@ -35,6 +39,9 @@ MODELS = {
     "random-121-3": ("random", {"seed": 121, "size": 3}),
 }
 
+# (size, seed) of the generated documents whose saved bytes are recorded
+GENERATED = [(9, 3), (10, 11), (11, 8), (12, 3), (13, 2), (13, 6)]
+
 
 def commands():
     """argv lists with the model token in place of the model file."""
@@ -54,6 +61,17 @@ def commands():
             ]
         out.append(["skjelbred", token])
     return out
+
+
+def generated_keys():
+    return {"saved random --size %d --seed %d" % (size, seed): (size, seed)
+            for size, seed in GENERATED}
+
+
+def _saved_model_sha(size, seed):
+    out = io.StringIO()
+    save_model(fixtures.make("random", seed=seed, size=size), out)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def _write_models(directory):
@@ -84,13 +102,20 @@ def model_paths(tmp_path_factory):
 
 
 def test_digest_set_covers_every_command():
-    assert sorted(_load_digests()) == sorted(" ".join(a) for a in commands())
+    want = [" ".join(a) for a in commands()] + list(generated_keys())
+    assert sorted(_load_digests()) == sorted(want)
 
 
 @pytest.mark.parametrize("argv", commands(), ids=" ".join)
 def test_report_bytes_unchanged(model_paths, argv):
     want = _load_digests()[" ".join(argv)]
     assert _run(argv, model_paths) == (want["sha256"], want["exit"])
+
+
+@pytest.mark.parametrize("key", sorted(generated_keys()))
+def test_generated_model_bytes_unchanged(key):
+    size, seed = generated_keys()[key]
+    assert _saved_model_sha(size, seed) == _load_digests()[key]["sha256"]
 
 
 if __name__ == "__main__":
@@ -102,6 +127,8 @@ if __name__ == "__main__":
         for argv in commands():
             sha, code = _run(argv, paths)
             table[" ".join(argv)] = {"sha256": sha, "exit": code}
+    for key, (size, seed) in generated_keys().items():
+        table[key] = {"sha256": _saved_model_sha(size, seed)}
     with open(DIGESTS, "w") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
