@@ -8,7 +8,9 @@ Exit codes: 0 all checks pass, 1 a verified structural property failed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 
 from . import fixtures
@@ -73,10 +75,12 @@ def _perversity(arg: str, m) -> Perversity:
                 raise InputError(
                     "perversity entries must look like stratum=int: %r" % piece)
             key, _, val = piece.partition("=")
-            try:
-                values[key.strip()] = int(val)
-            except ValueError:
+            key, val = key.strip(), val.strip()
+            if key in values:
+                raise InputError("perversity gives stratum %r twice" % key)
+            if not re.fullmatch(r"-?[0-9]+", val):
                 raise InputError("perversity value %r is not an integer" % val)
+            values[key] = int(val)
     p = Perversity(values)
     m.check_perversity(p)
     return p
@@ -346,7 +350,10 @@ def _cmd_selftest(args):
 # argument parsing
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing does not change
+    it."""
     parser = argparse.ArgumentParser(
         prog="eqih",
         description="Exact computations for circle actions on stratified "

@@ -166,42 +166,29 @@ class Cohomology:
                 if not (c.d(k + 1) * c.d(k)).is_zero():
                     raise NotAComplex("d.d != 0 in degree %d" % k)
         self.complex = c
-        self._data = {}
+        self._quotients = {}
         for k in c.degrees():
-            z = kernel(c.d(k))
-            b = image(c.d(k - 1))
-            self._data[k] = (z, b, quotient(z, b))
+            self._quotients[k] = quotient(kernel(c.d(k)), image(c.d(k - 1)))
 
     def dim(self, k) -> int:
-        if k in self._data:
-            return self._data[k][2].dim
+        if k in self._quotients:
+            return self._quotients[k].dim
         return 0
 
     def dims(self):
         return tuple(self.dim(k) for k in self.complex.degrees())
 
-    def cocycles(self, k) -> Subspace:
-        if k in self._data:
-            return self._data[k][0]
-        return Subspace.zero(self.complex.dim(k))
-
-    def coboundaries(self, k) -> Subspace:
-        if k in self._data:
-            return self._data[k][1]
-        return Subspace.zero(self.complex.dim(k))
-
     def class_of(self, k, cocycle):
-        z = self.cocycles(k)
-        if not z.contains(cocycle):
+        if any(self.complex.d(k).apply(cocycle)):
             raise InternalInvariantViolation("vector is not a cocycle in degree %d" % k)
-        if k not in self._data:
+        if k not in self._quotients:
             return ()
-        return self._data[k][2].class_of(cocycle)
+        return self._quotients[k].class_of(cocycle)
 
     def lift(self, k, coords):
-        if k not in self._data:
+        if k not in self._quotients:
             return ratla.zero_vec(self.complex.dim(k))
-        return self._data[k][2].lift_class(coords)
+        return self._quotients[k].lift_class(coords)
 
     def basis_lifts(self, k):
         """Cocycle representatives of the canonical cohomology basis."""

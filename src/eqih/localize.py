@@ -9,9 +9,11 @@ identifies it with the two-periodic complex over Q whose parity-r term is
 the sum of the pair-complex terms of parity r, with differential d + S.  Its
 even/odd dims are two matrix ranks, with no truncation window.  The
 localized Gysin sequence expresses the same ranks through the rank over the
-fraction field of the connecting matrix (Euler map plus u times the
-inclusion), and the cone formula predicts them from link data for cone
-models.
+fraction field of its connecting matrix, the pencil E + u*i of the Euler map
+and the inclusion on cohomology.  Each minor of the pencil is a polynomial
+in u of degree at most its smaller side n, so that rank is the largest rank
+at u = 1, ..., n + 1.  The cone formula predicts the localized ranks from
+link data for cone models.
 """
 
 from __future__ import annotations
@@ -22,139 +24,40 @@ from .equivariant import build_eq1, pair_shift
 from .errors import InputError, InternalInvariantViolation, NotAConeModel, NotExact
 from .model import ModelInstance, Perversity, _typed, int_from_json, rows_from_json
 from .perverse import euler_map, gysin_cohomology, omega_cohomology, perverse_complex
-from .ratla import Matrix, Subspace, block_matrix, rat
-
-# ---------------------------------------------------------------------------
-# polynomials in u with rational coefficients
+from .ratla import Matrix, Subspace, block_matrix
 
 
-def _poly(coeffs) -> tuple:
-    coeffs = [rat(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-P_ZERO = ()
-P_ONE = _poly([1])
-P_U = _poly([0, 1])
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return P_ZERO
-    out = [rat(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly(out)
-
-
-def _pneg(a):
-    return _poly([-x for x in a])
-
-
-def _pdivexact(a, b):
-    """Quotient of a by b, which must divide exactly."""
-    if not a:
-        return P_ZERO
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    out = [rat(0)] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + len(b) - 1] / b[-1]
-        out[i] = c
-        for j, y in enumerate(b):
-            rem[i + j] -= c * y
-    if any(x != 0 for x in rem):
-        raise InternalInvariantViolation("inexact polynomial division")
-    return _poly(out)
-
-
-def _peval(a, point):
-    val = rat(0)
-    for c in reversed(a):
-        val = val * point + c
-    return val
-
-
+@dataclass(frozen=True)
 class PolyMatrix:
-    """Matrix with polynomial entries, supporting exact rank over the
-    fraction field by fraction-free elimination."""
+    """The pencil a + u*b of two equally shaped rational matrices, with its
+    rank over the rational functions in u.
 
-    def __init__(self, rows, cols, entries):
-        self.rows = rows
-        self.cols = cols
-        self.entries = [[_poly(e) if not isinstance(e, tuple) else e
-                         for e in row] for row in entries]
+    Every r x r minor of the pencil is a polynomial in u of degree at most
+    r <= n = min(rows, cols).  A minor that is not zero has at most n roots,
+    so among the n + 1 points u = 1, ..., n + 1 one is a root of no non-zero
+    maximal minor and reaches the generic rank; no evaluation exceeds it.  A
+    single point is not enough: [[1, u], [u, 1]] has rank 2 but rank 1 at
+    u = 1.
+    """
 
-    @staticmethod
-    def zero(rows, cols) -> "PolyMatrix":
-        return PolyMatrix(rows, cols, [[P_ZERO] * cols for _ in range(rows)])
-
-    @staticmethod
-    def from_blocks(row_dims, col_dims, blocks) -> "PolyMatrix":
-        """Assemble from a {(bi, bj): PolyMatrix} dict of blocks."""
-        rows, cols = sum(row_dims), sum(col_dims)
-        out = PolyMatrix.zero(rows, cols)
-        roff = [sum(row_dims[:i]) for i in range(len(row_dims))]
-        coff = [sum(col_dims[:j]) for j in range(len(col_dims))]
-        for (bi, bj), blk in blocks.items():
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    out.entries[roff[bi] + i][coff[bj] + j] = blk.entries[i][j]
-        return out
-
-    @staticmethod
-    def constant(mat: Matrix) -> "PolyMatrix":
-        return PolyMatrix(mat.rows, mat.cols,
-                          [[_poly([x]) for x in row] for row in mat.entries])
-
-    @staticmethod
-    def u_times(mat: Matrix) -> "PolyMatrix":
-        return PolyMatrix(mat.rows, mat.cols,
-                          [[_poly([0, x]) for x in row] for row in mat.entries])
+    a: Matrix
+    b: Matrix
 
     def rank(self) -> int:
-        """Exact rank over the fraction field (Bareiss elimination), with a
-        random-evaluation lower bound as a cross-check."""
-        work = [row[:] for row in self.entries]
+        """Rank over the fraction field: the largest rank at u = 1, ...,
+        n + 1, stopping once it reaches n."""
+        n = min(self.a.rows, self.a.cols)
         rank = 0
-        prev = P_ONE
-        for col in range(self.cols):
-            pivot = next((i for i in range(rank, self.rows) if work[i][col]), None)
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            for i in range(rank + 1, self.rows):
-                for c in range(col + 1, self.cols):
-                    num = _padd(_pmul(work[rank][col], work[i][c]),
-                                _pneg(_pmul(work[i][col], work[rank][c])))
-                    work[i][c] = _pdivexact(num, prev)
-                work[i][col] = P_ZERO
-            prev = work[rank][col]
-            rank += 1
-            if rank == self.rows:
+        for point in range(1, n + 2):
+            if rank == n:
                 break
-        lower = self.rank_at(rat("9973/2"))
-        if lower > rank:
-            raise InternalInvariantViolation(
-                "evaluation rank exceeds the fraction-free rank")
+            rank = max(rank, self.rank_at(point))
         return rank
 
     def rank_at(self, point) -> int:
         """Rank after evaluating u at a rational point (a lower bound for
         the generic rank)."""
-        return Matrix(self.rows, self.cols,
-                      [[_peval(e, point) for e in row]
-                       for row in self.entries]).rank()
+        return (self.a + self.b.scale(point)).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +136,22 @@ def localized_connecting(m: ModelInstance, p: Perversity, parity) -> PolyMatrix:
     Euler map (constant in u) plus u times the inclusion, from the Gysin
     cohomology of that parity to the perverse cohomology of the same parity.
     """
-    top = m.ambient.top_degree
     ih = omega_cohomology(m, p)
     hg = gysin_cohomology(m, p)
     eub = euler_map(m, p)
-    src = [k for k in range(0, top + 1) if k % 2 == parity]
-    tgt = [k for k in range(0, top + 1) if k % 2 == parity]
-    blocks = {}
-    for bj, k in enumerate(src):
-        if k in tgt:
-            blocks[(tgt.index(k), bj)] = PolyMatrix.u_times(
-                _inclusion_on_cohomology(m, p, k))
-        if k + 2 in tgt:
-            blocks[(tgt.index(k + 2), bj)] = PolyMatrix.constant(eub.mat(k))
-    return PolyMatrix.from_blocks([ih.dim(k) for k in tgt],
-                                  [hg.dim(k) for k in src], blocks)
+    degrees = range(parity, m.ambient.top_degree + 1, 2)
+    row_off, rows = {}, 0
+    for k in degrees:
+        row_off[k] = rows
+        rows += ih.dim(k)
+    euler, inclusion, cols = [], [], 0
+    for k in degrees:
+        inclusion.append((row_off[k], cols, _inclusion_on_cohomology(m, p, k)))
+        if k + 2 in row_off:
+            euler.append((row_off[k + 2], cols, eub.mat(k)))
+        cols += hg.dim(k)
+    return PolyMatrix(block_matrix(rows, cols, euler),
+                      block_matrix(rows, cols, inclusion))
 
 
 def localized_gysin(m: ModelInstance, p: Perversity) -> dict:
@@ -303,7 +207,8 @@ def cone_formula_check(m: ModelInstance, p: Perversity) -> dict:
 
     The cone degree is the perversity value on the apex stratum; the link
     quotient cohomology dims and its Euler map are read from the model
-    metadata (NotAConeModel if absent, InputError if malformed).
+    metadata (NotAConeModel if absent, InputError if malformed).  The
+    metadata's own cone_degree must be a JSON integer but is not used.
     """
     meta = (m.metadata or {}).get("cone")
     needed = ("apex_stratum", "cone_degree", "link_quotient_ih", "link_eub")
@@ -311,6 +216,7 @@ def cone_formula_check(m: ModelInstance, p: Perversity) -> dict:
         raise NotAConeModel(
             "model %r lacks cone metadata (%s)" % (m.name, ", ".join(needed)))
     apex = _typed(meta["apex_stratum"], str, "cone apex_stratum")
+    int_from_json(meta["cone_degree"], "cone cone_degree")
     values = dict(p.items)
     if apex not in values:
         raise NotAConeModel("perversity does not mention the apex stratum %r" % apex)

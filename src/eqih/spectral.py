@@ -41,6 +41,7 @@ from .perverse import (
     perverse_complex,
 )
 from .ratla import (
+    ZERO,
     Matrix,
     Subspace,
     inverse,
@@ -109,14 +110,16 @@ class SpectralSequence:
             cols = self.eq.ext.coordinates(n, i, self.i_top + 1)
             rows = self.eq.ext.coordinates(n + 1, 0, i + r)
             d = self.cx.d(n).entries
-            block = Matrix(len(rows), len(cols), [[d[a][b] for b in cols] for a in rows])
+            block = Matrix._of(len(rows), len(cols),
+                               tuple(tuple(d[a][b] for b in cols) for a in rows))
             vecs = []
             for k in block.kernel_basis():
-                v = [0] * amb
+                v = [ZERO] * amb
                 for b, x in zip(cols, k):
                     v[b] = x
-                vecs.append(v)
-            self._z[key] = Subspace.from_vectors(amb, vecs)
+                vecs.append(tuple(v))
+            kern = Matrix._of(len(vecs), amb, tuple(vecs)).transpose()
+            self._z[key] = Subspace.from_matrix(kern) if vecs else Subspace.zero(amb)
         return self._z[key]
 
     def cell(self, r, i, j):

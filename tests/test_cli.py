@@ -34,6 +34,11 @@ class TestBasicCommands:
         assert code == 0 and report["passed"]
         assert report["schema"] == "eqih-report/1"
 
+    def test_parser_keeps_no_option_between_runs(self, capsys, cone_file):
+        run(capsys, "validate", cone_file, "--strict")
+        code, out, _ = run(capsys, "validate", cone_file)
+        assert code == 0 and json.loads(out)["strict"] is False
+
     def test_validate_malformed_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
@@ -163,6 +168,20 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["error"] == "InputError"
 
+    @pytest.mark.parametrize("perv", [
+        "apex=0,apex=2", "apex=1, apex =1", "apex=1_0", "apex=+2", "apex=2.0",
+        "apex=",
+    ])
+    def test_malformed_perversity_exits_2(self, capsys, cone_file, perv):
+        code, out, err = run(capsys, "cohomology", cone_file, "-p", perv)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InputError"
+
+    def test_perversity_value_may_be_padded(self, capsys, cone_file):
+        _, want, _ = run(capsys, "cohomology", cone_file, "-p", "apex=-1")
+        code, out, _ = run(capsys, "cohomology", cone_file, "-p", " apex = -1 ")
+        assert code == 0 and out == want
+
     def test_unknown_stratum(self, capsys, cone_file):
         code, _, err = run(capsys, "cohomology", cone_file, "-p", "nope=1")
         assert code == 2
@@ -226,6 +245,9 @@ class TestErrors:
         ("1", "link_eub", [[["1"]]]),
         ("1", "link_eub", {"0": [["1"], ["1", "2"]]}),
         ("2", "apex_stratum", ["apex"]),
+        ("2", "cone_degree", "abc"),
+        ("2", "cone_degree", 2.5),
+        ("2", "cone_degree", True),
     ])
     def test_malformed_cone_metadata_exits_2(self, capsys, tmp_path, apex, field, value):
         data = model_to_dict(cone2())

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eqih.errors import NotAComplex, NotExact
+from eqih.errors import InternalInvariantViolation, NotAComplex, NotExact
 from eqih.homalg import (
     ChainMap,
     Complex,
@@ -44,6 +44,13 @@ class TestComplex:
         c = Complex.build(0, 2, (1, 0, 1),
                           (Matrix.zero(0, 1), Matrix.zero(1, 0), Matrix.zero(0, 1)))
         assert Cohomology(c).dims() == (1, 0, 1)
+
+    def test_class_of_refuses_a_non_cocycle(self):
+        # Q -> Q^2, 1 -> (1, 1): H^1 is spanned by the class of (1, 0)
+        h = Cohomology(two_term(1, [[1], [1]]))
+        assert h.class_of(1, (1, 0)) == h.class_of(1, (0, -1))
+        with pytest.raises(InternalInvariantViolation):
+            h.class_of(0, (1,))
 
     def test_euler_characteristic_matches_cohomology(self):
         rng = random.Random(7)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from eqih.equivariant import build_equivariant
@@ -12,41 +14,139 @@ from eqih.localize import (
 )
 from eqih.model import Perversity, model_from_dict, model_to_dict
 from eqih.perverse import cogysin_cohomology
+from eqih.ratla import QNUM, Matrix, block_matrix
 
 
 def P(**kw):
     return Perversity(kw)
 
 
-def poly_mat(entries):
-    return PolyMatrix(len(entries), len(entries[0]) if entries else 0, entries)
+def pencil(a, b):
+    """The pencil a + u*b of two lists of rows."""
+    return PolyMatrix(Matrix.from_rows(a), Matrix.from_rows(b))
 
 
-U = (0, 1)
-ONE = (1,)
+# Reference: rank over the fraction field by fraction-free (Bareiss)
+# elimination on polynomial entries, the tuples of their coefficients in u.
+def _poly(coeffs):
+    coeffs = [QNUM(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [QNUM(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly(out)
+
+
+def _psub(a, b):
+    n = max(len(a), len(b))
+    return _poly([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                  for i in range(n)])
+
+
+def _pdivexact(a, b):
+    if not a:
+        return ()
+    rem = list(a)
+    out = [QNUM(0)] * (len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        out[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
+    assert not any(rem), "inexact polynomial division"
+    return _poly(out)
+
+
+def bareiss_rank(rows, cols, entries):
+    work = [list(row) for row in entries]
+    rank, prev = 0, _poly([1])
+    for col in range(cols):
+        pivot = next((i for i in range(rank, rows) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(rank + 1, rows):
+            for c in range(col + 1, cols):
+                num = _psub(_pmul(work[rank][col], work[i][c]),
+                            _pmul(work[i][col], work[rank][c]))
+                work[i][c] = _pdivexact(num, prev)
+            work[i][col] = ()
+        prev = work[rank][col]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def random_rows(rng, rows, cols):
+    return [[QNUM(rng.choice([0, 0, 0, 1, -1, 2, -3]), rng.choice([1, 1, 2, 3]))
+             for _ in range(cols)] for _ in range(rows)]
 
 
 class TestPolyMatrix:
     def test_rank_full(self):
-        assert poly_mat([[U, ()], [ONE, U]]).rank() == 2
+        assert pencil([[0, 0], [1, 0]], [[1, 0], [0, 1]]).rank() == 2
 
     def test_rank_drop(self):
-        # second column is u times the first
-        assert poly_mat([[ONE, U], [U, (0, 0, 1)]]).rank() == 1
+        # [[1, u], [2, 2u]]: the second row is twice the first
+        assert pencil([[1, 0], [2, 0]], [[0, 1], [0, 2]]).rank() == 1
 
     def test_rank_zero(self):
-        assert PolyMatrix.zero(3, 2).rank() == 0
+        assert PolyMatrix(Matrix.zero(3, 2), Matrix.zero(3, 2)).rank() == 0
+        assert PolyMatrix(Matrix.zero(0, 4), Matrix.zero(0, 4)).rank() == 0
 
     def test_rank_needs_generic_point(self):
-        # vanishes at u = 0 but not generically
-        assert poly_mat([[U]]).rank() == 1
-        assert poly_mat([[U]]).rank_at(0) == 0
+        # [[u]] vanishes at u = 0 but not generically
+        assert pencil([[0]], [[1]]).rank() == 1
+        assert pencil([[0]], [[1]]).rank_at(0) == 0
+        # [[1, u], [u, 1]] is singular at u = 1 but not generically
+        assert pencil([[1, 0], [0, 1]], [[0, 1], [1, 0]]).rank() == 2
+        assert pencil([[1, 0], [0, 1]], [[0, 1], [1, 0]]).rank_at(1) == 1
 
     def test_blocks(self):
-        mat = PolyMatrix.from_blocks(
-            [1, 1], [1], {(0, 0): poly_mat([[U]]), (1, 0): poly_mat([[ONE]])})
-        assert mat.rows == 2 and mat.cols == 1
+        # the column (u, 1) from two blocks
+        a = block_matrix(2, 1, [(1, 0, Matrix.from_rows([[1]]))])
+        b = block_matrix(2, 1, [(0, 0, Matrix.from_rows([[1]]))])
+        mat = PolyMatrix(a, b)
+        assert (mat.a.rows, mat.a.cols) == (2, 1)
         assert mat.rank() == 1
+
+    def test_diagonal_loses_rank_at_each_first_point(self):
+        for n in range(1, 6):
+            # diag(u - 1, ..., u - n)
+            mat = PolyMatrix(
+                Matrix.from_rows([[-(i + 1) if i == j else 0 for j in range(n)]
+                                  for i in range(n)]),
+                Matrix.identity(n))
+            assert [mat.rank_at(t) for t in range(1, n + 1)] == [n - 1] * n
+            assert mat.rank() == n
+
+    def test_rank_matches_bareiss_reference(self):
+        rng = random.Random(20111)
+        for rows in range(8):
+            for cols in range(8):
+                for trial in range(4):
+                    if trial < 2:
+                        a = random_rows(rng, rows, cols)
+                        b = random_rows(rng, rows, cols)
+                    else:
+                        # a = X*Y, b = X*Z has rank at most k
+                        k = rng.randrange(min(rows, cols) + 1)
+                        x = Matrix(rows, k, random_rows(rng, rows, k))
+                        a = (x * Matrix(k, cols, random_rows(rng, k, cols))).entries
+                        b = (x * Matrix(k, cols, random_rows(rng, k, cols))).entries
+                    entries = [[_poly([x, y]) for x, y in zip(ra, rb)]
+                               for ra, rb in zip(a, b)]
+                    mat = PolyMatrix(Matrix(rows, cols, a), Matrix(rows, cols, b))
+                    assert mat.rank() == bareiss_rank(rows, cols, entries), (a, b)
 
 
 class TestLocalize:
@@ -117,10 +217,10 @@ class TestStoredExpectations:
 class TestLocalizedGysin:
     def test_hopf_connecting_matrix(self):
         d = localized_connecting(hopf(), Perversity({}), 0)
-        assert d.rows == d.cols == 2
-        assert d.entries == [[U, ()], [ONE, U]]
+        assert d.a == Matrix.from_rows([[0, 0], [1, 0]])
+        assert d.b == Matrix.identity(2)
         assert d.rank() == 2
-        assert localized_connecting(hopf(), Perversity({}), 1).rows == 0
+        assert localized_connecting(hopf(), Perversity({}), 1).a.rows == 0
 
     def test_fixtures_exact(self):
         for m in (hopf(), rot(), cone2(), noperv()):

@@ -5,7 +5,8 @@ Every report command on the four fixtures and one random model, run through
 recorded in ``report_digests.json``.  Per model and perversity the commands
 are ``cohomology``, ``gysin``, ``equivariant`` (default window and
 ``--nu 3``), ``spectral --d3-check`` and ``localize`` (with ``--cone-check``
-on cone2); ``skjelbred`` runs once per model.
+on cone2); ``skjelbred`` runs once per model.  A few larger random models
+are guarded by their ``localize`` reports alone, at every perversity.
 
 The saved model documents of the seeded generator are guarded the same way:
 the kernel bases that ``fixtures.random_model`` solves for decide the bytes
@@ -39,6 +40,13 @@ MODELS = {
     "random-121-3": ("random", {"seed": 121, "size": 3}),
 }
 
+# model token -> fixtures.make arguments, for the models run through
+# ``localize`` only
+LOCALIZE_MODELS = {
+    "random-%d-%d" % (seed, size): ("random", {"seed": seed, "size": size})
+    for size in (4, 6) for seed in (0, 1)
+}
+
 # (size, seed) of the generated documents whose saved bytes are recorded
 GENERATED = [(9, 3), (10, 11), (11, 8), (12, 3), (13, 2), (13, 6)]
 
@@ -60,6 +68,11 @@ def commands():
                 + (["--cone-check"] if token == "cone2" else []),
             ]
         out.append(["skjelbred", token])
+    for token, (name, kwargs) in LOCALIZE_MODELS.items():
+        m = fixtures.make(name, **kwargs)
+        for p in m.perversity_set:
+            out.append(["localize", token]
+                       + (["-p", p.label()] if p.items else []))
     return out
 
 
@@ -76,7 +89,7 @@ def _saved_model_sha(size, seed):
 
 def _write_models(directory):
     paths = {}
-    for token, (name, kwargs) in MODELS.items():
+    for token, (name, kwargs) in {**MODELS, **LOCALIZE_MODELS}.items():
         paths[token] = os.path.join(directory, token + ".json")
         save_model(fixtures.make(name, **kwargs), paths[token])
     return paths
