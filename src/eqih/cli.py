@@ -178,12 +178,12 @@ def _cmd_equivariant(args):
     n_u = args.nu if args.nu is not None else default_window(m)
     if n_u < 1:
         raise InputError("--nu must be at least 1, not %d" % n_u)
-    eq = build_equivariant(m, p, n_u)
+    eq = build_equivariant(m, p)
     seq, les_report = equivariant_gysin_les(m, p, n_u)
     report = _report(
         "equivariant", m, perversity=p.label(), window=n_u,
-        dims=list(eq.dims()),
-        u_ranks=list(eq.u_ranks()),
+        dims=list(eq.dims(n_u)),
+        u_ranks=list(eq.u_ranks(n_u)),
         les=_les_json(seq),
         les_checks=les_report,
     )
@@ -384,10 +384,10 @@ def _build_parser():
         perv=True)
 
     sp = add("equivariant", _cmd_equivariant,
-             "truncated equivariant cohomology and its Gysin sequence",
-             perv=True)
+             "equivariant cohomology, u-ranks and Gysin sequence, exact "
+             "in every listed degree", perv=True)
     sp.add_argument("--nu", type=int, default=None,
-                    help="truncation degree override (at least 1)")
+                    help="highest degree to list (at least 1, default top + 6)")
 
     sp = add("spectral", _cmd_spectral,
              "spectral sequence pages of the u-power filtration", perv=True)

@@ -10,11 +10,11 @@ S: (alpha, beta) |-> sign(k) * (beta, 0), one pair degree down.  The
 equivariant complex is the pair complex tensored with Q[u] (u of degree 2)
 with differential D = d + u * S; u acts by raising the power.
 
-The module over Q[u] is infinite, so the reports that list it degree by
-degree (dims, u-ranks, the equivariant Gysin sequence, the spectral pages)
-read a window n_u: spaces are built up to total degree n_u + 2 and reported
-values are trusted for degrees <= n_u.  Inverting u needs no window; see
-localize.
+The module over Q[u] is infinite, but every object built from D repeats
+with period 2 above the top pair degree (LambdaExtension.fold).  So the
+complexes are built once, through total degree top + 4, each degree is read
+at its fold and every listed value is exact; n_u only bounds how many
+degrees a report lists.  Inverting u: see localize.
 """
 
 from __future__ import annotations
@@ -153,18 +153,18 @@ def eq1_cohomology(m: ModelInstance, p: Perversity) -> Cohomology:
 
 
 class LambdaExtension:
-    """A complex tensored with Q[u] (u of degree 2), truncated to total
-    degrees 0..hi.  Total degree n holds one component u^j X^k for every
-    base degree k = n - 2j.  The differential is the base differential on
-    each component plus, when shift (a dict of S_k: X^k -> X^{k-1}) is
-    given, S one u-power up."""
+    """A complex tensored with Q[u] (u of degree 2) in total degrees 0..hi
+    (default base.hi + 3, two above the degrees fold reads).  Degree n holds
+    one component u^j X^k per base degree k = n - 2j; the differential is the
+    base one on each component plus, when shift (a dict of S_k: X^k ->
+    X^{k-1}) is given, S one u-power up."""
 
-    def __init__(self, base: Complex, hi: int, shift=None):
+    def __init__(self, base: Complex, hi=None, shift=None):
         self.base = base
-        self.hi = hi
+        self.hi = base.hi + 3 if hi is None else hi
         self.offsets = {}
         dims = []
-        for n in range(0, hi + 1):
+        for n in range(0, self.hi + 1):
             off = {}
             total = 0
             for j, k in self.components(n):
@@ -176,11 +176,21 @@ class LambdaExtension:
         terms = [(0, base.d)]
         if shift is not None:
             terms.append((1, shift.__getitem__))
-        diffs = [self.tensor(n, self, 1, terms) for n in range(0, hi + 1)]
-        self.complex = Complex.build(0, hi, dims, diffs, check=shift is not None)
+        diffs = [self.tensor(n, self, 1, terms) for n in range(0, self.hi + 1)]
+        self.complex = Complex.build(0, self.hi, dims, diffs, check=shift is not None)
 
     def dim(self, n) -> int:
         return self.dims[n] if 0 <= n <= self.hi else 0
+
+    def fold(self, n) -> int:
+        """The built degree whose objects equal those of degree n, entry for
+        entry.  For n >= base.hi - 1 the components of C^{n+2} are those of
+        C^n one u-power up, in the same order, so u: C^n -> C^{n+2} is the
+        identity and D_{n+2} = D_n; everything read from D_{n-1}, D_n and
+        D_{n+1} (cohomology, u-ranks, connecting maps, spectral cells) thus
+        repeats with period 2 from degree base.hi on."""
+        h = self.base.hi
+        return n if n <= h + 1 else h + (n - h) % 2
 
     def components(self, n):
         out = []
@@ -238,71 +248,67 @@ class LambdaExtension:
         """The u-action C^n -> C^{n+2}: raise the power by one."""
         return self.tensor(n, self, 2, [(1, lambda k: Matrix.identity(self.base.dim(k)))])
 
+    def u_rank(self, n) -> int:
+        """Rank of u: H^n -> H^{n+2}, via cocycle images modulo coboundaries."""
+        b = image(self.complex.d(n + 1))
+        moved = map_image(self.u_matrix(n), kernel(self.complex.d(n)))
+        return subspace_sum(moved, b).dim - b.dim
+
 
 class EquivariantComplex:
-    """Truncated equivariant complex: the pair complex tensored with Q[u],
-    with the twisted differential d + u * S."""
+    """The equivariant complex: the pair complex tensored with Q[u], with
+    the twisted differential d + u * S.  Degree n is read at ext.fold(n);
+    n_u is the default highest degree a report lists."""
 
-    def __init__(self, m: ModelInstance, p: Perversity, n_u: int):
+    def __init__(self, m: ModelInstance, p: Perversity):
         m.check_perversity(p)
         self.m = m
         self.p = p
-        self.n_u = n_u
+        self.n_u = default_window(m)
         self.eq1 = build_eq1(m, p)
-        self.hi = n_u + 2
-        self.ext = LambdaExtension(self.eq1.complex, self.hi, pair_shift(m, p))
-        self.offsets = self.ext.offsets
+        self.ext = LambdaExtension(self.eq1.complex, shift=pair_shift(m, p))
+        self.hi = self.ext.hi
         self.complex = self.ext.complex
         self.cohomology = Cohomology(self.complex, check=False)
 
-    def components(self, n):
-        return self.ext.components(n)
+    def dim(self, n) -> int:
+        return self.cohomology.dim(self.ext.fold(n))
 
-    def u_matrix(self, n) -> Matrix:
-        return self.ext.u_matrix(n)
-
-    def u_chain_map(self) -> ChainMap:
-        maps = {n: self.u_matrix(n) for n in range(0, self.n_u)}
-        return ChainMap(self.complex, self.complex, 2, maps)
-
-    def dims(self):
-        """Cohomology dims per total degree, trusted through the window."""
-        return tuple(self.cohomology.dim(n) for n in range(0, self.n_u + 1))
+    def dims(self, upto=None):
+        """Cohomology dims in total degrees 0..upto (default n_u)."""
+        upto = self.n_u if upto is None else upto
+        return tuple(self.dim(n) for n in range(0, upto + 1))
 
     def u_rank(self, n) -> int:
-        """Rank of u: H^n -> H^{n+2}, via cocycle images modulo coboundaries."""
-        z = kernel(self.complex.d(n))
-        b = image(self.complex.d(n + 1))
-        moved = map_image(self.u_matrix(n), z)
-        return subspace_sum(moved, b).dim - b.dim
+        return self.ext.u_rank(self.ext.fold(n))
 
-    def u_ranks(self):
-        return tuple(self.u_rank(n) for n in range(0, self.n_u + 1))
+    def u_ranks(self, upto=None):
+        """u-ranks in total degrees 0..upto (default n_u)."""
+        upto = self.n_u if upto is None else upto
+        return tuple(self.u_rank(n) for n in range(0, upto + 1))
 
     def u_cohomology_matrix(self, n) -> Matrix:
-        """Matrix of u on cohomology H^n -> H^{n+2} (trusted for n <= n_u - 2)."""
+        """Matrix of u on cohomology H^n -> H^{n+2}."""
+        n = self.ext.fold(n)
         h = self.cohomology
-        cols = [h.class_of(n + 2, self.u_matrix(n).apply(rep))
+        cols = [h.class_of(n + 2, self.ext.u_matrix(n).apply(rep))
                 for rep in h.basis_lifts(n)]
         return Matrix.from_columns(h.dim(n + 2), cols)
 
 
-def build_equivariant(m: ModelInstance, p: Perversity, n_u=None) -> EquivariantComplex:
-    if n_u is None:
-        n_u = default_window(m)
-    return m.cached(("equivariant", p, n_u), lambda: EquivariantComplex(m, p, n_u))
+def build_equivariant(m: ModelInstance, p: Perversity) -> EquivariantComplex:
+    return m.cached(("equivariant", p), lambda: EquivariantComplex(m, p))
 
 
-def truncation_stable(m: ModelInstance, p: Perversity, n_u=None) -> bool:
-    """Dims and u-ranks for degrees <= n_u - 2 agree between the n_u and
-    n_u + 2 windows."""
-    if n_u is None:
-        n_u = default_window(m)
-    small = build_equivariant(m, p, n_u)
-    big = build_equivariant(m, p, n_u + 2)
-    upto = n_u - 2
-    return (small.dims()[:upto + 1] == big.dims()[:upto + 1]
-            and small.u_ranks()[:upto + 1] == big.u_ranks()[:upto + 1])
+def truncation_stable(m: ModelInstance, p: Perversity) -> bool:
+    """The folded dims and u-ranks through degree n_u + 2 equal those of the
+    equivariant complex built, without folding, out to degree n_u + 4."""
+    eq = build_equivariant(m, p)
+    upto = eq.n_u + 2
+    ref = LambdaExtension(eq.eq1.complex, upto + 2, pair_shift(m, p))
+    h = Cohomology(ref.complex, check=False)
+    return (eq.dims(upto) == tuple(h.dim(n) for n in range(0, upto + 1))
+            and eq.u_ranks(upto) == tuple(ref.u_rank(n) for n in range(0, upto + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +320,10 @@ class EquivariantGysin:
     exact sequence and the verified decomposition of the connecting
     morphism."""
 
-    def __init__(self, m: ModelInstance, p: Perversity, n_u=None):
-        if n_u is None:
-            n_u = default_window(m)
+    def __init__(self, m: ModelInstance, p: Perversity):
         self.m = m
         self.p = p
-        self.n_u = n_u
-        self.eq = build_equivariant(m, p, n_u)
+        self.eq = build_equivariant(m, p)
         self.pc = perverse_complex(m, p)
         i, s = gysin_maps(m, p)
         self.head = LambdaExtension(self.pc.omega, self.eq.hi)
@@ -330,9 +333,20 @@ class EquivariantGysin:
         self.ses = SesData(self.i, self.s)
         self.eub = euler_map(m, p)
 
-    def les(self) -> LongExactSequence:
-        # trust window: one triple of nodes per degree up to n_u - 1
-        return self.ses.les(0, self.n_u - 1)
+    def les(self, n_u) -> LongExactSequence:
+        """The long exact sequence in degrees 0..n_u - 1, each degree read at
+        its fold."""
+        ses, fold = self.ses, self.eq.ext.fold
+        labels, dims, maps = [], [], []
+        for k in range(0, n_u):
+            f = fold(k)
+            labels += ["H^%d(A)" % k, "H^%d(B)" % k, "H^%d(C)" % k]
+            dims += [ses.ha.dim(f), ses.hb.dim(f), ses.hc.dim(f)]
+            maps.append(ses.ha.induced_map(ses.hb, ses.i, f))
+            maps.append(ses.hb.induced_map(ses.hc, ses.s, f))
+            if k < n_u - 1:
+                maps.append(ses.connecting(f))
+        return LongExactSequence(labels, dims, maps)
 
     def expected_connecting_cochain(self, n, tail_vec):
         """Image cochain of the decomposition (Euler map tensor 1 plus signed
@@ -362,11 +376,10 @@ class EquivariantGysin:
                                                vec_scale(_sign(k + 1), inc_c)))
         return out
 
-    def connecting_decomposition_report(self) -> dict:
+    def connecting_decomposition_report(self, n_u) -> dict:
         """Entrywise comparison of the generic connecting morphism with the
-        Euler-map-plus-shifted-inclusion decomposition."""
-        degrees = []
-        for n in range(0, self.n_u):
+        Euler-map-plus-shifted-inclusion decomposition, at each fold."""
+        for n in sorted({self.eq.ext.fold(k) for k in range(0, n_u)}):
             generic = self.ses.connecting(n)
             cols = []
             for rep in self.ses.hc.basis_lifts(n):
@@ -376,18 +389,15 @@ class EquivariantGysin:
             if generic != expected_mat:
                 raise DecompositionMismatch(
                     "connecting morphism does not decompose in degree %d" % n)
-            degrees.append(n)
-        return {"decomposition_verified": True, "degrees_checked": degrees}
+        return {"decomposition_verified": True, "degrees_checked": list(range(0, n_u))}
 
 
 def equivariant_gysin_les(m: ModelInstance, p: Perversity, n_u=None):
     """(long exact sequence, report) for the u-extended Gysin sequence."""
-    if n_u is None:
-        n_u = default_window(m)
-    gy = m.cached(("eq_gysin", p, n_u),
-                  lambda: EquivariantGysin(m, p, n_u))
-    seq = gy.les()
-    report = gy.connecting_decomposition_report()
+    n_u = default_window(m) if n_u is None else n_u
+    gy = m.cached(("eq_gysin", p), lambda: EquivariantGysin(m, p))
+    seq = gy.les(n_u)
+    report = gy.connecting_decomposition_report(n_u)
     report["exactness"] = check_exact(seq)
     report["exact"] = all(r["exact"] for r in report["exactness"])
     return seq, report

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .equivariant import build_eq1, pair_shift
-from .errors import InputError, InternalInvariantViolation, NotAConeModel, NotExact
+from .errors import InputError, InternalInvariantViolation, NotAConeModel, TheoremViolation
 from .model import ModelInstance, Perversity, _typed, int_from_json, rows_from_json
 from .perverse import euler_map, gysin_cohomology, omega_cohomology, perverse_complex
 from .ratla import Matrix, Subspace, block_matrix
@@ -161,7 +161,7 @@ def localized_gysin(m: ModelInstance, p: Perversity) -> dict:
     bookkeeping  dim IL_r = dim IH_r(B) - rank(delta_r) + dim HG_{1-r} -
     rank(delta_{1-r})  per parity r; both sides are computed independently
     (cohomology of the periodic pair complex vs. fraction-field ranks of the
-    connecting matrices) and compared.  Raises NotExact on disagreement.
+    connecting matrices) and compared.  A mismatch raises TheoremViolation.
     """
     top = m.ambient.top_degree
     ih = omega_cohomology(m, p)
@@ -190,8 +190,8 @@ def localized_gysin(m: ModelInstance, p: Perversity) -> dict:
         if not entry["exact"]:
             report["exact"] = False
     if not report["exact"]:
-        raise NotExact("localized Gysin sequence rank bookkeeping fails: %s"
-                       % report)
+        raise TheoremViolation(
+            "localized Gysin sequence rank bookkeeping fails: %s" % report)
     return report
 
 

@@ -264,6 +264,8 @@ class Subspace:
     @staticmethod
     def from_matrix(m: Matrix) -> "Subspace":
         """Column span of m, canonicalized."""
+        if m.cols == 0:
+            return Subspace.zero(m.rows)
         red, pivots = m.transpose().rref()
         rows = Matrix._of(len(pivots), m.rows, red.entries[:len(pivots)])
         return Subspace(m.rows, rows.transpose())

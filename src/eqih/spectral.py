@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .errors import (
     IdentificationFails,
     InternalInvariantViolation,
-    NotExact,
     PropertyViolation,
     TheoremViolation,
 )
@@ -54,7 +53,7 @@ from .ratla import (
 @dataclass(frozen=True)
 class SpectralPage:
     """One page: cell dimensions and differentials d_r: (i,j) -> (i+r, j-r+1)
-    over the trusted window of total degrees."""
+    in the total degrees a report lists."""
 
     r: int
     cells: dict            # (i, j) -> dimension
@@ -83,14 +82,14 @@ class SpectralSequence:
     image lies in raw^{i+r} has its image in F^{i+r} = raw^{i+r} intersect
     D^{-1}(raw^{i+r}); with raw^{i+r} inside raw^i for r >= 0 the formula
     reduces to raw^i intersect D^{-1}(raw^{i+r}).  F^i C^n itself is
-    Z_0^{i,n-i}.  Cells are trusted for total degree <= n_max and
-    differentials for source total degree <= n_max - 1.
+    Z_0^{i,n-i}.  Every total degree is read at its fold
+    (LambdaExtension.fold) and every page past r_infinity at r_infinity,
+    whose cells and differentials it equals, so each value is exact.
     """
 
-    def __init__(self, eq, n_max: int):
+    def __init__(self, eq):
         self.eq = eq
         self.cx = eq.complex
-        self.n_max = n_max
         # pair degrees run 0 .. top_degree + 1
         self.i_top = eq.eq1.complex.hi
         self._z = {}
@@ -102,7 +101,12 @@ class SpectralSequence:
         """Pages stabilize from this index on."""
         return self.i_top + 2
 
+    def _key(self, r, i, j):
+        """(r, i, j) with the page capped at r_infinity and the degree folded."""
+        return min(r, self.r_infinity), i, self.eq.ext.fold(i + j) - i
+
     def z(self, r, i, j) -> Subspace:
+        j = self.eq.ext.fold(i + j) - i
         key = (r, i, j)
         if key not in self._z:
             n = i + j
@@ -118,14 +122,15 @@ class SpectralSequence:
                 for b, x in zip(cols, k):
                     v[b] = x
                 vecs.append(tuple(v))
-            kern = Matrix._of(len(vecs), amb, tuple(vecs)).transpose()
-            self._z[key] = Subspace.from_matrix(kern) if vecs else Subspace.zero(amb)
+            self._z[key] = Subspace.from_matrix(
+                Matrix._of(len(vecs), amb, tuple(vecs)).transpose())
         return self._z[key]
 
     def cell(self, r, i, j):
         """(quotient space, numerator, denominator) of the page-r cell."""
-        key = (r, i, j)
+        key = self._key(r, i, j)
         if key not in self._cells:
+            r, i, j = key
             num = self.z(r, i, j)
             moved = map_image(self.cx.d(i + j - 1), self.z(r - 1, i - r + 1, j + r - 2))
             den = subspace_sum(self.z(r - 1, i + 1, j - 1), moved)
@@ -136,8 +141,9 @@ class SpectralSequence:
         return self.cell(r, i, j)[0].dim
 
     def d_matrix(self, r, i, j) -> Matrix:
-        key = (r, i, j)
+        key = self._key(r, i, j)
         if key not in self._d:
+            r, i, j = key
             src, _, _ = self.cell(r, i, j)
             tgt, tgt_num, _ = self.cell(r, i + r, j - r + 1)
             cols = []
@@ -152,25 +158,24 @@ class SpectralSequence:
         return self._d[key]
 
     def page(self, r) -> SpectralPage:
+        """Page r in total degrees 0..eq.n_u."""
         cells = {}
         diffs = {}
         for i in range(0, self.i_top + 1):
-            for j in range(0, self.n_max - i + 1):
+            for j in range(0, self.eq.n_u - i + 1):
                 d = self.dim(r, i, j)
                 if d:
                     cells[(i, j)] = d
-                if i + j <= self.n_max - 1:
+                if i + j <= self.eq.n_u - 1:
                     diffs[(i, j)] = self.d_matrix(r, i, j)
         return SpectralPage(r, cells, diffs)
 
 
-def spectral_sequence(m: ModelInstance, p: Perversity, n_u=None) -> SpectralSequence:
-    from .equivariant import build_equivariant, default_window
+def spectral_sequence(m: ModelInstance, p: Perversity) -> SpectralSequence:
+    from .equivariant import build_equivariant
 
-    if n_u is None:
-        n_u = default_window(m)
-    return m.cached(("spectral", p, n_u),
-                    lambda: SpectralSequence(build_equivariant(m, p, n_u), n_u))
+    return m.cached(("spectral", p),
+                    lambda: SpectralSequence(build_equivariant(m, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +188,9 @@ def _cells_in_window(ss, n_cap):
             yield i, j
 
 
-def pages(m: ModelInstance, p: Perversity, r_max=None, n_u=None):
-    """(list of pages 1..r_max, limit-page cell dims) with all structural
-    properties asserted.
+def pages(m: ModelInstance, p: Perversity, r_max=None):
+    """(list of pages 1..r_max, limit-page cell dims) in total degrees
+    0..n_u, with all structural properties asserted.
 
     Asserted: first quadrant; odd rows vanish; d_r composes to zero; the
     cohomology of each page has the dimensions of the next; even pages from
@@ -195,14 +200,15 @@ def pages(m: ModelInstance, p: Perversity, r_max=None, n_u=None):
     sum to the equivariant cohomology dims.  Any failure raises
     PropertyViolation naming the cell.
     """
-    ss = spectral_sequence(m, p, n_u)
+    ss = spectral_sequence(m, p)
+    eq = ss.eq
     r_inf = ss.r_infinity
     r_keep = r_inf if r_max is None else r_max
     r_max = max(r_keep, r_inf)
     ih = omega_cohomology(m, p)
 
     out = [ss.page(r) for r in range(1, r_max + 1)]
-    n_cap = ss.n_max - 1    # degrees where both in- and outgoing d_r exist
+    n_cap = eq.n_u - 1    # degrees where both in- and outgoing d_r are listed
 
     for pg in out:
         r = pg.r
@@ -244,24 +250,20 @@ def pages(m: ModelInstance, p: Perversity, r_max=None, n_u=None):
                     "on page %d" % (i, r))
 
     # the limit page adds up to the equivariant cohomology
-    eq = ss.eq
     limit = {}
-    for i, j in _cells_in_window(ss, ss.n_max):
+    for i, j in _cells_in_window(ss, eq.n_u):
         d = ss.dim(r_inf, i, j)
         if d:
             limit[(i, j)] = d
-        if ss.dim(r_inf + 1, i, j) != d:
-            raise PropertyViolation(
-                "limit page not stable at (%d, %d)" % (i, j))
-    for n in range(0, ss.n_max + 1):
+    for n in range(0, eq.n_u + 1):
         total = sum(d for (i, j), d in limit.items() if i + j == n)
-        if total != eq.cohomology.dim(n):
+        if total != eq.dim(n):
             raise PropertyViolation(
                 "limit page total in degree %d is %d, cohomology has %d"
-                % (n, total, eq.cohomology.dim(n)))
+                % (n, total, eq.dim(n)))
 
     # second page already carries the third-page identification
-    e3 = e3_isomorphisms(m, p, n_u)
+    e3 = e3_isomorphisms(m, p)
     for i, j in _cells_in_window(ss, n_cap):
         if ss.dim(2, i, j) != ss.dim(3, i, j):
             raise PropertyViolation(
@@ -275,9 +277,11 @@ def pages(m: ModelInstance, p: Perversity, r_max=None, n_u=None):
 
 def _component_pair(ss, n, vec, j):
     """(alpha, beta) ambient pair of the u^j component of an equivariant
-    cochain of total degree n."""
+    cochain of total degree n, given in the basis of degree fold(n)."""
     eq = ss.eq
     k = n - 2 * j
+    n = eq.ext.fold(n)
+    j = (n - k) // 2
     coords = eq.ext.component_of(n, vec, j)
     a = eq.m.ambient
     if not coords:
@@ -286,7 +290,7 @@ def _component_pair(ss, n, vec, j):
     return tuple(pair[:a.dim(k)]), tuple(pair[a.dim(k):])
 
 
-def e3_isomorphisms(m: ModelInstance, p: Perversity, n_u=None) -> dict:
+def e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
     """Explicit isomorphisms identifying the third page: (i, j) -> matrix
     from E_3^{i,2j} onto IH^i (j = 0) or the co-Gysin cohomology H^i(K)
     (j >= 1), keyed by the u-power j.
@@ -296,14 +300,14 @@ def e3_isomorphisms(m: ModelInstance, p: Perversity, n_u=None) -> dict:
     the third differential equals the Euler-map composite with no extra sign.
     Every map is checked to kill the cell denominator and to be bijective.
     """
-    ss = spectral_sequence(m, p, n_u)
+    ss = spectral_sequence(m, p)
     pc = perverse_complex(m, p)
     ih = omega_cohomology(m, p)
     hk = cogysin_cohomology(m, p)
     a = m.ambient
     out = {}
     for i in range(0, ss.i_top + 1):
-        for j in range(0, (ss.n_max - i) // 2 + 1):
+        for j in range(0, (ss.eq.n_u - i) // 2 + 1):
             cellq, _, den = ss.cell(3, i, 2 * j)
             target = ih if j == 0 else hk
 
@@ -339,14 +343,14 @@ def e3_isomorphisms(m: ModelInstance, p: Perversity, n_u=None) -> dict:
     return out
 
 
-def d3_check(m: ModelInstance, p: Perversity, n_u=None) -> dict:
+def d3_check(m: ModelInstance, p: Perversity) -> dict:
     """Entrywise comparison of the engine's third differential with the
     composite of the co-Gysin connecting morphism, the Euler map and (for
     u-powers beyond the first) the co-Gysin projection, under the third-page
     identifications.  Raises TheoremViolation naming the cell on mismatch.
     """
-    ss = spectral_sequence(m, p, n_u)
-    phi = e3_isomorphisms(m, p, n_u)
+    ss = spectral_sequence(m, p)
+    phi = e3_isomorphisms(m, p)
     pc = perverse_complex(m, p)
     ih = omega_cohomology(m, p)
     hk = cogysin_cohomology(m, p)
@@ -354,7 +358,7 @@ def d3_check(m: ModelInstance, p: Perversity, n_u=None) -> dict:
     _, _, ses = build_cogysin(m, p)
     cells = []
     for (i, j), src_phi in sorted(phi.items()):
-        if j < 1 or src_phi.cols == 0 or i + 2 * j + 1 > ss.n_max:
+        if j < 1 or src_phi.cols == 0 or i + 2 * j + 1 > ss.eq.n_u:
             continue
         engine_raw = ss.d_matrix(3, i, 2 * j)
         composite = eub.mat(i + 1) * ses.connecting(i)
@@ -432,7 +436,7 @@ def _require_fixed_point_preconditions(m: ModelInstance):
             "fixed-point sequence unavailable: %s" % "; ".join(failed))
 
 
-def skjelbred(m: ModelInstance, n_u=None) -> LongExactSequence:
+def skjelbred(m: ModelInstance) -> LongExactSequence:
     """The fixed-point long exact sequence at the zero perversity,
 
         ... -> A^i -> H^{i+1}(B) -> IH^{i+1}_{S^1} -> A^{i+1} -> ...
@@ -446,12 +450,10 @@ def skjelbred(m: ModelInstance, n_u=None) -> LongExactSequence:
 
     Requires the subspace identifications of fixed_point_preconditions
     (IdentificationFails otherwise); exactness is checked at every interior
-    node of the truncation window (NotExact naming the node otherwise).
+    node, i <= n_u - 2 (TheoremViolation naming the node otherwise).
     """
-    from .equivariant import build_equivariant, default_window
+    from .equivariant import build_equivariant
 
-    if n_u is None:
-        n_u = default_window(m)
     _require_fixed_point_preconditions(m)
 
     zero = m.zero_perversity()
@@ -467,9 +469,9 @@ def skjelbred(m: ModelInstance, n_u=None) -> LongExactSequence:
     _, _, ses0 = build_cogysin(m, zero)
     eub_q = euler_map(m, q)
     iota = inclusion_map(m, q, zero)
-    eq = build_equivariant(m, zero, n_u)
+    eq = build_equivariant(m, zero)
     heq = eq.cohomology
-    ss = spectral_sequence(m, zero, n_u)
+    ss = spectral_sequence(m, zero)
 
     def to_lower(k) -> Matrix:
         """Basis change H^k of the Gysin term -> H^k of the lower complex."""
@@ -510,13 +512,13 @@ def skjelbred(m: ModelInstance, n_u=None) -> LongExactSequence:
                 raise InternalInvariantViolation(
                     "constant extension escapes the pair space in degree %d" % i)
             cols.append(heq.class_of(i, eq.ext.inject(i, 0, c)))
-        return Matrix.from_columns(heq.dim(i), cols)
+        return Matrix.from_columns(eq.dim(i), cols)
 
     def delta(i) -> Matrix:
         """IH^i_{S^1} -> A^i: co-Gysin classes of the positive u-power heads."""
         rows_total = sum(hk.dim(k) for _, k in a_blocks(i))
         cols = []
-        for rep in heq.basis_lifts(i):
+        for rep in heq.basis_lifts(eq.ext.fold(i)):
             col = []
             for s, k in a_blocks(i):
                 alpha_s, _ = _component_pair(ss, i, rep, s)
@@ -546,10 +548,10 @@ def skjelbred(m: ModelInstance, n_u=None) -> LongExactSequence:
         return out
 
     labels, dims, maps = [], [], []
-    i_hi = n_u - 2
+    i_hi = eq.n_u - 2
     for i in range(0, i_hi + 1):
         labels += ["H^%d(B)" % i, "IH^%d_eq" % i, "A^%d" % i]
-        dims += [hb.dim(i), heq.dim(i), sum(hk.dim(k) for _, k in a_blocks(i))]
+        dims += [hb.dim(i), eq.dim(i), sum(hk.dim(k) for _, k in a_blocks(i))]
         maps.append(alpha(i))
         maps.append(delta(i))
         if i < i_hi:
@@ -557,5 +559,5 @@ def skjelbred(m: ModelInstance, n_u=None) -> LongExactSequence:
     seq = LongExactSequence(labels, dims, maps)
     bad = [r for r in check_exact(seq) if not r["exact"]]
     if bad:
-        raise NotExact("fixed-point sequence fails at %s" % bad[0]["node"])
+        raise TheoremViolation("fixed-point sequence fails at %s" % bad[0]["node"])
     return seq

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from eqih import localize, spectral
 from eqih.cli import main
 from eqih.fixtures import cone2, hopf
 from eqih.model import model_to_dict, save_model
@@ -163,6 +164,19 @@ class TestFixtureCommand:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("argv, owner, name, fake", [
+        (["skjelbred"], spectral, "check_exact",
+         lambda seq: [{"node": "A^0", "exact": False}]),
+        (["localize", "-p", "apex=2"], localize.PolyMatrix, "rank",
+         lambda self: 99),
+    ], ids=["skjelbred", "localize"])
+    def test_failed_engine_check_exits_1(self, capsys, monkeypatch, cone_file,
+                                         argv, owner, name, fake):
+        monkeypatch.setattr(owner, name, fake)
+        code, out, err = run(capsys, argv[0], cone_file, *argv[1:])
+        assert code == 1 and not out
+        assert json.loads(err)["error"] == "TheoremViolation"
+
     def test_bad_perversity_syntax(self, capsys, cone_file):
         code, _, err = run(capsys, "cohomology", cone_file, "-p", "apex")
         assert code == 2

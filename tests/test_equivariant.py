@@ -5,6 +5,7 @@ import pytest
 
 from eqih.equivariant import (
     EquivariantGysin,
+    LambdaExtension,
     build_eq1,
     build_equivariant,
     default_window,
@@ -13,6 +14,7 @@ from eqih.equivariant import (
     truncation_stable,
 )
 from eqih.fixtures import cone2, hopf, noperv, oracle_cohomology, random_model, rot
+from eqih.homalg import ChainMap
 from eqih.model import Perversity, model_from_dict, model_to_dict
 from eqih.perverse import cogysin_cohomology, omega_cohomology
 from eqih.ratla import Matrix
@@ -23,6 +25,18 @@ EXPECT = json.loads(
 
 def P(**kw):
     return Perversity(kw)
+
+
+@pytest.fixture
+def deep(monkeypatch):
+    """Build equivariant complexes to total degree top + 8 instead of top + 4,
+    so that chain-level maps can be read raw in every degree a report lists."""
+    build = LambdaExtension.__init__
+
+    def deeper(self, base, hi=None, shift=None):
+        build(self, base, base.hi + 7 if hi is None else hi, shift)
+
+    monkeypatch.setattr(LambdaExtension, "__init__", deeper)
 
 
 class TestEq1:
@@ -74,8 +88,9 @@ class TestEquivariantComplex:
         for m in (hopf(), cone2(), random_model(7), random_model(21)):
             for p in m.perversity_set:
                 eq = build_equivariant(m, p)  # build asserts the square
-                u = eq.u_chain_map()
-                u.check(degrees=range(0, eq.n_u - 1))
+                u = ChainMap(eq.complex, eq.complex, 2,
+                             {n: eq.ext.u_matrix(n) for n in range(0, eq.hi - 1)})
+                u.check(degrees=range(0, eq.hi - 2))
 
     def test_truncation_independent(self):
         for m in (hopf(), rot(), cone2(), noperv(), random_model(3)):
@@ -120,14 +135,14 @@ class TestEquivariantComplex:
                                          for j in range(1, n // 2 + 1))
                 assert eq.dims()[n] == expect, (p.label(), n)
 
-    def test_u_module_structure(self):
+    def test_u_module_structure(self, deep):
         # u-squared on cohomology equals composing the two single steps
         m = cone2()
         eq = build_equivariant(m, P(apex=2))
         for n in range(eq.n_u - 3):
             one = eq.u_cohomology_matrix(n)
             two = eq.u_cohomology_matrix(n + 2)
-            direct_rank = (eq.u_matrix(n + 2) * eq.u_matrix(n)).rank()
+            direct_rank = (eq.ext.u_matrix(n + 2) * eq.ext.u_matrix(n)).rank()
             assert (two * one).rank() <= min(two.rank(), one.rank())
             assert (two * one).rank() <= direct_rank
 
@@ -169,23 +184,26 @@ class TestEquivariantGysin:
         for m in (cone2(), random_model(2)):
             for p in m.perversity_set:
                 gy = EquivariantGysin(m, p)
-                for n in range(0, gy.n_u - 1):
+                for n in range(0, gy.eq.hi - 1):
                     uh = gy.head.u_matrix(n)
-                    ue = gy.eq.u_matrix(n)
+                    ue = gy.eq.ext.u_matrix(n)
                     ut = gy.tail.u_matrix(n)
                     assert gy.i.mat(n + 2) * uh == ue * gy.i.mat(n)
                     assert gy.s.mat(n + 2) * ue == ut * gy.s.mat(n)
 
-    def test_connecting_is_u_linear(self):
-        from eqih.homalg import ChainMap
+    def test_connecting_is_u_linear(self, deep):
         for m in (hopf(), cone2(), random_model(6)):
             for p in m.perversity_set:
                 gy = EquivariantGysin(m, p)
+                hi = gy.eq.hi
+                assert hi == m.ambient.top_degree + 8
                 uc = ChainMap(gy.tail.complex, gy.tail.complex, 2,
-                              {n: gy.tail.u_matrix(n) for n in range(gy.n_u - 1)})
+                              {n: gy.tail.u_matrix(n) for n in range(hi - 1)})
                 ua = ChainMap(gy.head.complex, gy.head.complex, 2,
-                              {n: gy.head.u_matrix(n) for n in range(gy.n_u - 1)})
-                for n in range(0, gy.n_u - 3):
+                              {n: gy.head.u_matrix(n) for n in range(hi - 1)})
+                # H^{n+3} of the head is the highest degree read, and the
+                # complexes are exact below their top degree hi
+                for n in range(0, hi - 3):
                     u_on_hc = gy.ses.hc.induced_map(gy.ses.hc, uc, n)
                     u_on_ha = gy.ses.ha.induced_map(gy.ses.ha, ua, n + 1)
                     assert gy.ses.connecting(n + 2) * u_on_hc == u_on_ha * gy.ses.connecting(n)

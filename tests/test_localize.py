@@ -184,9 +184,9 @@ class TestLocalize:
         assert localize(m, Perversity({})).ranks() == (0, 0)
 
     def test_ranks_match_top_window_dims(self):
-        # the periodic complex and the truncated module are separate paths:
+        # the periodic complex and the folded module are separate paths:
         # above the top degree u is an isomorphism, so the two highest
-        # trusted window dims are the localized ranks of their parities
+        # listed dims are the localized ranks of their parities
         models = [hopf(), rot(), cone2(), noperv()]
         models += [random_model(seed) for seed in range(30)]
         for m in models:

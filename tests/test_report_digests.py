@@ -6,7 +6,9 @@ recorded in ``report_digests.json``.  Per model and perversity the commands
 are ``cohomology``, ``gysin``, ``equivariant`` (default window and
 ``--nu 3``), ``spectral --d3-check`` and ``localize`` (with ``--cone-check``
 on cone2); ``skjelbred`` runs once per model.  A few larger random models
-are guarded by their ``localize`` reports alone, at every perversity.
+are guarded by their ``localize`` reports alone, at every perversity, and a
+few commands read degrees or pages far past where the reports change
+(``WIDE``).
 
 The saved model documents of the seeded generator are guarded the same way:
 the kernel bases that ``fixtures.random_model`` solves for decide the bytes
@@ -47,6 +49,13 @@ LOCALIZE_MODELS = {
     for size in (4, 6) for seed in (0, 1)
 }
 
+# argv lists whose window or page count reaches well past the top degree
+# and the limit page
+WIDE = [
+    ["spectral", "cone2", "-p", "apex=2", "--pages", "12"],
+    ["equivariant", "hopf", "--nu", "12"],
+]
+
 # (size, seed) of the generated documents whose saved bytes are recorded
 GENERATED = [(9, 3), (10, 11), (11, 8), (12, 3), (13, 2), (13, 6)]
 
@@ -73,7 +82,7 @@ def commands():
         for p in m.perversity_set:
             out.append(["localize", token]
                        + (["-p", p.label()] if p.items else []))
-    return out
+    return out + WIDE
 
 
 def generated_keys():

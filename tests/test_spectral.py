@@ -1,11 +1,19 @@
+import functools
+
 import pytest
 
-from eqih.equivariant import build_equivariant, default_window
+from eqih.equivariant import (
+    LambdaExtension,
+    build_equivariant,
+    default_window,
+    equivariant_gysin_les,
+)
 from eqih.errors import IdentificationFails
 from eqih.fixtures import cone2, hopf, noperv, random_model, rot
 from eqih.model import Perversity, model_from_dict, model_to_dict, validate
 from eqih.ratla import Subspace, intersect, map_image, preimage
 from eqih.spectral import (
+    SpectralSequence,
     d3_check,
     e3_isomorphisms,
     fixed_point_preconditions,
@@ -51,7 +59,7 @@ def raw(ss, i, n):
     """Coordinate subspace of C^n spanned by the pair degrees >= i."""
     amb = ss.cx.dim(n)
     vecs = []
-    for j, off in ss.eq.offsets.get(n, {}).items():
+    for j, off in ss.eq.ext.offsets.get(n, {}).items():
         k = n - 2 * j
         if k >= i:
             for t in range(off, off + ss.eq.eq1.complex.dim(k)):
@@ -87,7 +95,8 @@ class TestFiltration:
     def test_invariants(self):
         for m in (hopf(), cone2(), random_model(1)):
             for p in m.perversity_set:
-                assert filtration_holds(spectral_sequence(m, p), default_window(m) - 1)
+                ss = spectral_sequence(m, p)
+                assert filtration_holds(ss, ss.eq.hi - 1)
 
     def test_pair_degree_support(self):
         m = cone2()
@@ -98,11 +107,11 @@ class TestFiltration:
                 f = ss.z(0, i, n - i)
                 # F^i is supported in the components of pair degree >= i
                 for vec in f.vectors():
-                    for j, k in eq.components(n):
+                    for j, k in eq.ext.components(n):
                         if k < i:
                             assert not any(eq.ext.component_of(n, vec, j))
                 assert f.dim <= sum(eq.eq1.complex.dim(k)
-                                    for _, k in eq.components(n) if k >= i)
+                                    for _, k in eq.ext.components(n) if k >= i)
         assert ss.z(0, 0, 4).is_full()
         assert ss.z(0, ss.i_top + 1, 4 - ss.i_top - 1).is_zero()
 
@@ -113,7 +122,8 @@ class TestFiltration:
         for m in models:
             for p in m.perversity_set:
                 ss = spectral_sequence(m, p)
-                for n in range(0, ss.eq.hi + 1):
+                # D is built exactly below the top degree hi
+                for n in range(0, ss.eq.hi):
                     for i in range(0, ss.i_top + 2):
                         f_i = filtration_by_subspaces(ss, i, n)
                         for r in range(0, ss.r_infinity + 2):
@@ -296,3 +306,39 @@ class TestSkjelbred:
             m = random_model(seed)
             if all(c["passed"] for c in fixed_point_preconditions(m)):
                 skjelbred(m)
+
+
+def engine_outputs(m):
+    """Every windowed output of the engine on m, through default_window."""
+    out = {}
+    for p in m.perversity_set:
+        ss = spectral_sequence(m, p)
+        out[p] = (ss.eq.dims(), ss.eq.u_ranks(),
+                  [ss.page(r) for r in range(1, ss.r_infinity + 2)],
+                  e3_isomorphisms(m, p), equivariant_gysin_les(m, p))
+    if all(c["passed"] for c in fixed_point_preconditions(m)):
+        out["skjelbred"] = skjelbred(m)
+    return out
+
+
+class TestFold:
+    def test_matches_unfolded_reference(self, monkeypatch):
+        # the reference reads every degree where it lies, in a complex
+        # built to total degree top + 8, and builds every page past
+        # r_infinity from its own Z_r
+        makers = [hopf, rot, cone2, noperv]
+        makers += [functools.partial(random_model, seed) for seed in range(8)]
+        folded = [engine_outputs(make()) for make in makers]
+        build = LambdaExtension.__init__
+
+        def unfolded(self, base, hi=None, shift=None):
+            build(self, base, base.hi + 7 if hi is None else hi, shift)
+
+        monkeypatch.setattr(LambdaExtension, "__init__", unfolded)
+        monkeypatch.setattr(LambdaExtension, "fold", lambda self, n: n)
+        monkeypatch.setattr(SpectralSequence, "_key", lambda self, r, i, j: (r, i, j))
+        for make, want in zip(makers, folded):
+            m = make()
+            p = next(iter(m.perversity_set))
+            assert build_equivariant(m, p).hi == m.ambient.top_degree + 8
+            assert engine_outputs(m) == want, m.name
