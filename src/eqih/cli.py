@@ -52,17 +52,22 @@ from .spectral import (
 
 SCHEMA = "eqih-report/1"
 
+# the largest --nu and --pages a command accepts: reports grow linearly in
+# both, and every listed value repeats with period 2 past the top degree
+MAX_WINDOW = 1000
+
 
 # ---------------------------------------------------------------------------
 # serialization helpers
 
 
-def _les_json(seq):
+def _les_json(seq, exact):
+    """A long exact sequence with the exactness its caller has checked."""
     return {
         "nodes": [{"label": lab, "dim": dim}
                   for lab, dim in zip(seq.labels, seq.dims)],
         "maps": [mat_to_json(m) for m in seq.maps],
-        "exact": is_exact(seq),
+        "exact": exact,
     }
 
 
@@ -165,8 +170,8 @@ def _cmd_gysin(args):
         gysin_dims=list(gysin_cohomology(m, p).dims()),
         cogysin_dims=list(cogysin_cohomology(m, p).dims()),
         euler_maps={str(k): mat_to_json(eub.mat(k)) for k in range(top + 1)},
-        gysin_les=_les_json(gles),
-        cogysin_les=_les_json(kles),
+        gysin_les=_les_json(gles, is_exact(gles)),
+        cogysin_les=_les_json(kles, is_exact(kles)),
     )
     ok = report["gysin_les"]["exact"] and report["cogysin_les"]["exact"]
     return report, 0 if ok else 1
@@ -176,15 +181,15 @@ def _cmd_equivariant(args):
     m = _load(args.file)
     p = _perversity(args.perversity, m)
     n_u = args.nu if args.nu is not None else default_window(m)
-    if n_u < 1:
-        raise InputError("--nu must be at least 1, not %d" % n_u)
+    if not 1 <= n_u <= MAX_WINDOW:
+        raise InputError("--nu must be between 1 and %d, not %d" % (MAX_WINDOW, n_u))
     eq = build_equivariant(m, p)
     seq, les_report = equivariant_gysin_les(m, p, n_u)
     report = _report(
         "equivariant", m, perversity=p.label(), window=n_u,
         dims=list(eq.dims(n_u)),
         u_ranks=list(eq.u_ranks(n_u)),
-        les=_les_json(seq),
+        les=_les_json(seq, les_report["exact"]),
         les_checks=les_report,
     )
     ok = les_report["exact"] and les_report["decomposition_verified"]
@@ -194,8 +199,9 @@ def _cmd_equivariant(args):
 def _cmd_spectral(args):
     m = _load(args.file)
     p = _perversity(args.perversity, m)
-    if args.pages is not None and args.pages < 1:
-        raise InputError("--pages must be at least 1, not %d" % args.pages)
+    if args.pages is not None and not 1 <= args.pages <= MAX_WINDOW:
+        raise InputError("--pages must be between 1 and %d, not %d"
+                         % (MAX_WINDOW, args.pages))
     pgs, limit = pages(m, p, r_max=args.pages)
     body = {
         "pages": [{
@@ -216,13 +222,15 @@ def _cmd_spectral(args):
 def _cmd_skjelbred(args):
     m = _load(args.file)
     seq = skjelbred(m)
+    checks = check_exact(seq)
+    exact = all(c["exact"] for c in checks)
     report = _report(
         "skjelbred", m,
         preconditions=fixed_point_preconditions(m),
-        sequence=_les_json(seq),
-        checks=check_exact(seq),
+        sequence=_les_json(seq, exact),
+        checks=checks,
     )
-    return report, 0 if report["sequence"]["exact"] else 1
+    return report, 0 if exact else 1
 
 
 def _cmd_localize(args):
@@ -324,9 +332,9 @@ def _cmd_selftest(args):
                 raise PropertyViolation(
                     "oracle disagreement on %r at %s" % (m.name, p.label()))
             counters["oracle_agreements"] += 1
-            for seq in (gysin_les(m, p), cogysin_les(m, p),
-                        equivariant_gysin_les(m, p)[0]):
-                if not is_exact(seq):
+            for exact in (is_exact(gysin_les(m, p)), is_exact(cogysin_les(m, p)),
+                          equivariant_gysin_les(m, p)[1]["exact"]):
+                if not exact:
                     raise PropertyViolation(
                         "inexact sequence on %r at %s" % (m.name, p.label()))
                 counters["exact_sequences"] += 1
@@ -387,12 +395,13 @@ def _build_parser():
              "equivariant cohomology, u-ranks and Gysin sequence, exact "
              "in every listed degree", perv=True)
     sp.add_argument("--nu", type=int, default=None,
-                    help="highest degree to list (at least 1, default top + 6)")
+                    help="highest degree to list (1 to %d, default top + 6)"
+                    % MAX_WINDOW)
 
     sp = add("spectral", _cmd_spectral,
              "spectral sequence pages of the u-power filtration", perv=True)
     sp.add_argument("--pages", type=int, default=None,
-                    help="highest page to report (at least 1)")
+                    help="highest page to report (1 to %d)" % MAX_WINDOW)
     sp.add_argument("--d3-check", action="store_true",
                     help="verify the closed form of the third differential")
 

@@ -6,7 +6,10 @@ elements supported in pair degrees >= i whose twisted differential is again
 supported there.  In the block basis sum_j u^j Eq1^{n-2j} of the complex,
 support in pair degrees >= i is a condition on coordinates, so, since
 D^2 = 0, every term Z_r of the spectral sequence is the kernel of one block
-of D (see SpectralSequence).  The associated first-quadrant spectral
+of D.  Every cell dimension is counted from one persistence reduction of D
+per total degree, in a basis adapted to the filtration; a cell is built as
+a quotient space, for its d_r and E_3 maps, only where that count is not
+zero (see SpectralSequence).  The associated first-quadrant spectral
 sequence has even rows only; its third page carries the intersection
 cohomology of the orbit space on row zero and the co-Gysin cohomology
 (tensored with u-powers) on the higher even rows, with third differential
@@ -42,6 +45,7 @@ from .perverse import (
 from .ratla import (
     ZERO,
     Matrix,
+    QuotientSpace,
     Subspace,
     inverse,
     map_image,
@@ -71,20 +75,36 @@ class SpectralPage:
 class SpectralSequence:
     """Page engine for the equivariant complex filtered by pair degree.
 
-    The cells follow the subspace formulas
-        Z_r^{i,j} = F^i C^{i+j} intersect D^{-1}(F^{i+r} C^{i+j+1}),
-        E_r^{i,j} = Z_r / (Z_{r-1}^{i+1,j-1} + D Z_{r-1}^{i-r+1,j+r-2}),
-    over exact rational arithmetic, but each Z_r is one kernel: that of the
-    block of D_{i+j} whose columns are the coordinates of C^{i+j} in pair
-    degrees >= i and whose rows are the coordinates of C^{i+j+1} in pair
-    degrees < i + r.  The block basis sum_j u^j Eq1^{n-2j} spans each raw^i
-    C^n (pair degrees >= i) by coordinates, and as D^2 = 0 an element whose
-    image lies in raw^{i+r} has its image in F^{i+r} = raw^{i+r} intersect
-    D^{-1}(raw^{i+r}); with raw^{i+r} inside raw^i for r >= 0 the formula
+    Each Z_r is one kernel: that of the block of D_{i+j} whose columns are
+    the coordinates of C^{i+j} in pair degrees >= i and whose rows are the
+    coordinates of C^{i+j+1} in pair degrees < i + r.  The block basis
+    sum_j u^j Eq1^{n-2j} spans each raw^i C^n (pair degrees >= i) by
+    coordinates, and as D^2 = 0 an element whose image lies in raw^{i+r} has
+    its image in F^{i+r} = raw^{i+r} intersect D^{-1}(raw^{i+r}); with
+    raw^{i+r} inside raw^i for r >= 0 the subspace formula
+        Z_r^{i,j} = F^i C^{i+j} intersect D^{-1}(F^{i+r} C^{i+j+1})
     reduces to raw^i intersect D^{-1}(raw^{i+r}).  F^i C^n itself is
-    Z_0^{i,n-i}.  Every total degree is read at its fold
-    (LambdaExtension.fold) and every page past r_infinity at r_infinity,
-    whose cells and differentials it equals, so each value is exact.
+    Z_0^{i,n-i}.
+
+    Cell dimensions are counted, not built.  Per total degree n the engine
+    keeps a basis of C^n adapted to the filtration, each element tagged with
+    the largest i such that it lies in F^i, and one persistence reduction of
+    D_n written in the adapted bases of C^n and C^{n+1}: columns and rows run
+    from high filtration to low, a column is cleared only by earlier columns,
+    and each non-zero reduced column pairs its source with its lowest
+    non-zero row, the target, at a gap of the target's filtration minus the
+    source's.  A pair with gap g lives on the pages r <= g (Basu and Parida,
+    "Spectral sequences, exact couples and persistent homology of
+    filtrations", Expo. Math. 2017), so dim E_r^{i,j} counts the elements of
+    degree i + j and filtration i that are unpaired or paired at a gap of at
+    least r.  Both structures are built on the first count in a degree.
+
+    A cell's quotient space, with the lifts that d_r and the E_3 maps are
+    read from, is built only where the count is non-zero, from
+        E_r^{i,j} = Z_r / (Z_{r-1}^{i+1,j-1} + D Z_{r-1}^{i-r+1,j+r-2}).
+    Every total degree is read at its fold (LambdaExtension.fold) and every
+    page past r_infinity at r_infinity, whose cells and differentials it
+    equals, so each value is exact.
     """
 
     def __init__(self, eq):
@@ -93,6 +113,10 @@ class SpectralSequence:
         # pair degrees run 0 .. top_degree + 1
         self.i_top = eq.eq1.complex.hi
         self._z = {}
+        self._adapted = {}
+        self._pairs = {}
+        self._lives = {}
+        self._dims = {}
         self._cells = {}
         self._d = {}
 
@@ -126,35 +150,112 @@ class SpectralSequence:
                 Matrix._of(len(vecs), amb, tuple(vecs)).transpose())
         return self._z[key]
 
-    def cell(self, r, i, j):
-        """(quotient space, numerator, denominator) of the page-r cell."""
+    def adapted_basis(self, n):
+        """(basis matrix, filtration of each column) of C^n: the pivot
+        columns of [F^{i_top+1} | ... | F^0], each tagged with the i of its
+        block, so F^i C^n is spanned by the columns tagged i or more."""
+        n = self.eq.ext.fold(n)
+        if n not in self._adapted:
+            amb = self.cx.dim(n)
+            tagged = [(i, v) for i in range(self.i_top + 1, -1, -1)
+                      for v in self.z(0, i, n - i).vectors()]
+            cands = tuple(v for _, v in tagged)
+            _, pivots = Matrix._of(len(cands), amb, cands).transpose().rref()
+            basis = Matrix._of(len(pivots), amb, tuple(cands[c] for c in pivots))
+            self._adapted[n] = (basis.transpose(), [tagged[c][0] for c in pivots])
+        return self._adapted[n]
+
+    def pairs(self, n):
+        """(source, target, gap) of each pivot pair of the persistence
+        reduction of D_n in the adapted bases of C^n and C^{n+1}, as column
+        indices of those bases."""
+        n = self.eq.ext.fold(n)
+        if n not in self._pairs:
+            src, src_tags = self.adapted_basis(n)
+            tgt, tgt_tags = self.adapted_basis(n + 1)
+            d = inverse(tgt) * self.cx.d(n) * src
+            out = []
+            reduced = {}    # low row -> the reduced column that owns it
+            for c, col in enumerate(d.transpose().entries):
+                low = _low(col)
+                while low in reduced:
+                    other = reduced[low]
+                    f = col[low] / other[low]
+                    col = tuple(a - f * b for a, b in zip(col, other))
+                    low = _low(col)
+                if low is not None:
+                    reduced[low] = col
+                    out.append((c, low, tgt_tags[low] - src_tags[c]))
+            self._pairs[n] = out
+        return self._pairs[n]
+
+    def lives(self, n):
+        """(filtration, gap) of each adapted basis element of C^n, with gap
+        None for an element that no pair of D_{n-1} or D_n holds."""
+        n = self.eq.ext.fold(n)
+        if n not in self._lives:
+            tags = self.adapted_basis(n)[1]
+            gaps = [None] * len(tags)
+            for src, _, gap in self.pairs(n):
+                gaps[src] = gap
+            for _, tgt, gap in self.pairs(n - 1):
+                if gaps[tgt] is not None:
+                    raise InternalInvariantViolation(
+                        "basis element %d of degree %d is both a source and a "
+                        "target" % (tgt, n))
+                gaps[tgt] = gap
+            self._lives[n] = list(zip(tags, gaps))
+        return self._lives[n]
+
+    def dim(self, r, i, j) -> int:
+        key = (r, i, j)
+        if key not in self._dims:
+            r, i, j = self._key(r, i, j)
+            self._dims[key] = sum(1 for tag, gap in self.lives(i + j)
+                                  if tag == i and (gap is None or gap >= r))
+        return self._dims[key]
+
+    def den(self, r, i, j) -> Subspace:
+        """Z_{r-1}^{i+1,j-1} + D Z_{r-1}^{i-r+1,j+r-2}: the page-r cell's
+        denominator."""
+        r, i, j = self._key(r, i, j)
+        moved = map_image(self.cx.d(i + j - 1), self.z(r - 1, i - r + 1, j + r - 2))
+        return subspace_sum(self.z(r - 1, i + 1, j - 1), moved)
+
+    def cell(self, r, i, j) -> QuotientSpace:
+        """The page-r cell Z_r / den as a quotient space, whose dimension
+        must equal the pair count; callers build it only for non-zero
+        cells."""
         key = self._key(r, i, j)
         if key not in self._cells:
             r, i, j = key
-            num = self.z(r, i, j)
-            moved = map_image(self.cx.d(i + j - 1), self.z(r - 1, i - r + 1, j + r - 2))
-            den = subspace_sum(self.z(r - 1, i + 1, j - 1), moved)
-            self._cells[key] = (quotient(num, den), num, den)
+            q = quotient(self.z(r, i, j), self.den(r, i, j))
+            if q.dim != self.dim(r, i, j):
+                raise PropertyViolation(
+                    "page %d cell (%d, %d) has dimension %d, its pairs count %d"
+                    % (r, i, j, q.dim, self.dim(r, i, j)))
+            self._cells[key] = q
         return self._cells[key]
-
-    def dim(self, r, i, j) -> int:
-        return self.cell(r, i, j)[0].dim
 
     def d_matrix(self, r, i, j) -> Matrix:
         key = self._key(r, i, j)
         if key not in self._d:
             r, i, j = key
-            src, _, _ = self.cell(r, i, j)
-            tgt, tgt_num, _ = self.cell(r, i + r, j - r + 1)
+            rows = self.dim(r, i + r, j - r + 1)
+            if not self.dim(r, i, j):
+                self._d[key] = Matrix.zero(rows, 0)
+                return self._d[key]
+            tgt_num = self.z(r, i + r, j - r + 1)
+            tgt = self.cell(r, i + r, j - r + 1) if rows else None
             cols = []
-            for rep in src.lift.columns():
+            for rep in self.cell(r, i, j).lift.columns():
                 img = self.cx.d(i + j).apply(rep)
                 if not tgt_num.contains(img):
                     raise PropertyViolation(
                         "page %d differential leaves its target cell at (%d, %d)"
                         % (r, i, j))
-                cols.append(tgt.class_of(img))
-            self._d[key] = Matrix.from_columns(tgt.dim, cols)
+                cols.append(tgt.class_of(img) if rows else ())
+            self._d[key] = Matrix.from_columns(rows, cols)
         return self._d[key]
 
     def page(self, r) -> SpectralPage:
@@ -169,6 +270,14 @@ class SpectralSequence:
                 if i + j <= self.eq.n_u - 1:
                     diffs[(i, j)] = self.d_matrix(r, i, j)
         return SpectralPage(r, cells, diffs)
+
+
+def _low(col):
+    """Index of the last non-zero entry of col, or None."""
+    for k in range(len(col) - 1, -1, -1):
+        if col[k]:
+            return k
+    return None
 
 
 def spectral_sequence(m: ModelInstance, p: Perversity) -> SpectralSequence:
@@ -298,8 +407,14 @@ def e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
     Each map reads off the bottom pair component of a representative and
     scales it by the column parity sign (-1)^(i(i+1)/2); with that convention
     the third differential equals the Euler-map composite with no extra sign.
-    Every map is checked to kill the cell denominator and to be bijective.
+    Every map is checked to kill the cell denominator and to be bijective;
+    a zero cell has no representatives, so only its denominator is built.
+    Computed once per (model, perversity).
     """
+    return m.cached(("e3", p), lambda: _e3_isomorphisms(m, p))
+
+
+def _e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
     ss = spectral_sequence(m, p)
     pc = perverse_complex(m, p)
     ih = omega_cohomology(m, p)
@@ -308,7 +423,6 @@ def e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
     out = {}
     for i in range(0, ss.i_top + 1):
         for j in range(0, (ss.eq.n_u - i) // 2 + 1):
-            cellq, _, den = ss.cell(3, i, 2 * j)
             target = ih if j == 0 else hk
 
             def classify(vec, i=i, j=j, target=target):
@@ -326,11 +440,12 @@ def e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
                     return target.class_of(i, om)
                 return target.class_of(i, pc.projection.mat(i).apply(om))
 
-            cols = [classify(rep) for rep in cellq.lift.columns()]
+            reps = ss.cell(3, i, 2 * j).lift.columns() if ss.dim(3, i, 2 * j) else []
+            cols = [classify(rep) for rep in reps]
             sign = (-1) ** (i * (i + 1) // 2)
             phi = Matrix.from_columns(target.dim(i), cols).scale(sign)
             # well-defined: the denominator maps to zero classes
-            for v in den.vectors():
+            for v in ss.den(3, i, 2 * j).vectors():
                 if any(x != 0 for x in classify(v)):
                     raise PropertyViolation(
                         "third-page identification not well defined at "

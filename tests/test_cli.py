@@ -210,7 +210,8 @@ class TestErrors:
         assert code == 2 and not out
         assert json.loads(err)["error"] == "InputError"
 
-    @pytest.mark.parametrize("nu", ["0", "-3"])
+    # the last value is past the upper bound
+    @pytest.mark.parametrize("nu", ["0", "-3", "1001"])
     def test_window_below_one_exits_2(self, capsys, cone_file, nu):
         code, out, err = run(capsys, "equivariant", cone_file, "-p", "apex=2",
                              "--nu", nu)
@@ -221,6 +222,8 @@ class TestErrors:
         ["spectral", "-p", "apex=2", "--pages", "-2"],
         ["spectral", "-p", "apex=2", "--pages", "0"],
         ["selftest", "--seeds", "-2"],
+        # past the upper bound
+        ["spectral", "-p", "apex=2", "--pages", "1001"],
     ])
     def test_option_below_range_exits_2(self, capsys, cone_file, argv):
         if argv[0] == "spectral":

@@ -6,9 +6,9 @@ recorded in ``report_digests.json``.  Per model and perversity the commands
 are ``cohomology``, ``gysin``, ``equivariant`` (default window and
 ``--nu 3``), ``spectral --d3-check`` and ``localize`` (with ``--cone-check``
 on cone2); ``skjelbred`` runs once per model.  A few larger random models
-are guarded by their ``localize`` reports alone, at every perversity, and a
-few commands read degrees or pages far past where the reports change
-(``WIDE``).
+are guarded by their ``localize`` reports alone, at every perversity, a few
+small ones by their ``spectral --d3-check`` reports alone, and a few
+commands read degrees or pages far past where the reports change (``WIDE``).
 
 The saved model documents of the seeded generator are guarded the same way:
 the kernel bases that ``fixtures.random_model`` solves for decide the bytes
@@ -49,6 +49,13 @@ LOCALIZE_MODELS = {
     for size in (4, 6) for seed in (0, 1)
 }
 
+# model token -> fixtures.make arguments, for the models run through
+# ``spectral --d3-check`` only: small random models with non-zero d_r bases
+SPECTRAL_MODELS = {
+    "random-%d-2" % seed: ("random", {"seed": seed, "size": 2})
+    for seed in range(4)
+}
+
 # argv lists whose window or page count reaches well past the top degree
 # and the limit page
 WIDE = [
@@ -82,6 +89,11 @@ def commands():
         for p in m.perversity_set:
             out.append(["localize", token]
                        + (["-p", p.label()] if p.items else []))
+    for token, (name, kwargs) in SPECTRAL_MODELS.items():
+        m = fixtures.make(name, **kwargs)
+        for p in m.perversity_set:
+            out.append(["spectral", token]
+                       + (["-p", p.label()] if p.items else []) + ["--d3-check"])
     return out + WIDE
 
 
@@ -98,7 +110,8 @@ def _saved_model_sha(size, seed):
 
 def _write_models(directory):
     paths = {}
-    for token, (name, kwargs) in {**MODELS, **LOCALIZE_MODELS}.items():
+    for token, (name, kwargs) in {**MODELS, **LOCALIZE_MODELS,
+                                  **SPECTRAL_MODELS}.items():
         paths[token] = os.path.join(directory, token + ".json")
         save_model(fixtures.make(name, **kwargs), paths[token])
     return paths

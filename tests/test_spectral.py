@@ -11,7 +11,15 @@ from eqih.equivariant import (
 from eqih.errors import IdentificationFails
 from eqih.fixtures import cone2, hopf, noperv, random_model, rot
 from eqih.model import Perversity, model_from_dict, model_to_dict, validate
-from eqih.ratla import Subspace, intersect, map_image, preimage
+from eqih.ratla import (
+    Matrix,
+    Subspace,
+    intersect,
+    map_image,
+    preimage,
+    quotient,
+    subspace_sum,
+)
 from eqih.spectral import (
     SpectralSequence,
     d3_check,
@@ -342,3 +350,66 @@ class TestFold:
             p = next(iter(m.perversity_set))
             assert build_equivariant(m, p).hi == m.ambient.top_degree + 8
             assert engine_outputs(m) == want, m.name
+
+
+class SubspaceCells(SpectralSequence):
+    """The per-cell engine the pair counts replaced: every cell, zero or
+    not, is the quotient of Z_r by its denominator, and pages past
+    r_infinity are built from their own Z_r."""
+
+    def _key(self, r, i, j):
+        return r, i, self.eq.ext.fold(i + j) - i
+
+    def cell(self, r, i, j):
+        key = self._key(r, i, j)
+        if key not in self._cells:
+            r, i, j = key
+            moved = map_image(self.cx.d(i + j - 1),
+                              self.z(r - 1, i - r + 1, j + r - 2))
+            den = subspace_sum(self.z(r - 1, i + 1, j - 1), moved)
+            self._cells[key] = quotient(self.z(r, i, j), den)
+        return self._cells[key]
+
+    def dim(self, r, i, j):
+        return self.cell(r, i, j).dim
+
+    def d_matrix(self, r, i, j):
+        key = self._key(r, i, j)
+        if key not in self._d:
+            r, i, j = key
+            tgt = self.cell(r, i + r, j - r + 1)
+            cols = [tgt.class_of(self.cx.d(i + j).apply(rep))
+                    for rep in self.cell(r, i, j).lift.columns()]
+            self._d[key] = Matrix.from_columns(tgt.dim, cols)
+        return self._d[key]
+
+
+def subspace_cells(m, p) -> SubspaceCells:
+    """The reference engine of (m, p), put in m's spectral-sequence cache so
+    that every engine function called on m reads its cells."""
+    return m.cached(("spectral", p),
+                    lambda: SubspaceCells(build_equivariant(m, p)))
+
+
+def window(ss):
+    """Every cell dim and d_r matrix in the listed degrees, on pages
+    1..r_infinity + 1."""
+    n_u = ss.eq.n_u
+    return [(r, i, j, ss.dim(r, i, j),
+             ss.d_matrix(r, i, j) if i + j < n_u else None)
+            for r in range(1, ss.r_infinity + 2)
+            for i in range(0, ss.i_top + 1)
+            for j in range(0, n_u - i + 1)]
+
+
+class TestPairEngine:
+    def test_matches_subspace_cells(self):
+        makers = [hopf, rot, cone2, noperv, witness_d3_model]
+        makers += [functools.partial(random_model, seed) for seed in range(50)]
+        makers += [functools.partial(random_model, seed, size=3) for seed in range(10)]
+        for make in makers:
+            m, ref = make(), make()
+            for p in m.perversity_set:
+                label = (m.name, p.label())
+                assert window(spectral_sequence(m, p)) == window(subspace_cells(ref, p)), label
+                assert e3_isomorphisms(m, p) == e3_isomorphisms(ref, p), label
