@@ -145,7 +145,7 @@ def _pair_shift(m: ModelInstance, p: Perversity) -> dict:
 def eq1_cohomology(m: ModelInstance, p: Perversity) -> Cohomology:
     """Cohomology of the pair complex: the intersection cohomology of the
     total space."""
-    return m.cached(("ihx", p), lambda: Cohomology(build_eq1(m, p).complex, check=False))
+    return build_eq1(m, p).complex.cohomology
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,8 @@ class EquivariantComplex:
         self.ext = LambdaExtension(self.eq1.complex, shift=pair_shift(m, p))
         self.hi = self.ext.hi
         self.complex = self.ext.complex
-        self.cohomology = Cohomology(self.complex, check=False)
+        self.cohomology = self.complex.cohomology
+        self._folded_u_ranks = {}
 
     def dim(self, n) -> int:
         return self.cohomology.dim(self.ext.fold(n))
@@ -280,7 +281,10 @@ class EquivariantComplex:
         return tuple(self.dim(n) for n in range(0, upto + 1))
 
     def u_rank(self, n) -> int:
-        return self.ext.u_rank(self.ext.fold(n))
+        f = self.ext.fold(n)
+        if f not in self._folded_u_ranks:
+            self._folded_u_ranks[f] = self.ext.u_rank(f)
+        return self._folded_u_ranks[f]
 
     def u_ranks(self, upto=None):
         """u-ranks in total degrees 0..upto (default n_u)."""
@@ -306,7 +310,7 @@ def truncation_stable(m: ModelInstance, p: Perversity) -> bool:
     eq = build_equivariant(m, p)
     upto = eq.n_u + 2
     ref = LambdaExtension(eq.eq1.complex, upto + 2, pair_shift(m, p))
-    h = Cohomology(ref.complex, check=False)
+    h = ref.complex.cohomology
     return (eq.dims(upto) == tuple(h.dim(n) for n in range(0, upto + 1))
             and eq.u_ranks(upto) == tuple(ref.u_rank(n) for n in range(0, upto + 1)))
 
@@ -332,6 +336,17 @@ class EquivariantGysin:
         self.s = self.eq.ext.chain_map(self.tail, s.mat)
         self.ses = SesData(self.i, self.s)
         self.eub = euler_map(m, p)
+        self._maps = {}
+
+    def maps(self, f):
+        """The maps H^f(A) -> H^f(B) -> H^f(C) -> H^{f+1}(A) at a fold f,
+        built once per fold."""
+        if f not in self._maps:
+            ses = self.ses
+            self._maps[f] = (ses.ha.induced_map(ses.hb, ses.i, f),
+                             ses.hb.induced_map(ses.hc, ses.s, f),
+                             ses.connecting(f))
+        return self._maps[f]
 
     def les(self, n_u) -> LongExactSequence:
         """The long exact sequence in degrees 0..n_u - 1, each degree read at
@@ -342,10 +357,10 @@ class EquivariantGysin:
             f = fold(k)
             labels += ["H^%d(A)" % k, "H^%d(B)" % k, "H^%d(C)" % k]
             dims += [ses.ha.dim(f), ses.hb.dim(f), ses.hc.dim(f)]
-            maps.append(ses.ha.induced_map(ses.hb, ses.i, f))
-            maps.append(ses.hb.induced_map(ses.hc, ses.s, f))
+            into_b, into_c, connecting = self.maps(f)
+            maps += [into_b, into_c]
             if k < n_u - 1:
-                maps.append(ses.connecting(f))
+                maps.append(connecting)
         return LongExactSequence(labels, dims, maps)
 
     def expected_connecting_cochain(self, n, tail_vec):
@@ -380,7 +395,7 @@ class EquivariantGysin:
         """Entrywise comparison of the generic connecting morphism with the
         Euler-map-plus-shifted-inclusion decomposition, at each fold."""
         for n in sorted({self.eq.ext.fold(k) for k in range(0, n_u)}):
-            generic = self.ses.connecting(n)
+            generic = self.maps(n)[2]
             cols = []
             for rep in self.ses.hc.basis_lifts(n):
                 expected = self.expected_connecting_cochain(n, rep)

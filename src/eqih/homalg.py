@@ -10,6 +10,7 @@ morphism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import ratla
 from .errors import NotAComplex, NotExact, InternalInvariantViolation
@@ -18,7 +19,8 @@ from .ratla import Matrix, Subspace, image, kernel, quotient
 
 @dataclass(frozen=True)
 class Complex:
-    """Cochain complex supported in degrees lo..hi (inclusive)."""
+    """Cochain complex supported in degrees lo..hi (inclusive).  Its
+    cohomology is built on first use and kept with it."""
 
     lo: int
     hi: int
@@ -37,9 +39,7 @@ class Complex:
             if d.cols != dims[k - lo] or d.rows != c.dim(k + 1):
                 raise ValueError("differential shape mismatch in degree %d" % k)
         if check:
-            for k in range(lo, hi):
-                if not (c.d(k + 1) * c.d(k)).is_zero():
-                    raise NotAComplex("d.d != 0 in degree %d" % k)
+            c.check_square()
         return c
 
     @staticmethod
@@ -65,6 +65,16 @@ class Complex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.dim(k) for k in self.degrees())
+
+    def check_square(self):
+        """Raise NotAComplex unless d.d = 0 in every degree."""
+        for k in range(self.lo, self.hi):
+            if not (self.d(k + 1) * self.d(k)).is_zero():
+                raise NotAComplex("d.d != 0 in degree %d" % k)
+
+    @cached_property
+    def cohomology(self) -> "Cohomology":
+        return Cohomology(self, check=False)
 
 
 @dataclass(frozen=True)
@@ -162,9 +172,7 @@ class Cohomology:
 
     def __init__(self, c: Complex, check=True):
         if check:
-            for k in range(c.lo, c.hi):
-                if not (c.d(k + 1) * c.d(k)).is_zero():
-                    raise NotAComplex("d.d != 0 in degree %d" % k)
+            c.check_square()
         self.complex = c
         self._quotients = {}
         for k in c.degrees():
@@ -259,8 +267,10 @@ class SesData:
                     raise NotExact("second map not surjective in degree %d" % k)
                 if image(i.mat(k)) != kernel(s.mat(k)):
                     raise NotExact("image != kernel at middle term in degree %d" % k)
+        for x in (a, b, c):
+            x.check_square()
         self.i, self.s = i, s
-        self.ha, self.hb, self.hc = Cohomology(a), Cohomology(b), Cohomology(c)
+        self.ha, self.hb, self.hc = a.cohomology, b.cohomology, c.cohomology
         self._perturb = lift_perturbation
 
     def connecting(self, k) -> Matrix:

@@ -191,6 +191,10 @@ class ModelInstance:
 
     def filtration_level(self, p: Perversity, degree: int) -> Subspace:
         """F_p in one degree: the intersection over strata of F_S^{p(S)}."""
+        return self.cached(("flevel", p, degree),
+                           lambda: self._filtration_level(p, degree))
+
+    def _filtration_level(self, p: Perversity, degree: int) -> Subspace:
         self.check_perversity(p)
         space = Subspace.full(self.ambient.dim(degree))
         for s in self.strata:
@@ -198,6 +202,13 @@ class ModelInstance:
         return space
 
     def cached(self, key, thunk):
+        """The value of thunk(), computed once per key for this model.
+
+        A key is a kind, or a tuple of a kind and its arguments; among them
+        ("flevel", p, degree) holds the level space F_p of one degree and
+        ("omega", p) the spaces of Omega_p, degree -> Subspace of the
+        ambient degree.  Cached values are shared, never modified.
+        """
         if key not in self._cache:
             self._cache[key] = thunk()
         return self._cache[key]

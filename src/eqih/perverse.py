@@ -66,36 +66,36 @@ def perverse_complex(m: ModelInstance, p: Perversity) -> PerverseComplex:
     return m.cached(("perverse", p), lambda: _build(m, p))
 
 
+def omega_spaces(m: ModelInstance, p: Perversity) -> dict:
+    """The spaces of Omega_p, degree -> Subspace of the ambient degree: the
+    forms in the p-level whose differential stays in the level."""
+    return m.cached(("omega", p), lambda: {
+        k: intersect(m.filtration_level(p, k),
+                     preimage(m.ambient.diff(k), m.filtration_level(p, k + 1)))
+        for k in range(0, m.ambient.top_degree + 1)})
+
+
 def _build(m: ModelInstance, p: Perversity) -> PerverseComplex:
     m.check_perversity(p)
     a = m.ambient
     amb = m.cached("ambient_complex", a.complex)
-    q = p.minus(m.characteristic_perversity())
-
-    def flevel(pv, k):
-        return m.cached(("flevel", pv, k), lambda: m.filtration_level(pv, k))
-
-    def omega_space(pv, k):
-        # forms in the level whose differential stays in the level
-        return intersect(flevel(pv, k), preimage(a.diff(k), flevel(pv, k + 1)))
-
-    omega_spaces = {k: omega_space(p, k) for k in amb.degrees()}
-    lower = {k: omega_space(q, k) for k in amb.degrees()}
+    spaces = omega_spaces(m, p)
+    lower = omega_spaces(m, p.minus(m.characteristic_perversity()))
 
     gysin_spaces = {}
     for k in amb.degrees():
-        allowance = subspace_sum(flevel(p, k + 2),
-                                 map_image(a.diff(k + 1), flevel(p, k + 1)))
+        allowance = subspace_sum(m.filtration_level(p, k + 2),
+                                 map_image(a.diff(k + 1), m.filtration_level(p, k + 1)))
         gysin_spaces[k] = intersect(lower[k], preimage(a.euler(k), allowance))
-        if not omega_spaces[k].contains_subspace(gysin_spaces[k]):
+        if not spaces[k].contains_subspace(gysin_spaces[k]):
             raise InternalInvariantViolation(
                 "Gysin term escapes the perverse complex in degree %d" % k)
 
-    omega, omega_incl = subcomplex(amb, omega_spaces)
+    omega, omega_incl = subcomplex(amb, spaces)
 
     gysin_in_omega = {}
     for k in amb.degrees():
-        coords = [omega_spaces[k].coords(v) for v in gysin_spaces[k].vectors()]
+        coords = [spaces[k].coords(v) for v in gysin_spaces[k].vectors()]
         if any(c is None for c in coords):
             raise InternalInvariantViolation("Gysin coordinates failed in degree %d" % k)
         gysin_in_omega[k] = Subspace.from_vectors(omega.dim(k), coords)
@@ -103,7 +103,7 @@ def _build(m: ModelInstance, p: Perversity) -> PerverseComplex:
     gysin, gysin_incl = subcomplex(omega, gysin_in_omega)
     cogysin, projection = quotient_complex(omega, gysin_in_omega)
 
-    return PerverseComplex(p, amb, omega, omega_incl, omega_spaces,
+    return PerverseComplex(p, amb, omega, omega_incl, spaces,
                            gysin, gysin_incl, gysin_spaces, cogysin, projection)
 
 
@@ -122,15 +122,15 @@ def cogysin_les(m: ModelInstance, p: Perversity) -> LongExactSequence:
 
 
 def omega_cohomology(m: ModelInstance, p: Perversity) -> Cohomology:
-    return m.cached(("ih", p), lambda: Cohomology(perverse_complex(m, p).omega, check=False))
+    return perverse_complex(m, p).omega.cohomology
 
 
 def gysin_cohomology(m: ModelInstance, p: Perversity) -> Cohomology:
-    return m.cached(("hg", p), lambda: Cohomology(perverse_complex(m, p).gysin, check=False))
+    return perverse_complex(m, p).gysin.cohomology
 
 
 def cogysin_cohomology(m: ModelInstance, p: Perversity) -> Cohomology:
-    return m.cached(("hk", p), lambda: Cohomology(perverse_complex(m, p).cogysin, check=False))
+    return perverse_complex(m, p).cogysin.cohomology
 
 
 def inclusion_map(m: ModelInstance, p: Perversity, q: Perversity) -> ChainMap:

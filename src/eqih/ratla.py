@@ -329,6 +329,11 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise AmbientMismatch(a.ambient_dim, b.ambient_dim)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
+    # both bases are canonical, so the other argument is the intersection
+    if a.is_full():
+        return b
+    if b.is_full():
+        return a
     # x in both spans: a.basis*s = b.basis*t, so (s,t) in ker[a.basis | -b.basis]
     stacked = a.basis.hstack(b.basis.scale(-1))
     vecs = [a.basis.apply(k[:a.dim]) for k in stacked.kernel_basis()]

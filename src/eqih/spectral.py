@@ -518,6 +518,10 @@ def fixed_point_preconditions(m: ModelInstance) -> list:
     - the same one characteristic step further down,
     - the Euler operator maps the lower perverse complex into itself.
     """
+    return m.cached("fixed_point_preconditions", lambda: _fixed_point_preconditions(m))
+
+
+def _fixed_point_preconditions(m: ModelInstance) -> list:
     zero = m.zero_perversity()
     q = zero.minus(m.characteristic_perversity())
     pc0 = perverse_complex(m, zero)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,6 +252,46 @@ def test_preimage_matches_projection_kernel(m, data):
     w = data.draw(subspaces(m.rows))
     reference = kernel(quotient(Subspace.full(m.rows), w).projection * m)
     assert preimage(m, w) == reference
+
+
+def eliminated_intersection(a, b):
+    """Reference: the intersection by general elimination alone, x in both
+    spans exactly when (s, t) is in the kernel of [a.basis | -b.basis]."""
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.ambient_dim)
+    stacked = a.basis.hstack(b.basis.scale(-1))
+    vecs = [a.basis.apply(k[:a.dim]) for k in stacked.kernel_basis()]
+    return Subspace.from_vectors(a.ambient_dim, vecs)
+
+
+def seeded_subspace(rng, n, dim):
+    vecs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(dim)]
+    return Subspace.from_vectors(n, vecs)
+
+
+def intersection_pairs(seed):
+    """Random, full, zero, equal and nested pairs of subspaces of one
+    seeded ambient space."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    a = seeded_subspace(rng, n, rng.randint(0, n))
+    b = seeded_subspace(rng, n, rng.randint(0, n))
+    inner = Subspace.from_vectors(
+        n, [a.basis.apply([rng.randint(-2, 2) for _ in range(a.dim)])
+            for _ in range(rng.randint(0, a.dim))])
+    full, zero = Subspace.full(n), Subspace.zero(n)
+    return [(a, b), (a, full), (b, full), (full, full), (a, zero),
+            (full, zero), (a, a), (a, inner)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_intersect_matches_general_elimination(seed):
+    for x, y in intersection_pairs(seed):
+        for first, second in ((x, y), (y, x)):
+            got = intersect(first, second)
+            want = eliminated_intersection(first, second)
+            assert got == want
+            assert got.basis.entries == want.basis.entries
 
 
 # -- integer elimination against the rational reference ----------------------

@@ -8,7 +8,8 @@ are ``cohomology``, ``gysin``, ``equivariant`` (default window and
 on cone2); ``skjelbred`` runs once per model.  A few larger random models
 are guarded by their ``localize`` reports alone, at every perversity, a few
 small ones by their ``spectral --d3-check`` reports alone, and a few
-commands read degrees or pages far past where the reports change (``WIDE``).
+commands read degrees or pages far past where the reports change (``WIDE``,
+and ``equivariant --nu 40`` at every fixture perversity).
 
 The saved model documents of the seeded generator are guarded the same way:
 the kernel bases that ``fixtures.random_model`` solves for decide the bytes
@@ -61,7 +62,12 @@ SPECTRAL_MODELS = {
 WIDE = [
     ["spectral", "cone2", "-p", "apex=2", "--pages", "12"],
     ["equivariant", "hopf", "--nu", "12"],
+    ["equivariant", "cone2", "-p", "apex=2", "--nu", "1000"],
 ]
+
+# model tokens whose ``equivariant`` reports are also guarded at ``--nu 40``,
+# at every perversity
+WIDE_EQUIVARIANT_MODELS = ["hopf", "rot", "cone2", "noperv"]
 
 # (size, seed) of the generated documents whose saved bytes are recorded
 GENERATED = [(9, 3), (10, 11), (11, 8), (12, 3), (13, 2), (13, 6)]
@@ -84,6 +90,11 @@ def commands():
                 + (["--cone-check"] if token == "cone2" else []),
             ]
         out.append(["skjelbred", token])
+    for token in WIDE_EQUIVARIANT_MODELS:
+        name, kwargs = MODELS[token]
+        for p in fixtures.make(name, **kwargs).perversity_set:
+            out.append(["equivariant", token]
+                       + (["-p", p.label()] if p.items else []) + ["--nu", "40"])
     for token, (name, kwargs) in LOCALIZE_MODELS.items():
         m = fixtures.make(name, **kwargs)
         for p in m.perversity_set:
