@@ -8,6 +8,24 @@ The named fixtures are small hand-built models of classical circle actions:
 * ``noperv`` -- apex variant whose Euler cocycle is exact at its own level,
   so the fixed stratum is not perverse.
 
+``random_model`` draws a seeded model that passes strict validation.  Its
+Euler operator E, with E_k: A^k -> A^{k+2}, is a random solution of one
+linear system on the entries of every E_k:
+
+* chain rows, one per matrix entry of E_{k+1} d_k = d_{k+2} E_k;
+* annihilator rows, for each filtration shift E_j(V) inside W: the rows
+  y (x) v, for v in the canonical basis of V and y in the kernel basis of
+  W's basis transposed (the annihilator of W), so that y . E_j v = 0.
+
+Every row is a primitive integer row, and one integer Gauss-Jordan
+elimination (``ratla.rref_integer_rows``) solves the system.  One coefficient
+in -2..2 is drawn per free column, in column order, and each pivot unknown
+then follows from its row.  The reduced row echelon form of a row space is
+unique, so the free columns and the kernel basis, and with them the rng
+draws and the document's bytes, depend only on the row space and the column
+order: any rows that span the same space, in any order, give the same
+document.
+
 ``oracle_cohomology`` is an independent brute-force computation of the
 equivariant cohomology dims and u-action ranks: it assembles the full
 truncated twisted differential per total degree directly from the defining
@@ -21,13 +39,16 @@ import random
 from .errors import InputError, InternalInvariantViolation
 from .model import _EBAR, _XBAR, ModelInstance, Perversity, mat_to_json, model_from_dict, vec_to_json
 from .ratla import (
+    QNUM,
     Matrix,
     Subspace,
     image,
     intersect,
     kernel,
     map_image,
+    primitive_row,
     quotient,
+    rref_integer_rows,
     subspace_sum,
 )
 
@@ -193,7 +214,8 @@ def _killing_projection(space: Subspace) -> Matrix:
 def _solve_euler_op(rng, dims, diffs, filtration_constraints):
     """Random graded operator A^k -> A^{k+2} that is a chain map and respects
     every required filtration shift; found as a random element of the solution
-    space of the combined linear system on its entries."""
+    space of the combined linear system on its entries (see the module
+    docstring)."""
     n = len(dims)
 
     def dim(k):
@@ -216,43 +238,46 @@ def _solve_euler_op(rng, dims, diffs, filtration_constraints):
         return offsets[k] + r * dim(k) + c
 
     rows = []
-    # chain condition: E_{k+1} d_k = d_{k+2} E_k
+    # chain condition: E_{k+1} d_k = d_{k+2} E_k; the two terms of an entry
+    # have their unknowns in different blocks
     for k in range(n):
+        d_in, d_out = diff(k).entries, diff(k + 2).entries
         for i in range(dim(k + 3)):
             for j in range(dim(k)):
                 row = [0] * total
                 if 0 <= k + 1 < n:
                     for t in range(dim(k + 1)):
-                        row[var(k + 1, i, t)] += diff(k).entries[t][j]
+                        row[var(k + 1, i, t)] = d_in[t][j]
                 for t in range(dim(k + 2)):
-                    row[var(k, t, j)] -= diff(k + 2).entries[i][t]
-                if any(x != 0 for x in row):
-                    rows.append(row)
+                    row[var(k, t, j)] = -d_out[i][t]
+                if any(row):
+                    rows.append(primitive_row(row))
     # filtration shifts: for each (degree j, source space V, target space W):
-    # E_j(V) inside W, i.e. Q_W E_j v = 0 for basis v of V
+    # E_j(V) inside W, i.e. y . E_j v = 0 for basis v of V and y of W's
+    # annihilator; the outer product of two primitive rows is primitive
     for (j, src, tgt) in filtration_constraints:
         if dim(j + 2) == 0 or src.dim == 0 or tgt.is_full():
             continue
-        q = _killing_projection(tgt)
-        for v in src.vectors():
-            for r in range(q.rows):
+        annihilator = [primitive_row(y) for y in tgt.basis.transpose().kernel_basis()]
+        for v in map(primitive_row, src.vectors()):
+            for y in annihilator:
                 row = [0] * total
-                for t in range(dim(j + 2)):
-                    for c in range(dim(j)):
-                        row[var(j, t, c)] += q.entries[r][t] * v[c]
-                if any(x != 0 for x in row):
-                    rows.append(row)
+                for t, a in enumerate(y):
+                    if a:
+                        for c, b in enumerate(v):
+                            row[var(j, t, c)] = a * b
+                rows.append(row)
 
-    if rows:
-        system = Matrix(len(rows), total, rows)
-        basis = system.kernel_basis()
-    else:
-        basis = [tuple(1 if i == j else 0 for j in range(total))
-                 for i in range(total)]
+    # one coefficient per free column, in column order, then each pivot
+    # unknown from its row: p x[pc] + sum over free f of a_f x[f] = 0
+    pivots = rref_integer_rows(rows, total)
+    pivot_set = set(pivots)
+    free = [c for c in range(total) if c not in pivot_set]
     x = [0] * total
-    for b in basis:
-        c = rng.randint(-2, 2)
-        x = [xi + c * bi for xi, bi in zip(x, b)]
+    for f in free:
+        x[f] = rng.randint(-2, 2)
+    for row, pc in zip(rows, pivots):
+        x[pc] = QNUM(-sum(row[f] * x[f] for f in free if row[f]), row[pc])
     return [Matrix(dim(k + 2), dim(k),
                    [[x[var(k, r, c)] for c in range(dim(k))] for r in range(dim(k + 2))])
             for k in range(n)]

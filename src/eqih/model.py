@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, StrataMismatch, UnknownStratum
 from .homalg import Complex
-from .ratla import Matrix, Subspace, intersect, map_image, rat
+from .ratla import QNUM, Matrix, Subspace, intersect, map_image, rat
 
 STRATUM_KINDS = ("mobile", "fixed_nonperverse", "fixed_perverse")
 
@@ -383,10 +383,18 @@ def _validate_product(m: ModelInstance, report):
 
 def rat_from_json(x, where):
     """A JSON integer or 'p/q' string as an exact rational.  A JSON float is
-    refused: it arrives as a binary fraction, not the number its text shows."""
+    refused: it arrives as a binary fraction, not the number its text shows.
+
+    JSON integers and plain ASCII '-?digits' strings, the common entries,
+    take a fast path through ``int``; every other input goes through ``rat``,
+    which accepts the same inputs and gives the same values for these."""
+    if type(x) is int:
+        return QNUM(x)
     if isinstance(x, (bool, float)):
         raise InputError("%s: %r is not an integer or a 'p/q' string" % (where, x))
     try:
+        if type(x) is str and x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
+            return QNUM(int(x))
         return rat(x)
     except (ValueError, ZeroDivisionError, TypeError) as e:
         raise InputError("bad rational in %s: %s" % (where, e))

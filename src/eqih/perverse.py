@@ -291,9 +291,10 @@ def gysin_les(m: ModelInstance, p: Perversity) -> LongExactSequence:
     ses = m.cached(("gysin_ses", p), lambda: SesData(*gysin_maps(m, p)))
     eub = euler_map(m, p)
     seq = ses.les()
-    for k in range(ses.i.source.lo, ses.i.source.hi):
-        conn = ses.connecting(k)
-        if conn != eub.mat(k - 1):
+    # the maps run H^k(A) -> H^k(B) -> H^k(C) -> H^{k+1}(A) from degree lo on
+    lo = ses.i.source.lo
+    for k in range(lo, ses.i.source.hi):
+        if seq.maps[3 * (k - lo) + 2] != eub.mat(k - 1):
             raise InternalInvariantViolation(
                 "Gysin connecting morphism differs from the Euler map in degree %d" % k)
     return seq

@@ -158,46 +158,19 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list).
 
-        The elimination runs on integer rows: each row is scaled to a
-        primitive integer row, a pivot row r clears column c of row i by
-        row_i <- p*row_i - f*row_r (p the pivot, f the entry of row i), and
-        the result is divided by the gcd of its entries.  Only the pivot rows
-        are divided by their pivots, at the end.  Every step multiplies a row
-        by a non-zero scalar or adds a multiple of another row, so the row
-        space is the one of the rational elimination; the reduced row
-        echelon form of a row space is unique, so the matrix and pivots are
-        exactly those of the rational Gauss-Jordan elimination."""
+        The elimination is ``rref_integer_rows`` on the rows scaled to
+        primitive integer rows; only the pivot rows are divided by their
+        pivots, at the end."""
         nrows, ncols = self.rows, self.cols
         if not nrows or not ncols:
             return self, []
-        m = []
-        for row in self.entries:
-            den = lcm(*[x.denominator for x in row])
-            m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            for pr in range(r, nrows):
-                if m[pr][c]:
-                    break
-            else:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            prow = m[r]
-            p = prow[c]
-            for i in range(nrows):
-                f = m[i][c]
-                if f and i != r:
-                    m[i] = _primitive([p * a - f * b for a, b in zip(m[i], prow)])
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
+        m = list(map(primitive_row, self.entries))
+        pivots = rref_integer_rows(m, ncols)
         out = []
         for row, c in zip(m, pivots):
             p = row[c]
             out.append(tuple(QNUM(a, p) if a else ZERO for a in row))
-        out.extend([(ZERO,) * ncols] * (nrows - r))
+        out.extend([(ZERO,) * ncols] * (nrows - len(pivots)))
         return Matrix._of(nrows, ncols, tuple(out)), pivots
 
     def rank(self) -> int:
@@ -238,10 +211,70 @@ _SET_ROWS, _SET_COLS, _SET_ENTRIES, _SET_HASH = (
     getattr(Matrix, name).__set__ for name in Matrix.__slots__)
 
 
-def _primitive(row):
-    """An integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return row if g <= 1 else [a // g for a in row]
+def primitive_row(row):
+    """A row of rationals scaled to a primitive integer row: denominators
+    cleared, then divided by the gcd of the entries."""
+    den = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return ints if g <= 1 else [a // g for a in ints]
+
+
+def rref_integer_rows(m, ncols):
+    """Gauss-Jordan elimination of a list of integer rows, in place; returns
+    the pivot columns.
+
+    Afterwards ``m[r]`` for r < len(pivots) is an integer row whose entry in
+    pivots[r] is its non-zero pivot and whose entries in the other pivot
+    columns are zero, and the remaining rows are zero.  A pivot row r with
+    pivot p clears column c of row i, whose entry there is f, by
+    row_i <- q*row_i - (f/g)*row_r with g = gcd(p, f) and q = |p/g| (the
+    sign goes into the second term), subtracting only in the columns where
+    row_r is non-zero.  When q is 1, as for every pivot 1 or -1, row_i is
+    updated in place with no scaling; otherwise the scaled row is divided by
+    the gcd of its entries.  Every step multiplies a row by a non-zero
+    scalar or adds a multiple of another row, so the row space is the one of
+    the rational elimination; the reduced row echelon form of a row space is
+    unique, so dividing each pivot row by its pivot gives exactly the
+    rational Gauss-Jordan result."""
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for pr in range(r, nrows):
+            if m[pr][c]:
+                break
+        else:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        p = prow[c]
+        support = None
+        for i in range(nrows):
+            row = m[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            if support is None:
+                support = [(j, b) for j, b in enumerate(prow) if b]
+            g = gcd(p, f)
+            q, f = p // g, f // g
+            if q < 0:
+                q, f = -q, -f
+            if q == 1:
+                for j, b in support:
+                    row[j] -= f * b
+            else:
+                row = [q * a for a in row]
+                for j, b in support:
+                    row[j] -= f * b
+                g = gcd(*row)
+                m[i] = row if g <= 1 else [a // g for a in row]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
 
 
 def block_matrix(rows, cols, blocks) -> Matrix:

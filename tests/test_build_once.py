@@ -1,8 +1,10 @@
-"""Each report command builds every cohomology and every level space once.
+"""Each report command builds every cohomology, every level space and
+every connecting map once.
 
 The commands run through ``cli.main`` on the four fixtures at every
 perversity.  ``Cohomology.__init__`` is wrapped to record the complex it
-builds, and ``ModelInstance.filtration_level`` to record the (perversity,
+builds, ``SesData.connecting`` to record the (sequence, degree) pairs it
+computes, and ``ModelInstance.filtration_level`` to record the (perversity,
 degree) levels it computes: a call that reaches the model's ``intersect``
 computes its level, a call that does not read a cached one.
 """
@@ -35,15 +37,24 @@ def commands(tmp_path):
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """Per command: the complexes whose cohomology was built (held, so no id
-    is reused) and the count of computations per (perversity, degree)."""
-    record = {"complexes": [], "levels": collections.Counter(), "intersects": 0}
+    """Per command: the complexes whose cohomology was built and the
+    (sequence, degree) pairs whose connecting map was computed (both held,
+    so no id is reused), and the count of computations per (perversity,
+    degree)."""
+    record = {"complexes": [], "connecting": [], "levels": collections.Counter(),
+              "intersects": 0}
 
     cohomology_init = homalg.Cohomology.__init__
 
     def recording_init(self, c, check=True):
         record["complexes"].append(c)
         cohomology_init(self, c, check)
+
+    connecting = homalg.SesData.connecting
+
+    def recording_connecting(self, k):
+        record["connecting"].append((self, k))
+        return connecting(self, k)
 
     level = model.ModelInstance.filtration_level
     intersect = model.intersect
@@ -60,6 +71,7 @@ def builds(monkeypatch):
         return space
 
     monkeypatch.setattr(homalg.Cohomology, "__init__", recording_init)
+    monkeypatch.setattr(homalg.SesData, "connecting", recording_connecting)
     monkeypatch.setattr(model, "intersect", counting_intersect)
     monkeypatch.setattr(model.ModelInstance, "filtration_level", recording_level)
     return record
@@ -68,10 +80,13 @@ def builds(monkeypatch):
 def test_every_object_is_built_once(tmp_path, builds):
     for argv in commands(tmp_path):
         builds["complexes"].clear()
+        builds["connecting"].clear()
         builds["levels"].clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
         per_complex = collections.Counter(id(c) for c in builds["complexes"])
         assert max(per_complex.values(), default=0) == 1, argv
+        per_map = collections.Counter((id(ses), k) for ses, k in builds["connecting"])
+        assert all(n == 1 for n in per_map.values()), argv
         twice = [key for key, n in builds["levels"].items() if n > 1]
         assert not twice, (argv, twice)

@@ -1,6 +1,8 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqih.errors import InputError, StrataMismatch, UnknownStratum
 from eqih.fixtures import cone2, hopf, noperv
@@ -10,10 +12,12 @@ from eqih.model import (
     load_model,
     model_from_dict,
     model_to_dict,
+    rat_from_json,
     save_model,
     validate,
     zero_perversity,
 )
+from eqih.ratla import QNUM, rat
 
 
 class TestPerversity:
@@ -244,3 +248,40 @@ class TestSerialization:
     def test_not_json(self):
         with pytest.raises(InputError):
             load_model(io.StringIO("{nope"))
+
+
+def general_rat_from_json(x, where):
+    """rat_from_json without its fast path for ints and '-?digits' strings."""
+    if isinstance(x, (bool, float)):
+        raise InputError("%s: %r is not an integer or a 'p/q' string" % (where, x))
+    try:
+        return rat(x)
+    except (ValueError, ZeroDivisionError, TypeError) as e:
+        raise InputError("bad rational in %s: %s" % (where, e))
+
+
+def json_outcome(parse, x):
+    try:
+        value = parse(x, "entry")
+    except InputError:
+        return ("refused",)
+    assert type(value) is QNUM
+    return ("accepted", value)
+
+
+# JSON scalars, integer strings, strings that Fraction reads but that are not
+# plain '-?digits', and strings near those
+json_numbers = st.one_of(
+    st.integers(), st.booleans(), st.floats(), st.none(),
+    st.integers().map(str),
+    st.sampled_from(["+3", " 3", "3 ", "3_0", "1.5", "\u0663", "-0", "00", "1/0",
+                     "-", "", "--3", "-+3", "1e3", "2/4", "-7/3", "0x10", "\u00b2",
+                     "1" * 5000]),
+    st.text(alphabet="-+0123456789/_. e\u0663", max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_numbers)
+def test_rat_from_json_fast_path_matches_general_parse(x):
+    assert json_outcome(rat_from_json, x) == json_outcome(general_rat_from_json, x)

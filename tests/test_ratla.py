@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqih.errors import AmbientMismatch, NotASubspace
@@ -354,8 +354,29 @@ def all_qnum(entries):
     return all(type(x) is QNUM for row in entries for x in row)
 
 
+def sparse_integer_matrix(seed, rows, cols, rank, values):
+    """Seeded integer matrix shaped like the random-model generator's
+    systems: `rank` sparse rows with entries from values, and the other rows
+    combinations of two of them, in shuffled order."""
+    rng = random.Random(seed)
+    grid = [[rng.choice(values) if rng.random() < 0.06 else 0 for _ in range(cols)]
+            for _ in range(rank)]
+    while len(grid) < rows:
+        a, b = rng.sample(grid[:rank], 2)
+        s, t = rng.choice(values), rng.choice(values)
+        grid.append([s * x + t * y for x, y in zip(a, b)])
+    rng.shuffle(grid)
+    return Matrix(rows, cols, grid)
+
+
 @settings(max_examples=100, deadline=None)
 @given(rational_matrices())
+# unit entries, so that most pivots are 1 or -1
+@example(sparse_integer_matrix(1, 150, 130, 30, (-1, 1)))
+# no unit entries, so that every row update scales
+@example(sparse_integer_matrix(2, 150, 130, 30, (-3, -2, 2, 3, 5)))
+@example(sparse_integer_matrix(3, 120, 100, 40, (-2, -1, 1, 2)))
+@example(sparse_integer_matrix(4, 60, 90, 50, (-1, 1, 2)))
 def test_rref_matches_rational_reference(m):
     red, pivots = m.rref()
     assert (red.entries, pivots) == rational_rref(m)
