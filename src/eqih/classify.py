@@ -17,7 +17,7 @@ from .errors import InvalidIso, TheoremViolation
 from .localize import localize
 from .model import ModelInstance, Perversity
 from .perverse import perverse_complex
-from .ratla import Matrix, Subspace, map_image, rat, vec_sub
+from .ratla import Matrix, map_image, rat, vec_sub
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,7 @@ def f_related(iso: ModelIso, m1: ModelInstance, m2: ModelInstance):
     if all(x == 0 for x in diff):
         return True, (rat(0),) * a1.dim(1)
     ebar = m1.euler_perversity()
-    omega1 = perverse_complex(m1, ebar).omega_spaces.get(
-        1, Subspace.zero(a1.dim(1)))
+    omega1 = perverse_complex(m1, ebar).omega_space(1)
     system = a1.diff(1) * omega1.basis
     x = system.solve(diff)
     if x is None:

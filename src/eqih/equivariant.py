@@ -79,16 +79,16 @@ def _build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
     top = a.top_degree
 
     spaces = {}
+    pair_d = {k: _pair_d(a, k) for k in range(0, top + 2)}
     for k in range(0, top + 2):
         na, nb = a.dim(k), a.dim(k - 1)
         fp = m.filtration_level(p, k)
-        om = lower.omega_spaces.get(k - 1, Subspace.zero(nb))
+        om = lower.omega_space(k - 1).basis
         # product subspace F_p^k x Omega_{p-xbar}^{k-1}
-        vecs = [tuple(v) + (0,) * nb for v in fp.vectors()]
-        vecs += [(0,) * na + tuple(v) for v in om.vectors()]
-        prod = Subspace.from_vectors(na + nb, vecs)
+        prod = Subspace.from_matrix(block_matrix(na + nb, fp.dim + om.cols,
+                                                 [(0, 0, fp.basis), (na, fp.dim, om)]))
         # pairs whose twisted differential head stays in level
-        head = a.diff(k).hstack(a.euler(k - 1).scale(_sign(k)))
+        head = Matrix._of(a.dim(k + 1), na + nb, pair_d[k].entries[:a.dim(k + 1)])
         spaces[k] = intersect(prod, preimage(head, m.filtration_level(p, k + 1)))
 
     dims = []
@@ -96,27 +96,22 @@ def _build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
     for k in range(0, top + 2):
         sp = spaces[k]
         nxt = spaces.get(k + 1, Subspace.zero(a.dim(k + 1) + a.dim(k)))
-        cols = []
-        for w in sp.vectors():
-            img = _twisted_d(a, k, w)
-            c = nxt.coords(img)
-            if c is None:
-                raise InternalInvariantViolation(
-                    "pair differential left the pair space in degree %d" % k)
-            cols.append(c)
+        c = nxt.coords_of(pair_d[k] * sp.basis)
+        if c is None:
+            raise InternalInvariantViolation(
+                "pair differential left the pair space in degree %d" % k)
         dims.append(sp.dim)
-        diffs.append(Matrix.from_columns(nxt.dim, cols))
+        diffs.append(c)
     cx = Complex.build(0, top + 1, dims, diffs, check=True)
     return Eq1Complex(p, cx, spaces)
 
 
-def _twisted_d(a, k, pair_vec):
-    """D(alpha, beta) = (d alpha + sign * E beta, d beta) in ambient coords."""
-    na = a.dim(k)
-    alpha, beta = pair_vec[:na], pair_vec[na:]
-    head = vec_add(a.diff(k).apply(alpha),
-                   vec_scale(_sign(k), a.euler(k - 1).apply(beta)))
-    return tuple(head) + a.diff(k - 1).apply(beta)
+def _pair_d(a, k) -> Matrix:
+    """(alpha, beta) |-> (d alpha + sign * E beta, d beta) in ambient coords."""
+    na, nb = a.dim(k), a.dim(k - 1)
+    return block_matrix(a.dim(k + 1) + na, na + nb,
+                        [(0, 0, a.diff(k)), (0, na, a.euler(k - 1).scale(_sign(k))),
+                         (a.dim(k + 1), na, a.diff(k - 1))])
 
 
 def pair_shift(m: ModelInstance, p: Perversity) -> dict:
@@ -130,15 +125,15 @@ def _pair_shift(m: ModelInstance, p: Perversity) -> dict:
     eq1 = build_eq1(m, p)
     shift = {}
     for k in eq1.complex.degrees():
-        na = a.dim(k)
-        cols = []
-        for w in eq1.space(k).vectors():
-            c = eq1.space(k - 1).coords(tuple(w[na:]) + (0,) * a.dim(k - 2))
-            if c is None:
-                raise InternalInvariantViolation(
-                    "u-shift escaped the pair space in degree %d" % k)
-            cols.append(c)
-        shift[k] = Matrix.from_columns(eq1.complex.dim(k - 1), cols).scale(_sign(k))
+        nb = a.dim(k - 1)
+        # (alpha, beta) |-> (beta, 0) in ambient coords
+        s = block_matrix(nb + a.dim(k - 2), a.dim(k) + nb,
+                         [(0, a.dim(k), Matrix.identity(nb))])
+        c = eq1.space(k - 1).coords_of(s * eq1.space(k).basis)
+        if c is None:
+            raise InternalInvariantViolation(
+                "u-shift escaped the pair space in degree %d" % k)
+        shift[k] = c.scale(_sign(k))
     return shift
 
 
@@ -295,9 +290,7 @@ class EquivariantComplex:
         """Matrix of u on cohomology H^n -> H^{n+2}."""
         n = self.ext.fold(n)
         h = self.cohomology
-        cols = [h.class_of(n + 2, self.ext.u_matrix(n).apply(rep))
-                for rep in h.basis_lifts(n)]
-        return Matrix.from_columns(h.dim(n + 2), cols)
+        return h.classes_of(n + 2, self.ext.u_matrix(n) * h.lifts(n))
 
 
 def build_equivariant(m: ModelInstance, p: Perversity) -> EquivariantComplex:
@@ -366,7 +359,6 @@ class EquivariantGysin:
     def expected_connecting_cochain(self, n, tail_vec):
         """Image cochain of the decomposition (Euler map tensor 1 plus signed
         inclusion tensor u) applied to a closed tail element."""
-        a = self.m.ambient
         out = zero_vec(self.head.complex.dim(n + 1))
         for j, kk in self.tail.components(n):
             k = kk - 1  # Gysin-term degree of this component
@@ -375,14 +367,13 @@ class EquivariantGysin:
                 continue
             beta = self.pc.gysin_ambient_mat(k).apply(coords)
             omega_vec, _ = self.eub.cochain_image(k, beta)
-            head_c = self.pc.omega_spaces.get(
-                k + 2, Subspace.zero(a.dim(k + 2))).coords(omega_vec)
+            head_c = self.pc.omega_space(k + 2).coords(omega_vec)
             if head_c is None:
                 raise InternalInvariantViolation("Euler image escaped the perverse complex")
             if j in self.head.offsets[n + 1]:
                 out = vec_add(out, self.head.inject(n + 1, j, head_c))
             # signed inclusion into the next u-power
-            inc_c = self.pc.omega_spaces.get(k, Subspace.zero(a.dim(k))).coords(beta)
+            inc_c = self.pc.omega_space(k).coords(beta)
             if inc_c is None:
                 raise InternalInvariantViolation("Gysin term escaped the perverse complex")
             if j + 1 in self.head.offsets[n + 1]:
@@ -396,11 +387,10 @@ class EquivariantGysin:
         Euler-map-plus-shifted-inclusion decomposition, at each fold."""
         for n in sorted({self.eq.ext.fold(k) for k in range(0, n_u)}):
             generic = self.maps(n)[2]
-            cols = []
-            for rep in self.ses.hc.basis_lifts(n):
-                expected = self.expected_connecting_cochain(n, rep)
-                cols.append(self.ses.ha.class_of(n + 1, expected))
-            expected_mat = Matrix.from_columns(self.ses.ha.dim(n + 1), cols)
+            expected = [self.expected_connecting_cochain(n, rep)
+                        for rep in self.ses.hc.basis_lifts(n)]
+            expected_mat = self.ses.ha.classes_of(
+                n + 1, Matrix.from_columns(self.head.complex.dim(n + 1), expected))
             if generic != expected_mat:
                 raise DecompositionMismatch(
                     "connecting morphism does not decompose in degree %d" % n)

@@ -130,15 +130,11 @@ def subcomplex(parent: Complex, bases: dict) -> tuple:
     for k in parent.degrees():
         v = spaces[k]
         w_next = spaces.get(k + 1, Subspace.zero(parent.dim(k + 1)))
-        cols = []
-        for b in v.vectors():
-            img = parent.d(k).apply(b)
-            coords = w_next.coords(img)
-            if coords is None:
-                raise NotAComplex("subspace is not d-stable in degree %d" % k)
-            cols.append(coords)
+        coords = w_next.coords_of(parent.d(k) * v.basis)
+        if coords is None:
+            raise NotAComplex("subspace is not d-stable in degree %d" % k)
         dims.append(v.dim)
-        diffs.append(Matrix.from_columns(w_next.dim, cols))
+        diffs.append(coords)
     sub = Complex.build(parent.lo, parent.hi, dims, diffs, check=False)
     incl = ChainMap(sub, parent, 0, {k: spaces[k].basis for k in parent.degrees()})
     return sub, incl
@@ -168,7 +164,10 @@ def quotient_complex(parent: Complex, bases: dict) -> tuple:
 
 
 class Cohomology:
-    """Graded cohomology of a complex with class-of and lift maps."""
+    """Graded cohomology of a complex.  In degree k, lifts(k) holds cocycle
+    representatives of the canonical class basis as columns, and
+    classes_of(k, M) gives the classes of the cocycle columns of M in that
+    basis."""
 
     def __init__(self, c: Complex, check=True):
         if check:
@@ -193,23 +192,27 @@ class Cohomology:
             return ()
         return self._quotients[k].class_of(cocycle)
 
-    def lift(self, k, coords):
+    def classes_of(self, k, cocycles: Matrix) -> Matrix:
+        """The classes of the columns of cocycles, one column each."""
+        if not (self.complex.d(k) * cocycles).is_zero():
+            raise InternalInvariantViolation("vector is not a cocycle in degree %d" % k)
         if k not in self._quotients:
-            return ratla.zero_vec(self.complex.dim(k))
-        return self._quotients[k].lift_class(coords)
+            return Matrix.zero(0, cocycles.cols)
+        return self._quotients[k].projection * cocycles
+
+    def lifts(self, k) -> Matrix:
+        """Cocycle representatives of the canonical cohomology basis, as
+        columns."""
+        if k not in self._quotients:
+            return Matrix.zero(self.complex.dim(k), 0)
+        return self._quotients[k].lift
 
     def basis_lifts(self, k):
-        """Cocycle representatives of the canonical cohomology basis."""
-        return [self.lift(k, _unit(self.dim(k), i)) for i in range(self.dim(k))]
+        return self.lifts(k).columns()
 
     def induced_map(self, other: "Cohomology", f: ChainMap, k) -> Matrix:
         """Matrix of H^k(f): H^k(self) -> H^{k+shift}(other) for a chain map f."""
-        cols = [other.class_of(k + f.shift, f.mat(k).apply(rep)) for rep in self.basis_lifts(k)]
-        return Matrix.from_columns(other.dim(k + f.shift), cols)
-
-
-def _unit(n, i):
-    return tuple(ratla.ONE if j == i else ratla.ZERO for j in range(n))
+        return other.classes_of(k + f.shift, f.mat(k) * self.lifts(k))
 
 
 @dataclass
@@ -290,11 +293,9 @@ class SesData:
             cols.append(self.ha.class_of(k + 1, back))
         return Matrix.from_columns(self.ha.dim(k + 1), cols)
 
-    def les(self, lo=None, hi=None) -> LongExactSequence:
-        """Long exact sequence over the degree window [lo, hi]."""
-        a, c = self.i.source, self.s.target
-        lo = a.lo if lo is None else lo
-        hi = a.hi if hi is None else hi
+    def les(self) -> LongExactSequence:
+        """Long exact sequence over the degrees of the middle complex."""
+        lo, hi = self.i.target.lo, self.i.target.hi
         labels, dims, maps = [], [], []
         for k in range(lo, hi + 1):
             labels += ["H^%d(A)" % k, "H^%d(B)" % k, "H^%d(C)" % k]

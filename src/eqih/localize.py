@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .equivariant import build_eq1, pair_shift
-from .errors import InputError, InternalInvariantViolation, NotAConeModel, TheoremViolation
+from .errors import InputError, NotAConeModel, TheoremViolation
 from .model import ModelInstance, Perversity, _typed, int_from_json, rows_from_json
 from .perverse import euler_map, gysin_cohomology, omega_cohomology, perverse_complex
-from .ratla import Matrix, Subspace, block_matrix
+from .ratla import Matrix, block_matrix
 
 
 @dataclass(frozen=True)
@@ -115,22 +115,6 @@ def localize(m: ModelInstance, p: Perversity) -> LocalizedModule:
 # the localized Gysin sequence
 
 
-def _inclusion_on_cohomology(m, p, k) -> Matrix:
-    """H^k of the Gysin term -> H^k of the perverse complex."""
-    pc = perverse_complex(m, p)
-    hg = gysin_cohomology(m, p)
-    ih = omega_cohomology(m, p)
-    cols = []
-    for rep in hg.basis_lifts(k):
-        amb = pc.gysin_ambient_mat(k).apply(rep)
-        c = pc.omega_spaces.get(k, Subspace.zero(m.ambient.dim(k))).coords(amb)
-        if c is None:
-            raise InternalInvariantViolation(
-                "Gysin class escapes the perverse complex in degree %d" % k)
-        cols.append(ih.class_of(k, c))
-    return Matrix.from_columns(ih.dim(k), cols)
-
-
 def localized_connecting(m: ModelInstance, p: Perversity, parity) -> PolyMatrix:
     """The connecting matrix of the localized Gysin sequence on one parity:
     Euler map (constant in u) plus u times the inclusion, from the Gysin
@@ -138,6 +122,7 @@ def localized_connecting(m: ModelInstance, p: Perversity, parity) -> PolyMatrix:
     """
     ih = omega_cohomology(m, p)
     hg = gysin_cohomology(m, p)
+    gysin_incl = perverse_complex(m, p).gysin_incl
     eub = euler_map(m, p)
     degrees = range(parity, m.ambient.top_degree + 1, 2)
     row_off, rows = {}, 0
@@ -146,7 +131,7 @@ def localized_connecting(m: ModelInstance, p: Perversity, parity) -> PolyMatrix:
         rows += ih.dim(k)
     euler, inclusion, cols = [], [], 0
     for k in degrees:
-        inclusion.append((row_off[k], cols, _inclusion_on_cohomology(m, p, k)))
+        inclusion.append((row_off[k], cols, hg.induced_map(ih, gysin_incl, k)))
         if k + 2 in row_off:
             euler.append((row_off[k + 2], cols, eub.mat(k)))
         cols += hg.dim(k)

@@ -29,6 +29,7 @@ from .model import ModelInstance, Perversity
 from .ratla import (
     Matrix,
     Subspace,
+    block_matrix,
     intersect,
     map_image,
     preimage,
@@ -57,6 +58,19 @@ class PerverseComplex:
     cogysin: Complex
     projection: ChainMap        # omega -> cogysin
 
+    def omega_space(self, k) -> Subspace:
+        """Omega_p^k as a subspace of the ambient degree; zero outside
+        0..top."""
+        if k in self.omega_spaces:
+            return self.omega_spaces[k]
+        return Subspace.zero(self.ambient.dim(k))
+
+    def gysin_space(self, k) -> Subspace:
+        """G_p^k as a subspace of the ambient degree; zero outside 0..top."""
+        if k in self.gysin_spaces:
+            return self.gysin_spaces[k]
+        return Subspace.zero(self.ambient.dim(k))
+
     def gysin_ambient_mat(self, k) -> Matrix:
         """Basis of G_p^k written in ambient coordinates."""
         return self.omega_incl.mat(k) * self.gysin_incl.mat(k)
@@ -83,23 +97,18 @@ def _build(m: ModelInstance, p: Perversity) -> PerverseComplex:
     lower = omega_spaces(m, p.minus(m.characteristic_perversity()))
 
     gysin_spaces = {}
+    gysin_in_omega = {}
     for k in amb.degrees():
         allowance = subspace_sum(m.filtration_level(p, k + 2),
                                  map_image(a.diff(k + 1), m.filtration_level(p, k + 1)))
         gysin_spaces[k] = intersect(lower[k], preimage(a.euler(k), allowance))
-        if not spaces[k].contains_subspace(gysin_spaces[k]):
+        coords = spaces[k].coords_of(gysin_spaces[k].basis)
+        if coords is None:
             raise InternalInvariantViolation(
                 "Gysin term escapes the perverse complex in degree %d" % k)
+        gysin_in_omega[k] = Subspace.from_matrix(coords)
 
     omega, omega_incl = subcomplex(amb, spaces)
-
-    gysin_in_omega = {}
-    for k in amb.degrees():
-        coords = [spaces[k].coords(v) for v in gysin_spaces[k].vectors()]
-        if any(c is None for c in coords):
-            raise InternalInvariantViolation("Gysin coordinates failed in degree %d" % k)
-        gysin_in_omega[k] = Subspace.from_vectors(omega.dim(k), coords)
-
     gysin, gysin_incl = subcomplex(omega, gysin_in_omega)
     cogysin, projection = quotient_complex(omega, gysin_in_omega)
 
@@ -141,20 +150,17 @@ def inclusion_map(m: ModelInstance, p: Perversity, q: Perversity) -> ChainMap:
     cq = perverse_complex(m, q)
     maps = {}
     for k in cp.ambient.degrees():
-        cols = []
-        for v in cp.omega_spaces[k].vectors():
-            c = cq.omega_spaces[k].coords(v)
-            if c is None:
-                raise InternalInvariantViolation(
-                    "monotonicity failed: Omega_p escapes Omega_q in degree %d" % k)
-            cols.append(c)
-        maps[k] = Matrix.from_columns(cq.omega.dim(k), cols)
+        maps[k] = cq.omega_spaces[k].coords_of(cp.omega_spaces[k].basis)
+        if maps[k] is None:
+            raise InternalInvariantViolation(
+                "monotonicity failed: Omega_p escapes Omega_q in degree %d" % k)
     return chain_map(cp.omega, cq.omega, maps)
 
 
 class EulerMap:
-    """Graded map on cohomology H^k(G_p) -> IH^{k+2}_p together with the
-    witnesses that realize it on cochains.
+    """Graded map on cohomology H^k(G_p) -> IH^{k+2}_p, read from the
+    corrected Euler images of reps[k], the ambient representatives of the
+    canonical basis of H^k(G_p).
 
     For a Gysin-term cocycle beta of degree k a witness is a level form alpha
     of degree k+1 such that d(alpha) + sign(k+1) E(beta) lies in the level in
@@ -169,29 +175,17 @@ class EulerMap:
         self.hg = gysin_cohomology(m, p)
         self.ih = omega_cohomology(m, p)
         self.mats = {}
-        self.witnesses = {}
         self.reps = {}
         for k in self.pc.ambient.degrees():
-            cols = []
-            wits = []
-            reps = []
-            for abstract in self.hg.basis_lifts(k):
-                beta = self.pc.gysin_ambient_mat(k).apply(abstract)
-                omega_vec, alpha = self.cochain_image(k, beta)
-                cols.append(self._ih_class(k + 2, omega_vec))
-                wits.append(alpha)
-                reps.append(beta)
-            self.mats[k] = Matrix.from_columns(self.ih.dim(k + 2), cols)
-            self.witnesses[k] = wits
-            self.reps[k] = reps
-
-    def _ih_class(self, k, ambient_vec):
-        space = self.pc.omega_spaces.get(k, Subspace.zero(self.m.ambient.dim(k)))
-        coords = space.coords(ambient_vec)
-        if coords is None:
-            raise InternalInvariantViolation(
-                "Euler image misses the perverse complex in degree %d" % k)
-        return self.ih.class_of(k, coords)
+            betas = self.pc.gysin_ambient_mat(k) * self.hg.lifts(k)
+            self.reps[k] = betas.columns()
+            images = [self.cochain_image(k, beta)[0] for beta in self.reps[k]]
+            coords = self.pc.omega_space(k + 2).coords_of(
+                Matrix.from_columns(self.m.ambient.dim(k + 2), images))
+            if coords is None:
+                raise InternalInvariantViolation(
+                    "Euler image misses the perverse complex in degree %d" % (k + 2))
+            self.mats[k] = self.ih.classes_of(k + 2, coords)
 
     def cochain_image(self, k, beta, witness_shift=None):
         """(corrected Euler image, witness alpha) for an ambient G_p-cocycle
@@ -254,34 +248,23 @@ def _gysin_maps(m: ModelInstance, p: Perversity):
 
     inc = {}
     quo = {}
-    for k in range(eq1.complex.lo, eq1.complex.hi + 1):
-        na = a.dim(k)
-        cols = []
-        for v in pc.omega_spaces.get(k, Subspace.zero(na)).vectors():
-            pair = tuple(v) + (0,) * a.dim(k - 1)
-            c = eq1.space(k).coords(pair)
-            if c is None:
-                raise InternalInvariantViolation(
-                    "Omega_p misses the pair complex in degree %d" % k)
-            cols.append(c)
-        inc[k] = Matrix.from_columns(eq1.complex.dim(k), cols)
-        qcols = []
-        for w in eq1.space(k).vectors():
-            beta = w[na:]
-            c = pc.gysin_spaces.get(k - 1, Subspace.zero(a.dim(k - 1))).coords(beta)
-            if c is None:
-                raise InternalInvariantViolation(
-                    "pair complex tail misses the Gysin term in degree %d" % k)
-            qcols.append(c)
-        quo[k] = Matrix.from_columns(pc.gysin.dim(k - 1), qcols)
+    for k in eq1.complex.degrees():
+        na, nb = a.dim(k), a.dim(k - 1)
+        omega = pc.omega_space(k).basis
+        pairs = block_matrix(na + nb, omega.cols, [(0, 0, omega)])
+        inc[k] = eq1.space(k).coords_of(pairs)
+        if inc[k] is None:
+            raise InternalInvariantViolation(
+                "Omega_p misses the pair complex in degree %d" % k)
+        pair = eq1.space(k).basis
+        tails = Matrix._of(nb, pair.cols, pair.entries[na:])
+        quo[k] = pc.gysin_space(k - 1).coords_of(tails)
+        if quo[k] is None:
+            raise InternalInvariantViolation(
+                "pair complex tail misses the Gysin term in degree %d" % k)
 
-    shifted = _shift_down(pc.gysin)
-    omega_ext = Complex.build(eq1.complex.lo, eq1.complex.hi,
-                              tuple(pc.omega.dim(k) for k in eq1.complex.degrees()),
-                              tuple(pc.omega.d(k) for k in eq1.complex.degrees()),
-                              check=False)
-    i = chain_map(omega_ext, eq1.complex, inc)
-    s = chain_map(eq1.complex, shifted, quo)
+    i = chain_map(pc.omega, eq1.complex, inc)
+    s = chain_map(eq1.complex, _shift_down(pc.gysin), quo)
     return i, s
 
 
@@ -292,8 +275,8 @@ def gysin_les(m: ModelInstance, p: Perversity) -> LongExactSequence:
     eub = euler_map(m, p)
     seq = ses.les()
     # the maps run H^k(A) -> H^k(B) -> H^k(C) -> H^{k+1}(A) from degree lo on
-    lo = ses.i.source.lo
-    for k in range(lo, ses.i.source.hi):
+    lo = ses.i.target.lo
+    for k in range(lo, ses.i.target.hi):
         if seq.maps[3 * (k - lo) + 2] != eub.mat(k - 1):
             raise InternalInvariantViolation(
                 "Gysin connecting morphism differs from the Euler map in degree %d" % k)

@@ -2,7 +2,10 @@
 
 Matrices are immutable grids of rationals; subspaces are stored through a
 canonical reduced-column-echelon basis, so two equal subspaces compare (and
-hash) identically.  Everything downstream relies on that canonicalization.
+hash) identically.  Everything downstream relies on that canonicalization,
+and so do coordinates: each basis column has a leading 1 in a pivot row
+where every other basis column is 0, so the coordinates of a vector in the
+span are its entries at the pivot rows, with no elimination.
 
 Every matrix entry is a ``QNUM``.  The public ``Matrix(rows, cols, entries)``
 coerces each entry through ``rat`` and checks the declared shape; the private
@@ -14,6 +17,7 @@ existing matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 try:
@@ -327,17 +331,35 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def contains(self, vec) -> bool:
-        return self.basis.solve(vec) is not None
+    @cached_property
+    def _pivots(self):
+        """The row of each basis column's leading 1, its first non-zero
+        entry."""
+        return tuple(next(i for i, x in enumerate(col) if x) for col in self.basis.columns())
+
+    def coords_of(self, m: Matrix):
+        """Coordinates of m's columns in the canonical basis (m's rows at the
+        pivot rows), or None if a column lies outside the span."""
+        if m.rows != self.ambient_dim:
+            raise AmbientMismatch(self.ambient_dim, m.rows)
+        c = Matrix._of(self.dim, m.cols, tuple(m.entries[r] for r in self._pivots))
+        return c if self.basis * c == m else None
 
     def coords(self, vec):
         """Coordinates of vec in the canonical basis, or None if outside."""
-        return self.basis.solve(vec)
+        vec = tuple(map(rat, vec))
+        if len(vec) != self.ambient_dim:
+            raise ValueError("target length mismatch")
+        c = tuple(vec[r] for r in self._pivots)
+        return c if self.basis.apply(c) == vec else None
+
+    def contains(self, vec) -> bool:
+        return self.coords(vec) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch(self.ambient_dim, other.ambient_dim)
-        return all(self.contains(c) for c in other.basis.columns())
+        return self.coords_of(other.basis) is not None
 
     def vectors(self):
         return self.basis.columns()
@@ -406,9 +428,6 @@ class QuotientSpace:
 
     def class_of(self, vec):
         return self.projection.apply(vec)
-
-    def lift_class(self, coords):
-        return self.lift.apply(coords)
 
 
 def quotient(v: Subspace, w: Subspace) -> QuotientSpace:

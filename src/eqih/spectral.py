@@ -247,15 +247,12 @@ class SpectralSequence:
                 return self._d[key]
             tgt_num = self.z(r, i + r, j - r + 1)
             tgt = self.cell(r, i + r, j - r + 1) if rows else None
-            cols = []
-            for rep in self.cell(r, i, j).lift.columns():
-                img = self.cx.d(i + j).apply(rep)
-                if not tgt_num.contains(img):
-                    raise PropertyViolation(
-                        "page %d differential leaves its target cell at (%d, %d)"
-                        % (r, i, j))
-                cols.append(tgt.class_of(img) if rows else ())
-            self._d[key] = Matrix.from_columns(rows, cols)
+            img = self.cx.d(i + j) * self.cell(r, i, j).lift
+            if tgt_num.coords_of(img) is None:
+                raise PropertyViolation(
+                    "page %d differential leaves its target cell at (%d, %d)"
+                    % (r, i, j))
+            self._d[key] = tgt.projection * img if rows else Matrix.zero(0, img.cols)
         return self._d[key]
 
     def page(self, r) -> SpectralPage:
@@ -408,7 +405,7 @@ def e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
     scales it by the column parity sign (-1)^(i(i+1)/2); with that convention
     the third differential equals the Euler-map composite with no extra sign.
     Every map is checked to kill the cell denominator and to be bijective;
-    a zero cell has no representatives, so only its denominator is built.
+    a zero cell has no representatives, and its denominator is its Z_3.
     Computed once per (model, perversity).
     """
     return m.cached(("e3", p), lambda: _e3_isomorphisms(m, p))
@@ -419,7 +416,6 @@ def _e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
     pc = perverse_complex(m, p)
     ih = omega_cohomology(m, p)
     hk = cogysin_cohomology(m, p)
-    a = m.ambient
     out = {}
     for i in range(0, ss.i_top + 1):
         for j in range(0, (ss.eq.n_u - i) // 2 + 1):
@@ -431,7 +427,7 @@ def _e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
                     raise InternalInvariantViolation(
                         "bottom component of a filtered representative has a "
                         "nonzero tail at (%d, %d)" % (i, 2 * j))
-                om = pc.omega_spaces.get(i, Subspace.zero(a.dim(i))).coords(alpha)
+                om = pc.omega_space(i).coords(alpha)
                 if om is None:
                     raise InternalInvariantViolation(
                         "bottom component escapes the perverse complex at "
@@ -444,8 +440,10 @@ def _e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
             cols = [classify(rep) for rep in reps]
             sign = (-1) ** (i * (i + 1) // 2)
             phi = Matrix.from_columns(target.dim(i), cols).scale(sign)
-            # well-defined: the denominator maps to zero classes
-            for v in ss.den(3, i, 2 * j).vectors():
+            # well-defined: the denominator maps to zero classes (a zero
+            # cell's denominator is all of its Z_3)
+            den = ss.den(3, i, 2 * j) if reps else ss.z(3, i, 2 * j)
+            for v in den.vectors():
                 if any(x != 0 for x in classify(v)):
                     raise PropertyViolation(
                         "third-page identification not well defined at "
@@ -541,7 +539,7 @@ def _fixed_point_preconditions(m: ModelInstance) -> list:
     checks.append({
         "name": "euler operator preserves the lower perverse complex",
         "passed": all(
-            pcq.omega_spaces.get(k + 2, Subspace.zero(a.dim(k + 2))).contains_subspace(
+            pcq.omega_space(k + 2).contains_subspace(
                 map_image(a.euler(k), pcq.omega_spaces[k]))
             for k in pc0.ambient.degrees()),
     })
@@ -594,16 +592,11 @@ def skjelbred(m: ModelInstance) -> LongExactSequence:
 
     def to_lower(k) -> Matrix:
         """Basis change H^k of the Gysin term -> H^k of the lower complex."""
-        cols = []
-        for rep in hg0.basis_lifts(k):
-            amb = pc0.gysin_ambient_mat(k).apply(rep)
-            c = pcq.omega_spaces[k].coords(amb)
-            if c is None:
-                raise InternalInvariantViolation(
-                    "Gysin representative escapes the lower complex in "
-                    "degree %d" % k)
-            cols.append(hq.class_of(k, c))
-        return Matrix.from_columns(hq.dim(k), cols)
+        c = pcq.omega_space(k).coords_of(pc0.gysin_ambient_mat(k) * hg0.lifts(k))
+        if c is None:
+            raise InternalInvariantViolation(
+                "Gysin representative escapes the lower complex in degree %d" % k)
+        return hq.classes_of(k, c)
 
     def euler_endo(k) -> Matrix:
         """Euler multiplication H^k -> H^{k+2} on the lower complex."""
@@ -641,7 +634,7 @@ def skjelbred(m: ModelInstance) -> LongExactSequence:
             col = []
             for s, k in a_blocks(i):
                 alpha_s, _ = _component_pair(ss, i, rep, s)
-                om = pc0.omega_spaces.get(k, Subspace.zero(a.dim(k))).coords(alpha_s)
+                om = pc0.omega_space(k).coords(alpha_s)
                 if om is None:
                     raise IdentificationFails(
                         "equivariant head escapes the perverse complex in "

@@ -15,7 +15,7 @@ import io
 
 import pytest
 
-from eqih import fixtures, homalg, model
+from eqih import fixtures, homalg, model, perverse
 from eqih.cli import main
 from eqih.model import save_model
 
@@ -90,3 +90,14 @@ def test_every_object_is_built_once(tmp_path, builds):
         assert all(n == 1 for n in per_map.values()), argv
         twice = [key for key, n in builds["levels"].items() if n > 1]
         assert not twice, (argv, twice)
+
+
+def test_gysin_sequence_starts_at_the_perverse_complex():
+    """The Gysin sequence's first term is Omega_p itself, so its cohomology
+    is the one ``omega_cohomology`` built, not a copy."""
+    for name in FIXTURES:
+        m = fixtures.make(name)
+        for p in m.perversity_set:
+            perverse.gysin_les(m, p)
+            ses = m.cached(("gysin_ses", p), None)
+            assert ses.ha is perverse.omega_cohomology(m, p), (name, p)

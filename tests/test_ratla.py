@@ -294,6 +294,55 @@ def test_intersect_matches_general_elimination(seed):
             assert got.basis.entries == want.basis.entries
 
 
+# -- coordinates at the pivots against elimination ---------------------------
+
+def solved_coords(space, columns):
+    """Reference: the coordinates of each column by its own elimination,
+    basis * x = column, as a matrix, or None if one has no solution."""
+    solved = [space.basis.solve(c) for c in columns]
+    if any(x is None for x in solved):
+        return None
+    return Matrix.from_columns(space.dim, solved)
+
+
+def coordinate_cases(seed):
+    """(space, columns in its span, columns drawn at random) for seeded
+    random subspaces, the zero and full spaces and the ambient-0 space."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    spaces = [seeded_subspace(rng, n, rng.randint(1, n)), seeded_subspace(rng, n, 2),
+              Subspace.zero(n), Subspace.full(n), Subspace.zero(0)]
+    out = []
+    for space in spaces:
+        m = space.ambient_dim
+        inside = [space.basis.apply([QNUM(rng.randint(-3, 3), rng.randint(1, 3))
+                                     for _ in range(space.dim)]) for _ in range(3)]
+        drawn = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(3)]
+        out.append((space, inside, drawn))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_coordinates_match_solve_reference(seed):
+    for space, inside, drawn in coordinate_cases(seed):
+        n = space.ambient_dim
+        for v in inside + drawn:
+            want = space.basis.solve(v)
+            assert space.coords(v) == want
+            assert space.contains(v) == (want is not None)
+        for columns in ([], inside, inside + drawn, drawn[:1]):
+            want = solved_coords(space, columns)
+            assert space.coords_of(Matrix.from_columns(n, columns)) == want
+            other = Subspace.from_vectors(n, columns)
+            assert space.contains_subspace(other) == \
+                (solved_coords(space, other.vectors()) is not None)
+        assert space.coords_of(Matrix.from_columns(n, inside)) is not None
+    with pytest.raises(ValueError):
+        Subspace.zero(0).coords((1,))
+    with pytest.raises(AmbientMismatch):
+        Subspace.zero(0).coords_of(Matrix.zero(1, 1))
+
+
 # -- integer elimination against the rational reference ----------------------
 
 def rational_rref(m):

@@ -1,0 +1,66 @@
+"""Source hygiene of the engine package, read from its syntax trees.
+
+Every name a module imports is used in that module, and every module-level
+private function (``_name``) is referenced somewhere in the package, so
+deleting a helper or its last caller cannot leave dead code behind.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "eqih"
+MODULES = sorted(PACKAGE.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in MODULES}
+
+
+def imported_names(tree):
+    """(bound name, line) of every import statement, except __future__."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
+
+
+def referenced_names(tree):
+    """Every identifier the module reads: names, attribute names and the
+    names a from-import pulls in."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_import_is_used(name):
+    tree = TREES[name]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [(n, line) for n, line in imported_names(tree) if n not in used]
+    assert not unused, "%s imports names it never uses: %s" % (name, unused)
+
+
+def test_every_private_function_is_referenced():
+    referenced = set().union(*(referenced_names(t) for t in TREES.values()))
+    private = [(name, node.name) for name, tree in TREES.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__")]
+    assert private
+    unreferenced = [p for p in private if p[1] not in referenced]
+    assert not unreferenced, "private functions nothing references: %s" % unreferenced
+
+
+def test_the_checks_see_dead_code():
+    """An unused import and an unreferenced helper are both reported."""
+    tree = ast.parse("import os\nfrom .ratla import rat\n\ndef _helper():\n    return rat(1)\n")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [n for n, _ in imported_names(tree) if n not in used] == ["os"]
+    assert "_helper" not in referenced_names(tree)
