@@ -50,6 +50,9 @@ def validate_iso(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> None:
         raise InvalidIso("ambient top degrees differ: %d vs %d"
                          % (a1.top_degree, a2.top_degree))
     top = a1.top_degree
+    for k in sorted(iso.mats):
+        if not 0 <= k <= top:
+            raise InvalidIso("iso degree %d is outside 0..%d" % (k, top))
     for k in range(top + 1):
         f = iso.mat(m1, m2, k)
         if f.rows != a1.dim(k) or f.cols != a2.dim(k):

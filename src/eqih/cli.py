@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 
 from . import fixtures
@@ -27,6 +26,7 @@ from .homalg import check_exact, is_exact
 from .localize import cone_formula_check, localize, localized_gysin
 from .model import (
     Perversity,
+    int_from_text,
     load_model,
     mat_to_json,
     model_to_dict,
@@ -80,12 +80,10 @@ def _perversity(arg: str, m) -> Perversity:
                 raise InputError(
                     "perversity entries must look like stratum=int: %r" % piece)
             key, _, val = piece.partition("=")
-            key, val = key.strip(), val.strip()
+            key = key.strip()
             if key in values:
                 raise InputError("perversity gives stratum %r twice" % key)
-            if not re.fullmatch(r"-?[0-9]+", val):
-                raise InputError("perversity value %r is not an integer" % val)
-            values[key] = int(val)
+            values[key] = int_from_text(val, "perversity value")
     p = Perversity(values)
     m.check_perversity(p)
     return p
@@ -262,10 +260,9 @@ def _load_iso(path):
         raise InputError("iso field 'mats' must map degrees to matrices")
     mats = {}
     for key, rows in raw.items():
-        try:
-            degree = int(key)
-        except ValueError:
-            raise InputError("iso degree %r is not an integer" % key)
+        degree = int_from_text(key, "iso degree")
+        if degree in mats:
+            raise InputError("iso degree %r repeats degree %d" % (key, degree))
         mats[degree] = rows_from_json(rows, "iso matrix for degree %s" % key)
     strata = data.get("strata") or {}
     if not isinstance(strata, dict) or not all(isinstance(v, str) for v in strata.values()):
@@ -302,7 +299,9 @@ def _cmd_fixture(args):
 def _cmd_selftest(args):
     if args.seeds < 0:
         raise InputError("--seeds must be at least 0, not %d" % args.seeds)
-    models = [fixtures.make(n) for n in ("hopf", "rot", "cone2", "noperv")]
+    models = [build() for build in fixtures.FIXTURES.values()]
+    models += [m for n in (2, 3) for m in (fixtures.sphere(n, 1), fixtures.sphere(n, 0),
+                                            fixtures.cone(n))]
     models += [fixtures.random_model(seed) for seed in range(args.seeds)]
     counters = {
         "models": len(models),
@@ -424,7 +423,7 @@ def _build_parser():
     sp.set_defaults(fn=_cmd_compare)
 
     sp = sub.add_parser("fixture", help="emit a named fixture model")
-    sp.add_argument("name", help="hopf, rot, cone2, noperv, or random")
+    sp.add_argument("name", help="%s, or random" % ", ".join(fixtures.FIXTURES))
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--size", type=int, default=2)

@@ -1,12 +1,17 @@
 """Built-in example models and a seeded random-model generator.
 
-The named fixtures are small hand-built models of classical circle actions:
+Two families in degree 2n have closed-form answers:
 
-* ``hopf``   -- free action with nonzero Euler class, orbit space a 2-sphere.
-* ``rot``    -- same ambient complex with Euler class zero.
-* ``cone2``  -- cone singularity with one perverse fixed point (apex).
-* ``noperv`` -- apex variant whose Euler cocycle is exact at its own level,
-  so the fixed stratum is not perverse.
+* ``sphere(n, e)`` -- S^{2n+1} over CP^n with Euler class e v, no strata:
+  for e != 0, H_{S^1}(S^{2n+1}) = H(CP^n) (Borel), dimension 1 in each even
+  degree up to 2n and u-rank 1 below 2n; u-ranks 0 for e = 0; localization
+  (0, 0).
+* ``cone(n)`` -- its cone with a perverse fixed apex: 0 at apex = -1, else
+  Q[u] with localization (1, 0), the apex (Goresky, Kottwitz, MacPherson).
+
+``hopf``, ``rot`` and ``cone2`` are ``sphere(1, 1)``, ``sphere(1, 0)`` and
+``cone(1)``; ``noperv`` is an apex variant whose Euler cocycle is exact at
+its own level, so the fixed stratum is not perverse.
 
 ``random_model`` draws a seeded model that passes strict validation.  Its
 Euler operator E, with E_k: A^k -> A^{k+2}, is a random solution of one
@@ -52,74 +57,69 @@ from .ratla import (
     subspace_sum,
 )
 
-FIXTURE_NAMES = ("hopf", "rot", "cone2", "noperv")
+
+def _sphere_doc(n, e):
+    """S^{2n+1} over CP^n with Euler class e v, unnamed: Q[v]/(v^{n+1}) with
+    |v| = 2, d = 0, the Euler operator multiplication by e v, no strata."""
+    top = 2 * n
+
+    def one(k):  # dim A^k
+        return int(k % 2 == 0 and 0 <= k <= top)
+
+    def mat(r, c, x):  # the map A^c -> A^r, x where both are non-zero
+        return [[str(x)] * one(c) for _ in range(one(r))]
+
+    return {
+        "top_degree": top,
+        "dims": [one(k) for k in range(top + 1)],
+        "d": [mat(k + 1, k, 0) for k in range(top + 1)],
+        "strata": [],
+        "filtrations": {},
+        "euler_cocycle": [str(e)],
+        "euler_op": [mat(k + 2, k, e) for k in range(top + 1)],
+        "product": {"%d,%d" % (i, j): mat(i + j, 0, 1)
+                    for i in range(0, top + 1, 2) for j in range(0, top + 1, 2)},
+        "perversities": [{}],
+        "metadata": {"normal": True, "free": e != 0},
+    }
 
 
-def _sphere_product():
-    # algebra Q[v]/(v^2) with |v| = 2
-    return {"0,0": [["1"]], "0,2": [["1"]], "2,0": [["1"]], "2,2": []}
+def sphere(n=1, e=1, name=None) -> ModelInstance:
+    """``_sphere_doc(n, e)``, by default named sphere<2n+1>-e<e>."""
+    return model_from_dict({**_sphere_doc(n, e),
+                            "name": name or "sphere%d-e%d" % (2 * n + 1, e)})
+
+
+def cone(n=1, name=None) -> ModelInstance:
+    """The cone over S^{2n+1}: a perverse fixed apex whose level l holds the
+    forms of degree <= l (l < 2n), perversities -1..2n, link data as cone
+    metadata."""
+    doc = _sphere_doc(n, 1)
+    top, dims = doc["top_degree"], doc["dims"]
+    return model_from_dict({
+        **doc,
+        "name": name or "cone%d" % top,
+        "strata": [{"name": "apex", "kind": "fixed_perverse"}],
+        "filtrations": {"apex": {
+            str(level): [[["1"]] if dim and k <= level else [] for k, dim in enumerate(dims)]
+            for level in range(top)}},
+        "perversities": [{"apex": p} for p in range(-1, top + 1)],
+        "metadata": {"normal": True, "free": False, "cone": {
+            "apex_stratum": "apex", "cone_degree": top, "link_quotient_ih": dims,
+            "link_eub": {str(k): [["1"]] for k in range(0, top - 1, 2)}}},
+    })
 
 
 def hopf() -> ModelInstance:
-    return model_from_dict({
-        "name": "hopf",
-        "top_degree": 2,
-        "dims": [1, 0, 1],
-        "d": [[], [[]], []],
-        "strata": [],
-        "filtrations": {},
-        "euler_cocycle": ["1"],
-        "euler_op": [[["1"]], [], []],
-        "product": _sphere_product(),
-        "perversities": [{}],
-        "metadata": {"normal": True, "free": True},
-    })
+    return sphere(1, 1, "hopf")
 
 
 def rot() -> ModelInstance:
-    return model_from_dict({
-        "name": "rot",
-        "top_degree": 2,
-        "dims": [1, 0, 1],
-        "d": [[], [[]], []],
-        "strata": [],
-        "filtrations": {},
-        "euler_cocycle": ["0"],
-        "euler_op": [[["0"]], [], []],
-        "product": _sphere_product(),
-        "perversities": [{}],
-        "metadata": {"normal": True, "free": False},
-    })
+    return sphere(1, 0, "rot")
 
 
 def cone2() -> ModelInstance:
-    return model_from_dict({
-        "name": "cone2",
-        "top_degree": 2,
-        "dims": [1, 0, 1],
-        "d": [[], [[]], []],
-        "strata": [{"name": "apex", "kind": "fixed_perverse"}],
-        "filtrations": {
-            "apex": {
-                "0": [[["1"]], [], []],
-                "1": [[["1"]], [], []],
-            }
-        },
-        "euler_cocycle": ["1"],
-        "euler_op": [[["1"]], [], []],
-        "product": _sphere_product(),
-        "perversities": [{"apex": -1}, {"apex": 0}, {"apex": 1}, {"apex": 2}],
-        "metadata": {
-            "normal": True,
-            "free": False,
-            "cone": {
-                "apex_stratum": "apex",
-                "cone_degree": 2,
-                "link_quotient_ih": [1, 0, 1],
-                "link_eub": {"0": [["1"]]},
-            },
-        },
-    })
+    return cone(1, "cone2")
 
 
 def noperv() -> ModelInstance:
@@ -147,16 +147,13 @@ def noperv() -> ModelInstance:
     })
 
 
+FIXTURES = {"hopf": hopf, "rot": rot, "cone2": cone2, "noperv": noperv}
+
+
 def make(name: str, seed=None, size=2) -> ModelInstance:
     name = name.lower()
-    if name == "hopf":
-        return hopf()
-    if name == "rot":
-        return rot()
-    if name == "cone2":
-        return cone2()
-    if name == "noperv":
-        return noperv()
+    if name in FIXTURES:
+        return FIXTURES[name]()
     if name == "random":
         if seed is None:
             raise InputError("random fixture needs a seed")

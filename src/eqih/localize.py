@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .equivariant import build_eq1, pair_shift
 from .errors import InputError, NotAConeModel, TheoremViolation
-from .model import ModelInstance, Perversity, _typed, int_from_json, rows_from_json
+from .model import ModelInstance, Perversity, _typed, int_from_json, int_from_text, rows_from_json
 from .perverse import euler_map, gysin_cohomology, omega_cohomology, perverse_complex
 from .ratla import Matrix, block_matrix
 
@@ -210,8 +210,12 @@ def cone_formula_check(m: ModelInstance, p: Perversity) -> dict:
             for x in _typed(meta["link_quotient_ih"], list, "cone link_quotient_ih")]
     if any(x < 0 for x in link):
         raise InputError("cone link_quotient_ih: a dimension is negative in %r" % link)
-    eub = {key: rows_from_json(rows, "cone link_eub %s" % key)
-           for key, rows in _typed(meta["link_eub"], dict, "cone link_eub").items()}
+    eub = {}
+    for key, rows in _typed(meta["link_eub"], dict, "cone link_eub").items():
+        k = int_from_text(key, "cone link_eub degree")
+        if k in eub:
+            raise InputError("cone link_eub: degree %r repeats degree %d" % (key, k))
+        eub[k] = rows_from_json(rows, "cone link_eub %s" % key)
 
     def link_dim(k):
         return link[k] if 0 <= k < len(link) else 0
@@ -219,8 +223,8 @@ def cone_formula_check(m: ModelInstance, p: Perversity) -> dict:
     predicted = [0, 0]
     if link_dim(deg):
         predicted[deg % 2] += link_dim(deg)
-    if deg >= 1 and link_dim(deg - 1) and str(deg - 1) in eub:
-        predicted[(deg - 1) % 2] += eub[str(deg - 1)].rank()
+    if deg >= 1 and link_dim(deg - 1) and deg - 1 in eub:
+        predicted[(deg - 1) % 2] += eub[deg - 1].rank()
     computed = localize(m, p).ranks()
     return {
         "cone_degree": deg,

@@ -10,6 +10,7 @@ that is checkable at this level and reports counterexamples.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .errors import InputError, StrataMismatch, UnknownStratum
@@ -408,6 +409,16 @@ def int_from_json(x, where):
     return x
 
 
+def int_from_text(text, what):
+    """The integer that text spells as -?[0-9]+ once stripped of outer
+    whitespace.  The forms ``int`` would also take, such as '+2', '1_0' or
+    non-ASCII digits, are refused."""
+    text = text.strip()
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise InputError("%s %r is not an integer" % (what, text))
+    return int(text)
+
+
 _JSON_KINDS = {list: "array", dict: "object", str: "string"}
 
 
@@ -545,10 +556,12 @@ def model_from_dict(data: dict) -> ModelInstance:
     if "product" in data:
         product = {}
         for key, rows in _typed(data["product"], dict, "product").items():
-            try:
-                i, j = (int(x) for x in key.split(","))
-            except ValueError:
+            pieces = key.split(",")
+            if len(pieces) != 2:
                 raise InputError("bad product key %r" % key)
+            i, j = (int_from_text(x, "product key degree") for x in pieces)
+            if (i, j) in product:
+                raise InputError("product key %r repeats degrees %d,%d" % (key, i, j))
             product[(i, j)] = mat_from_json(rows, dim(i + j), dim(i) * dim(j),
                                              "product[%s]" % key)
 

@@ -117,6 +117,7 @@ class SpectralSequence:
         self._pairs = {}
         self._lives = {}
         self._dims = {}
+        self._dens = {}
         self._cells = {}
         self._d = {}
 
@@ -217,10 +218,13 @@ class SpectralSequence:
 
     def den(self, r, i, j) -> Subspace:
         """Z_{r-1}^{i+1,j-1} + D Z_{r-1}^{i-r+1,j+r-2}: the page-r cell's
-        denominator."""
-        r, i, j = self._key(r, i, j)
-        moved = map_image(self.cx.d(i + j - 1), self.z(r - 1, i - r + 1, j + r - 2))
-        return subspace_sum(self.z(r - 1, i + 1, j - 1), moved)
+        denominator, built once per key."""
+        key = self._key(r, i, j)
+        if key not in self._dens:
+            r, i, j = key
+            moved = map_image(self.cx.d(i + j - 1), self.z(r - 1, i - r + 1, j + r - 2))
+            self._dens[key] = subspace_sum(self.z(r - 1, i + 1, j - 1), moved)
+        return self._dens[key]
 
     def cell(self, r, i, j) -> QuotientSpace:
         """The page-r cell Z_r / den as a quotient space, whose dimension
@@ -469,12 +473,15 @@ def d3_check(m: ModelInstance, p: Perversity) -> dict:
     hk = cogysin_cohomology(m, p)
     eub = euler_map(m, p)
     _, _, ses = build_cogysin(m, p)
+    euler_deltas = {}   # i -> the Euler map after the connecting map, per degree
     cells = []
     for (i, j), src_phi in sorted(phi.items()):
         if j < 1 or src_phi.cols == 0 or i + 2 * j + 1 > ss.eq.n_u:
             continue
         engine_raw = ss.d_matrix(3, i, 2 * j)
-        composite = eub.mat(i + 1) * ses.connecting(i)
+        if i not in euler_deltas:
+            euler_deltas[i] = eub.mat(i + 1) * ses.connecting(i)
+        composite = euler_deltas[i]
         if j >= 2:
             composite = ih.induced_map(hk, pc.projection, i + 3) * composite
         if (i + 3, j - 1) in phi:

@@ -1,12 +1,14 @@
-"""Each report command builds every cohomology, every level space and
-every connecting map once.
+"""Each report command builds every cohomology, every level space, every
+connecting map and every spectral cell denominator once.
 
 The commands run through ``cli.main`` on the four fixtures at every
 perversity.  ``Cohomology.__init__`` is wrapped to record the complex it
 builds, ``SesData.connecting`` to record the (sequence, degree) pairs it
 computes, and ``ModelInstance.filtration_level`` to record the (perversity,
 degree) levels it computes: a call that reaches the model's ``intersect``
-computes its level, a call that does not read a cached one.
+computes its level, a call that does not read a cached one.  In the same
+way ``SpectralSequence.den`` records the (sequence, cell key) denominators
+it builds: a call that reaches the spectral module's ``subspace_sum``.
 """
 
 import collections
@@ -15,7 +17,7 @@ import io
 
 import pytest
 
-from eqih import fixtures, homalg, model, perverse
+from eqih import fixtures, homalg, model, perverse, spectral
 from eqih.cli import main
 from eqih.model import save_model
 
@@ -32,6 +34,7 @@ def commands(tmp_path):
             perv = ["-p", p.label()] if p.items else []
             out += [[command, path] + perv
                     for command in ("cohomology", "gysin", "equivariant", "localize")]
+            out.append(["spectral", path] + perv + ["--d3-check"])
     return out
 
 
@@ -39,10 +42,11 @@ def commands(tmp_path):
 def builds(monkeypatch):
     """Per command: the complexes whose cohomology was built and the
     (sequence, degree) pairs whose connecting map was computed (both held,
-    so no id is reused), and the count of computations per (perversity,
-    degree)."""
+    so no id is reused), the count of computations per (perversity,
+    degree), and the (sequence, key) pairs whose denominator was built
+    (the sequence held)."""
     record = {"complexes": [], "connecting": [], "levels": collections.Counter(),
-              "intersects": 0}
+              "intersects": 0, "dens": [], "sums": 0}
 
     cohomology_init = homalg.Cohomology.__init__
 
@@ -70,10 +74,26 @@ def builds(monkeypatch):
             record["levels"][(p, degree)] += 1
         return space
 
+    den = spectral.SpectralSequence.den
+    subspace_sum = spectral.subspace_sum
+
+    def counting_sum(a, b):
+        record["sums"] += 1
+        return subspace_sum(a, b)
+
+    def recording_den(self, r, i, j):
+        before = record["sums"]
+        space = den(self, r, i, j)
+        if record["sums"] > before:
+            record["dens"].append((self, self._key(r, i, j)))
+        return space
+
     monkeypatch.setattr(homalg.Cohomology, "__init__", recording_init)
     monkeypatch.setattr(homalg.SesData, "connecting", recording_connecting)
     monkeypatch.setattr(model, "intersect", counting_intersect)
     monkeypatch.setattr(model.ModelInstance, "filtration_level", recording_level)
+    monkeypatch.setattr(spectral, "subspace_sum", counting_sum)
+    monkeypatch.setattr(spectral.SpectralSequence, "den", recording_den)
     return record
 
 
@@ -82,6 +102,7 @@ def test_every_object_is_built_once(tmp_path, builds):
         builds["complexes"].clear()
         builds["connecting"].clear()
         builds["levels"].clear()
+        builds["dens"].clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
         per_complex = collections.Counter(id(c) for c in builds["complexes"])
@@ -90,6 +111,8 @@ def test_every_object_is_built_once(tmp_path, builds):
         assert all(n == 1 for n in per_map.values()), argv
         twice = [key for key, n in builds["levels"].items() if n > 1]
         assert not twice, (argv, twice)
+        per_den = collections.Counter((id(ss), key) for ss, key in builds["dens"])
+        assert all(n == 1 for n in per_den.values()), argv
 
 
 def test_gysin_sequence_starts_at_the_perverse_complex():

@@ -28,6 +28,27 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def validate_with_product_key(capsys, tmp_path, key):
+    """validate cone2 with one more product key, holding the (0, 2)
+    matrix."""
+    data = model_to_dict(cone2())
+    data["product"][key] = data["product"]["0,2"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, "validate", str(path), "--strict")
+
+
+def compare_with_iso_key(capsys, tmp_path, key):
+    """compare hopf with itself through the identity iso with one more
+    degree key."""
+    path = tmp_path / "hopf.json"
+    save_model(hopf(), str(path))
+    iso = tmp_path / "iso.json"
+    iso.write_text(json.dumps({"mats": {"0": [["1"]], "1": [], "2": [["1"]], key: [["1"]]},
+                               "strata": {}}))
+    return run(capsys, "compare", str(path), str(path), "--iso", str(iso))
+
+
 class TestBasicCommands:
     def test_validate_ok(self, capsys, cone_file):
         code, out, _ = run(capsys, "validate", cone_file, "--strict")
@@ -103,7 +124,7 @@ class TestCompare:
     def test_identity_compare(self, capsys, tmp_path, hopf_file):
         iso = tmp_path / "iso.json"
         iso.write_text(json.dumps({
-            "mats": {"0": [["1"]], "1": [], "2": [["1"]], "3": [["1"]]},
+            "mats": {"0": [["1"]], "1": [], "2": [["1"]]},
             "strata": {},
         }))
         code, out, _ = run(capsys, "compare", hopf_file, hopf_file,
@@ -265,6 +286,10 @@ class TestErrors:
         ("2", "cone_degree", "abc"),
         ("2", "cone_degree", 2.5),
         ("2", "cone_degree", True),
+        # integer keys in another form, or repeated once parsed
+        ("1", "link_eub", {"0_0": [["1"]]}),
+        ("1", "link_eub", {"+0": [["1"]]}),
+        ("1", "link_eub", {"0": [["1"]], " 0": [["1"]]}),
     ])
     def test_malformed_cone_metadata_exits_2(self, capsys, tmp_path, apex, field, value):
         data = model_to_dict(cone2())
@@ -275,6 +300,29 @@ class TestErrors:
                              "--cone-check")
         assert code == 2 and not out
         assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("with_key, key", [
+        (validate_with_product_key, "0, 2"), (compare_with_iso_key, " 2"),
+    ])
+    def test_repeated_integer_key_exits_2(self, capsys, tmp_path, with_key, key):
+        code, out, err = with_key(capsys, tmp_path, key)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("with_key, key", [
+        (validate_with_product_key, "+0,2"), (validate_with_product_key, "0,2,0"),
+        (compare_with_iso_key, "1_0"), (compare_with_iso_key, "+2"),
+    ])
+    def test_integer_key_in_another_form_exits_2(self, capsys, tmp_path, with_key, key):
+        code, out, err = with_key(capsys, tmp_path, key)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("key", ["3", "7", "-1"])
+    def test_iso_degree_outside_the_model_exits_2(self, capsys, tmp_path, key):
+        code, out, err = compare_with_iso_key(capsys, tmp_path, key)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InvalidIso"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/model.json")
@@ -293,4 +341,4 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--seeds", "2")
         report = json.loads(out)
         assert code == 0 and report["passed"]
-        assert report["checks"]["models"] == 6
+        assert report["checks"]["models"] == 12

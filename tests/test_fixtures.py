@@ -6,7 +6,7 @@ import pytest
 
 from eqih import fixtures
 from eqih.errors import InputError
-from eqih.fixtures import FIXTURE_NAMES, make, oracle_cohomology, random_model
+from eqih.fixtures import FIXTURES, make, oracle_cohomology, random_model
 from eqih.homalg import Cohomology
 from eqih.model import Perversity, model_from_dict, model_to_dict, validate
 from eqih.ratla import Matrix
@@ -14,6 +14,7 @@ from eqih.ratla import Matrix
 EXPECT = json.loads(
     (pathlib.Path(__file__).parent / "expectations.json").read_text())["fixtures"]
 
+FIXTURE_NAMES = list(FIXTURES)
 WINDOW = 8  # top_degree + 6 for every named fixture
 
 

@@ -9,7 +9,11 @@ on cone2); ``skjelbred`` runs once per model.  A few larger random models
 are guarded by their ``localize`` reports alone, at every perversity, a few
 small ones by their ``spectral --d3-check`` reports alone, and a few
 commands read degrees or pages far past where the reports change (``WIDE``,
-and ``equivariant --nu 40`` at every fixture perversity).
+and ``equivariant --nu 40`` at every fixture perversity).  The family
+members of degree 4 and 6 are guarded at every perversity: ``cone(2)`` and
+``cone(3)`` by ``spectral --d3-check``, ``equivariant`` and ``localize
+--cone-check``, and ``sphere(2, 1)`` and ``sphere(2, 0)`` by ``equivariant``
+and ``localize``.
 
 The saved model documents of the seeded generator are guarded the same way:
 the kernel bases that ``fixtures.random_model`` solves for decide the bytes
@@ -55,6 +59,18 @@ LOCALIZE_MODELS = {
 SPECTRAL_MODELS = {
     "random-%d-2" % seed: ("random", {"seed": seed, "size": 2})
     for seed in range(4)
+}
+
+# model token -> (family member past n = 1, the commands that guard it at
+# every perversity); their digests come from the engine as it was before the
+# families were added, run on the documents the families write
+CONE_COMMANDS = (["spectral", "--d3-check"], ["equivariant"], ["localize", "--cone-check"])
+SPHERE_COMMANDS = (["equivariant"], ["localize"])
+FAMILY_MODELS = {
+    "cone4": (lambda: fixtures.cone(2), CONE_COMMANDS),
+    "cone6": (lambda: fixtures.cone(3), CONE_COMMANDS),
+    "sphere5-e1": (lambda: fixtures.sphere(2, 1), SPHERE_COMMANDS),
+    "sphere5-e0": (lambda: fixtures.sphere(2, 0), SPHERE_COMMANDS),
 }
 
 # argv lists whose window or page count reaches well past the top degree
@@ -105,6 +121,10 @@ def commands():
         for p in m.perversity_set:
             out.append(["spectral", token]
                        + (["-p", p.label()] if p.items else []) + ["--d3-check"])
+    for token, (build, family_commands) in FAMILY_MODELS.items():
+        for p in build().perversity_set:
+            perv = ["-p", p.label()] if p.items else []
+            out += [[command, token] + perv + rest for command, *rest in family_commands]
     return out + WIDE
 
 
@@ -125,6 +145,9 @@ def _write_models(directory):
                                   **SPECTRAL_MODELS}.items():
         paths[token] = os.path.join(directory, token + ".json")
         save_model(fixtures.make(name, **kwargs), paths[token])
+    for token, (build, _) in FAMILY_MODELS.items():
+        paths[token] = os.path.join(directory, token + ".json")
+        save_model(build(), paths[token])
     return paths
 
 

@@ -1,8 +1,11 @@
 """Source hygiene of the engine package, read from its syntax trees.
 
-Every name a module imports is used in that module, and every module-level
-private function (``_name``) is referenced somewhere in the package, so
-deleting a helper or its last caller cannot leave dead code behind.
+Every name a module imports is used in that module, every module-level
+private function or class (``_name``) is referenced somewhere in the
+package, and
+every module-level public function or class is referenced somewhere in the
+package, its tests or the benchmark, so deleting a helper or its last
+caller cannot leave dead code behind.
 """
 
 import ast
@@ -10,9 +13,13 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "eqih"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "eqih"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in MODULES}
+# the code that may call the package's public names
+CALLERS = [ast.parse(path.read_text(), str(path))
+           for folder in ("tests", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def imported_names(tree):
@@ -40,6 +47,14 @@ def referenced_names(tree):
     return out
 
 
+def definitions(tree, private):
+    """Names of the module-level functions and classes of tree, private
+    (``_name``) or public."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("__") and node.name.startswith("_") == private]
+
+
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_every_import_is_used(name):
     tree = TREES[name]
@@ -50,12 +65,18 @@ def test_every_import_is_used(name):
 
 def test_every_private_function_is_referenced():
     referenced = set().union(*(referenced_names(t) for t in TREES.values()))
-    private = [(name, node.name) for name, tree in TREES.items() for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-               and not node.name.startswith("__")]
+    private = [(name, d) for name, tree in TREES.items() for d in definitions(tree, True)]
     assert private
     unreferenced = [p for p in private if p[1] not in referenced]
-    assert not unreferenced, "private functions nothing references: %s" % unreferenced
+    assert not unreferenced, "private names nothing references: %s" % unreferenced
+
+
+def test_every_public_name_is_referenced():
+    referenced = set().union(*map(referenced_names, list(TREES.values()) + CALLERS))
+    public = [(name, d) for name, tree in TREES.items() for d in definitions(tree, False)]
+    assert public
+    unreferenced = [p for p in public if p[1] not in referenced]
+    assert not unreferenced, "public names nothing references: %s" % unreferenced
 
 
 def test_the_checks_see_dead_code():
@@ -64,3 +85,14 @@ def test_the_checks_see_dead_code():
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [n for n, _ in imported_names(tree) if n not in used] == ["os"]
     assert "_helper" not in referenced_names(tree)
+
+
+def test_the_checks_see_a_dead_public_name():
+    """A public function that only its own definition names is reported,
+    and one that a caller imports is not."""
+    tree = ast.parse("def unused(x):\n    return x\n\ndef used(x):\n    return x\n"
+                     "\nclass Dead:\n    pass\n")
+    caller = ast.parse("from .module import used\n")
+    assert definitions(tree, False) == ["unused", "used", "Dead"]
+    referenced = referenced_names(tree) | referenced_names(caller)
+    assert [d for d in definitions(tree, False) if d not in referenced] == ["unused", "Dead"]
