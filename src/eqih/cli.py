@@ -32,6 +32,7 @@ from .model import (
     model_to_dict,
     rows_from_json,
     save_model,
+    unique_keys,
     validate,
     vec_to_json,
 )
@@ -249,10 +250,10 @@ def _cmd_localize(args):
 
 def _load_iso(path):
     if path == "-":
-        data = json.load(sys.stdin)
+        data = json.load(sys.stdin, object_pairs_hook=unique_keys)
     else:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     if not isinstance(data, dict):
         raise InputError("iso document must be a JSON object")
     raw = data.get("mats") or {}

@@ -579,6 +579,16 @@ def model_from_dict(data: dict) -> ModelInstance:
                          dict(metadata))
 
 
+def unique_keys(pairs) -> dict:
+    """json object_pairs_hook: the object, or InputError for a key given
+    twice (plain json keeps the last of two equal keys)."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise InputError("repeated key %r" % next(k for k in keys if keys.count(k) > 1))
+    return out
+
+
 def load_model(path_or_file) -> ModelInstance:
     if hasattr(path_or_file, "read"):
         text = path_or_file.read()
@@ -586,7 +596,7 @@ def load_model(path_or_file) -> ModelInstance:
         with open(path_or_file) as fh:
             text = fh.read()
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise InputError("not valid JSON: %s" % e)
     return model_from_dict(data)

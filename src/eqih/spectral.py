@@ -67,9 +67,10 @@ class SpectralPage:
         return self.cells.get((i, j), 0)
 
     def d(self, i, j) -> Matrix:
+        """d_r out of (i, j); an unlisted source is zero, with no columns."""
         if (i, j) in self.differentials:
             return self.differentials[(i, j)]
-        return Matrix.zero(0, self.dim(i, j))
+        return Matrix.zero(self.dim(i + self.r, j - self.r + 1), 0)
 
 
 class SpectralSequence:
@@ -97,11 +98,21 @@ class SpectralSequence:
     "Spectral sequences, exact couples and persistent homology of
     filtrations", Expo. Math. 2017), so dim E_r^{i,j} counts the elements of
     degree i + j and filtration i that are unpaired or paired at a gap of at
-    least r.  Both structures are built on the first count in a degree.
+    least r, and dim Z_r^{i,j} counts the elements of filtration >= i that
+    are not sources plus the sources of filtration >= i whose target has
+    filtration >= i + r.  The adapted basis is one rref of the rows
+    (e_c, D_n e_c), coordinates in ascending pair degree: F^i is spanned by
+    the rows whose pivot has pair degree >= i, so that is a row's tag.
 
-    A cell's quotient space, with the lifts that d_r and the E_3 maps are
-    read from, is built only where the count is non-zero, from
-        E_r^{i,j} = Z_r / (Z_{r-1}^{i+1,j-1} + D Z_{r-1}^{i-r+1,j+r-2}).
+    Z_r lies in Z_{r-1}, so where their counts agree z returns the page r - 1
+    subspace.  A cell's quotient space, with the lifts that d_r and the E_3
+    maps are read from, is built only where the count is non-zero, from
+        E_r^{i,j} = Z_r / (Z_{r-1}^{i+1,j-1} + D Z_{r-1}^{i-r+1,j+r-2}),
+    whose denominator is den_r = Z_r intersect (B_{r-1} + F^{i+1}) with
+    B_{r-1} growing in r.  The denominators are not nested in general, but
+    once Z_r = Z_{r-1}, den_r contains den_{r-1}; if the cell counts agree
+    too the two are equal, and the cell reuses the page r - 1 quotient.
+    Every Z_r and quotient that is built is checked against its count.
     Every total degree is read at its fold (LambdaExtension.fold) and every
     page past r_infinity at r_infinity, whose cells and differentials it
     equals, so each value is exact.
@@ -131,10 +142,19 @@ class SpectralSequence:
         return min(r, self.r_infinity), i, self.eq.ext.fold(i + j) - i
 
     def z(self, r, i, j) -> Subspace:
-        j = self.eq.ext.fold(i + j) - i
-        key = (r, i, j)
+        """Z_r^{i,j}, built at the first page r0 with its count, one past the
+        last reach (target filtration) below i + r: z(r) is z(r - 1) where
+        their counts agree."""
+        n = self.eq.ext.fold(i + j)
+        key = (r, i, n - i)
         if key not in self._z:
-            n = i + j
+            tags = self.adapted_basis(n)[1]
+            reach = {src: tags[src] + gap for src, _, gap in self.pairs(n)}
+            held = [reach.get(c) for c, tag in enumerate(tags) if tag >= i]
+            r0 = max([x - i + 1 for x in held if x is not None and x < i + r], default=0)
+            if r0 < r:
+                self._z[key] = self.z(r0, i, n - i)
+                return self._z[key]
             amb = self.cx.dim(n)
             cols = self.eq.ext.coordinates(n, i, self.i_top + 1)
             rows = self.eq.ext.coordinates(n + 1, 0, i + r)
@@ -147,23 +167,32 @@ class SpectralSequence:
                 for b, x in zip(cols, k):
                     v[b] = x
                 vecs.append(tuple(v))
-            self._z[key] = Subspace.from_matrix(
+            self._z[key] = space = Subspace.from_matrix(
                 Matrix._of(len(vecs), amb, tuple(vecs)).transpose())
+            if space.dim != sum(1 for x in held if x is None or x >= i + r):
+                raise PropertyViolation("page %d cycles at (%d, %d) have dimension %d, not "
+                                        "their pairs count" % (r, i, n - i, space.dim))
         return self._z[key]
 
     def adapted_basis(self, n):
-        """(basis matrix, filtration of each column) of C^n: the pivot
-        columns of [F^{i_top+1} | ... | F^0], each tagged with the i of its
-        block, so F^i C^n is spanned by the columns tagged i or more."""
+        """(basis matrix, filtration of each column) of C^n, from high
+        filtration to low: the x of the rref rows (x, D_n x) of the rows
+        (e_c, D_n e_c), each tagged with the pair degree of its pivot."""
         n = self.eq.ext.fold(n)
         if n not in self._adapted:
-            amb = self.cx.dim(n)
-            tagged = [(i, v) for i in range(self.i_top + 1, -1, -1)
-                      for v in self.z(0, i, n - i).vectors()]
-            cands = tuple(v for _, v in tagged)
-            _, pivots = Matrix._of(len(cands), amb, cands).transpose().rref()
-            basis = Matrix._of(len(pivots), amb, tuple(cands[c] for c in pivots))
-            self._adapted[n] = (basis.transpose(), [tagged[c][0] for c in pivots])
+            ext, amb = self.eq.ext, self.cx.dim(n)
+            degs = [t - 2 * j for t in (n, n + 1) for j in ext.offsets.get(t, {})
+                    for _ in range(ext.base.dim(t - 2 * j))]
+            order = sorted(range(len(degs)), key=degs.__getitem__)
+            rows = (e + de for e, de in zip(Matrix.identity(amb).entries,
+                                            self.cx.d(n).transpose().entries))
+            red, pivots = Matrix._of(amb, len(order), tuple(
+                tuple(row[a] for a in order) for row in rows)).rref()
+            # rows by pivot, so tags ascend; x at its own coordinates
+            back = sorted(range(len(order)), key=order.__getitem__)[:amb]
+            basis = tuple(tuple(row[b] for b in back) for row in red.entries[::-1])
+            self._adapted[n] = (Matrix._of(amb, amb, basis).transpose(),
+                                [degs[order[c]] for c in pivots[::-1]])
         return self._adapted[n]
 
     def pairs(self, n):
@@ -233,6 +262,10 @@ class SpectralSequence:
         key = self._key(r, i, j)
         if key not in self._cells:
             r, i, j = key
+            if r > 1 and self.z(r, i, j) is self.z(r - 1, i, j) \
+                    and self.dim(r, i, j) == self.dim(r - 1, i, j):
+                self._cells[key] = self.cell(r - 1, i, j)
+                return self._cells[key]
             q = quotient(self.z(r, i, j), self.den(r, i, j))
             if q.dim != self.dim(r, i, j):
                 raise PropertyViolation(
@@ -246,9 +279,6 @@ class SpectralSequence:
         if key not in self._d:
             r, i, j = key
             rows = self.dim(r, i + r, j - r + 1)
-            if not self.dim(r, i, j):
-                self._d[key] = Matrix.zero(rows, 0)
-                return self._d[key]
             tgt_num = self.z(r, i + r, j - r + 1)
             tgt = self.cell(r, i + r, j - r + 1) if rows else None
             img = self.cx.d(i + j) * self.cell(r, i, j).lift
@@ -260,16 +290,13 @@ class SpectralSequence:
         return self._d[key]
 
     def page(self, r) -> SpectralPage:
-        """Page r in total degrees 0..eq.n_u."""
+        """Page r in total degrees 0..eq.n_u, walked over the non-zero cells."""
         cells = {}
-        diffs = {}
-        for i in range(0, self.i_top + 1):
-            for j in range(0, self.eq.n_u - i + 1):
-                d = self.dim(r, i, j)
-                if d:
-                    cells[(i, j)] = d
-                if i + j <= self.eq.n_u - 1:
-                    diffs[(i, j)] = self.d_matrix(r, i, j)
+        for n in range(0, self.eq.n_u + 1):
+            for tag, gap in self.lives(n):
+                if gap is None or gap >= r:
+                    cells[(tag, n - tag)] = cells.get((tag, n - tag), 0) + 1
+        diffs = {(i, j): self.d_matrix(r, i, j) for i, j in cells if i + j < self.eq.n_u}
         return SpectralPage(r, cells, diffs)
 
 
@@ -290,12 +317,6 @@ def spectral_sequence(m: ModelInstance, p: Perversity) -> SpectralSequence:
 
 # ---------------------------------------------------------------------------
 # page properties and identifications
-
-
-def _cells_in_window(ss, n_cap):
-    for i in range(0, ss.i_top + 1):
-        for j in range(0, n_cap - i + 1):
-            yield i, j
 
 
 def pages(m: ModelInstance, p: Perversity, r_max=None):
@@ -320,12 +341,14 @@ def pages(m: ModelInstance, p: Perversity, r_max=None):
     out = [ss.page(r) for r in range(1, r_max + 1)]
     n_cap = eq.n_u - 1    # degrees where both in- and outgoing d_r are listed
 
+    # the checks run at the sources of the listed d_r, the non-zero cells
+    # below n_u; at a zero cell each holds, as E_{r+1} counts some of E_r's
+    # elements and every d_r into or out of the cell is zero
     for pg in out:
         r = pg.r
-        for i, j in _cells_in_window(ss, n_cap):
-            d_out = pg.d(i, j)
+        for (i, j), d_out in pg.differentials.items():
             # odd rows vanish
-            if j % 2 == 1 and pg.dim(i, j):
+            if j % 2 == 1:
                 raise PropertyViolation(
                     "odd row cell (%d, %d) nonzero on page %d" % (i, j, r))
             # d_r o d_r = 0
@@ -360,11 +383,7 @@ def pages(m: ModelInstance, p: Perversity, r_max=None):
                     "on page %d" % (i, r))
 
     # the limit page adds up to the equivariant cohomology
-    limit = {}
-    for i, j in _cells_in_window(ss, eq.n_u):
-        d = ss.dim(r_inf, i, j)
-        if d:
-            limit[(i, j)] = d
+    limit = out[r_inf - 1].cells
     for n in range(0, eq.n_u + 1):
         total = sum(d for (i, j), d in limit.items() if i + j == n)
         if total != eq.dim(n):
@@ -374,11 +393,11 @@ def pages(m: ModelInstance, p: Perversity, r_max=None):
 
     # second page already carries the third-page identification
     e3 = e3_isomorphisms(m, p)
-    for i, j in _cells_in_window(ss, n_cap):
-        if ss.dim(2, i, j) != ss.dim(3, i, j):
+    for i, j in out[1].differentials:
+        if out[2].dim(i, j) != out[1].dim(i, j):
             raise PropertyViolation(
                 "second and third pages differ at (%d, %d)" % (i, j))
-        if j % 2 == 0 and (i, j // 2) not in e3 and ss.dim(3, i, j):
+        if j % 2 == 0 and (i, j // 2) not in e3:
             raise PropertyViolation(
                 "unidentified third-page cell (%d, %d)" % (i, j))
 

@@ -9,6 +9,12 @@ degree) levels it computes: a call that reaches the model's ``intersect``
 computes its level, a call that does not read a cached one.  In the same
 way ``SpectralSequence.den`` records the (sequence, cell key) denominators
 it builds: a call that reaches the spectral module's ``subspace_sum``.
+
+The page engine builds a quotient or a Z_r kernel only where a count
+changes: ``SpectralSequence.cell`` and ``SpectralSequence.z`` are wrapped
+to credit each quotient and each kernel to the innermost call that made
+it, and the credited keys are checked against counts read from the
+persistence pairs.
 """
 
 import collections
@@ -124,3 +130,65 @@ def test_gysin_sequence_starts_at_the_perverse_complex():
             perverse.gysin_les(m, p)
             ses = m.cached(("gysin_ses", p), None)
             assert ses.ha is perverse.omega_cohomology(m, p), (name, p)
+
+
+def z_count(ss, r, i, j):
+    """dim Z_r^{i,j} from the pairs of D_{i+j}: the elements of filtration
+    >= i that are not sources, or whose target has filtration >= i + r."""
+    tags = ss.adapted_basis(i + j)[1]
+    reach = {src: tags[src] + gap for src, _, gap in ss.pairs(i + j)}
+    return sum(1 for c, tag in enumerate(tags) if tag >= i and reach.get(c, i + r) >= i + r)
+
+
+@pytest.fixture()
+def page_builds(monkeypatch):
+    """Per kind ("cell" or "z"): the (sequence, key) of every call of
+    SpectralSequence.cell or .z ("asked") and of each quotient or kernel
+    built, credited to the innermost of those calls ("built"); the
+    sequences are held."""
+    record = {kind: {"asked": [], "built": []} for kind in ("cell", "z")}
+    record["frames"] = []
+
+    def crediting(kind, method):
+        def wrapper(self, r, i, j):
+            record["frames"].append(collections.Counter())
+            record[kind]["asked"].append((self, self._key(r, i, j)))
+            try:
+                return method(self, r, i, j)
+            finally:
+                if record["frames"].pop()[kind]:
+                    record[kind]["built"].append((self, self._key(r, i, j)))
+        return wrapper
+
+    def counting(kind, fn):
+        def wrapper(*args):
+            if record["frames"]:
+                record["frames"][-1][kind] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "quotient", counting("cell", spectral.quotient))
+    monkeypatch.setattr(spectral.Matrix, "kernel_basis",
+                        counting("z", spectral.Matrix.kernel_basis))
+    for kind in ("cell", "z"):
+        monkeypatch.setattr(spectral.SpectralSequence, kind,
+                            crediting(kind, getattr(spectral.SpectralSequence, kind)))
+    return record
+
+
+def test_pages_build_only_where_a_count_changes(page_builds):
+    # random-121-3 has a non-zero d_3, so its Z_r counts move on page 3
+    models = [fixtures.make(name) for name in FIXTURES]
+    for m in models + [fixtures.cone(3), fixtures.random_model(121, size=3)]:
+        for p in m.perversity_set:
+            spectral.pages(m, p)
+    for kind in ("cell", "z"):
+        built = collections.Counter((id(ss), key) for ss, key in page_builds[kind]["built"])
+        assert built and all(n == 1 for n in built.values()), kind
+        for ss, (r, i, j) in page_builds[kind]["asked"]:
+            same = r > 0 and z_count(ss, r, i, j) == z_count(ss, r - 1, i, j)
+            if kind == "cell":
+                assert r <= ss.r_infinity and ss.dim(r, i, j), (r, i, j)
+                same = same and r > 1 and ss.dim(r, i, j) == ss.dim(r - 1, i, j)
+            # built exactly where a count changes, reused where none does
+            assert ((id(ss), (r, i, j)) in built) != same, (kind, r, i, j)

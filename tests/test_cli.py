@@ -318,6 +318,31 @@ class TestErrors:
         assert code == 2 and not out
         assert json.loads(err)["error"] == "InputError"
 
+    @pytest.mark.parametrize("anchor, member", [
+        ('"product": {', '"0,2": [["2"]], '),
+        ('"perversities": [{', '"apex": 7, '),
+        ('"filtrations": {"apex": {', '"1": [[], [], []], '),
+    ])
+    def test_repeated_literal_key_exits_2(self, capsys, tmp_path, anchor, member):
+        # plain json would keep the second value and drop the first
+        text = json.dumps(model_to_dict(cone2()))
+        assert anchor in text
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace(anchor, anchor + member, 1))
+        code, out, err = run(capsys, "validate", str(path), "--strict")
+        assert code == 2 and not out
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "repeated key" in error["detail"]
+
+    def test_repeated_literal_iso_degree_exits_2(self, capsys, tmp_path, hopf_file):
+        iso = tmp_path / "iso.json"
+        iso.write_text('{"mats": {"2": [["5"]], "0": [["1"]], "1": [], "2": [["1"]]}, '
+                       '"strata": {}}')
+        code, out, err = run(capsys, "compare", hopf_file, hopf_file, "--iso", str(iso))
+        assert code == 2 and not out
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "repeated key" in error["detail"]
+
     @pytest.mark.parametrize("key", ["3", "7", "-1"])
     def test_iso_degree_outside_the_model_exits_2(self, capsys, tmp_path, key):
         code, out, err = compare_with_iso_key(capsys, tmp_path, key)

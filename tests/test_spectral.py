@@ -9,8 +9,9 @@ from eqih.equivariant import (
     equivariant_gysin_les,
 )
 from eqih.errors import IdentificationFails
-from eqih.fixtures import cone2, hopf, noperv, random_model, rot
+from eqih.fixtures import cone, cone2, hopf, noperv, random_model, rot, sphere
 from eqih.model import Perversity, model_from_dict, model_to_dict, validate
+from eqih.perverse import omega_cohomology
 from eqih.ratla import (
     Matrix,
     Subspace,
@@ -21,6 +22,7 @@ from eqih.ratla import (
     subspace_sum,
 )
 from eqih.spectral import (
+    SpectralPage,
     SpectralSequence,
     d3_check,
     e3_isomorphisms,
@@ -354,11 +356,33 @@ class TestFold:
 
 class SubspaceCells(SpectralSequence):
     """The per-cell engine the pair counts replaced: every cell, zero or
-    not, is the quotient of Z_r by its denominator, and pages past
+    not, is the quotient of Z_r by its denominator, every Z_r is the kernel
+    of its own block of D, read nowhere from the pairs, and pages past
     r_infinity are built from their own Z_r."""
 
     def _key(self, r, i, j):
         return r, i, self.eq.ext.fold(i + j) - i
+
+    def z(self, r, i, j):
+        """Z_r^{i,j} as the kernel of its block of D, built at every key."""
+        key = self._key(r, i, j)
+        if key not in self._z:
+            r, i, j = key
+            n = i + j
+            amb = self.cx.dim(n)
+            cols = self.eq.ext.coordinates(n, i, self.i_top + 1)
+            rows = self.eq.ext.coordinates(n + 1, 0, i + r)
+            d = self.cx.d(n)
+            block = Matrix.from_rows([[d.entries[a][b] for b in cols] for a in rows]) \
+                if rows else Matrix.zero(0, len(cols))
+            vecs = []
+            for k in block.kernel_basis():
+                v = [0] * amb
+                for b, x in zip(cols, k):
+                    v[b] = x
+                vecs.append(v)
+            self._z[key] = Subspace.from_vectors(amb, vecs)
+        return self._z[key]
 
     def cell(self, r, i, j):
         key = self._key(r, i, j)
@@ -407,9 +431,92 @@ class TestPairEngine:
         makers = [hopf, rot, cone2, noperv, witness_d3_model]
         makers += [functools.partial(random_model, seed) for seed in range(50)]
         makers += [functools.partial(random_model, seed, size=3) for seed in range(10)]
+        makers += [functools.partial(sphere, 2, 1), functools.partial(cone, 2),
+                   functools.partial(cone, 3)]
         for make in makers:
             m, ref = make(), make()
             for p in m.perversity_set:
                 label = (m.name, p.label())
                 assert window(spectral_sequence(m, p)) == window(subspace_cells(ref, p)), label
                 assert e3_isomorphisms(m, p) == e3_isomorphisms(ref, p), label
+
+
+def grid_pages(m, p, r_max=None):
+    """The grid walk that pages() replaced: each page visits every (i, j)
+    with i + j <= n_u and lists d_r out of every cell below n_u, zero or
+    not, and every check runs at every cell of the window."""
+    ss = spectral_sequence(m, p)
+    eq = ss.eq
+    r_inf = ss.r_infinity
+    r_keep = r_inf if r_max is None else r_max
+    r_max = max(r_keep, r_inf)
+    ih = omega_cohomology(m, p)
+
+    def cells_in_window(n_cap):
+        return [(i, j) for i in range(0, ss.i_top + 1) for j in range(0, n_cap - i + 1)]
+
+    def page(r):
+        cells, diffs = {}, {}
+        for i, j in cells_in_window(eq.n_u):
+            if ss.dim(r, i, j):
+                cells[(i, j)] = ss.dim(r, i, j)
+            if i + j <= eq.n_u - 1:
+                diffs[(i, j)] = ss.d_matrix(r, i, j) if ss.dim(r, i, j) \
+                    else Matrix.zero(ss.dim(r, i + r, j - r + 1), 0)
+        return SpectralPage(r, cells, diffs)
+
+    out = [page(r) for r in range(1, r_max + 1)]
+    n_cap = eq.n_u - 1
+    for pg in out:
+        r = pg.r
+        for i, j in cells_in_window(n_cap):
+            d_out = pg.d(i, j)
+            assert not (j % 2 == 1 and pg.dim(i, j))
+            if i + j + 1 <= n_cap:
+                assert (pg.d(i + r, j - r + 1) * d_out).is_zero()
+            if r + 1 <= r_max:
+                d_in = pg.d(i - r, j + r - 1)
+                assert ss.dim(r + 1, i, j) == pg.dim(i, j) - d_out.rank() - d_in.rank()
+            if r >= 2 and r % 2 == 0:
+                assert d_out.is_zero()
+            assert not (r >= 3 and r % 2 == 1 and j != r - 1 and not d_out.is_zero())
+            assert not (r >= 3 and j == 0 and pg.dim(i, 0) > ih.dim(i))
+
+    limit = {}
+    for i, j in cells_in_window(eq.n_u):
+        if ss.dim(r_inf, i, j):
+            limit[(i, j)] = ss.dim(r_inf, i, j)
+    for n in range(0, eq.n_u + 1):
+        assert sum(d for (i, j), d in limit.items() if i + j == n) == eq.dim(n)
+    e3 = e3_isomorphisms(m, p)
+    for i, j in cells_in_window(n_cap):
+        assert ss.dim(2, i, j) == ss.dim(3, i, j)
+        assert not (j % 2 == 0 and (i, j // 2) not in e3 and ss.dim(3, i, j))
+    return out[:r_keep], limit
+
+
+def nonzero_pages(pgs):
+    return [(pg.r, pg.cells, {c: mat for c, mat in pg.differentials.items()
+                              if not mat.is_zero()}) for pg in pgs]
+
+
+class TestCellWalk:
+    MAKERS = [hopf, rot, cone2, noperv, witness_d3_model]
+    MAKERS += [functools.partial(random_model, 121, size=3)]
+    MAKERS += [functools.partial(random_model, seed, size=size)
+               for size in (2, 3) for seed in range(12)]
+    MAKERS += [functools.partial(family, n, *e) for n in (1, 2, 3)
+               for family, e in ((sphere, (1,)), (sphere, (0,)), (cone, ()))]
+
+    @pytest.mark.parametrize("make", MAKERS, ids=lambda make: "%s%s" % (
+        make.func.__name__, make.args) if isinstance(make, functools.partial) else make.__name__)
+    def test_matches_the_grid_walk(self, make):
+        m, ref = make(), make()
+        for p in m.perversity_set:
+            r_inf = spectral_sequence(m, p).r_infinity
+            for r_max in (1, 2, None, r_inf + 3):
+                pgs, limit = pages(m, p, r_max)
+                want_pgs, want_limit = grid_pages(ref, p, r_max)
+                label = (m.name, p.label(), r_max)
+                assert nonzero_pages(pgs) == nonzero_pages(want_pgs), label
+                assert limit == want_limit, label
