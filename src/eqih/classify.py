@@ -17,7 +17,7 @@ from .errors import InvalidIso, TheoremViolation
 from .localize import localize
 from .model import ModelInstance, Perversity
 from .perverse import perverse_complex
-from .ratla import Matrix, map_image, rat, vec_sub
+from .ratla import Matrix, map_image, rat
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,17 @@ def f_related(iso: ModelIso, m1: ModelInstance, m2: ModelInstance):
     if not is_optimal(iso, m1, m2):
         raise InvalidIso("relatedness needs an optimal isomorphism")
     a1, a2 = m1.ambient, m2.ambient
-    eps1 = [rat(x) for x in a1.euler_cocycle]
-    eps2 = [rat(x) for x in a2.euler_cocycle]
-    diff = vec_sub(iso.mat(m1, m2, 2).apply(eps2), eps1)
-    if all(x == 0 for x in diff):
+    eps1 = Matrix.from_columns(a1.dim(2), [a1.euler_cocycle])
+    eps2 = Matrix.from_columns(a2.dim(2), [a2.euler_cocycle])
+    diff = iso.mat(m1, m2, 2) * eps2 - eps1
+    if diff.is_zero():
         return True, (rat(0),) * a1.dim(1)
     ebar = m1.euler_perversity()
     omega1 = perverse_complex(m1, ebar).omega_space(1)
-    system = a1.diff(1) * omega1.basis
-    x = system.solve(diff)
+    x = (a1.diff(1) * omega1.basis).solve(diff)
     if x is None:
         return False, None
-    return True, tuple(omega1.basis.apply(x))
+    return True, (omega1.basis * x).column(0)
 
 
 def consequence_check(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> dict:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import ratla
 from .errors import NotAComplex, NotExact, InternalInvariantViolation
 from .ratla import Matrix, Subspace, image, kernel, quotient
 
@@ -60,12 +59,6 @@ class Complex:
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * self.dim(k) for k in self.degrees())
-
     def check_square(self):
         """Raise NotAComplex unless d.d = 0 in every degree."""
         for k in range(self.lo, self.hi):
@@ -104,11 +97,6 @@ class ChainMap:
             if lhs != rhs:
                 raise NotAComplex("chain map does not commute with d in degree %d" % k)
         return self
-
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        """self after other."""
-        maps = {k: self.mat(k + other.shift) * other.mat(k) for k in other.source.degrees()}
-        return ChainMap(other.source, self.target, self.shift + other.shift, maps)
 
 
 def chain_map(source, target, maps, shift=0, check=True) -> ChainMap:
@@ -167,7 +155,8 @@ class Cohomology:
     """Graded cohomology of a complex.  In degree k, lifts(k) holds cocycle
     representatives of the canonical class basis as columns, and
     classes_of(k, M) gives the classes of the cocycle columns of M in that
-    basis."""
+    basis; every map on cohomology is read through these two, a whole basis
+    at a time."""
 
     def __init__(self, c: Complex, check=True):
         if check:
@@ -185,13 +174,6 @@ class Cohomology:
     def dims(self):
         return tuple(self.dim(k) for k in self.complex.degrees())
 
-    def class_of(self, k, cocycle):
-        if any(self.complex.d(k).apply(cocycle)):
-            raise InternalInvariantViolation("vector is not a cocycle in degree %d" % k)
-        if k not in self._quotients:
-            return ()
-        return self._quotients[k].class_of(cocycle)
-
     def classes_of(self, k, cocycles: Matrix) -> Matrix:
         """The classes of the columns of cocycles, one column each."""
         if not (self.complex.d(k) * cocycles).is_zero():
@@ -206,9 +188,6 @@ class Cohomology:
         if k not in self._quotients:
             return Matrix.zero(self.complex.dim(k), 0)
         return self._quotients[k].lift
-
-    def basis_lifts(self, k):
-        return self.lifts(k).columns()
 
     def induced_map(self, other: "Cohomology", f: ChainMap, k) -> Matrix:
         """Matrix of H^k(f): H^k(self) -> H^{k+shift}(other) for a chain map f."""
@@ -252,9 +231,11 @@ def is_exact(seq: LongExactSequence) -> bool:
 
 
 class SesData:
-    """Cohomological data of a short exact sequence 0 -> A -> B -> C -> 0."""
+    """Cohomological data of a short exact sequence 0 -> A -> B -> C -> 0.
+    The connecting morphism is computed on the whole basis of H^k(C) at
+    once, one elimination per map it inverts."""
 
-    def __init__(self, i: ChainMap, s: ChainMap, check=True, lift_perturbation=None):
+    def __init__(self, i: ChainMap, s: ChainMap, check=True):
         if i.shift != 0 or s.shift != 0:
             raise NotExact("SES maps must preserve degree")
         if i.target is not s.source:
@@ -274,24 +255,17 @@ class SesData:
             x.check_square()
         self.i, self.s = i, s
         self.ha, self.hb, self.hc = a.cohomology, b.cohomology, c.cohomology
-        self._perturb = lift_perturbation
 
     def connecting(self, k) -> Matrix:
-        """H^k(C) -> H^{k+1}(A) via lift, differentiate, i-preimage."""
-        a, b = self.i.source, self.i.target
-        cols = []
-        for z in self.hc.basis_lifts(k):
-            pre = self.s.mat(k).solve(z)
-            if pre is None:
-                raise InternalInvariantViolation("surjectivity failed during connecting map")
-            if self._perturb is not None:
-                pre = ratla.vec_add(pre, self._perturb(k, self.s.mat(k)))
-            db = b.d(k).apply(pre)
-            back = self.i.mat(k + 1).solve(db)
-            if back is None:
-                raise InternalInvariantViolation("connecting image missed the subcomplex")
-            cols.append(self.ha.class_of(k + 1, back))
-        return Matrix.from_columns(self.ha.dim(k + 1), cols)
+        """H^k(C) -> H^{k+1}(A): lift the class representatives through s,
+        differentiate in B, and take the i-preimage's classes."""
+        pre = self.s.mat(k).solve(self.hc.lifts(k))
+        if pre is None:
+            raise InternalInvariantViolation("surjectivity failed during connecting map")
+        back = self.i.mat(k + 1).solve(self.i.target.d(k) * pre)
+        if back is None:
+            raise InternalInvariantViolation("connecting image missed the subcomplex")
+        return self.ha.classes_of(k + 1, back)
 
     def les(self) -> LongExactSequence:
         """Long exact sequence over the degrees of the middle complex."""

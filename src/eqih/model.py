@@ -181,9 +181,6 @@ class ModelInstance:
     def zero_perversity(self) -> Perversity:
         return zero_perversity(self.strata)
 
-    def has_perverse_strata(self) -> bool:
-        return self.euler_perversity() != self.characteristic_perversity()
-
     def check_perversity(self, p: Perversity):
         if p.strata() != tuple(sorted(self.stratum_names())):
             raise UnknownStratum("perversity strata %s do not match model strata %s"

@@ -35,8 +35,6 @@ from .ratla import (
     preimage,
     quotient,
     subspace_sum,
-    vec_add,
-    vec_scale,
 )
 
 
@@ -159,8 +157,8 @@ def inclusion_map(m: ModelInstance, p: Perversity, q: Perversity) -> ChainMap:
 
 class EulerMap:
     """Graded map on cohomology H^k(G_p) -> IH^{k+2}_p, read from the
-    corrected Euler images of reps[k], the ambient representatives of the
-    canonical basis of H^k(G_p).
+    corrected Euler images of the ambient representatives of the canonical
+    basis of H^k(G_p), all of a degree at once.
 
     For a Gysin-term cocycle beta of degree k a witness is a level form alpha
     of degree k+1 such that d(alpha) + sign(k+1) E(beta) lies in the level in
@@ -175,41 +173,31 @@ class EulerMap:
         self.hg = gysin_cohomology(m, p)
         self.ih = omega_cohomology(m, p)
         self.mats = {}
-        self.reps = {}
         for k in self.pc.ambient.degrees():
             betas = self.pc.gysin_ambient_mat(k) * self.hg.lifts(k)
-            self.reps[k] = betas.columns()
-            images = [self.cochain_image(k, beta)[0] for beta in self.reps[k]]
-            coords = self.pc.omega_space(k + 2).coords_of(
-                Matrix.from_columns(self.m.ambient.dim(k + 2), images))
+            coords = self.pc.omega_space(k + 2).coords_of(self.cochain_images(k, betas))
             if coords is None:
                 raise InternalInvariantViolation(
                     "Euler image misses the perverse complex in degree %d" % (k + 2))
             self.mats[k] = self.ih.classes_of(k + 2, coords)
 
-    def cochain_image(self, k, beta, witness_shift=None):
-        """(corrected Euler image, witness alpha) for an ambient G_p-cocycle
-        beta of degree k.  witness_shift optionally perturbs the witness by a
-        degree-(k+1) vector of coefficients in the level basis (used to prove
-        witness independence)."""
+    def cochain_images(self, k, betas: Matrix) -> Matrix:
+        """The corrected Euler images of the columns of betas, ambient
+        G_p-cocycles of degree k: the witnesses of all columns come from one
+        solve against the level-killing projection of degree k+2."""
         a = self.m.ambient
+        if not betas.cols:
+            return Matrix.zero(a.dim(k + 2), 0)
         s = _sign(k + 1)
-        f1 = self.m.filtration_level(self.p, k + 1)
+        f1 = self.m.filtration_level(self.p, k + 1).basis
         f2 = self.m.filtration_level(self.p, k + 2)
-        ebeta = a.euler(k).apply(beta)
+        ebetas = a.euler(k) * betas
         killer = quotient(Subspace.full(a.dim(k + 2)), f2).projection
-        lhs = killer * a.diff(k + 1) * f1.basis
-        rhs = vec_scale(-s, killer.apply(ebeta))
-        x = lhs.solve(rhs)
+        d_level = a.diff(k + 1) * f1
+        x = (killer * d_level).solve((killer * ebetas).scale(-s))
         if x is None:
             raise WitnessNotFound("no witness in degree %d" % (k + 1))
-        if witness_shift is not None:
-            shift = lhs.kernel_basis()
-            for c, b in zip(witness_shift, shift):
-                x = vec_add(x, vec_scale(c, b))
-        alpha = f1.basis.apply(x)
-        omega_vec = vec_add(a.diff(k + 1).apply(alpha), vec_scale(s, ebeta))
-        return omega_vec, alpha
+        return d_level * x + ebetas.scale(s)
 
     def mat(self, k) -> Matrix:
         if k in self.mats:

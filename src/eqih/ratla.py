@@ -7,6 +7,11 @@ and so do coordinates: each basis column has a leading 1 in a pivot row
 where every other basis column is 0, so the coordinates of a vector in the
 span are its entries at the pivot rows, with no elimination.
 
+Vectors are worked on a basis at a time, as the columns of one matrix:
+``Subspace.coords_of`` reads the coordinates of every column at the pivots,
+and ``Matrix.solve`` solves for a whole matrix of right-hand sides with a
+single elimination.
+
 Every matrix entry is a ``QNUM``.  The public ``Matrix(rows, cols, entries)``
 coerces each entry through ``rat`` and checks the declared shape; the private
 ``Matrix._of`` does neither and takes a tuple of tuples of ``QNUM`` as it is,
@@ -194,20 +199,20 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def solve(self, target):
-        """A particular solution x of self*x = target, or None."""
-        target = [rat(t) for t in target]
-        if len(target) != self.rows:
-            raise ValueError("target length mismatch")
-        aug = Matrix(self.rows, self.cols + 1,
-                     [list(row) + [t] for row, t in zip(self.entries, target)])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
+    def solve(self, rhs: "Matrix"):
+        """A particular solution X of self*X = rhs, one column per column of
+        rhs, from one rref of [self | rhs]; None if a column has none."""
+        if rhs.rows != self.rows:
+            raise ValueError("right-hand side has %d rows, not %d" % (rhs.rows, self.rows))
+        if not rhs.cols:
+            return Matrix.zero(self.cols, 0)
+        red, pivots = self.hstack(rhs).rref()
+        if pivots and pivots[-1] >= self.cols:
             return None
-        x = [ZERO] * self.cols
+        x = [(ZERO,) * rhs.cols] * self.cols
         for r, pc in enumerate(pivots):
-            x[pc] = red.entries[r][self.cols]
-        return tuple(x)
+            x[pc] = red.entries[r][self.cols:]
+        return Matrix._of(self.cols, rhs.cols, tuple(x))
 
 
 # the slots' own setters, since Matrix.__setattr__ refuses every assignment
@@ -426,9 +431,6 @@ class QuotientSpace:
     projection: Matrix  # dim x ambient_dim
     lift: Matrix        # ambient_dim x dim, columns in v
 
-    def class_of(self, vec):
-        return self.projection.apply(vec)
-
 
 def quotient(v: Subspace, w: Subspace) -> QuotientSpace:
     """v/w, with the complement of w in v and the completion to an ambient
@@ -463,21 +465,4 @@ def inverse(m: Matrix) -> Matrix:
     if len(pivots) != m.rows or pivots != list(range(m.rows)):
         raise ValueError("matrix is singular")
     return Matrix._of(m.rows, m.rows, tuple(row[m.rows:] for row in red.entries))
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    c = rat(c)
-    return tuple(c * x for x in a)
-
-
-def zero_vec(n):
-    return (ZERO,) * n
 

@@ -47,6 +47,7 @@ from .ratla import (
     Matrix,
     QuotientSpace,
     Subspace,
+    block_matrix,
     inverse,
     map_image,
     quotient,
@@ -128,7 +129,6 @@ class SpectralSequence:
         self._pairs = {}
         self._lives = {}
         self._dims = {}
-        self._dens = {}
         self._cells = {}
         self._d = {}
 
@@ -245,20 +245,10 @@ class SpectralSequence:
                                   if tag == i and (gap is None or gap >= r))
         return self._dims[key]
 
-    def den(self, r, i, j) -> Subspace:
-        """Z_{r-1}^{i+1,j-1} + D Z_{r-1}^{i-r+1,j+r-2}: the page-r cell's
-        denominator, built once per key."""
-        key = self._key(r, i, j)
-        if key not in self._dens:
-            r, i, j = key
-            moved = map_image(self.cx.d(i + j - 1), self.z(r - 1, i - r + 1, j + r - 2))
-            self._dens[key] = subspace_sum(self.z(r - 1, i + 1, j - 1), moved)
-        return self._dens[key]
-
     def cell(self, r, i, j) -> QuotientSpace:
-        """The page-r cell Z_r / den as a quotient space, whose dimension
-        must equal the pair count; callers build it only for non-zero
-        cells."""
+        """The page-r cell Z_r / (Z_{r-1}^{i+1,j-1} + D Z_{r-1}^{i-r+1,j+r-2})
+        as a quotient space, whose dimension must equal the pair count;
+        callers build it only for non-zero cells."""
         key = self._key(r, i, j)
         if key not in self._cells:
             r, i, j = key
@@ -266,7 +256,8 @@ class SpectralSequence:
                     and self.dim(r, i, j) == self.dim(r - 1, i, j):
                 self._cells[key] = self.cell(r - 1, i, j)
                 return self._cells[key]
-            q = quotient(self.z(r, i, j), self.den(r, i, j))
+            moved = map_image(self.cx.d(i + j - 1), self.z(r - 1, i - r + 1, j + r - 2))
+            q = quotient(self.z(r, i, j), subspace_sum(self.z(r - 1, i + 1, j - 1), moved))
             if q.dim != self.dim(r, i, j):
                 raise PropertyViolation(
                     "page %d cell (%d, %d) has dimension %d, its pairs count %d"
@@ -404,19 +395,17 @@ def pages(m: ModelInstance, p: Perversity, r_max=None):
     return out[:r_keep], limit
 
 
-def _component_pair(ss, n, vec, j):
-    """(alpha, beta) ambient pair of the u^j component of an equivariant
-    cochain of total degree n, given in the basis of degree fold(n)."""
+def _component_pairs(ss, n, cochains: Matrix, j):
+    """(alpha, beta): the ambient pair matrices of the u^j components of
+    equivariant cochain columns of total degree n, given in the basis of
+    degree fold(n)."""
     eq = ss.eq
     k = n - 2 * j
     n = eq.ext.fold(n)
-    j = (n - k) // 2
-    coords = eq.ext.component_of(n, vec, j)
-    a = eq.m.ambient
-    if not coords:
-        return (0,) * a.dim(k), (0,) * a.dim(k - 1)
-    pair = eq.eq1.space(k).basis.apply(coords)
-    return tuple(pair[:a.dim(k)]), tuple(pair[a.dim(k):])
+    pairs = eq.eq1.space(k).basis * eq.ext.component_of(n, cochains, (n - k) // 2)
+    na = eq.m.ambient.dim(k)
+    return (Matrix._of(na, pairs.cols, pairs.entries[:na]),
+            Matrix._of(pairs.rows - na, pairs.cols, pairs.entries[na:]))
 
 
 def e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
@@ -444,33 +433,30 @@ def _e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
         for j in range(0, (ss.eq.n_u - i) // 2 + 1):
             target = ih if j == 0 else hk
 
-            def classify(vec, i=i, j=j, target=target):
-                alpha, beta = _component_pair(ss, i + 2 * j, vec, j)
-                if any(x != 0 for x in beta):
+            def classify(reps, i=i, j=j, target=target):
+                alpha, beta = _component_pairs(ss, i + 2 * j, reps, j)
+                if not beta.is_zero():
                     raise InternalInvariantViolation(
                         "bottom component of a filtered representative has a "
                         "nonzero tail at (%d, %d)" % (i, 2 * j))
-                om = pc.omega_space(i).coords(alpha)
+                om = pc.omega_space(i).coords_of(alpha)
                 if om is None:
                     raise InternalInvariantViolation(
                         "bottom component escapes the perverse complex at "
                         "(%d, %d)" % (i, 2 * j))
-                if j == 0:
-                    return target.class_of(i, om)
-                return target.class_of(i, pc.projection.mat(i).apply(om))
+                return target.classes_of(i, om if j == 0 else pc.projection.mat(i) * om)
 
-            reps = ss.cell(3, i, 2 * j).lift.columns() if ss.dim(3, i, 2 * j) else []
-            cols = [classify(rep) for rep in reps]
-            sign = (-1) ** (i * (i + 1) // 2)
-            phi = Matrix.from_columns(target.dim(i), cols).scale(sign)
-            # well-defined: the denominator maps to zero classes (a zero
-            # cell's denominator is all of its Z_3)
-            den = ss.den(3, i, 2 * j) if reps else ss.z(3, i, 2 * j)
-            for v in den.vectors():
-                if any(x != 0 for x in classify(v)):
-                    raise PropertyViolation(
-                        "third-page identification not well defined at "
-                        "(%d, %d)" % (i, 2 * j))
+            # well-defined: the denominator, spanned by (I - lift * projection)
+            # Z_3 and so all of Z_3 at a zero cell, maps to zero classes
+            phi, den = Matrix.zero(target.dim(i), 0), ss.z(3, i, 2 * j).basis
+            if ss.dim(3, i, 2 * j):
+                q = ss.cell(3, i, 2 * j)
+                phi = classify(q.lift).scale((-1) ** (i * (i + 1) // 2))
+                den = den - q.lift * (q.projection * den)
+            if den.cols and not classify(den).is_zero():
+                raise PropertyViolation(
+                    "third-page identification not well defined at "
+                    "(%d, %d)" % (i, 2 * j))
             if phi.rows != phi.cols or phi.rank() != phi.rows:
                 raise PropertyViolation(
                     "third-page identification not bijective at (%d, %d): "
@@ -626,48 +612,42 @@ def skjelbred(m: ModelInstance) -> LongExactSequence:
 
     def euler_endo(k) -> Matrix:
         """Euler multiplication H^k -> H^{k+2} on the lower complex."""
-        cols = []
-        for rep in hq.basis_lifts(k):
-            amb = pcq.omega_incl.mat(k).apply(rep)
-            c = pcq.gysin_ambient_mat(k).solve(amb)
-            if c is None:
-                raise InternalInvariantViolation(
-                    "lower class misses its Gysin term in degree %d" % k)
-            cols.append(hgq.class_of(k, c))
-        return eub_q.mat(k) * Matrix.from_columns(hgq.dim(k), cols)
+        c = pcq.gysin_ambient_mat(k).solve(pcq.omega_incl.mat(k) * hq.lifts(k))
+        if c is None:
+            raise InternalInvariantViolation(
+                "lower class misses its Gysin term in degree %d" % k)
+        return eub_q.mat(k) * hgq.classes_of(k, c)
 
     def a_blocks(i):
         return [(s, i - 2 * s) for s in range(1, i // 2 + 1)]
 
     def alpha(i) -> Matrix:
         """H^i(B) -> IH^i_{S^1}: constant extension (alpha, 0) u^0."""
-        cols = []
-        for rep in hb.basis_lifts(i):
-            amb = pc0.omega_incl.mat(i).apply(rep)
-            pair = tuple(amb) + (0,) * a.dim(i - 1)
-            c = eq.eq1.space(i).coords(pair)
-            if c is None:
-                raise InternalInvariantViolation(
-                    "constant extension escapes the pair space in degree %d" % i)
-            cols.append(heq.class_of(i, eq.ext.inject(i, 0, c)))
-        return Matrix.from_columns(eq.dim(i), cols)
+        amb = pc0.omega_incl.mat(i) * hb.lifts(i)
+        if not amb.cols:
+            return Matrix.zero(eq.dim(i), 0)
+        pairs = block_matrix(amb.rows + a.dim(i - 1), amb.cols, [(0, 0, amb)])
+        c = eq.eq1.space(i).coords_of(pairs)
+        if c is None:
+            raise InternalInvariantViolation(
+                "constant extension escapes the pair space in degree %d" % i)
+        cochains = block_matrix(eq.ext.dim(i), c.cols, [(eq.ext.offsets[i][0], 0, c)])
+        return heq.classes_of(i, cochains)
 
     def delta(i) -> Matrix:
-        """IH^i_{S^1} -> A^i: co-Gysin classes of the positive u-power heads."""
-        rows_total = sum(hk.dim(k) for _, k in a_blocks(i))
-        cols = []
-        for rep in heq.basis_lifts(eq.ext.fold(i)):
-            col = []
-            for s, k in a_blocks(i):
-                alpha_s, _ = _component_pair(ss, i, rep, s)
-                om = pc0.omega_space(k).coords(alpha_s)
-                if om is None:
-                    raise IdentificationFails(
-                        "equivariant head escapes the perverse complex in "
-                        "degree %d at u-power %d" % (i, s))
-                col += list(hk.class_of(k, pc0.projection.mat(k).apply(om)))
-            cols.append(tuple(col))
-        return Matrix.from_columns(rows_total, cols)
+        """IH^i_{S^1} -> A^i: co-Gysin classes of the positive u-power heads,
+        one block of rows per u-power."""
+        reps = heq.lifts(eq.ext.fold(i))
+        rows = []
+        for s, k in a_blocks(i):
+            alpha_s, _ = _component_pairs(ss, i, reps, s)
+            om = pc0.omega_space(k).coords_of(alpha_s)
+            if om is None:
+                raise IdentificationFails(
+                    "equivariant head escapes the perverse complex in "
+                    "degree %d at u-power %d" % (i, s))
+            rows += hk.classes_of(k, pc0.projection.mat(k) * om).entries
+        return Matrix._of(len(rows), reps.cols, tuple(rows))
 
     def beta(i) -> Matrix:
         """A^i -> H^{i+1}(B): signed Euler-iterate of the connecting map."""

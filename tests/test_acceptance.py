@@ -75,11 +75,10 @@ def test_criterion_1_free_action_fixture():
     # matrices agree after rescaling generators by (-1)^(n//2), i.e. the
     # u-matrix is the negative of the wedge-with-epsilon matrix
     pc = perverse_complex(m, p)
-    rep = ih.basis_lifts(0)[0]
-    amb = pc.omega_incl.mat(0).apply(rep)
-    prod = m.ambient.wedge(2, 0, m.ambient.euler_cocycle, amb)
-    e_mult = Matrix.from_columns(
-        ih.dim(2), [ih.class_of(2, pc.omega_spaces[2].coords(prod))])
+    amb = pc.omega_incl.mat(0) * ih.lifts(0)
+    prod = m.ambient.wedge(2, 0, m.ambient.euler_cocycle, amb.column(0))
+    e_mult = ih.classes_of(2, pc.omega_spaces[2].coords_of(
+        Matrix.from_columns(m.ambient.dim(2), [prod])))
     assert eq.u_cohomology_matrix(0) == Matrix.from_rows(
         [[-x for x in row] for row in e_mult.entries])
     assert localize(m, p).ranks() == (0, 0)

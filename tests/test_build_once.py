@@ -6,15 +6,19 @@ perversity.  ``Cohomology.__init__`` is wrapped to record the complex it
 builds, ``SesData.connecting`` to record the (sequence, degree) pairs it
 computes, and ``ModelInstance.filtration_level`` to record the (perversity,
 degree) levels it computes: a call that reaches the model's ``intersect``
-computes its level, a call that does not read a cached one.  In the same
-way ``SpectralSequence.den`` records the (sequence, cell key) denominators
-it builds: a call that reaches the spectral module's ``subspace_sum``.
+computes its level, a call that does not read a cached one.  The spectral
+module's ``subspace_sum`` and ``quotient`` are counted: a cell denominator
+is a sum built only for the quotient of the cell it belongs to.
 
 The page engine builds a quotient or a Z_r kernel only where a count
 changes: ``SpectralSequence.cell`` and ``SpectralSequence.z`` are wrapped
 to credit each quotient and each kernel to the innermost call that made
 it, and the credited keys are checked against counts read from the
 persistence pairs.
+
+A map on cohomology is computed on a whole basis at once: with
+``Matrix.rref`` counted, a connecting map takes two eliminations and the
+Euler map at most three per degree, however many classes they carry.
 """
 
 import collections
@@ -23,7 +27,7 @@ import io
 
 import pytest
 
-from eqih import fixtures, homalg, model, perverse, spectral
+from eqih import fixtures, homalg, model, perverse, ratla, spectral
 from eqih.cli import main
 from eqih.model import save_model
 
@@ -49,10 +53,9 @@ def builds(monkeypatch):
     """Per command: the complexes whose cohomology was built and the
     (sequence, degree) pairs whose connecting map was computed (both held,
     so no id is reused), the count of computations per (perversity,
-    degree), and the (sequence, key) pairs whose denominator was built
-    (the sequence held)."""
+    degree), and the counts of spectral subspace sums and quotients."""
     record = {"complexes": [], "connecting": [], "levels": collections.Counter(),
-              "intersects": 0, "dens": [], "sums": 0}
+              "intersects": 0, "sums": 0, "quotients": 0}
 
     cohomology_init = homalg.Cohomology.__init__
 
@@ -80,26 +83,23 @@ def builds(monkeypatch):
             record["levels"][(p, degree)] += 1
         return space
 
-    den = spectral.SpectralSequence.den
     subspace_sum = spectral.subspace_sum
+    quotient = spectral.quotient
 
     def counting_sum(a, b):
         record["sums"] += 1
         return subspace_sum(a, b)
 
-    def recording_den(self, r, i, j):
-        before = record["sums"]
-        space = den(self, r, i, j)
-        if record["sums"] > before:
-            record["dens"].append((self, self._key(r, i, j)))
-        return space
+    def counting_quotient(v, w):
+        record["quotients"] += 1
+        return quotient(v, w)
 
     monkeypatch.setattr(homalg.Cohomology, "__init__", recording_init)
     monkeypatch.setattr(homalg.SesData, "connecting", recording_connecting)
     monkeypatch.setattr(model, "intersect", counting_intersect)
     monkeypatch.setattr(model.ModelInstance, "filtration_level", recording_level)
     monkeypatch.setattr(spectral, "subspace_sum", counting_sum)
-    monkeypatch.setattr(spectral.SpectralSequence, "den", recording_den)
+    monkeypatch.setattr(spectral, "quotient", counting_quotient)
     return record
 
 
@@ -108,7 +108,7 @@ def test_every_object_is_built_once(tmp_path, builds):
         builds["complexes"].clear()
         builds["connecting"].clear()
         builds["levels"].clear()
-        builds["dens"].clear()
+        builds["sums"] = builds["quotients"] = 0
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
         per_complex = collections.Counter(id(c) for c in builds["complexes"])
@@ -117,8 +117,8 @@ def test_every_object_is_built_once(tmp_path, builds):
         assert all(n == 1 for n in per_map.values()), argv
         twice = [key for key, n in builds["levels"].items() if n > 1]
         assert not twice, (argv, twice)
-        per_den = collections.Counter((id(ss), key) for ss, key in builds["dens"])
-        assert all(n == 1 for n in per_den.values()), argv
+        # one denominator per cell quotient, none for the E_3 maps
+        assert builds["sums"] == builds["quotients"], argv
 
 
 def test_gysin_sequence_starts_at_the_perverse_complex():
@@ -130,6 +130,44 @@ def test_gysin_sequence_starts_at_the_perverse_complex():
             perverse.gysin_les(m, p)
             ses = m.cached(("gysin_ses", p), None)
             assert ses.ha is perverse.omega_cohomology(m, p), (name, p)
+
+
+@pytest.fixture()
+def rrefs(monkeypatch):
+    """A counter of Matrix.rref calls."""
+    count = collections.Counter()
+    rref = ratla.Matrix.rref
+
+    def counting_rref(self):
+        count["rref"] += 1
+        return rref(self)
+
+    monkeypatch.setattr(ratla.Matrix, "rref", counting_rref)
+    return count
+
+
+def test_connecting_map_takes_two_eliminations(rrefs):
+    m = fixtures.random_model(2)
+    p = m.zero_perversity()
+    ses = homalg.SesData(*perverse.gysin_maps(m, p))
+    for k in ses.i.target.degrees():
+        rrefs.clear()
+        ses.connecting(k)
+        assert rrefs["rref"] == (2 if ses.hc.dim(k) else 0), k
+    assert max(ses.hc.dims()) >= 2
+
+
+def test_euler_map_takes_three_eliminations_per_degree(rrefs):
+    m = fixtures.random_model(5)
+    p = model.Perversity({"s0": 0})
+    eub = perverse.euler_map(m, p)
+    rrefs.clear()
+    perverse.EulerMap(m, p)
+    degrees = [k for k in eub.pc.ambient.degrees() if eub.hg.dim(k)]
+    assert rrefs["rref"] <= 3 * len(degrees)
+    # a degree with two classes whose level-killing projection is built
+    assert any(eub.hg.dim(k) >= 2 and not m.filtration_level(p, k + 2).is_full()
+               for k in degrees)
 
 
 def z_count(ss, r, i, j):

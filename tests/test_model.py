@@ -70,19 +70,16 @@ class TestDistinguishedPerversities:
     def test_all_mobile_model_has_zero_characteristic_and_euler(self):
         m = hopf()  # no singular strata at all
         assert m.characteristic_perversity() == m.euler_perversity() == m.zero_perversity()
-        assert not m.has_perverse_strata()
 
     def test_fixed_nonperverse(self):
         m = noperv()
         assert m.characteristic_perversity() == Perversity({"apex": 1})
         assert m.euler_perversity() == Perversity({"apex": 1})
-        assert not m.has_perverse_strata()
 
     def test_fixed_perverse(self):
         m = cone2()
         assert m.characteristic_perversity() == Perversity({"apex": 1})
         assert m.euler_perversity() == Perversity({"apex": 2})
-        assert m.has_perverse_strata()
 
 
 class TestFiltrationAccess:

@@ -101,8 +101,8 @@ class TestQuotient:
     def test_plane_by_axis(self):
         q = quotient(Subspace.full(2), Subspace.from_vectors(2, [(1, 0)]))
         assert q.dim == 1
-        assert q.class_of((5, 0)) == (rat(0),)
-        assert q.class_of((0, 1)) != (rat(0),)
+        assert q.projection.apply((5, 0)) == (rat(0),)
+        assert q.projection.apply((0, 1)) != (rat(0),)
 
     def test_dim_count(self):
         v = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
@@ -110,7 +110,7 @@ class TestQuotient:
         q = quotient(v, w)
         assert q.dim == 1
         # projection kills w, section splits the projection
-        assert q.class_of((1, 1, 0)) == (rat(0),)
+        assert q.projection.apply((1, 1, 0)) == (rat(0),)
         assert q.projection * q.lift == Matrix.identity(1)
 
     def test_not_a_subspace(self):
@@ -122,13 +122,22 @@ class TestQuotient:
 
 class TestSolve:
     def test_identity(self):
-        assert Matrix.identity(3).solve((1, 2, 3)) == tuple(map(rat, (1, 2, 3)))
+        rhs = M([[1, 4], [2, 5], [3, 6]])
+        assert Matrix.identity(3).solve(rhs) == rhs
 
     def test_no_solution(self):
-        assert Matrix.zero(2, 2).solve((1, 0)) is None
+        assert Matrix.zero(2, 2).solve(M([[1], [0]])) is None
+
+    def test_one_unsolvable_column_fails_the_block(self):
+        assert M([[1], [2]]).solve(M([[2, 1], [4, 1]])) is None
 
     def test_scaling(self):
-        assert M([[1], [2]]).solve((2, 4)) == (rat(2),)
+        assert M([[1], [2]]).solve(M([[2, -1], [4, -2]])) == M([[2, -1]])
+
+    def test_empty_block(self):
+        assert M([[1, 0], [2, 0]]).solve(Matrix.zero(2, 0)) == Matrix.zero(2, 0)
+        with pytest.raises(ValueError):
+            M([[1], [2]]).solve(Matrix.zero(3, 1))
 
     def test_preimage_subspace(self):
         m = M([[1, 0], [0, 1], [0, 0]])
@@ -185,10 +194,10 @@ def test_canonical_equality(a, b):
 @settings(max_examples=40, deadline=None)
 @given(matrices(3))
 def test_solve_consistency(m):
-    target = m.apply([1] * m.cols)
+    target = m * Matrix(m.cols, 2, [[1, k] for k in range(m.cols)])
     x = m.solve(target)
     assert x is not None
-    assert m.apply(x) == tuple(target)
+    assert m * x == target
 
 
 def greedy_quotient(v, w):
@@ -296,10 +305,17 @@ def test_intersect_matches_general_elimination(seed):
 
 # -- coordinates at the pivots against elimination ---------------------------
 
+def solved_column(space, column):
+    """Reference: the coordinates of one column by its own elimination,
+    basis * x = column, or None if it has no solution."""
+    x = space.basis.solve(Matrix.from_columns(space.ambient_dim, [column]))
+    return None if x is None else x.column(0)
+
+
 def solved_coords(space, columns):
-    """Reference: the coordinates of each column by its own elimination,
-    basis * x = column, as a matrix, or None if one has no solution."""
-    solved = [space.basis.solve(c) for c in columns]
+    """Reference: the coordinates of each column by its own elimination, as
+    a matrix, or None if one has no solution."""
+    solved = [solved_column(space, c) for c in columns]
     if any(x is None for x in solved):
         return None
     return Matrix.from_columns(space.dim, solved)
@@ -327,7 +343,7 @@ def test_coordinates_match_solve_reference(seed):
     for space, inside, drawn in coordinate_cases(seed):
         n = space.ambient_dim
         for v in inside + drawn:
-            want = space.basis.solve(v)
+            want = solved_column(space, v)
             assert space.coords(v) == want
             assert space.contains(v) == (want is not None)
         for columns in ([], inside, inside + drawn, drawn[:1]):

@@ -2,8 +2,8 @@
 
 Every name a module imports is used in that module, every module-level
 private function or class (``_name``) is referenced somewhere in the
-package, and
-every module-level public function or class is referenced somewhere in the
+package, and every module-level public function or class, and every
+non-dunder method of a package class, is referenced somewhere in the
 package, its tests or the benchmark, so deleting a helper or its last
 caller cannot leave dead code behind.
 """
@@ -55,6 +55,14 @@ def definitions(tree, private):
             and not node.name.startswith("__") and node.name.startswith("_") == private]
 
 
+def methods(tree):
+    """(class, method) names of every non-dunder method defined in a class
+    of tree."""
+    return [(node.name, f.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, ast.FunctionDef)
+            and not (f.name.startswith("__") and f.name.endswith("__"))]
+
+
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_every_import_is_used(name):
     tree = TREES[name]
@@ -79,6 +87,14 @@ def test_every_public_name_is_referenced():
     assert not unreferenced, "public names nothing references: %s" % unreferenced
 
 
+def test_every_method_is_referenced():
+    referenced = set().union(*map(referenced_names, list(TREES.values()) + CALLERS))
+    found = [(name, cls, m) for name, tree in TREES.items() for cls, m in methods(tree)]
+    assert found
+    unreferenced = [f for f in found if f[2] not in referenced]
+    assert not unreferenced, "methods nothing references: %s" % unreferenced
+
+
 def test_the_checks_see_dead_code():
     """An unused import and an unreferenced helper are both reported."""
     tree = ast.parse("import os\nfrom .ratla import rat\n\ndef _helper():\n    return rat(1)\n")
@@ -96,3 +112,16 @@ def test_the_checks_see_a_dead_public_name():
     assert definitions(tree, False) == ["unused", "used", "Dead"]
     referenced = referenced_names(tree) | referenced_names(caller)
     assert [d for d in definitions(tree, False) if d not in referenced] == ["unused", "Dead"]
+
+
+def test_the_checks_see_a_dead_method():
+    """A method that only its own definition names is reported, one that a
+    caller reads as an attribute is not, and dunder methods are skipped."""
+    tree = ast.parse("class A:\n    def __init__(self):\n        pass\n\n"
+                     "    def dead(self):\n        return 1\n\n"
+                     "    def used(self):\n        return self._of()\n\n"
+                     "    def _of(self):\n        return 2\n")
+    caller = ast.parse("A().used()\n")
+    assert methods(tree) == [("A", "dead"), ("A", "used"), ("A", "_of")]
+    referenced = referenced_names(tree) | referenced_names(caller)
+    assert [m for _, m in methods(tree) if m not in referenced] == ["dead"]
