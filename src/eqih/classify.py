@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidIso, TheoremViolation
-from .localize import localize
+from .localize import lambda_u_module
 from .model import ModelInstance, Perversity
 from .perverse import perverse_complex
 from .ratla import Matrix, map_image, rat
@@ -103,9 +103,7 @@ def f_related(iso: ModelIso, m1: ModelInstance, m2: ModelInstance):
     if not is_optimal(iso, m1, m2):
         raise InvalidIso("relatedness needs an optimal isomorphism")
     a1, a2 = m1.ambient, m2.ambient
-    eps1 = Matrix.from_columns(a1.dim(2), [a1.euler_cocycle])
-    eps2 = Matrix.from_columns(a2.dim(2), [a2.euler_cocycle])
-    diff = iso.mat(m1, m2, 2) * eps2 - eps1
+    diff = iso.mat(m1, m2, 2) * a2.epsilon() - a1.epsilon()
     if diff.is_zero():
         return True, (rat(0),) * a1.dim(1)
     ebar = m1.euler_perversity()
@@ -113,7 +111,7 @@ def f_related(iso: ModelIso, m1: ModelInstance, m2: ModelInstance):
     x = (a1.diff(1) * omega1.basis).solve(diff)
     if x is None:
         return False, None
-    return True, (omega1.basis * x).column(0)
+    return True, (omega1.basis * x).transpose().entries[0]
 
 
 def consequence_check(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> dict:
@@ -139,7 +137,7 @@ def consequence_check(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> di
             "dims_equal": eq1.dims() == eq2.dims(),
             "u_ranks_equal": eq1.u_ranks() == eq2.u_ranks(),
             "localization_equal":
-                localize(m1, p1).ranks() == localize(m2, p2).ranks(),
+                lambda_u_module(m1, p1).ranks() == lambda_u_module(m2, p2).ranks(),
         }
         report["perversities"].append(entry)
         if not all(v for k, v in entry.items() if k != "perversity"):

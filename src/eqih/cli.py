@@ -23,7 +23,7 @@ from .equivariant import (
 )
 from .errors import EqihError, InputError, PropertyViolation
 from .homalg import check_exact, is_exact
-from .localize import cone_formula_check, localize, localized_gysin
+from .localize import cone_formula_check, lambda_u_module, localized_gysin
 from .model import (
     Perversity,
     int_from_text,
@@ -235,7 +235,7 @@ def _cmd_skjelbred(args):
 def _cmd_localize(args):
     m = _load(args.file)
     p = _perversity(args.perversity, m)
-    il = localize(m, p)
+    il = lambda_u_module(m, p)
     body = {
         "ranks": {"even": il.even_rank, "odd": il.odd_rank},
         "gysin": localized_gysin(m, p),

@@ -42,11 +42,21 @@ from __future__ import annotations
 import random
 
 from .errors import InputError, InternalInvariantViolation
-from .model import _EBAR, _XBAR, ModelInstance, Perversity, mat_to_json, model_from_dict, vec_to_json
+from .model import (
+    _EBAR,
+    _XBAR,
+    STRATUM_KINDS,
+    ModelInstance,
+    Perversity,
+    mat_to_json,
+    model_from_dict,
+    vec_to_json,
+)
 from .ratla import (
     QNUM,
     Matrix,
     Subspace,
+    block_matrix,
     image,
     intersect,
     kernel,
@@ -291,8 +301,7 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
     diffs = _random_differential(rng, dims)
 
     n_strata = rng.randint(0, 2)
-    kinds = [rng.choice(("mobile", "fixed_nonperverse", "fixed_perverse"))
-             for _ in range(n_strata)]
+    kinds = [rng.choice(STRATUM_KINDS) for _ in range(n_strata)]
     strata = [{"name": "s%d" % i, "kind": kind} for i, kind in enumerate(kinds)]
     filtrations = {s["name"]: _random_filtration(rng, dims, rng.randint(1, 3))
                    for s in strata}
@@ -395,6 +404,14 @@ def oracle_cohomology(m: ModelInstance, p: Perversity, n_u: int) -> dict:
     def sign(k):
         return -1 if (k - 1) % 2 else 1
 
+    def twisted(k):
+        """(alpha, beta) -> (d alpha + sign(k) E beta, d beta) on the pairs
+        of degree k."""
+        na, nb = a.dim(k), a.dim(k - 1)
+        return block_matrix(a.dim(k + 1) + na, na + nb,
+                            [(0, 0, a.diff(k)), (0, na, a.euler(k - 1).scale(sign(k))),
+                             (a.dim(k + 1), na, a.diff(k - 1))])
+
     # admissible pairs (alpha, beta) in degree k, as a subspace of
     # Q^{dim k + dim k-1}
     pairs = {}
@@ -405,35 +422,20 @@ def oracle_cohomology(m: ModelInstance, p: Perversity, n_u: int) -> dict:
             continue
         rows = []
 
-        def add_block(proj, acols, bcols):
-            for r in range(proj.rows):
-                rows.append([sum((proj.entries[r][t] * acols.entries[t][c]
-                                  for t in range(proj.cols)), 0)
-                             for c in range(na)]
-                            + [sum((proj.entries[r][t] * bcols.entries[t][c]
-                                    for t in range(proj.cols)), 0)
-                               for c in range(nb)])
+        def add_block(space, acols, bcols):
+            # the rows that kill the part of acols * alpha + bcols * beta
+            # outside space
+            if not space.is_full():
+                rows.extend((_killing_projection(space) * acols.hstack(bcols)).entries)
 
-        ia = Matrix.identity(na)
-        ib = Matrix.identity(nb)
         # alpha in F_p^k
-        sp = flevel(fp, k)
-        if not sp.is_full():
-            add_block(_killing_projection(sp), ia, Matrix.zero(na, nb))
+        add_block(flevel(fp, k), Matrix.identity(na), Matrix.zero(na, nb))
         # beta in F_{p-xbar}^{k-1}
-        sq = flevel(fq, k - 1)
-        if not sq.is_full():
-            add_block(_killing_projection(sq), Matrix.zero(nb, na), ib)
+        add_block(flevel(fq, k - 1), Matrix.zero(nb, na), Matrix.identity(nb))
         # d beta in F_{p-xbar}^k
-        sdq = flevel(fq, k)
-        if not sdq.is_full():
-            add_block(_killing_projection(sdq), Matrix.zero(a.dim(k), na),
-                      a.diff(k - 1))
+        add_block(flevel(fq, k), Matrix.zero(na, na), a.diff(k - 1))
         # d alpha + sign * E beta in F_p^{k+1}
-        st = flevel(fp, k + 1)
-        if not st.is_full():
-            add_block(_killing_projection(st), a.diff(k),
-                      a.euler(k - 1).scale(sign(k)))
+        add_block(flevel(fp, k + 1), a.diff(k), a.euler(k - 1).scale(sign(k)))
         if rows:
             pairs[k] = kernel(Matrix(len(rows), na + nb, rows))
         else:
@@ -458,51 +460,34 @@ def oracle_cohomology(m: ModelInstance, p: Perversity, n_u: int) -> dict:
         cdim[n] = total
         offs[n] = off
 
+    # per component u^j (x) pairs of degree k: the twisted differential,
+    # same u-power, and (beta, 0) one u-power up with the degree sign
     nabla = {}
     umat = {}
     for n in range(hi):
-        cols = []
+        blocks = []
         for j, k in components(n):
-            sp = pair_space(k)
+            basis = pair_space(k).basis
             na, nb = a.dim(k), a.dim(k - 1)
-            for w in sp.vectors():
-                alpha, beta = w[:na], w[na:]
-                out = [0] * cdim[n + 1]
-                # differential part, same u-power
-                da = a.diff(k).apply(alpha)
-                eb = a.euler(k - 1).apply(beta)
-                s = sign(k)
-                dpart = tuple(x + s * y for x, y in zip(da, eb)) + a.diff(k - 1).apply(beta)
-                tgt = pair_space(k + 1)
-                coords = tgt.coords(dpart)
-                if coords is None:
-                    raise InternalInvariantViolation(
-                        "differential left the admissible-pair space")
-                if j in offs[n + 1]:
-                    for i, x in enumerate(coords):
-                        out[offs[n + 1][j] + i] += x
-                # u part: (beta, 0) one u-power up, with the degree sign
-                upart = tuple(beta) + (0,) * a.dim(k - 2)
-                utgt = pair_space(k - 1)
-                ucoords = utgt.coords(upart)
-                if ucoords is None:
-                    raise InternalInvariantViolation(
-                        "u-component left the admissible-pair space")
-                if j + 1 in offs[n + 1]:
-                    for i, x in enumerate(ucoords):
-                        out[offs[n + 1][j + 1] + i] += s * x
-                cols.append(tuple(out))
-        nabla[n] = Matrix.from_columns(cdim[n + 1], cols)
+            dcoords = pair_space(k + 1).coords_of(twisted(k) * basis)
+            if dcoords is None:
+                raise InternalInvariantViolation(
+                    "differential left the admissible-pair space")
+            if j in offs[n + 1]:
+                blocks.append((offs[n + 1][j], offs[n][j], dcoords))
+            to_beta = block_matrix(nb + a.dim(k - 2), na + nb, [(0, na, Matrix.identity(nb))])
+            ucoords = pair_space(k - 1).coords_of(to_beta * basis)
+            if ucoords is None:
+                raise InternalInvariantViolation(
+                    "u-component left the admissible-pair space")
+            if j + 1 in offs[n + 1]:
+                blocks.append((offs[n + 1][j + 1], offs[n][j], ucoords.scale(sign(k))))
+        nabla[n] = block_matrix(cdim[n + 1], cdim[n], blocks)
     for n in range(hi - 1):
-        cols = []
-        for j, k in components(n):
-            sp = pair_space(k)
-            for i in range(sp.dim):
-                out = [0] * cdim[n + 2]
-                if j + 1 in offs[n + 2]:
-                    out[offs[n + 2][j + 1] + i] = 1
-                cols.append(tuple(out))
-        umat[n] = Matrix.from_columns(cdim[n + 2], cols)
+        umat[n] = block_matrix(
+            cdim[n + 2], cdim[n],
+            [(offs[n + 2][j + 1], offs[n][j], Matrix.identity(pair_space(k).dim))
+             for j, k in components(n) if j + 1 in offs[n + 2]])
 
     dims = []
     for n in range(n_u + 1):

@@ -105,12 +105,6 @@ def _periodic_cohomology(m: ModelInstance, p: Perversity) -> LocalizedModule:
     return LocalizedModule(offsets[0][1] - sum(ranks), offsets[1][1] - sum(ranks))
 
 
-def localize(m: ModelInstance, p: Perversity) -> LocalizedModule:
-    """Even/odd ranks of the equivariant cohomology over rational functions
-    in u."""
-    return lambda_u_module(m, p)
-
-
 # ---------------------------------------------------------------------------
 # the localized Gysin sequence
 
@@ -151,7 +145,7 @@ def localized_gysin(m: ModelInstance, p: Perversity) -> dict:
     top = m.ambient.top_degree
     ih = omega_cohomology(m, p)
     hg = gysin_cohomology(m, p)
-    il = localize(m, p)
+    il = lambda_u_module(m, p)
     report = {"parities": [], "exact": True}
     b_dims = [sum(ih.dim(k) for k in range(0, top + 1) if k % 2 == r)
               for r in (0, 1)]
@@ -225,7 +219,7 @@ def cone_formula_check(m: ModelInstance, p: Perversity) -> dict:
         predicted[deg % 2] += link_dim(deg)
     if deg >= 1 and link_dim(deg - 1) and deg - 1 in eub:
         predicted[(deg - 1) % 2] += eub[deg - 1].rank()
-    computed = localize(m, p).ranks()
+    computed = lambda_u_module(m, p).ranks()
     return {
         "cone_degree": deg,
         "predicted": tuple(predicted),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, StrataMismatch, UnknownStratum
 from .homalg import Complex
-from .ratla import QNUM, Matrix, Subspace, intersect, map_image, rat
+from .ratla import QNUM, Matrix, Subspace, intersect, kron, map_image, rat
 
 STRATUM_KINDS = ("mobile", "fixed_nonperverse", "fixed_perverse")
 
@@ -140,18 +140,9 @@ class AmbientModel:
             return Subspace.full(n)
         return self.filtrations[stratum][level][degree]
 
-    def wedge(self, i: int, j: int, a, b):
-        """Product of a degree-i and a degree-j vector (product table required)."""
-        if self.product is None:
-            raise InputError("model carries no product table")
-        m = self.product.get((i, j))
-        n = self.dim(i + j)
-        if m is None:
-            return (rat(0),) * n
-        a = list(a)
-        b = list(b)
-        col = [a[x] * b[y] for x in range(self.dim(i)) for y in range(self.dim(j))]
-        return m.apply(col)
+    def epsilon(self) -> Matrix:
+        """The Euler cocycle as a one-column matrix."""
+        return Matrix._of(self.dim(2), 1, tuple((x,) for x in self.euler_cocycle))
 
 
 @dataclass(frozen=True)
@@ -266,15 +257,16 @@ def validate(m: ModelInstance, strict: bool = False):
             break
     _check(report, "euler operator: chain map", ok, bad)
 
-    eps = a.euler_cocycle
-    deps = a.diff(2).apply(eps) if a.dim(2) else ()
-    _check(report, "euler cocycle: closed", all(x == 0 for x in deps),
-           "" if all(x == 0 for x in deps) else "d(epsilon) = %s" % (vec_to_json(deps),))
+    eps = a.epsilon()
+    deps = a.diff(2) * eps
+    closed = deps.is_zero()
+    _check(report, "euler cocycle: closed", closed,
+           "" if closed else "d(epsilon) = %s" % (vec_to_json(deps.transpose().entries[0]),))
 
     ok, bad = True, ""
     ebar = m.euler_perversity()
     for s in m.strata:
-        if not a.filtration(s.name, ebar[s.name], 2).contains(eps):
+        if a.filtration(s.name, ebar[s.name], 2).coords_of(eps) is None:
             ok, bad = False, "stratum %s" % s.name
     _check(report, "euler cocycle: lies in the Euler-perversity level", ok, bad)
 
@@ -318,42 +310,49 @@ def validate(m: ModelInstance, strict: bool = False):
 
 
 def _validate_product(m: ModelInstance, report):
+    """The product axioms, each as one matrix identity per degree tuple on
+    the product tables P_ij: A^i (x) A^j -> A^{i+j}, whose column x * dim j
+    + y is the product of the x-th basis vector of A^i and the y-th of A^j."""
     a = m.ambient
+    top = a.top_degree
 
-    def unit_vectors(n):
-        return [tuple(rat(1 if i == j else 0) for j in range(n)) for i in range(n)]
+    def table(i, j):
+        t = a.product.get((i, j))
+        return t if t is not None else Matrix.zero(a.dim(i + j), a.dim(i) * a.dim(j))
+
+    def eye(i):
+        return Matrix.identity(a.dim(i))
+
+    def swap(i, j):
+        """The commutation matrix A^i (x) A^j -> A^j (x) A^i."""
+        di, dj = a.dim(i), a.dim(j)
+        units = Matrix.identity(di * dj).entries
+        return Matrix.from_rows([units[x * dj + y] for y in range(dj) for x in range(di)])
 
     ok, bad = True, ""
-    for i in range(a.top_degree + 1):
-        for x in unit_vectors(a.dim(i)):
-            if tuple(a.wedge(i, 2, x, a.euler_cocycle)) != tuple(a.euler(i).apply(x)):
-                ok, bad = False, "degree %d" % i
+    eps = a.epsilon()
+    for i in range(top + 1):
+        if table(i, 2) * kron(eye(i), eps) != a.euler(i):
+            ok, bad = False, "degree %d" % i
     _check(report, "strict: euler operator equals wedging with the euler cocycle",
            ok, bad)
 
     ok, bad = True, ""
-    for i in range(a.top_degree + 1):
-        for j in range(a.top_degree + 1 - i):
-            for x in unit_vectors(a.dim(i)):
-                for y in unit_vectors(a.dim(j)):
-                    lhs = a.wedge(i, j, x, y)
-                    rhs = a.wedge(j, i, y, x)
-                    sign = -1 if (i % 2 and j % 2) else 1
-                    if tuple(lhs) != tuple(rat(sign) * v for v in rhs):
-                        ok, bad = False, "degrees (%d, %d)" % (i, j)
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            sign = -1 if (i % 2 and j % 2) else 1
+            if table(i, j) != (table(j, i) * swap(i, j)).scale(sign):
+                ok, bad = False, "degrees (%d, %d)" % (i, j)
     _check(report, "strict: product graded-commutative", ok, bad)
 
     ok, bad = True, ""
-    for i in range(a.top_degree + 1):
-        for j in range(a.top_degree + 1 - i):
-            for k in range(a.top_degree + 1 - i - j):
-                for x in unit_vectors(a.dim(i)):
-                    for y in unit_vectors(a.dim(j)):
-                        for z in unit_vectors(a.dim(k)):
-                            lhs = a.wedge(i + j, k, a.wedge(i, j, x, y), z)
-                            rhs = a.wedge(i, j + k, x, a.wedge(j, k, y, z))
-                            if tuple(lhs) != tuple(rhs):
-                                ok, bad = False, "degrees (%d, %d, %d)" % (i, j, k)
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            for k in range(top + 1 - i - j):
+                lhs = table(i + j, k) * kron(table(i, j), eye(k))
+                rhs = table(i, j + k) * kron(eye(i), table(j, k))
+                if lhs != rhs:
+                    ok, bad = False, "degrees (%d, %d, %d)" % (i, j, k)
     _check(report, "strict: product associative", ok, bad)
 
     ok, bad = True, ""
@@ -361,17 +360,15 @@ def _validate_product(m: ModelInstance, report):
         km = a.kmax[s.name]
         for k in range(-1, km + 1):
             for l in range(-1, km + 1):
-                for i in range(a.top_degree + 1):
-                    for j in range(a.top_degree + 1 - i):
-                        fk = a.filtration(s.name, k, i)
-                        fl = a.filtration(s.name, l, j)
+                for i in range(top + 1):
+                    for j in range(top + 1 - i):
+                        fk = a.filtration(s.name, k, i).basis
+                        fl = a.filtration(s.name, l, j).basis
                         tgt = a.filtration(s.name, k + l, i + j)
-                        for x in fk.vectors():
-                            for y in fl.vectors():
-                                if not tgt.contains(a.wedge(i, j, x, y)):
-                                    ok, bad = False, (
-                                        "stratum %s levels (%d, %d) degrees (%d, %d)"
-                                        % (s.name, k, l, i, j))
+                        if tgt.coords_of(table(i, j) * kron(fk, fl)) is None:
+                            ok, bad = False, (
+                                "stratum %s levels (%d, %d) degrees (%d, %d)"
+                                % (s.name, k, l, i, j))
     _check(report, "strict: product adds perverse degrees", ok, bad)
 
 

@@ -8,9 +8,14 @@ where every other basis column is 0, so the coordinates of a vector in the
 span are its entries at the pivot rows, with no elimination.
 
 Vectors are worked on a basis at a time, as the columns of one matrix:
-``Subspace.coords_of`` reads the coordinates of every column at the pivots,
-and ``Matrix.solve`` solves for a whole matrix of right-hand sides with a
-single elimination.
+products are ``Matrix.__mul__``, ``Subspace.coords_of`` reads the
+coordinates of every column at the pivots, and ``Matrix.solve`` solves for
+a whole matrix of right-hand sides with a single elimination.  One routine,
+``_row_span``, canonicalizes a span given by rows; ``Subspace.from_matrix``,
+``Subspace.from_vectors``, ``kernel``, ``intersect`` and ``preimage`` all
+end in it.  Tuples stand for single vectors only at the edges: the rows
+``Matrix.kernel_basis`` returns, which go to ``_row_span`` as they are, and
+``Subspace.vectors``, which serialization and the random generator read.
 
 Every matrix entry is a ``QNUM``.  The public ``Matrix(rows, cols, entries)``
 coerces each entry through ``rat`` and checks the declared shape; the private
@@ -84,20 +89,6 @@ class Matrix:
         return Matrix._of(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n))
                                         for i in range(n)))
 
-    @staticmethod
-    def from_columns(ambient_dim, columns) -> "Matrix":
-        columns = [list(c) for c in columns]
-        if any(len(c) != ambient_dim for c in columns):
-            raise ValueError("column length mismatch")
-        return Matrix(ambient_dim, len(columns),
-                      [[columns[j][i] for j in range(len(columns))] for i in range(ambient_dim)])
-
-    def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def transpose(self) -> "Matrix":
         entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
         return Matrix._of(self.cols, self.rows, entries)
@@ -145,15 +136,6 @@ class Matrix:
                         acc[j] += a * b
             out.append(tuple(acc))
         return Matrix._of(self.rows, other.cols, tuple(out))
-
-    def apply(self, vec):
-        """Matrix times a column vector (given as a sequence)."""
-        vec = [rat(x) for x in vec]
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        terms = [(k, b) for k, b in enumerate(vec) if b]
-        return tuple(sum((row[k] * b for k, b in terms if row[k]), ZERO)
-                     for row in self.entries)
 
     def hstack(self, other) -> "Matrix":
         if self.rows != other.rows:
@@ -296,6 +278,25 @@ def block_matrix(rows, cols, blocks) -> Matrix:
     return Matrix._of(rows, cols, tuple(map(tuple, grid)))
 
 
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product: entry (i * b.rows + k, j * b.cols + l) is
+    a[i][j] * b[k][l]."""
+    return Matrix._of(a.rows * b.rows, a.cols * b.cols,
+                      tuple(tuple(x * y for x in arow for y in brow)
+                            for arow in a.entries for brow in b.entries))
+
+
+def _row_span(ambient_dim, rows) -> "Subspace":
+    """The span of rows, vectors of Q^ambient_dim with QNUM entries, with
+    the non-zero rows of their reduced row echelon form as its canonical
+    basis columns."""
+    if not rows:
+        return Subspace.zero(ambient_dim)
+    red, pivots = Matrix._of(len(rows), ambient_dim, tuple(rows)).rref()
+    basis = Matrix._of(len(pivots), ambient_dim, red.entries[:len(pivots)])
+    return Subspace(ambient_dim, basis.transpose())
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of Q^ambient_dim given by a reduced-column-echelon basis."""
@@ -306,17 +307,15 @@ class Subspace:
     @staticmethod
     def from_matrix(m: Matrix) -> "Subspace":
         """Column span of m, canonicalized."""
-        if m.cols == 0:
-            return Subspace.zero(m.rows)
-        red, pivots = m.transpose().rref()
-        rows = Matrix._of(len(pivots), m.rows, red.entries[:len(pivots)])
-        return Subspace(m.rows, rows.transpose())
+        return _row_span(m.rows, m.transpose().entries)
 
     @staticmethod
     def from_vectors(ambient_dim, vectors) -> "Subspace":
-        if not vectors:
-            return Subspace.zero(ambient_dim)
-        return Subspace.from_matrix(Matrix.from_columns(ambient_dim, vectors))
+        """Span of vectors given as sequences of anything ``rat`` takes."""
+        rows = [tuple(map(rat, v)) for v in vectors]
+        if any(len(v) != ambient_dim for v in rows):
+            raise ValueError("vector length mismatch")
+        return _row_span(ambient_dim, rows)
 
     @staticmethod
     def zero(ambient_dim) -> "Subspace":
@@ -340,7 +339,7 @@ class Subspace:
     def _pivots(self):
         """The row of each basis column's leading 1, its first non-zero
         entry."""
-        return tuple(next(i for i, x in enumerate(col) if x) for col in self.basis.columns())
+        return tuple(next(i for i, x in enumerate(col) if x) for col in self.vectors())
 
     def coords_of(self, m: Matrix):
         """Coordinates of m's columns in the canonical basis (m's rows at the
@@ -350,28 +349,18 @@ class Subspace:
         c = Matrix._of(self.dim, m.cols, tuple(m.entries[r] for r in self._pivots))
         return c if self.basis * c == m else None
 
-    def coords(self, vec):
-        """Coordinates of vec in the canonical basis, or None if outside."""
-        vec = tuple(map(rat, vec))
-        if len(vec) != self.ambient_dim:
-            raise ValueError("target length mismatch")
-        c = tuple(vec[r] for r in self._pivots)
-        return c if self.basis.apply(c) == vec else None
-
-    def contains(self, vec) -> bool:
-        return self.coords(vec) is not None
-
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch(self.ambient_dim, other.ambient_dim)
         return self.coords_of(other.basis) is not None
 
     def vectors(self):
-        return self.basis.columns()
+        """The canonical basis vectors, as tuples."""
+        return self.basis.transpose().entries
 
 
 def kernel(m: Matrix) -> Subspace:
-    return Subspace.from_vectors(m.cols, m.kernel_basis())
+    return _row_span(m.cols, m.kernel_basis())
 
 
 def image(m: Matrix) -> Subspace:
@@ -394,10 +383,11 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         return b
     if b.is_full():
         return a
-    # x in both spans: a.basis*s = b.basis*t, so (s,t) in ker[a.basis | -b.basis]
-    stacked = a.basis.hstack(b.basis.scale(-1))
-    vecs = [a.basis.apply(k[:a.dim]) for k in stacked.kernel_basis()]
-    return Subspace.from_vectors(a.ambient_dim, vecs)
+    # x in both spans: a.basis*s = b.basis*t, so (s,t) in ker[a.basis | -b.basis];
+    # the rows s of that kernel give the rows s * a.basis^T of the intersection
+    ks = a.basis.hstack(b.basis.scale(-1)).kernel_basis()
+    s = Matrix._of(len(ks), a.dim, tuple(k[:a.dim] for k in ks))
+    return _row_span(a.ambient_dim, (s * a.basis.transpose()).entries)
 
 
 def preimage(m: Matrix, w: Subspace) -> Subspace:
@@ -408,7 +398,7 @@ def preimage(m: Matrix, w: Subspace) -> Subspace:
         return Subspace.full(m.cols)
     # m*x = w.basis*t exactly when (x, t) in ker[m | -w.basis]
     stacked = m.hstack(w.basis.scale(-1))
-    return Subspace.from_vectors(m.cols, [k[:m.cols] for k in stacked.kernel_basis()])
+    return _row_span(m.cols, [k[:m.cols] for k in stacked.kernel_basis()])
 
 
 def map_image(m: Matrix, v: Subspace) -> Subspace:
@@ -450,11 +440,12 @@ def quotient(v: Subspace, w: Subspace) -> QuotientSpace:
     # dim(w + v) = dim v exactly when w lies in v
     if sum(1 for c in pivots if c < head) != v.dim:
         raise NotASubspace("quotient denominator is not contained in numerator")
-    comp = [cands.column(c) for c in pivots if w.dim <= c < head]
-    inv = inverse(Matrix.from_columns(n, [cands.column(c) for c in pivots]))
-    q = len(comp)
-    proj = Matrix(q, n, [inv.entries[w.dim + i] for i in range(q)])
-    lift = Matrix.from_columns(n, comp)
+    # every w column is a pivot, so the kept v columns come right after them
+    q = v.dim - w.dim
+    cols = cands.transpose().entries
+    kept = Matrix._of(n, n, tuple(cols[c] for c in pivots)).transpose()
+    proj = Matrix._of(q, n, inverse(kept).entries[w.dim:w.dim + q])
+    lift = Matrix._of(n, q, tuple(row[w.dim:w.dim + q] for row in kept.entries))
     return QuotientSpace(n, q, proj, lift)
 
 

@@ -38,6 +38,7 @@ from .perverse import (
     cogysin_cohomology,
     euler_map,
     gysin_cohomology,
+    gysin_maps,
     inclusion_map,
     omega_cohomology,
     perverse_complex,
@@ -587,7 +588,6 @@ def skjelbred(m: ModelInstance) -> LongExactSequence:
 
     zero = m.zero_perversity()
     q = zero.minus(m.characteristic_perversity())
-    a = m.ambient
     pc0 = perverse_complex(m, zero)
     pcq = perverse_complex(m, q)
     hb = omega_cohomology(m, zero)
@@ -598,6 +598,7 @@ def skjelbred(m: ModelInstance) -> LongExactSequence:
     _, _, ses0 = build_cogysin(m, zero)
     eub_q = euler_map(m, q)
     iota = inclusion_map(m, q, zero)
+    pair_incl, _ = gysin_maps(m, zero)
     eq = build_equivariant(m, zero)
     heq = eq.cohomology
     ss = spectral_sequence(m, zero)
@@ -623,14 +624,9 @@ def skjelbred(m: ModelInstance) -> LongExactSequence:
 
     def alpha(i) -> Matrix:
         """H^i(B) -> IH^i_{S^1}: constant extension (alpha, 0) u^0."""
-        amb = pc0.omega_incl.mat(i) * hb.lifts(i)
-        if not amb.cols:
+        c = pair_incl.mat(i) * hb.lifts(i)
+        if not c.cols:
             return Matrix.zero(eq.dim(i), 0)
-        pairs = block_matrix(amb.rows + a.dim(i - 1), amb.cols, [(0, 0, amb)])
-        c = eq.eq1.space(i).coords_of(pairs)
-        if c is None:
-            raise InternalInvariantViolation(
-                "constant extension escapes the pair space in degree %d" % i)
         cochains = block_matrix(eq.ext.dim(i), c.cols, [(eq.ext.offsets[i][0], 0, c)])
         return heq.classes_of(i, cochains)
 

@@ -25,7 +25,7 @@ from eqih.fixtures import (
     rot,
 )
 from eqih.homalg import is_exact
-from eqih.localize import cone_formula_check, localize, localized_gysin
+from eqih.localize import cone_formula_check, lambda_u_module, localized_gysin
 from eqih.model import Perversity, model_from_dict, model_to_dict
 from eqih.perverse import (
     cogysin_cohomology,
@@ -34,7 +34,7 @@ from eqih.perverse import (
     omega_cohomology,
     perverse_complex,
 )
-from eqih.ratla import Matrix
+from eqih.ratla import Matrix, kron
 from eqih.spectral import (
     d3_check,
     e3_isomorphisms,
@@ -76,12 +76,11 @@ def test_criterion_1_free_action_fixture():
     # u-matrix is the negative of the wedge-with-epsilon matrix
     pc = perverse_complex(m, p)
     amb = pc.omega_incl.mat(0) * ih.lifts(0)
-    prod = m.ambient.wedge(2, 0, m.ambient.euler_cocycle, amb.column(0))
-    e_mult = ih.classes_of(2, pc.omega_spaces[2].coords_of(
-        Matrix.from_columns(m.ambient.dim(2), [prod])))
+    prod = m.ambient.product[(2, 0)] * kron(m.ambient.epsilon(), amb)
+    e_mult = ih.classes_of(2, pc.omega_spaces[2].coords_of(prod))
     assert eq.u_cohomology_matrix(0) == Matrix.from_rows(
         [[-x for x in row] for row in e_mult.entries])
-    assert localize(m, p).ranks() == (0, 0)
+    assert lambda_u_module(m, p).ranks() == (0, 0)
     _ok(1, "free-action fixture: K = 0, total dims, u = e-multiplication, "
            "vanishing localization")
 
@@ -99,7 +98,7 @@ def test_criterion_2_zero_euler_fixture():
     for pg in pgs:
         if pg.r >= 2:
             assert all(mat.is_zero() for mat in pg.differentials.values())
-    assert localize(m, p).ranks() == (0, 0)
+    assert lambda_u_module(m, p).ranks() == (0, 0)
     _ok(2, "zero-Euler fixture: split total dims, degeneration at the "
            "second page, vanishing localization")
 
@@ -108,7 +107,7 @@ def test_criterion_3_cone_fixture():
     m = cone2()
     top = Perversity({"apex": 2})
     assert eq1_cohomology(m, top).dims() == (1, 0, 0, 0)
-    assert localize(m, top).ranks() == (1, 0)
+    assert lambda_u_module(m, top).ranks() == (1, 0)
     for p in m.perversity_set:
         assert cone_formula_check(m, p)["match"], p.label()
     _ok(3, "cone fixture: total dims, localization (1,0), cone formula "
@@ -219,8 +218,8 @@ def test_criterion_8_classification():
     # regression pair: distinct Euler classes, identical localizations
     ok, _ = f_related(identity_iso(m1), m1, rot())
     assert not ok
-    assert localize(m1, Perversity({})).ranks() == (0, 0)
-    assert localize(rot(), Perversity({})).ranks() == (0, 0)
+    assert lambda_u_module(m1, Perversity({})).ranks() == (0, 0)
+    assert lambda_u_module(rot(), Perversity({})).ranks() == (0, 0)
     _ok(8, "doubled Euler class rejected, transported Euler class accepted "
            "with matching invariants, vanishing-localization pair recorded")
 

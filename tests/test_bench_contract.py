@@ -34,14 +34,15 @@ def test_method_targets_resolve(spans):
 
 def test_tracer_installs_and_records(spans):
     import eqih.cli  # noqa: F401  (loads every eqih module the tracer patches)
+    from eqih import localize
     from eqih.fixtures import hopf
-    from eqih.localize import localize
     from eqih.model import Perversity
 
     tracer = spans.Tracer()
     try:
         tracer.install()
-        tracer.run_op(lambda: localize(hopf(), Perversity({})))
+        # read through the module, whose attribute the tracer replaces
+        tracer.run_op(lambda: localize.lambda_u_module(hopf(), Perversity({})))
     finally:
         tracer.uninstall()
     assert all(tracer.patched_namespaces[name] for name in spans.FUNCTIONS)

@@ -19,7 +19,7 @@ import pytest
 from eqih import fixtures
 from eqih.equivariant import build_equivariant
 from eqih.fixtures import cone, oracle_cohomology, sphere
-from eqih.localize import cone_formula_check, localize
+from eqih.localize import cone_formula_check, lambda_u_module
 from eqih.model import model_to_dict, validate
 
 DEGREES = range(1, 7)
@@ -47,7 +47,7 @@ def check_member(m, n, answer):
     for p in m.perversity_set:
         eq = build_equivariant(m, p)
         assert eq.n_u == 2 * n + 6
-        got = (eq.dims(), eq.u_ranks(), localize(m, p).ranks())
+        got = (eq.dims(), eq.u_ranks(), lambda_u_module(m, p).ranks())
         assert got == answer(p, eq.n_u), (m.name, p.label())
         if n <= 4:
             oracle = oracle_cohomology(m, p, eq.n_u)

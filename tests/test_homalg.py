@@ -15,7 +15,7 @@ from eqih.homalg import (
     quotient_complex,
     subcomplex,
 )
-from eqih.ratla import Matrix, Subspace, kernel, rat
+from eqih.ratla import Matrix, Subspace, kernel
 
 
 def two_term(n, mat_rows):
@@ -49,7 +49,8 @@ class TestComplex:
         # Q -> Q^2, 1 -> (1, 1): H^1 is spanned by the class of (1, 0)
         h = Cohomology(two_term(1, [[1], [1]]))
         classes = h.classes_of(1, Matrix.from_rows([[1, 0], [0, -1]]))
-        assert classes.column(0) == classes.column(1) != (rat(0),)
+        (first, second), = classes.entries
+        assert first == second != 0
         with pytest.raises(InternalInvariantViolation):
             h.classes_of(0, Matrix.from_rows([[1]]))
 

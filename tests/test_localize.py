@@ -8,7 +8,7 @@ from eqih.fixtures import cone2, hopf, noperv, random_model, rot
 from eqih.localize import (
     PolyMatrix,
     cone_formula_check,
-    localize,
+    lambda_u_module,
     localized_connecting,
     localized_gysin,
 )
@@ -151,16 +151,16 @@ class TestPolyMatrix:
 
 class TestLocalize:
     def test_free_action_vanishes(self):
-        assert localize(hopf(), Perversity({})).ranks() == (0, 0)
+        assert lambda_u_module(hopf(), Perversity({})).ranks() == (0, 0)
 
     def test_mobile_fixed_free_euler_vanishes(self):
-        assert localize(rot(), Perversity({})).ranks() == (0, 0)
+        assert lambda_u_module(rot(), Perversity({})).ranks() == (0, 0)
 
     def test_cone_ranks(self):
         m = cone2()
         expect = {-1: (0, 0), 0: (1, 0), 1: (1, 0), 2: (1, 0)}
         for p in m.perversity_set:
-            assert localize(m, p).ranks() == expect[p.values["apex"]]
+            assert lambda_u_module(m, p).ranks() == expect[p.values["apex"]]
 
     def test_zero_euler_keeps_cogysin_parities(self):
         data = model_to_dict(noperv())
@@ -173,7 +173,7 @@ class TestLocalize:
             expect = tuple(
                 sum(hk.dim(k) for k in range(0, 3) if k % 2 == r)
                 for r in (0, 1))
-            assert localize(m, p).ranks() == expect
+            assert lambda_u_module(m, p).ranks() == expect
 
     def test_zero_model(self):
         m = model_from_dict({
@@ -181,7 +181,7 @@ class TestLocalize:
             "strata": [], "filtrations": {}, "euler_cocycle": [],
             "euler_op": [[]], "perversities": [{}],
         })
-        assert localize(m, Perversity({})).ranks() == (0, 0)
+        assert lambda_u_module(m, Perversity({})).ranks() == (0, 0)
 
     def test_ranks_match_top_window_dims(self):
         # the periodic complex and the folded module are separate paths:
@@ -192,7 +192,7 @@ class TestLocalize:
         for m in models:
             for p in m.perversity_set:
                 eq = build_equivariant(m, p)
-                ranks = localize(m, p).ranks()
+                ranks = lambda_u_module(m, p).ranks()
                 for n in (eq.n_u - 1, eq.n_u):
                     assert eq.dims()[n] == ranks[n % 2], (m.name, p.label(), n)
 
@@ -210,7 +210,7 @@ class TestStoredExpectations:
             m = make(name)
             for p in m.perversity_set:
                 label = p.label() or "()"
-                assert localize(m, p).ranks() == tuple(
+                assert lambda_u_module(m, p).ranks() == tuple(
                     entry["localization"][label]), (name, label)
 
 

@@ -125,3 +125,18 @@ def test_the_checks_see_a_dead_method():
     assert methods(tree) == [("A", "dead"), ("A", "used"), ("A", "_of")]
     referenced = referenced_names(tree) | referenced_names(caller)
     assert [m for _, m in methods(tree) if m not in referenced] == ["dead"]
+
+
+def test_the_oracle_imports_only_errors_model_and_ratla():
+    """``fixtures.oracle_cohomology`` checks the pipeline, so fixtures.py
+    reads nothing of the package beyond its errors, the model and the
+    linear algebra, at module level or inside a function."""
+    imported = set()
+    for node in ast.walk(TREES["fixtures.py"]):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "eqih":
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "eqih")
+    assert imported == {"errors", "model", "ratla"}
