@@ -28,6 +28,7 @@ from .perverse import (
     _sign,
     euler_map,
     gysin_maps,
+    omega_spaces,
     perverse_complex,
 )
 from .ratla import (
@@ -70,9 +71,7 @@ def build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
 def _build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
     m.check_perversity(p)
     a = m.ambient
-    pc = perverse_complex(m, p)
-    q = p.minus(m.characteristic_perversity())
-    lower = perverse_complex(m, q)
+    lower = omega_spaces(m, p.minus(m.characteristic_perversity()))
     top = a.top_degree
 
     spaces = {}
@@ -80,7 +79,7 @@ def _build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
     for k in range(0, top + 2):
         na, nb = a.dim(k), a.dim(k - 1)
         fp = m.filtration_level(p, k)
-        om = lower.omega_space(k - 1).basis
+        om = lower[k - 1].basis if k else Matrix.zero(0, 0)
         # product subspace F_p^k x Omega_{p-xbar}^{k-1}
         prod = Subspace.from_matrix(block_matrix(na + nb, fp.dim + om.cols,
                                                  [(0, 0, fp.basis), (na, fp.dim, om)]))

@@ -12,10 +12,18 @@ products are ``Matrix.__mul__``, ``Subspace.coords_of`` reads the
 coordinates of every column at the pivots, and ``Matrix.solve`` solves for
 a whole matrix of right-hand sides with a single elimination.  One routine,
 ``_row_span``, canonicalizes a span given by rows; ``Subspace.from_matrix``,
-``Subspace.from_vectors``, ``kernel``, ``intersect`` and ``preimage`` all
-end in it.  Tuples stand for single vectors only at the edges: the rows
-``Matrix.kernel_basis`` returns, which go to ``_row_span`` as they are, and
+``Subspace.from_vectors`` and ``intersect`` end in it.  ``kernel`` and
+``preimage`` need no such second elimination: one rref of the
+column-reversed matrix puts every free column f at the head of its own
+kernel vector, so those vectors, cut to the domain, already are the
+canonical basis (see ``_free_span``).  Tuples stand for single vectors only
+at the edges: the rows ``Matrix.kernel_basis`` returns and
 ``Subspace.vectors``, which serialization and the random generator read.
+
+An operand that fixes the answer costs no elimination: the kernel of a zero
+or empty matrix is the full space, the span of zero rows is the zero space,
+a preimage of the zero subspace is a kernel, and full / zero is the
+identity quotient.
 
 Every matrix entry is a ``QNUM``.  The public ``Matrix(rows, cols, entries)``
 coerces each entry through ``rat`` and checks the declared shape; the private
@@ -27,7 +35,7 @@ existing matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 
 try:
@@ -80,11 +88,15 @@ class Matrix:
         cols = len(rows_list[0]) if rows_list else 0
         return Matrix(len(rows_list), cols, rows_list)
 
+    # zero, identity, Subspace.zero and Subspace.full are cached per shape:
+    # their values are immutable and depend on a few small dimensions only
     @staticmethod
+    @cache
     def zero(rows, cols) -> "Matrix":
         return Matrix._of(rows, cols, ((ZERO,) * cols,) * rows)
 
     @staticmethod
+    @cache
     def identity(n) -> "Matrix":
         return Matrix._of(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n))
                                         for i in range(n)))
@@ -144,7 +156,7 @@ class Matrix:
                           tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list).
@@ -290,7 +302,7 @@ def _row_span(ambient_dim, rows) -> "Subspace":
     """The span of rows, vectors of Q^ambient_dim with QNUM entries, with
     the non-zero rows of their reduced row echelon form as its canonical
     basis columns."""
-    if not rows:
+    if not any(map(any, rows)):
         return Subspace.zero(ambient_dim)
     red, pivots = Matrix._of(len(rows), ambient_dim, tuple(rows)).rref()
     basis = Matrix._of(len(pivots), ambient_dim, red.entries[:len(pivots)])
@@ -318,10 +330,12 @@ class Subspace:
         return _row_span(ambient_dim, rows)
 
     @staticmethod
+    @cache
     def zero(ambient_dim) -> "Subspace":
         return Subspace(ambient_dim, Matrix.zero(ambient_dim, 0))
 
     @staticmethod
+    @cache
     def full(ambient_dim) -> "Subspace":
         return Subspace(ambient_dim, Matrix.identity(ambient_dim))
 
@@ -359,8 +373,36 @@ class Subspace:
         return self.basis.transpose().entries
 
 
+def _free_span(a: Matrix, keep) -> Subspace:
+    """The kernel of a cut to its first keep coordinates, where no kernel
+    vector but 0 vanishes, so every free column is below keep; from one rref
+    of a with its columns reversed.  Free column f gives the kernel vector
+    with 1 at f, 0 at the other free columns and, at each pivot column,
+    minus the rref entry in f.  Reversed, those pivot columns come before f,
+    so here they come after it: each vector leads with its own 1, and the
+    vectors are the reduced row echelon basis of their span."""
+    n = a.cols
+    red, pivots = Matrix._of(a.rows, n, tuple(row[::-1] for row in a.entries)).rref()
+    row_of = {n - 1 - pc: r for r, pc in enumerate(pivots)}
+    free = [f for f in range(keep) if f not in row_of]
+    if not free:
+        return Subspace.zero(keep)
+    back = [n - 1 - f for f in free]
+    out = []
+    for i in range(keep):
+        r = row_of.get(i)
+        if r is None:
+            out.append(tuple(ONE if f == i else ZERO for f in free))
+        else:
+            row = red.entries[r]
+            out.append(tuple(-row[c] if row[c] else ZERO for c in back))
+    return Subspace(keep, Matrix._of(keep, len(free), tuple(out)))
+
+
 def kernel(m: Matrix) -> Subspace:
-    return _row_span(m.cols, m.kernel_basis())
+    if m.is_zero():
+        return Subspace.full(m.cols)
+    return _free_span(m, m.cols)
 
 
 def image(m: Matrix) -> Subspace:
@@ -396,9 +438,11 @@ def preimage(m: Matrix, w: Subspace) -> Subspace:
         raise AmbientMismatch(m.rows, w.ambient_dim)
     if w.is_full():
         return Subspace.full(m.cols)
-    # m*x = w.basis*t exactly when (x, t) in ker[m | -w.basis]
-    stacked = m.hstack(w.basis.scale(-1))
-    return _row_span(m.cols, [k[:m.cols] for k in stacked.kernel_basis()])
+    if w.is_zero():
+        return kernel(m)
+    # m*x = w.basis*t for some t exactly when (x, -t) in ker[m | w.basis]; the
+    # columns of w.basis are independent, so no kernel vector but 0 vanishes on x
+    return _free_span(m.hstack(w.basis), m.cols)
 
 
 def map_image(m: Matrix, v: Subspace) -> Subspace:
@@ -428,24 +472,28 @@ def quotient(v: Subspace, w: Subspace) -> QuotientSpace:
     each canonical basis column of v, then each unit vector, is kept when it
     is independent of the columns before it.  The kept v columns are the
     lift, so the class bases that reports print depend only on the two
-    canonical arguments."""
+    canonical arguments.  The identity block of that rref is the product E
+    of its row operations, and E maps the n kept columns to the n pivot
+    columns of the rref, which are the unit vectors in order, so E is the
+    inverse of kept and the projection is its rows at the kept v columns."""
     if v.ambient_dim != w.ambient_dim:
         raise AmbientMismatch(v.ambient_dim, w.ambient_dim)
     n = v.ambient_dim
     if v == w:
         return QuotientSpace(n, 0, Matrix.zero(0, n), Matrix.zero(n, 0))
+    if w.is_zero() and v.is_full():
+        return QuotientSpace(n, n, Matrix.identity(n), Matrix.identity(n))
     cands = w.basis.hstack(v.basis).hstack(Matrix.identity(n))
-    _, pivots = cands.rref()
+    red, pivots = cands.rref()
     head = w.dim + v.dim
     # dim(w + v) = dim v exactly when w lies in v
     if sum(1 for c in pivots if c < head) != v.dim:
         raise NotASubspace("quotient denominator is not contained in numerator")
     # every w column is a pivot, so the kept v columns come right after them
     q = v.dim - w.dim
-    cols = cands.transpose().entries
-    kept = Matrix._of(n, n, tuple(cols[c] for c in pivots)).transpose()
-    proj = Matrix._of(q, n, inverse(kept).entries[w.dim:w.dim + q])
-    lift = Matrix._of(n, q, tuple(row[w.dim:w.dim + q] for row in kept.entries))
+    kept = pivots[w.dim:w.dim + q]
+    proj = Matrix._of(q, n, tuple(row[head:] for row in red.entries[w.dim:w.dim + q]))
+    lift = Matrix._of(n, q, tuple(tuple(row[c] for c in kept) for row in cands.entries))
     return QuotientSpace(n, q, proj, lift)
 
 

@@ -132,6 +132,7 @@ class SpectralSequence:
         self._dims = {}
         self._cells = {}
         self._d = {}
+        self._lifted = {}   # id of a held cell -> D applied to its lift
 
     @property
     def r_infinity(self) -> int:
@@ -273,7 +274,11 @@ class SpectralSequence:
             rows = self.dim(r, i + r, j - r + 1)
             tgt_num = self.z(r, i + r, j - r + 1)
             tgt = self.cell(r, i + r, j - r + 1) if rows else None
-            img = self.cx.d(i + j) * self.cell(r, i, j).lift
+            src = self.cell(r, i, j)
+            # a cell reused from page r - 1 keeps its image under D
+            if id(src) not in self._lifted:
+                self._lifted[id(src)] = self.cx.d(i + j) * src.lift
+            img = self._lifted[id(src)]
             if tgt_num.coords_of(img) is None:
                 raise PropertyViolation(
                     "page %d differential leaves its target cell at (%d, %d)"

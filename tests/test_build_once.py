@@ -19,6 +19,8 @@ persistence pairs.
 A map on cohomology is computed on a whole basis at once: with
 ``Matrix.rref`` counted, a connecting map takes two eliminations and the
 Euler map at most three per degree, however many classes they carry.
+Whole commands are held to their counted eliminations too, which are the
+same on every machine.
 """
 
 import collections
@@ -144,6 +146,30 @@ def rrefs(monkeypatch):
 
     monkeypatch.setattr(ratla.Matrix, "rref", counting_rref)
     return count
+
+
+# Matrix.rref calls per command: kernel, preimage and quotient take one
+# elimination each, and none where a zero or empty operand fixes the answer
+ELIMINATIONS = {
+    ("cohomology", "cone2", "apex=2"): 9,
+    ("gysin", "cone2", "apex=2"): 23,
+    ("equivariant", "cone2", "apex=2"): 61,
+    ("localize", "cone2", "apex=2"): 11,
+    ("spectral", "hopf", None): 85,
+}
+
+
+@pytest.mark.parametrize("command, name, perversity", ELIMINATIONS)
+def test_commands_take_their_counted_eliminations(tmp_path, rrefs, command, name, perversity):
+    path = str(tmp_path / (name + ".json"))
+    save_model(fixtures.make(name), path)
+    argv = [command, path] + (["-p", perversity] if perversity else [])
+    if command == "spectral":
+        argv.append("--d3-check")
+    rrefs.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert rrefs["rref"] == ELIMINATIONS[(command, name, perversity)]
 
 
 def test_connecting_map_takes_two_eliminations(rrefs):

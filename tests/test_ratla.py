@@ -20,6 +20,7 @@ from eqih.ratla import (
     quotient,
     rat,
     subspace_sum,
+    _row_span,
 )
 
 
@@ -159,21 +160,31 @@ small_entries = st.integers(min_value=-4, max_value=4)
 
 
 def matrices(max_dim=4):
-    return st.integers(1, max_dim).flatmap(
-        lambda r: st.integers(1, max_dim).flatmap(
-            lambda c: st.lists(
-                st.lists(small_entries, min_size=c, max_size=c),
-                min_size=r, max_size=r,
-            ).map(Matrix.from_rows)
+    """Matrices of 0 to max_dim rows and columns with small integer
+    entries, all zero in some draws."""
+    return st.integers(0, max_dim).flatmap(
+        lambda r: st.integers(0, max_dim).flatmap(
+            lambda c: st.one_of(
+                st.just(Matrix.zero(r, c)),
+                st.lists(
+                    st.lists(small_entries, min_size=c, max_size=c),
+                    min_size=r, max_size=r,
+                ).map(lambda grid: Matrix(r, c, grid)),
+            )
         )
     )
 
 
 def subspaces(ambient):
-    return st.lists(
-        st.lists(small_entries, min_size=ambient, max_size=ambient),
-        min_size=0, max_size=ambient,
-    ).map(lambda vs: Subspace.from_vectors(ambient, vs))
+    """Spans of up to ambient drawn vectors, and the zero and full spaces."""
+    return st.one_of(
+        st.just(Subspace.zero(ambient)),
+        st.just(Subspace.full(ambient)),
+        st.lists(
+            st.lists(small_entries, min_size=ambient, max_size=ambient),
+            min_size=0, max_size=ambient,
+        ).map(lambda vs: Subspace.from_vectors(ambient, vs)),
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,11 +246,13 @@ def greedy_quotient(v, w):
 
 @st.composite
 def nested_pairs(draw, ambient=4):
-    """(v, w) with w inside v: w is spanned by combinations of v's basis."""
+    """(v, w) with w inside v: w is spanned by combinations of v's basis,
+    or is v itself or the zero space."""
     v = draw(subspaces(ambient))
     coeffs = draw(st.lists(st.lists(small_entries, min_size=v.dim, max_size=v.dim),
                            max_size=v.dim + 1))
-    return v, Subspace.from_matrix(v.basis * columns_matrix(v.dim, coeffs))
+    inner = Subspace.from_matrix(v.basis * columns_matrix(v.dim, coeffs))
+    return v, draw(st.sampled_from([inner, v, Subspace.zero(ambient)]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -481,3 +494,60 @@ def test_kernel_entries_are_qnum(m):
     assert all_qnum(m.kernel_basis())
     q = quotient(Subspace.full(m.cols), kernel(m))
     assert all_qnum(q.projection.entries) and all_qnum(q.lift.entries)
+
+
+# -- one elimination against the two-elimination paths -----------------------
+
+def row_span_kernel(m):
+    """Reference: the kernel_basis rows canonicalized by a second
+    elimination."""
+    return _row_span(m.cols, m.kernel_basis())
+
+
+def row_span_preimage(m, w):
+    """Reference: the x parts of the kernel of [m | -w.basis],
+    canonicalized by a second elimination."""
+    stacked = m.hstack(w.basis.scale(-1))
+    return _row_span(m.cols, [k[:m.cols] for k in stacked.kernel_basis()])
+
+
+def inverted_quotient(v, w):
+    """Reference: the projection as the rows of the inverse of the kept
+    columns of [w | v | identity] at the kept v columns, and the lift as
+    those columns."""
+    n = v.ambient_dim
+    cands = w.basis.hstack(v.basis).hstack(Matrix.identity(n))
+    pivots = cands.rref()[1]
+    kept = Matrix(n, n, [[row[c] for c in pivots] for row in cands.entries])
+    q = v.dim - w.dim
+    proj = Matrix(q, n, inverse(kept).entries[w.dim:w.dim + q])
+    lift = Matrix(n, q, [row[w.dim:w.dim + q] for row in kept.entries])
+    return proj, lift
+
+
+def assert_same_space(got, want):
+    assert got == want
+    assert got.basis.entries == want.basis.entries and all_qnum(got.basis.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matrices(), rational_matrices()))
+def test_kernel_matches_row_span_reference(m):
+    assert_same_space(kernel(m), row_span_kernel(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matrices(), rational_matrices()), st.data())
+def test_preimage_matches_row_span_reference(m, data):
+    w = data.draw(subspaces(m.rows))
+    assert_same_space(preimage(m, w), row_span_preimage(m, w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_pairs())
+def test_quotient_matches_inverted_reference(pair):
+    v, w = pair
+    q = quotient(v, w)
+    assert (q.projection, q.lift) == inverted_quotient(v, w)
+    assert all_qnum(q.projection.entries) and all_qnum(q.lift.entries)
+
