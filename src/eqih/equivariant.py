@@ -211,16 +211,6 @@ class LambdaExtension:
         maps = {n: self.tensor(n, target, 0, [(0, f)]) for n in range(0, self.hi + 1)}
         return chain_map(self.complex, target.complex, maps)
 
-    def coordinates(self, n, lo, hi):
-        """Coordinates of total degree n in the components of base degree
-        lo <= k < hi."""
-        out = []
-        for j, off in self.offsets.get(n, {}).items():
-            k = n - 2 * j
-            if lo <= k < hi:
-                out += range(off, off + self.base.dim(k))
-        return out
-
     def component_of(self, n, cochains: Matrix, j) -> Matrix:
         """The rows of the u^j component of the degree-n cochain columns;
         none if degree n has no u^j component."""

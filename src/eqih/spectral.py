@@ -3,13 +3,14 @@ long exact sequence.
 
 The equivariant complex is filtered by the pair degree: F^i collects the
 elements supported in pair degrees >= i whose twisted differential is again
-supported there.  In the block basis sum_j u^j Eq1^{n-2j} of the complex,
-support in pair degrees >= i is a condition on coordinates, so, since
-D^2 = 0, every term Z_r of the spectral sequence is the kernel of one block
-of D.  Every cell dimension is counted from one persistence reduction of D
-per total degree, in a basis adapted to the filtration; a cell is built as
-a quotient space, for its d_r and E_3 maps, only where that count is not
-zero (see SpectralSequence).  The associated first-quadrant spectral
+supported there.  One persistence reduction of D per total degree, with its
+column operations kept, puts D in normal form: a basis of chains adapted to
+the filtration in which D sends each source chain to a boundary and every
+other chain to zero.  Every Z_r and every cell denominator of the spectral
+sequence is then the span of chains (and boundaries) chosen by filtration
+and reach, every cell dimension is counted from the pairs, and a cell is
+built as a quotient space, for its d_r and E_3 maps, only where that count
+is not zero (see SpectralSequence).  The associated first-quadrant spectral
 sequence has even rows only; its third page carries the intersection
 cohomology of the orbit space on row zero and the co-Gysin cohomology
 (tensored with u-powers) on the higher even rows, with third differential
@@ -44,7 +45,6 @@ from .perverse import (
     perverse_complex,
 )
 from .ratla import (
-    ZERO,
     Matrix,
     QuotientSpace,
     Subspace,
@@ -52,7 +52,6 @@ from .ratla import (
     inverse,
     map_image,
     quotient,
-    subspace_sum,
 )
 
 
@@ -75,49 +74,63 @@ class SpectralPage:
         return Matrix.zero(self.dim(i + self.r, j - self.r + 1), 0)
 
 
+@dataclass(frozen=True)
+class NormalForm:
+    """D_n in persistence normal form: D_n sends each source chain to its
+    boundary and every other chain to zero."""
+
+    tags: list        # filtration of each chain of C^n
+    targets: list     # lowest non-zero row of each boundary, None for a cycle
+    reach: list       # filtration of each target, None for a cycle
+    chains: tuple     # the chains, as vectors of C^n
+    boundaries: tuple  # D_n of each chain, as vectors of C^{n+1}
+
+
 class SpectralSequence:
-    """Page engine for the equivariant complex filtered by pair degree.
+    """Page engine for the equivariant complex filtered by pair degree, in
+    the persistence normal form of its differential D.
 
-    Each Z_r is one kernel: that of the block of D_{i+j} whose columns are
-    the coordinates of C^{i+j} in pair degrees >= i and whose rows are the
-    coordinates of C^{i+j+1} in pair degrees < i + r.  The block basis
-    sum_j u^j Eq1^{n-2j} spans each raw^i C^n (pair degrees >= i) by
-    coordinates, and as D^2 = 0 an element whose image lies in raw^{i+r} has
-    its image in F^{i+r} = raw^{i+r} intersect D^{-1}(raw^{i+r}); with
-    raw^{i+r} inside raw^i for r >= 0 the subspace formula
-        Z_r^{i,j} = F^i C^{i+j} intersect D^{-1}(F^{i+r} C^{i+j+1})
-    reduces to raw^i intersect D^{-1}(raw^{i+r}).  F^i C^n itself is
-    Z_0^{i,n-i}.
+    Per total degree n the engine keeps a basis of C^n adapted to the
+    filtration, each element tagged with the largest i such that it lies in
+    F^i (adapted_basis).  It writes D_n in the adapted bases of C^n and
+    C^{n+1}, columns and rows from high filtration to low, and reduces it: a
+    column is cleared only by earlier columns, and the column operations V,
+    unit upper triangular, are kept.  The chains, the adapted basis times V,
+    are again adapted, and D_n sends each source chain to its boundary,
+    whose lowest non-zero row (the target) differs from every other
+    source's, and every other chain to zero: the persistence normal form of
+    Barannikov ("The framed Morse complex and its invariants", Adv. Soviet
+    Math. 21, 1994) and of Edelsbrunner, Letscher and Zomorodian
+    ("Topological persistence and simplification", DCG 28, 2002).  A
+    source's reach is the filtration of its target (None for a cycle).  As
+    the targets differ, D x lies in F^k exactly when every source in the
+    support of x reaches k or more, so
+        Z_r^{i,j} = span of the chains of tag >= i and reach None or >= i + r,
+    with F^i C^n = Z_0^{i,n-i}.  A boundary that reaches i + 1 or more is a
+    cycle in F^{i+1}, so lies in Z_{r-1}^{i+1}; the denominator of
+        E_r^{i,j} = Z_r / (Z_{r-1}^{i+1,j-1} + D Z_{r-1}^{i-r+1,j+r-2})
+    is thus the direct sum of the chains of Z_{r-1}^{i+1,j-1} and the
+    boundaries of the degree i + j - 1 chains of tag >= i - r + 1 that
+    reach exactly i.
 
-    Cell dimensions are counted, not built.  Per total degree n the engine
-    keeps a basis of C^n adapted to the filtration, each element tagged with
-    the largest i such that it lies in F^i, and one persistence reduction of
-    D_n written in the adapted bases of C^n and C^{n+1}: columns and rows run
-    from high filtration to low, a column is cleared only by earlier columns,
-    and each non-zero reduced column pairs its source with its lowest
-    non-zero row, the target, at a gap of the target's filtration minus the
-    source's.  A pair with gap g lives on the pages r <= g (Basu and Parida,
-    "Spectral sequences, exact couples and persistent homology of
-    filtrations", Expo. Math. 2017), so dim E_r^{i,j} counts the elements of
-    degree i + j and filtration i that are unpaired or paired at a gap of at
-    least r, and dim Z_r^{i,j} counts the elements of filtration >= i that
-    are not sources plus the sources of filtration >= i whose target has
-    filtration >= i + r.  The adapted basis is one rref of the rows
-    (e_c, D_n e_c), coordinates in ascending pair degree: F^i is spanned by
-    the rows whose pivot has pair degree >= i, so that is a row's tag.
-
-    Z_r lies in Z_{r-1}, so where their counts agree z returns the page r - 1
-    subspace.  A cell's quotient space, with the lifts that d_r and the E_3
-    maps are read from, is built only where the count is non-zero, from
-        E_r^{i,j} = Z_r / (Z_{r-1}^{i+1,j-1} + D Z_{r-1}^{i-r+1,j+r-2}),
-    whose denominator is den_r = Z_r intersect (B_{r-1} + F^{i+1}) with
-    B_{r-1} growing in r.  The denominators are not nested in general, but
-    once Z_r = Z_{r-1}, den_r contains den_{r-1}; if the cell counts agree
-    too the two are equal, and the cell reuses the page r - 1 quotient.
-    Every Z_r and quotient that is built is checked against its count.
-    Every total degree is read at its fold (LambdaExtension.fold) and every
-    page past r_infinity at r_infinity, whose cells and differentials it
-    equals, so each value is exact.
+    A pair with gap reach - tag lives on the pages r <= gap (Basu and
+    Parida, "Spectral sequences, exact couples and persistent homology of
+    filtrations", Expo. Math. 2017), so dim E_r^{i,j} counts the chains of
+    degree i + j and tag i that are unpaired or paired, as source or target,
+    at a gap of at least r.  A cell's quotient space, with the lifts that
+    d_r and the E_3 maps are read from, is built only where that count is
+    non-zero.  Each span is built once per choice of chains and boundaries,
+    and each quotient once per choice of numerator and denominator.  From
+    page r - 1 to r the chains of Z_r^{i,j} lose the sources of tag >= i
+    that reach i + r - 1 (those of Z_{r-1}^{i+1,j-1} a subset of them), and
+    the boundaries gain those of the sources of tag i - r + 1 that reach i,
+    which are pairs of gap r - 1 at the cell.  So the choices at r and r - 1
+    coincide exactly where the Z_r and the cell counts agree, and there the
+    page r - 1 span and quotient are reused with no bookkeeping.  Every
+    quotient that is built is checked against its count.  Every total
+    degree is read at its fold (LambdaExtension.fold) and every page past
+    r_infinity at r_infinity, whose cells and differentials it equals, so
+    each value is exact.
     """
 
     def __init__(self, eq):
@@ -125,11 +138,11 @@ class SpectralSequence:
         self.cx = eq.complex
         # pair degrees run 0 .. top_degree + 1
         self.i_top = eq.eq1.complex.hi
-        self._z = {}
         self._adapted = {}
-        self._pairs = {}
+        self._normal = {}
         self._lives = {}
         self._dims = {}
+        self._spans = {}
         self._cells = {}
         self._d = {}
         self._lifted = {}   # id of a held cell -> D applied to its lift
@@ -144,42 +157,34 @@ class SpectralSequence:
         return min(r, self.r_infinity), i, self.eq.ext.fold(i + j) - i
 
     def z(self, r, i, j) -> Subspace:
-        """Z_r^{i,j}, built at the first page r0 with its count, one past the
-        last reach (target filtration) below i + r: z(r) is z(r - 1) where
-        their counts agree."""
+        """Z_r^{i,j}: the span of the chains of tag >= i and reach None or
+        >= i + r."""
         n = self.eq.ext.fold(i + j)
-        key = (r, i, n - i)
-        if key not in self._z:
-            tags = self.adapted_basis(n)[1]
-            reach = {src: tags[src] + gap for src, _, gap in self.pairs(n)}
-            held = [reach.get(c) for c, tag in enumerate(tags) if tag >= i]
-            r0 = max([x - i + 1 for x in held if x is not None and x < i + r], default=0)
-            if r0 < r:
-                self._z[key] = self.z(r0, i, n - i)
-                return self._z[key]
-            amb = self.cx.dim(n)
-            cols = self.eq.ext.coordinates(n, i, self.i_top + 1)
-            rows = self.eq.ext.coordinates(n + 1, 0, i + r)
-            d = self.cx.d(n).entries
-            block = Matrix._of(len(rows), len(cols),
-                               tuple(tuple(d[a][b] for b in cols) for a in rows))
-            vecs = []
-            for k in block.kernel_basis():
-                v = [ZERO] * amb
-                for b, x in zip(cols, k):
-                    v[b] = x
-                vecs.append(tuple(v))
-            self._z[key] = space = Subspace.from_matrix(
-                Matrix._of(len(vecs), amb, tuple(vecs)).transpose())
-            if space.dim != sum(1 for x in held if x is None or x >= i + r):
-                raise PropertyViolation("page %d cycles at (%d, %d) have dimension %d, not "
-                                        "their pairs count" % (r, i, n - i, space.dim))
-        return self._z[key]
+        return self._span(n, self._chosen(n, i, i + r))
+
+    def _chosen(self, n, tag, reach):
+        """The chains of C^n of tag >= tag and reach None or >= reach."""
+        nf = self.normal_form(n)
+        return tuple(c for c, (t, x) in enumerate(zip(nf.tags, nf.reach))
+                     if t >= tag and (x is None or x >= reach))
+
+    def _span(self, n, chains, bounds=()):
+        """The span in C^n of the chosen chains of C^n and boundaries of
+        C^{n-1} chains, built once per choice."""
+        key = (n, chains, bounds)
+        if key not in self._spans:
+            vecs = [self.normal_form(n).chains[c] for c in chains]
+            vecs += [self.normal_form(n - 1).boundaries[c] for c in bounds]
+            self._spans[key] = Subspace.from_matrix(
+                Matrix._of(len(vecs), self.cx.dim(n), tuple(vecs)).transpose())
+        return self._spans[key]
 
     def adapted_basis(self, n):
         """(basis matrix, filtration of each column) of C^n, from high
         filtration to low: the x of the rref rows (x, D_n x) of the rows
-        (e_c, D_n e_c), each tagged with the pair degree of its pivot."""
+        (e_c, D_n e_c), coordinates in ascending pair degree, each tagged
+        with the pair degree of its pivot, so that F^i is spanned by the
+        rows whose pivot has pair degree >= i."""
         n = self.eq.ext.fold(n)
         if n not in self._adapted:
             ext, amb = self.eq.ext, self.cx.dim(n)
@@ -197,46 +202,50 @@ class SpectralSequence:
                                 [degs[order[c]] for c in pivots[::-1]])
         return self._adapted[n]
 
-    def pairs(self, n):
-        """(source, target, gap) of each pivot pair of the persistence
-        reduction of D_n in the adapted bases of C^n and C^{n+1}, as column
-        indices of those bases."""
+    def normal_form(self, n) -> NormalForm:
+        """The persistence normal form of D_n: the adapted basis of C^n
+        reduced by the kept column operations of the persistence reduction
+        of D_n in the adapted bases of C^n and C^{n+1}."""
         n = self.eq.ext.fold(n)
-        if n not in self._pairs:
-            src, src_tags = self.adapted_basis(n)
+        if n not in self._normal:
+            src, tags = self.adapted_basis(n)
             tgt, tgt_tags = self.adapted_basis(n + 1)
             d = inverse(tgt) * self.cx.d(n) * src
-            out = []
-            reduced = {}    # low row -> the reduced column that owns it
-            for c, col in enumerate(d.transpose().entries):
+            amb = len(tags)
+            # the columns of [I; d], each cleared by the earlier ones at its
+            # low: the top block becomes V; a cycle's low is its own 1 in V
+            reduced, ops, targets = {}, [], []
+            for col in map(tuple.__add__, Matrix.identity(amb).entries, d.transpose().entries):
                 low = _low(col)
                 while low in reduced:
-                    other = reduced[low]
-                    f = col[low] / other[low]
-                    col = tuple(a - f * b for a, b in zip(col, other))
+                    f = col[low] / reduced[low][low]
+                    col = tuple(a - f * b for a, b in zip(col, reduced[low]))
                     low = _low(col)
-                if low is not None:
-                    reduced[low] = col
-                    out.append((c, low, tgt_tags[low] - src_tags[c]))
-            self._pairs[n] = out
-        return self._pairs[n]
+                reduced[low] = col
+                ops.append(col[:amb])
+                targets.append(low - amb if low >= amb else None)
+            chains = src * Matrix._of(amb, amb, tuple(ops)).transpose()
+            self._normal[n] = NormalForm(
+                tags, targets, [None if t is None else tgt_tags[t] for t in targets],
+                chains.transpose().entries, (self.cx.d(n) * chains).transpose().entries)
+        return self._normal[n]
 
     def lives(self, n):
-        """(filtration, gap) of each adapted basis element of C^n, with gap
-        None for an element that no pair of D_{n-1} or D_n holds."""
+        """(filtration, gap) of each chain of C^n, with gap None for a chain
+        that no pair of D_{n-1} or D_n holds."""
         n = self.eq.ext.fold(n)
         if n not in self._lives:
-            tags = self.adapted_basis(n)[1]
-            gaps = [None] * len(tags)
-            for src, _, gap in self.pairs(n):
-                gaps[src] = gap
-            for _, tgt, gap in self.pairs(n - 1):
+            nf, below = self.normal_form(n), self.normal_form(n - 1)
+            gaps = [None if x is None else x - t for t, x in zip(nf.tags, nf.reach)]
+            for t, tgt, x in zip(below.tags, below.targets, below.reach):
+                if tgt is None:
+                    continue
                 if gaps[tgt] is not None:
                     raise InternalInvariantViolation(
                         "basis element %d of degree %d is both a source and a "
                         "target" % (tgt, n))
-                gaps[tgt] = gap
-            self._lives[n] = list(zip(tags, gaps))
+                gaps[tgt] = x - t
+            self._lives[n] = list(zip(nf.tags, gaps))
         return self._lives[n]
 
     def dim(self, r, i, j) -> int:
@@ -251,15 +260,14 @@ class SpectralSequence:
         """The page-r cell Z_r / (Z_{r-1}^{i+1,j-1} + D Z_{r-1}^{i-r+1,j+r-2})
         as a quotient space, whose dimension must equal the pair count;
         callers build it only for non-zero cells."""
-        key = self._key(r, i, j)
+        r, i, j = self._key(r, i, j)
+        n = i + j
+        below = self.normal_form(n - 1)
+        key = (n, self._chosen(n, i, i + r), self._chosen(n, i + 1, i + r),
+               tuple(c for c, (t, x) in enumerate(zip(below.tags, below.reach))
+                     if x == i and t > i - r))
         if key not in self._cells:
-            r, i, j = key
-            if r > 1 and self.z(r, i, j) is self.z(r - 1, i, j) \
-                    and self.dim(r, i, j) == self.dim(r - 1, i, j):
-                self._cells[key] = self.cell(r - 1, i, j)
-                return self._cells[key]
-            moved = map_image(self.cx.d(i + j - 1), self.z(r - 1, i - r + 1, j + r - 2))
-            q = quotient(self.z(r, i, j), subspace_sum(self.z(r - 1, i + 1, j - 1), moved))
+            q = quotient(self._span(n, key[1]), self._span(n, key[2], key[3]))
             if q.dim != self.dim(r, i, j):
                 raise PropertyViolation(
                     "page %d cell (%d, %d) has dimension %d, its pairs count %d"
@@ -343,6 +351,8 @@ def pages(m: ModelInstance, p: Perversity, r_max=None):
     # elements and every d_r into or out of the cell is zero
     for pg in out:
         r = pg.r
+        # d_in at one cell is d_out at another: each rank is taken once
+        ranks = {c: d.rank() for c, d in pg.differentials.items()} if r < r_max else {}
         for (i, j), d_out in pg.differentials.items():
             # odd rows vanish
             if j % 2 == 1:
@@ -356,8 +366,7 @@ def pages(m: ModelInstance, p: Perversity, r_max=None):
                         % (r, i, j))
             # next page is the cohomology of this one
             if r + 1 <= r_max:
-                d_in = pg.d(i - r, j + r - 1)
-                expect = pg.dim(i, j) - d_out.rank() - d_in.rank()
+                expect = pg.dim(i, j) - ranks[(i, j)] - ranks.get((i - r, j + r - 1), 0)
                 if ss.dim(r + 1, i, j) != expect:
                     raise PropertyViolation(
                         "page %d cell (%d, %d) is not the cohomology of page %d"

@@ -7,14 +7,17 @@ builds, ``SesData.connecting`` to record the (sequence, degree) pairs it
 computes, and ``ModelInstance.filtration_level`` to record the (perversity,
 degree) levels it computes: a call that reaches the model's ``intersect``
 computes its level, a call that does not read a cached one.  The spectral
-module's ``subspace_sum`` and ``quotient`` are counted: a cell denominator
-is a sum built only for the quotient of the cell it belongs to.
+module's ``quotient`` is counted, and ``SpectralSequence._span`` records
+the spans of chosen chains it returns: every cell denominator is such a
+span, and no span is built outside a ``z`` or ``cell`` call, so an E_3 map
+builds no denominator of its own.
 
-The page engine builds a quotient or a Z_r kernel only where a count
-changes: ``SpectralSequence.cell`` and ``SpectralSequence.z`` are wrapped
-to credit each quotient and each kernel to the innermost call that made
-it, and the credited keys are checked against counts read from the
-persistence pairs.
+The page engine builds each span of chosen chains and each quotient once,
+and a Z_r or a cell differs from its page r - 1 object exactly where a
+count changes: ``SpectralSequence._span`` is wrapped to record the choice
+of every span it eliminates, ``quotient`` is counted, and the objects
+``SpectralSequence.z`` and ``.cell`` return are compared page to page
+against counts read from the normal form.
 
 A map on cohomology is computed on a whole basis at once: with
 ``Matrix.rref`` counted, a connecting map takes two eliminations and the
@@ -55,9 +58,11 @@ def builds(monkeypatch):
     """Per command: the complexes whose cohomology was built and the
     (sequence, degree) pairs whose connecting map was computed (both held,
     so no id is reused), the count of computations per (perversity,
-    degree), and the counts of spectral subspace sums and quotients."""
+    degree), the spectral quotients with their denominators, the spans of
+    chosen chains (all held) and the spans built outside a z or cell call."""
     record = {"complexes": [], "connecting": [], "levels": collections.Counter(),
-              "intersects": 0, "sums": 0, "quotients": 0}
+              "intersects": 0, "denominators": [], "spans": [], "stray_spans": 0}
+    depth = [0]
 
     cohomology_init = homalg.Cohomology.__init__
 
@@ -85,23 +90,37 @@ def builds(monkeypatch):
             record["levels"][(p, degree)] += 1
         return space
 
-    subspace_sum = spectral.subspace_sum
     quotient = spectral.quotient
+    span = spectral.SpectralSequence._span
 
-    def counting_sum(a, b):
-        record["sums"] += 1
-        return subspace_sum(a, b)
-
-    def counting_quotient(v, w):
-        record["quotients"] += 1
+    def recording_quotient(v, w):
+        record["denominators"].append(w)
         return quotient(v, w)
+
+    def recording_span(self, *choice):
+        record["stray_spans"] += not depth[0]
+        out = span(self, *choice)
+        record["spans"].append(out)
+        return out
+
+    def nesting(method):
+        def wrapper(self, r, i, j):
+            depth[0] += 1
+            try:
+                return method(self, r, i, j)
+            finally:
+                depth[0] -= 1
+        return wrapper
 
     monkeypatch.setattr(homalg.Cohomology, "__init__", recording_init)
     monkeypatch.setattr(homalg.SesData, "connecting", recording_connecting)
     monkeypatch.setattr(model, "intersect", counting_intersect)
     monkeypatch.setattr(model.ModelInstance, "filtration_level", recording_level)
-    monkeypatch.setattr(spectral, "subspace_sum", counting_sum)
-    monkeypatch.setattr(spectral, "quotient", counting_quotient)
+    monkeypatch.setattr(spectral, "quotient", recording_quotient)
+    monkeypatch.setattr(spectral.SpectralSequence, "_span", recording_span)
+    for name in ("z", "cell"):
+        monkeypatch.setattr(spectral.SpectralSequence, name,
+                            nesting(getattr(spectral.SpectralSequence, name)))
     return record
 
 
@@ -110,7 +129,9 @@ def test_every_object_is_built_once(tmp_path, builds):
         builds["complexes"].clear()
         builds["connecting"].clear()
         builds["levels"].clear()
-        builds["sums"] = builds["quotients"] = 0
+        builds["denominators"].clear()
+        builds["spans"].clear()
+        builds["stray_spans"] = 0
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
         per_complex = collections.Counter(id(c) for c in builds["complexes"])
@@ -119,8 +140,11 @@ def test_every_object_is_built_once(tmp_path, builds):
         assert all(n == 1 for n in per_map.values()), argv
         twice = [key for key, n in builds["levels"].items() if n > 1]
         assert not twice, (argv, twice)
-        # one denominator per cell quotient, none for the E_3 maps
-        assert builds["sums"] == builds["quotients"], argv
+        # every cell denominator is a span of chosen chains, and no span is
+        # built outside the page engine's z and cell, so none for the E_3 maps
+        spans = {id(space) for space in builds["spans"]}
+        assert all(id(w) in spans for w in builds["denominators"]), argv
+        assert builds["stray_spans"] == 0, argv
 
 
 def test_gysin_sequence_starts_at_the_perverse_complex():
@@ -155,7 +179,8 @@ ELIMINATIONS = {
     ("gysin", "cone2", "apex=2"): 23,
     ("equivariant", "cone2", "apex=2"): 61,
     ("localize", "cone2", "apex=2"): 11,
-    ("spectral", "hopf", None): 85,
+    ("spectral", "hopf", None): 58,
+    ("spectral", "cone2", "apex=2"): 70,
 }
 
 
@@ -197,46 +222,52 @@ def test_euler_map_takes_three_eliminations_per_degree(rrefs):
 
 
 def z_count(ss, r, i, j):
-    """dim Z_r^{i,j} from the pairs of D_{i+j}: the elements of filtration
-    >= i that are not sources, or whose target has filtration >= i + r."""
-    tags = ss.adapted_basis(i + j)[1]
-    reach = {src: tags[src] + gap for src, _, gap in ss.pairs(i + j)}
-    return sum(1 for c, tag in enumerate(tags) if tag >= i and reach.get(c, i + r) >= i + r)
+    """dim Z_r^{i,j} from the normal form of D_{i+j}: the chains of
+    filtration >= i that are cycles, or whose target has filtration >= i + r."""
+    nf = ss.normal_form(i + j)
+    return sum(1 for t, x in zip(nf.tags, nf.reach) if t >= i and (x is None or x >= i + r))
 
 
 @pytest.fixture()
 def page_builds(monkeypatch):
-    """Per kind ("cell" or "z"): the (sequence, key) of every call of
-    SpectralSequence.cell or .z ("asked") and of each quotient or kernel
-    built, credited to the innermost of those calls ("built"); the
-    sequences are held."""
-    record = {kind: {"asked": [], "built": []} for kind in ("cell", "z")}
-    record["frames"] = []
+    """Per kind ("cell" or "z"): the (sequence, key, object) of every call
+    of SpectralSequence.cell or .z; the (sequence, choice) of every span
+    SpectralSequence._span eliminates; and the count of quotients built.
+    The sequences and objects are held, so no id is reused."""
+    record = {"cell": [], "z": [], "spans": [], "quotients": 0, "eliminations": 0}
 
-    def crediting(kind, method):
+    def asking(kind, method):
         def wrapper(self, r, i, j):
-            record["frames"].append(collections.Counter())
-            record[kind]["asked"].append((self, self._key(r, i, j)))
-            try:
-                return method(self, r, i, j)
-            finally:
-                if record["frames"].pop()[kind]:
-                    record[kind]["built"].append((self, self._key(r, i, j)))
+            out = method(self, r, i, j)
+            record[kind].append((self, self._key(r, i, j), out))
+            return out
         return wrapper
 
-    def counting(kind, fn):
-        def wrapper(*args):
-            if record["frames"]:
-                record["frames"][-1][kind] += 1
-            return fn(*args)
-        return wrapper
+    span = spectral.SpectralSequence._span
+    from_matrix = ratla.Subspace.from_matrix
+    quotient = spectral.quotient
 
-    monkeypatch.setattr(spectral, "quotient", counting("cell", spectral.quotient))
-    monkeypatch.setattr(spectral.Matrix, "kernel_basis",
-                        counting("z", spectral.Matrix.kernel_basis))
+    def recording_span(self, *choice):
+        before = record["eliminations"]
+        out = span(self, *choice)
+        if record["eliminations"] > before:
+            record["spans"].append((self, choice))
+        return out
+
+    def counting_from_matrix(m):
+        record["eliminations"] += 1
+        return from_matrix(m)
+
+    def counting_quotient(v, w):
+        record["quotients"] += 1
+        return quotient(v, w)
+
+    monkeypatch.setattr(spectral, "quotient", counting_quotient)
+    monkeypatch.setattr(ratla.Subspace, "from_matrix", staticmethod(counting_from_matrix))
+    monkeypatch.setattr(spectral.SpectralSequence, "_span", recording_span)
     for kind in ("cell", "z"):
         monkeypatch.setattr(spectral.SpectralSequence, kind,
-                            crediting(kind, getattr(spectral.SpectralSequence, kind)))
+                            asking(kind, getattr(spectral.SpectralSequence, kind)))
     return record
 
 
@@ -246,13 +277,16 @@ def test_pages_build_only_where_a_count_changes(page_builds):
     for m in models + [fixtures.cone(3), fixtures.random_model(121, size=3)]:
         for p in m.perversity_set:
             spectral.pages(m, p)
-    for kind in ("cell", "z"):
-        built = collections.Counter((id(ss), key) for ss, key in page_builds[kind]["built"])
-        assert built and all(n == 1 for n in built.values()), kind
-        for ss, (r, i, j) in page_builds[kind]["asked"]:
+    # every span and every quotient is built once
+    spans = collections.Counter((id(ss), choice) for ss, choice in page_builds["spans"])
+    assert spans and all(n == 1 for n in spans.values())
+    assert page_builds["quotients"] == len({id(q) for _, _, q in page_builds["cell"]})
+    # a Z_r or a cell is its page r - 1 object exactly where no count changes
+    for kind, first in (("cell", 1), ("z", 0)):
+        for ss, (r, i, j), out in list(page_builds[kind]):
             same = r > 0 and z_count(ss, r, i, j) == z_count(ss, r - 1, i, j)
             if kind == "cell":
                 assert r <= ss.r_infinity and ss.dim(r, i, j), (r, i, j)
                 same = same and r > 1 and ss.dim(r, i, j) == ss.dim(r - 1, i, j)
-            # built exactly where a count changes, reused where none does
-            assert ((id(ss), (r, i, j)) in built) != same, (kind, r, i, j)
+            if r > first:
+                assert (getattr(ss, kind)(r - 1, i, j) is out) == same, (kind, r, i, j)

@@ -124,7 +124,7 @@ class TestFiltration:
         assert ss.z(0, 0, 4).is_full()
         assert ss.z(0, ss.i_top + 1, 4 - ss.i_top - 1).is_zero()
 
-    def test_block_kernel_matches_subspace_formula(self):
+    def test_chain_spans_match_subspace_formula(self):
         # Z_r^{i,j} = F^i C^n intersect D^{-1}(F^{i+r} C^{n+1}), n = i + j
         models = [hopf(), rot(), cone2(), noperv()]
         models += [random_model(seed) for seed in range(4)]
@@ -354,33 +354,26 @@ class TestFold:
 
 
 class SubspaceCells(SpectralSequence):
-    """The per-cell engine the pair counts replaced: every cell, zero or
-    not, is the quotient of Z_r by its denominator, every Z_r is the kernel
-    of its own block of D, read nowhere from the pairs, and pages past
-    r_infinity are built from their own Z_r."""
+    """The per-cell engine the normal form replaced: every cell, zero or
+    not, is the quotient of Z_r by its denominator, every Z_r is the
+    subspace formula raw^i intersect D^{-1}(raw^{i+r}), read nowhere from
+    the chains, and pages past r_infinity are built from their own Z_r."""
+
+    def __init__(self, eq):
+        super().__init__(eq)
+        self._z, self._cells = {}, {}
 
     def _key(self, r, i, j):
         return r, i, self.eq.ext.fold(i + j) - i
 
     def z(self, r, i, j):
-        """Z_r^{i,j} as the kernel of its block of D, built at every key."""
+        """Z_r^{i,j} by the subspace formula, built at every key."""
         key = self._key(r, i, j)
         if key not in self._z:
             r, i, j = key
             n = i + j
-            amb = self.cx.dim(n)
-            cols = self.eq.ext.coordinates(n, i, self.i_top + 1)
-            rows = self.eq.ext.coordinates(n + 1, 0, i + r)
-            d = self.cx.d(n)
-            block = Matrix.from_rows([[d.entries[a][b] for b in cols] for a in rows]) \
-                if rows else Matrix.zero(0, len(cols))
-            vecs = []
-            for k in block.kernel_basis():
-                v = [0] * amb
-                for b, x in zip(cols, k):
-                    v[b] = x
-                vecs.append(v)
-            self._z[key] = Subspace.from_vectors(amb, vecs)
+            self._z[key] = intersect(raw(self, i, n),
+                                     preimage(self.cx.d(n), raw(self, i + r, n + 1)))
         return self._z[key]
 
     def cell(self, r, i, j):
@@ -414,13 +407,18 @@ def subspace_cells(m, p) -> SubspaceCells:
 
 def window(ss):
     """Every cell dim and d_r matrix in the listed degrees, on pages
-    1..r_infinity + 1."""
+    1..r_infinity + 1, with the projection and lift of each non-zero cell:
+    a projection defined on Z_r fixes the kernel there, the denominator."""
     n_u = ss.eq.n_u
-    return [(r, i, j, ss.dim(r, i, j),
-             ss.d_matrix(r, i, j) if i + j < n_u else None)
-            for r in range(1, ss.r_infinity + 2)
-            for i in range(0, ss.i_top + 1)
-            for j in range(0, n_u - i + 1)]
+    out = []
+    for r in range(1, ss.r_infinity + 2):
+        for i in range(0, ss.i_top + 1):
+            for j in range(0, n_u - i + 1):
+                q = ss.cell(r, i, j) if ss.dim(r, i, j) else None
+                out.append((r, i, j, ss.dim(r, i, j),
+                            ss.d_matrix(r, i, j) if i + j < n_u else None,
+                            q and (q.projection, q.lift)))
+    return out
 
 
 class TestPairEngine:
