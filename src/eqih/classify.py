@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .equivariant import build_equivariant
 from .errors import InvalidIso, TheoremViolation
 from .localize import lambda_u_module
 from .model import ModelInstance, Perversity
@@ -118,8 +119,6 @@ def consequence_check(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> di
     """Verify the necessary consequences of relatedness: for every shared
     perversity the graded equivariant dims, the u-action ranks, and the
     localized ranks coincide.  Raises TheoremViolation on any mismatch."""
-    from .equivariant import build_equivariant
-
     related, _ = f_related(iso, m1, m2)
     if not related:
         raise InvalidIso("consequence check needs related models")

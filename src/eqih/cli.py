@@ -19,6 +19,7 @@ from .equivariant import (
     default_window,
     eq1_cohomology,
     equivariant_gysin_les,
+    gysin_les,
     truncation_stable,
 )
 from .errors import EqihError, InputError, PropertyViolation
@@ -41,7 +42,6 @@ from .perverse import (
     cogysin_les,
     euler_map,
     gysin_cohomology,
-    gysin_les,
     omega_cohomology,
 )
 from .spectral import (

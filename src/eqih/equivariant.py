@@ -1,11 +1,13 @@
-"""The invariant-pair complex, the equivariant complex over the polynomial
-generator u, and the equivariant Gysin sequence.
+"""The invariant-pair complex, the Gysin sequence, the equivariant complex
+over the polynomial generator u, and the equivariant Gysin sequence.
 
-Degree-k elements of the pair complex are pairs (alpha, beta) with alpha in
-the p-level of degree k, beta in the one-step-lower perverse complex of
-degree k-1, and d(alpha) + sign * E(beta) again in level; its cohomology
-plays the role of the intersection cohomology of the total space.  Beside
-its differential d the pair complex carries the signed u-shift
+The invariant-pair complex Eq1_p is the subcomplex of the model's pair
+complex P (see perverse) of the pairs (alpha, beta) with alpha in the
+p-level of degree k, beta in the one-step-lower perverse complex of degree
+k-1, and d(alpha) + sign * E(beta) again in level; its cohomology plays the
+role of the intersection cohomology of the total space.  The Gysin sequence
+0 -> Omega_p -> Eq1_p -> G_p[-1] -> 0 is the restriction of A -> P -> A[-1].
+Beside its differential d the pair complex carries the signed u-shift
 S: (alpha, beta) |-> sign(k) * (beta, 0), one pair degree down.  The
 equivariant complex is the pair complex tensored with Q[u] (u of degree 2)
 with differential D = d + u * S; u acts by raising the power.
@@ -22,26 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DecompositionMismatch, InternalInvariantViolation
-from .homalg import ChainMap, Cohomology, Complex, LongExactSequence, SesData, chain_map, check_exact
+from .homalg import (ChainMap, Cohomology, Complex, LongExactSequence, SesData, chain_map,
+                     check_exact, check_short_exact, subcomplex)
 from .model import ModelInstance, Perversity
-from .perverse import (
-    _sign,
-    euler_map,
-    gysin_maps,
-    omega_spaces,
-    perverse_complex,
-)
-from .ratla import (
-    Matrix,
-    Subspace,
-    block_matrix,
-    image,
-    intersect,
-    kernel,
-    map_image,
-    preimage,
-    subspace_sum,
-)
+from .perverse import _sign, ambient_complexes, euler_map, omega_spaces, perverse_complex
+from .ratla import (Matrix, Subspace, block_matrix, image, intersect, kernel, map_image,
+                    preimage, subspace_sum)
 
 
 def default_window(m: ModelInstance) -> int:
@@ -54,7 +42,6 @@ def default_window(m: ModelInstance) -> int:
 
 @dataclass(frozen=True)
 class Eq1Complex:
-    p: Perversity
     complex: Complex    # abstract, degrees 0 .. top_degree + 1
     spaces: dict        # degree -> Subspace of Q^{dim(k) + dim(k-1)}
 
@@ -71,12 +58,11 @@ def build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
 def _build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
     m.check_perversity(p)
     a = m.ambient
+    _, pair = ambient_complexes(m)
     lower = omega_spaces(m, p.minus(m.characteristic_perversity()))
-    top = a.top_degree
 
     spaces = {}
-    pair_d = {k: _pair_d(a, k) for k in range(0, top + 2)}
-    for k in range(0, top + 2):
+    for k in pair.degrees():
         na, nb = a.dim(k), a.dim(k - 1)
         fp = m.filtration_level(p, k)
         om = lower[k - 1].basis if k else Matrix.zero(0, 0)
@@ -84,30 +70,10 @@ def _build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
         prod = Subspace.from_matrix(block_matrix(na + nb, fp.dim + om.cols,
                                                  [(0, 0, fp.basis), (na, fp.dim, om)]))
         # pairs whose twisted differential head stays in level
-        head = Matrix._of(a.dim(k + 1), na + nb, pair_d[k].entries[:a.dim(k + 1)])
+        head = Matrix._of(a.dim(k + 1), na + nb, pair.d(k).entries[:a.dim(k + 1)])
         spaces[k] = intersect(prod, preimage(head, m.filtration_level(p, k + 1)))
-
-    dims = []
-    diffs = []
-    for k in range(0, top + 2):
-        sp = spaces[k]
-        nxt = spaces.get(k + 1, Subspace.zero(a.dim(k + 1) + a.dim(k)))
-        c = nxt.coords_of(pair_d[k] * sp.basis)
-        if c is None:
-            raise InternalInvariantViolation(
-                "pair differential left the pair space in degree %d" % k)
-        dims.append(sp.dim)
-        diffs.append(c)
-    cx = Complex.build(0, top + 1, dims, diffs, check=True)
-    return Eq1Complex(p, cx, spaces)
-
-
-def _pair_d(a, k) -> Matrix:
-    """(alpha, beta) |-> (d alpha + sign * E beta, d beta) in ambient coords."""
-    na, nb = a.dim(k), a.dim(k - 1)
-    return block_matrix(a.dim(k + 1) + na, na + nb,
-                        [(0, 0, a.diff(k)), (0, na, a.euler(k - 1).scale(_sign(k))),
-                         (a.dim(k + 1), na, a.diff(k - 1))])
+    cx, _ = subcomplex(pair, spaces)
+    return Eq1Complex(cx, spaces)
 
 
 def pair_shift(m: ModelInstance, p: Perversity) -> dict:
@@ -137,6 +103,68 @@ def eq1_cohomology(m: ModelInstance, p: Perversity) -> Cohomology:
     """Cohomology of the pair complex: the intersection cohomology of the
     total space."""
     return build_eq1(m, p).complex.cohomology
+
+
+# ---------------------------------------------------------------------------
+# the Gysin sequence
+
+
+def _shift_down(c: Complex) -> Complex:
+    """The complex with degree-k space c^{k-1} and the same differentials
+    (no sign twist: the twisted middle differential already carries it)."""
+    dims = (0,) + c.dims
+    diffs = (Matrix.zero(c.dim(c.lo), 0),) + c.diffs
+    return Complex.build(c.lo, c.hi + 1, dims, diffs, check=False)
+
+
+def gysin_maps(m: ModelInstance, p: Perversity):
+    """The chain maps (i, s) of 0 -> Omega_p -> Eq1_p -> G_p[-1] -> 0,
+    checked exact once.
+
+    The middle term is the complex of admissible pairs; i is
+    alpha |-> (alpha, 0) and s is (alpha, beta) |-> beta.
+    """
+    return m.cached(("gysin_maps", p), lambda: _gysin_maps(m, p))
+
+
+def _gysin_maps(m: ModelInstance, p: Perversity):
+    pc = perverse_complex(m, p)
+    eq1 = build_eq1(m, p)
+    a = m.ambient
+
+    inc = {}
+    quo = {}
+    for k in eq1.complex.degrees():
+        na, nb = a.dim(k), a.dim(k - 1)
+        omega = pc.omega_space(k).basis
+        pairs = block_matrix(na + nb, omega.cols, [(0, 0, omega)])
+        inc[k] = eq1.space(k).coords_of(pairs)
+        if inc[k] is None:
+            raise InternalInvariantViolation(
+                "Omega_p misses the pair complex in degree %d" % k)
+        pair = eq1.space(k).basis
+        tails = Matrix._of(nb, pair.cols, pair.entries[na:])
+        quo[k] = pc.gysin_space(k - 1).coords_of(tails)
+        if quo[k] is None:
+            raise InternalInvariantViolation(
+                "pair complex tail misses the Gysin term in degree %d" % k)
+
+    i = chain_map(pc.omega, eq1.complex, inc)
+    s = chain_map(eq1.complex, _shift_down(pc.gysin), quo)
+    check_short_exact(i, s)
+    return i, s
+
+
+def gysin_les(m: ModelInstance, p: Perversity) -> LongExactSequence:
+    """The Gysin long exact sequence; its connecting morphism is verified to
+    coincide with the Euler map."""
+    ses = m.cached(("gysin_ses", p), lambda: SesData(*gysin_maps(m, p)))
+    eub = euler_map(m, p)
+    for k in range(ses.i.target.lo, ses.i.target.hi):
+        if ses.connecting(k) != eub.mat(k - 1):
+            raise InternalInvariantViolation(
+                "Gysin connecting morphism differs from the Euler map in degree %d" % k)
+    return ses.les()
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +322,11 @@ def truncation_stable(m: ModelInstance, p: Perversity) -> bool:
 
 
 class EquivariantGysin:
-    """The Gysin short exact sequence tensored with Q[u], with its long
-    exact sequence and the verified decomposition of the connecting
-    morphism."""
+    """The Gysin short exact sequence tensored with Q[u], exact because its
+    degree n is the direct sum of the Gysin sequence in degrees n - 2j, with
+    the verified decomposition of its connecting morphism."""
 
     def __init__(self, m: ModelInstance, p: Perversity):
-        self.m = m
-        self.p = p
         self.eq = build_equivariant(m, p)
         self.pc = perverse_complex(m, p)
         i, s = gysin_maps(m, p)
@@ -310,32 +336,6 @@ class EquivariantGysin:
         self.s = self.eq.ext.chain_map(self.tail, s.mat)
         self.ses = SesData(self.i, self.s)
         self.eub = euler_map(m, p)
-        self._maps = {}
-
-    def maps(self, f):
-        """The maps H^f(A) -> H^f(B) -> H^f(C) -> H^{f+1}(A) at a fold f,
-        built once per fold."""
-        if f not in self._maps:
-            ses = self.ses
-            self._maps[f] = (ses.ha.induced_map(ses.hb, ses.i, f),
-                             ses.hb.induced_map(ses.hc, ses.s, f),
-                             ses.connecting(f))
-        return self._maps[f]
-
-    def les(self, n_u) -> LongExactSequence:
-        """The long exact sequence in degrees 0..n_u - 1, each degree read at
-        its fold."""
-        ses, fold = self.ses, self.eq.ext.fold
-        labels, dims, maps = [], [], []
-        for k in range(0, n_u):
-            f = fold(k)
-            labels += ["H^%d(A)" % k, "H^%d(B)" % k, "H^%d(C)" % k]
-            dims += [ses.ha.dim(f), ses.hb.dim(f), ses.hc.dim(f)]
-            into_b, into_c, connecting = self.maps(f)
-            maps += [into_b, into_c]
-            if k < n_u - 1:
-                maps.append(connecting)
-        return LongExactSequence(labels, dims, maps)
 
     def expected_connecting(self, n) -> Matrix:
         """The decomposition (Euler map tensor 1 plus signed inclusion tensor
@@ -369,7 +369,7 @@ class EquivariantGysin:
         """Entrywise comparison of the generic connecting morphism with the
         Euler-map-plus-shifted-inclusion decomposition, at each fold."""
         for n in sorted({self.eq.ext.fold(k) for k in range(0, n_u)}):
-            if self.maps(n)[2] != self.expected_connecting(n):
+            if self.ses.connecting(n) != self.expected_connecting(n):
                 raise DecompositionMismatch(
                     "connecting morphism does not decompose in degree %d" % n)
         return {"decomposition_verified": True, "degrees_checked": list(range(0, n_u))}
@@ -379,7 +379,7 @@ def equivariant_gysin_les(m: ModelInstance, p: Perversity, n_u=None):
     """(long exact sequence, report) for the u-extended Gysin sequence."""
     n_u = default_window(m) if n_u is None else n_u
     gy = m.cached(("eq_gysin", p), lambda: EquivariantGysin(m, p))
-    seq = gy.les(n_u)
+    seq = gy.ses.les(range(n_u), gy.eq.ext.fold)
     report = gy.connecting_decomposition_report(n_u)
     report["exactness"] = check_exact(seq)
     report["exact"] = all(r["exact"] for r in report["exactness"])

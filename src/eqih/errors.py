@@ -26,14 +26,6 @@ class UnknownStratum(EqihError):
     pass
 
 
-class NotAComplex(EqihError):
-    pass
-
-
-class NotExact(EqihError):
-    pass
-
-
 class NotAConeModel(EqihError):
     pass
 
@@ -49,6 +41,18 @@ class InvalidIso(EqihError):
 
 class PropertyViolation(EqihError):
     """A structural theorem failed to hold; signals a bug, not bad input."""
+
+
+class NotAComplex(PropertyViolation):
+    """d.d != 0 in degree ``degree``, or a map does not commute with d."""
+
+    def __init__(self, message, degree=None):
+        super().__init__(message)
+        self.degree = degree
+
+
+class NotExact(PropertyViolation):
+    pass
 
 
 class DecompositionMismatch(PropertyViolation):

@@ -5,6 +5,14 @@ is an explicit matrix.  Subcomplexes and quotient complexes come with the
 chain maps relating them to their parent, and a short exact sequence of chain
 maps induces a long exact sequence with an explicitly computed connecting
 morphism.
+
+Each object is checked once, where it is built.  Complex.build(check=True)
+checks d.d = 0; the engine asks it only of a model's ambient and pair
+complexes and of the u-twisted tensor complex, and builds every other
+complex as a sub- or quotient complex, shift or untwisted tensor copy of a
+checked one.  subcomplex checks d-stability, quotient_complex that its
+projection is a chain map, chain_map its maps, and check_short_exact the
+exactness of two chain maps; Cohomology and SesData check nothing.
 """
 
 from __future__ import annotations
@@ -60,14 +68,15 @@ class Complex:
         return range(self.lo, self.hi + 1)
 
     def check_square(self):
-        """Raise NotAComplex unless d.d = 0 in every degree."""
+        """Raise NotAComplex, with the first failing degree, unless d.d = 0
+        in every degree."""
         for k in range(self.lo, self.hi):
             if not (self.d(k + 1) * self.d(k)).is_zero():
-                raise NotAComplex("d.d != 0 in degree %d" % k)
+                raise NotAComplex("d.d != 0 in degree %d" % k, k)
 
     @cached_property
     def cohomology(self) -> "Cohomology":
-        return Cohomology(self, check=False)
+        return Cohomology(self)
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,7 @@ class ChainMap:
     """Degree-preserving chain map given by per-degree matrices.
 
     maps[k] sends degree k of the source to degree k + shift of the target;
-    commutation with the differentials is checked on the nose.
+    chain_map checks commutation with the differentials on the nose.
     """
 
     source: Complex
@@ -99,11 +108,8 @@ class ChainMap:
         return self
 
 
-def chain_map(source, target, maps, shift=0, check=True) -> ChainMap:
-    f = ChainMap(source, target, shift, dict(maps))
-    if check:
-        f.check()
-    return f
+def chain_map(source, target, maps, shift=0) -> ChainMap:
+    return ChainMap(source, target, shift, dict(maps)).check()
 
 
 def subcomplex(parent: Complex, bases: dict) -> tuple:
@@ -145,10 +151,8 @@ def quotient_complex(parent: Complex, bases: dict) -> tuple:
             diffs.append(Matrix.zero(nrows, q.dim))
         dims.append(q.dim)
     quo = Complex.build(parent.lo, parent.hi, dims, diffs, check=False)
-    proj = ChainMap(parent, quo, 0, {k: quots[k].projection for k in parent.degrees()})
     # induced differential must be well defined: projection is a chain map
-    proj.check()
-    return quo, proj
+    return quo, chain_map(parent, quo, {k: quots[k].projection for k in parent.degrees()})
 
 
 class Cohomology:
@@ -158,9 +162,7 @@ class Cohomology:
     basis; every map on cohomology is read through these two, a whole basis
     at a time."""
 
-    def __init__(self, c: Complex, check=True):
-        if check:
-            c.check_square()
+    def __init__(self, c: Complex):
         self.complex = c
         self._quotients = {}
         for k in c.degrees():
@@ -230,35 +232,45 @@ def is_exact(seq: LongExactSequence) -> bool:
     return all(r["exact"] for r in check_exact(seq))
 
 
-class SesData:
-    """Cohomological data of a short exact sequence 0 -> A -> B -> C -> 0.
-    The connecting morphism is computed on the whole basis of H^k(C) at
-    once, one elimination per map it inverts."""
+def check_short_exact(i: ChainMap, s: ChainMap):
+    """Raise NotExact unless 0 -> A -> B -> C -> 0 is exact in every degree
+    of B: i injective, s surjective, s.i = 0 and dim B = dim A + dim C, so
+    that the image of i fills the kernel of s."""
+    for k in i.target.degrees():
+        f, g = i.mat(k), s.mat(k)
+        if f.cols and f.rank() != f.cols:
+            raise NotExact("first map not injective in degree %d" % k)
+        if g.rows and g.rank() != g.rows:
+            raise NotExact("second map not surjective in degree %d" % k)
+        if f.rows != f.cols + g.rows or not (g * f).is_zero():
+            raise NotExact("image != kernel at middle term in degree %d" % k)
 
-    def __init__(self, i: ChainMap, s: ChainMap, check=True):
+
+class SesData:
+    """Cohomological data of a short exact sequence 0 -> A -> B -> C -> 0
+    that its caller built exact.  The connecting morphism is computed once
+    per degree, on the whole basis of H^k(C) at once, one elimination per
+    map it inverts."""
+
+    def __init__(self, i: ChainMap, s: ChainMap):
         if i.shift != 0 or s.shift != 0:
             raise NotExact("SES maps must preserve degree")
         if i.target is not s.source:
             raise NotExact("middle complexes differ")
-        a, b, c = i.source, i.target, s.target
-        if check:
-            i.check()
-            s.check()
-            for k in b.degrees():
-                if kernel(i.mat(k)).dim != 0:
-                    raise NotExact("first map not injective in degree %d" % k)
-                if image(s.mat(k)).dim != c.dim(k):
-                    raise NotExact("second map not surjective in degree %d" % k)
-                if image(i.mat(k)) != kernel(s.mat(k)):
-                    raise NotExact("image != kernel at middle term in degree %d" % k)
-        for x in (a, b, c):
-            x.check_square()
         self.i, self.s = i, s
-        self.ha, self.hb, self.hc = a.cohomology, b.cohomology, c.cohomology
+        self.ha, self.hb, self.hc = (i.source.cohomology, i.target.cohomology,
+                                     s.target.cohomology)
+        self._connecting = {}
 
     def connecting(self, k) -> Matrix:
-        """H^k(C) -> H^{k+1}(A): lift the class representatives through s,
-        differentiate in B, and take the i-preimage's classes."""
+        """H^k(C) -> H^{k+1}(A), built on first use."""
+        if k not in self._connecting:
+            self._connecting[k] = self._connect(k)
+        return self._connecting[k]
+
+    def _connect(self, k) -> Matrix:
+        """Lift the class representatives of H^k(C) through s, differentiate
+        in B, and take the i-preimage's classes."""
         pre = self.s.mat(k).solve(self.hc.lifts(k))
         if pre is None:
             raise InternalInvariantViolation("surjectivity failed during connecting map")
@@ -267,16 +279,22 @@ class SesData:
             raise InternalInvariantViolation("connecting image missed the subcomplex")
         return self.ha.classes_of(k + 1, back)
 
-    def les(self) -> LongExactSequence:
-        """Long exact sequence over the degrees of the middle complex."""
-        lo, hi = self.i.target.lo, self.i.target.hi
+    def les(self, degrees=None, at=None) -> LongExactSequence:
+        """The long exact sequence over the listed degrees (default: those of
+        B), degree k read at degree at(k) (default k).  The maps of each
+        degree read are built once, and none leaves the last listed degree."""
+        degrees = list(self.i.target.degrees() if degrees is None else degrees)
+        induced = {}
         labels, dims, maps = [], [], []
-        for k in range(lo, hi + 1):
+        for n, k in enumerate(degrees):
+            f = k if at is None else at(k)
             labels += ["H^%d(A)" % k, "H^%d(B)" % k, "H^%d(C)" % k]
-            dims += [self.ha.dim(k), self.hb.dim(k), self.hc.dim(k)]
-            maps.append(self.ha.induced_map(self.hb, self.i, k))
-            maps.append(self.hb.induced_map(self.hc, self.s, k))
-            if k < hi:
-                maps.append(self.connecting(k))
+            dims += [self.ha.dim(f), self.hb.dim(f), self.hc.dim(f)]
+            if f not in induced:
+                induced[f] = [self.ha.induced_map(self.hb, self.i, f),
+                              self.hb.induced_map(self.hc, self.s, f)]
+            maps += induced[f]
+            if n < len(degrees) - 1:
+                maps.append(self.connecting(f))
         return LongExactSequence(labels, dims, maps)
 

@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import InputError, StrataMismatch, UnknownStratum
-from .homalg import Complex
 from .ratla import QNUM, Matrix, Subspace, intersect, kron, map_image, rat
 
 STRATUM_KINDS = ("mobile", "fixed_nonperverse", "fixed_perverse")
@@ -122,9 +121,6 @@ class AmbientModel:
         if 0 <= k <= self.top_degree:
             return self.euler_op[k]
         return Matrix.zero(self.dim(k + 2), self.dim(k))
-
-    def complex(self) -> Complex:
-        return Complex.build(0, self.top_degree, self.dims, self.d, check=False)
 
     def filtration(self, stratum: str, level: int, degree: int) -> Subspace:
         """F_S^level in one degree, with the level range clamped: the floor

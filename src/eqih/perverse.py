@@ -1,5 +1,11 @@
-"""Perverse complexes, the Gysin term, the co-Gysin quotient and the Gysin
-long exact sequence.
+"""The ambient and pair complexes of a model, perverse complexes, the Gysin
+term, the co-Gysin quotient and the Euler map.
+
+A model gives two complexes, built and checked once (ambient_complexes):
+the ambient complex A with differential d, and the pair complex P with
+P^k = A^k + A^{k-1} and (alpha, beta) |-> (d alpha + sign(k) E beta, d beta).
+P squares to zero exactly when A does and the Euler operator E is a chain
+map; every other complex is a sub- or quotient complex of A or P.
 
 For a perversity p the complex Omega_p consists of the forms within the
 p-level of every stratum filtration whose differential also stays within
@@ -14,33 +20,49 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, InternalInvariantViolation, WitnessNotFound
-from .homalg import (
-    ChainMap,
-    Cohomology,
-    Complex,
-    LongExactSequence,
-    SesData,
-    chain_map,
-    quotient_complex,
-    subcomplex,
-)
+from .errors import InputError, InternalInvariantViolation, NotAComplex, WitnessNotFound
+from .homalg import (ChainMap, Cohomology, Complex, LongExactSequence, SesData, chain_map,
+                     quotient_complex, subcomplex)
 from .model import ModelInstance, Perversity
-from .ratla import (
-    Matrix,
-    Subspace,
-    block_matrix,
-    intersect,
-    map_image,
-    preimage,
-    quotient,
-    subspace_sum,
-)
+from .ratla import (Matrix, Subspace, block_matrix, intersect, map_image, preimage, quotient,
+                    subspace_sum)
 
 
 def _sign(k):
     """The degree sign used throughout the twisted constructions."""
     return -1 if (k - 1) % 2 else 1
+
+
+def _pair_d(a, k) -> Matrix:
+    """(alpha, beta) |-> (d alpha + sign * E beta, d beta) in ambient coords."""
+    na, nb = a.dim(k), a.dim(k - 1)
+    return block_matrix(a.dim(k + 1) + na, na + nb,
+                        [(0, 0, a.diff(k)), (0, na, a.euler(k - 1).scale(_sign(k))),
+                         (a.dim(k + 1), na, a.diff(k - 1))])
+
+
+def ambient_complexes(m: ModelInstance) -> tuple:
+    """(A, P): the ambient complex in degrees 0..top and the pair complex in
+    degrees 0..top + 1, built and checked once per model.  A model whose d
+    does not square to zero, or whose E is not a chain map, is malformed
+    input: InputError names the validate axiom and its degree."""
+    return m.cached("ambient_complexes", lambda: _ambient_complexes(m.ambient))
+
+
+def _ambient_complexes(a) -> tuple:
+    top = a.top_degree
+    try:
+        amb = Complex.build(0, top, a.dims, a.d, check=True)
+    except NotAComplex as e:
+        raise InputError("model fails 'differential: d.d = 0' in degree %d" % e.degree)
+    try:
+        pair = Complex.build(0, top + 1, [a.dim(k) + a.dim(k - 1) for k in range(top + 2)],
+                             [_pair_d(a, k) for k in range(top + 2)], check=True)
+    except NotAComplex as e:
+        # given d.d = 0, D.D on P^k is sign(k) (dE - Ed) on A^{k-1}
+        raise InputError("model fails 'euler operator: chain map' in degree %d"
+                         % (e.degree - 1))
+    return amb, pair
 
 
 @dataclass(frozen=True)
@@ -90,7 +112,7 @@ def omega_spaces(m: ModelInstance, p: Perversity) -> dict:
 def _build(m: ModelInstance, p: Perversity) -> PerverseComplex:
     m.check_perversity(p)
     a = m.ambient
-    amb = m.cached("ambient_complex", a.complex)
+    amb, _ = ambient_complexes(m)
     spaces = omega_spaces(m, p)
     lower = omega_spaces(m, p.minus(m.characteristic_perversity()))
 
@@ -119,7 +141,7 @@ def build_cogysin(m: ModelInstance, p: Perversity):
     of 0 -> G_p -> Omega_p -> K_p -> 0."""
     pc = perverse_complex(m, p)
     ses = m.cached(("cogysin_ses", p),
-                   lambda: SesData(pc.gysin_incl, pc.projection, check=False))
+                   lambda: SesData(pc.gysin_incl, pc.projection))
     return pc.cogysin, pc.projection, ses
 
 
@@ -207,65 +229,3 @@ class EulerMap:
 
 def euler_map(m: ModelInstance, p: Perversity) -> EulerMap:
     return m.cached(("eub", p), lambda: EulerMap(m, p))
-
-
-def _shift_down(c: Complex) -> Complex:
-    """The complex with degree-k space c^{k-1} and the same differentials
-    (no sign twist: the twisted middle differential already carries it)."""
-    dims = (0,) + c.dims
-    diffs = (Matrix.zero(c.dim(c.lo), 0),) + c.diffs
-    return Complex.build(c.lo, c.hi + 1, dims, diffs, check=False)
-
-
-def gysin_maps(m: ModelInstance, p: Perversity):
-    """The chain maps (i, s) of 0 -> Omega_p -> (twisted pair complex) ->
-    G_p[-1] -> 0.
-
-    The middle term is the complex of admissible pairs; i is
-    alpha |-> (alpha, 0) and s is (alpha, beta) |-> beta.
-    """
-    return m.cached(("gysin_maps", p), lambda: _gysin_maps(m, p))
-
-
-def _gysin_maps(m: ModelInstance, p: Perversity):
-    from .equivariant import build_eq1
-
-    pc = perverse_complex(m, p)
-    eq1 = build_eq1(m, p)
-    a = m.ambient
-
-    inc = {}
-    quo = {}
-    for k in eq1.complex.degrees():
-        na, nb = a.dim(k), a.dim(k - 1)
-        omega = pc.omega_space(k).basis
-        pairs = block_matrix(na + nb, omega.cols, [(0, 0, omega)])
-        inc[k] = eq1.space(k).coords_of(pairs)
-        if inc[k] is None:
-            raise InternalInvariantViolation(
-                "Omega_p misses the pair complex in degree %d" % k)
-        pair = eq1.space(k).basis
-        tails = Matrix._of(nb, pair.cols, pair.entries[na:])
-        quo[k] = pc.gysin_space(k - 1).coords_of(tails)
-        if quo[k] is None:
-            raise InternalInvariantViolation(
-                "pair complex tail misses the Gysin term in degree %d" % k)
-
-    i = chain_map(pc.omega, eq1.complex, inc)
-    s = chain_map(eq1.complex, _shift_down(pc.gysin), quo)
-    return i, s
-
-
-def gysin_les(m: ModelInstance, p: Perversity) -> LongExactSequence:
-    """The Gysin long exact sequence; its connecting morphism is verified to
-    coincide with the Euler map."""
-    ses = m.cached(("gysin_ses", p), lambda: SesData(*gysin_maps(m, p)))
-    eub = euler_map(m, p)
-    seq = ses.les()
-    # the maps run H^k(A) -> H^k(B) -> H^k(C) -> H^{k+1}(A) from degree lo on
-    lo = ses.i.target.lo
-    for k in range(lo, ses.i.target.hi):
-        if seq.maps[3 * (k - lo) + 2] != eub.mat(k - 1):
-            raise InternalInvariantViolation(
-                "Gysin connecting morphism differs from the Euler map in degree %d" % k)
-    return seq

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .equivariant import build_equivariant, gysin_maps
 from .errors import (
     IdentificationFails,
     InternalInvariantViolation,
@@ -39,7 +40,6 @@ from .perverse import (
     cogysin_cohomology,
     euler_map,
     gysin_cohomology,
-    gysin_maps,
     inclusion_map,
     omega_cohomology,
     perverse_complex,
@@ -314,8 +314,6 @@ def _low(col):
 
 
 def spectral_sequence(m: ModelInstance, p: Perversity) -> SpectralSequence:
-    from .equivariant import build_equivariant
-
     return m.cached(("spectral", p),
                     lambda: SpectralSequence(build_equivariant(m, p)))
 
@@ -472,7 +470,7 @@ def _e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
                 raise PropertyViolation(
                     "third-page identification not well defined at "
                     "(%d, %d)" % (i, 2 * j))
-            if phi.rows != phi.cols or phi.rank() != phi.rows:
+            if phi.rows != phi.cols or (phi.cols and phi.rank() != phi.rows):
                 raise PropertyViolation(
                     "third-page identification not bijective at (%d, %d): "
                     "cell dim %d vs %d" % (i, 2 * j, phi.cols, phi.rows))
@@ -596,8 +594,6 @@ def skjelbred(m: ModelInstance) -> LongExactSequence:
     (IdentificationFails otherwise); exactness is checked at every interior
     node, i <= n_u - 2 (TheoremViolation naming the node otherwise).
     """
-    from .equivariant import build_equivariant
-
     _require_fixed_point_preconditions(m)
 
     zero = m.zero_perversity()

@@ -13,6 +13,7 @@ from eqih.equivariant import (
     default_window,
     eq1_cohomology,
     equivariant_gysin_les,
+    gysin_les,
     truncation_stable,
 )
 from eqih.fixtures import (
@@ -30,7 +31,6 @@ from eqih.model import Perversity, model_from_dict, model_to_dict
 from eqih.perverse import (
     cogysin_cohomology,
     cogysin_les,
-    gysin_les,
     omega_cohomology,
     perverse_complex,
 )

@@ -1,12 +1,15 @@
 """Each report command builds every cohomology, every level space, every
-connecting map and every spectral cell denominator once.
+connecting map and every spectral cell denominator once, and checks every
+complex and every chain map at most once.
 
-The commands run through ``cli.main`` on the four fixtures at every
-perversity.  ``Cohomology.__init__`` is wrapped to record the complex it
-builds, ``SesData.connecting`` to record the (sequence, degree) pairs it
-computes, and ``ModelInstance.filtration_level`` to record the (perversity,
-degree) levels it computes: a call that reaches the model's ``intersect``
-computes its level, a call that does not read a cached one.  The spectral
+The commands run through ``cli.main`` on the four fixtures, at every
+perversity, and ``skjelbred`` once per fixture.  ``Cohomology.__init__`` is wrapped to record the complex it
+builds, ``SesData._connect`` to record the (sequence, degree) pairs whose
+connecting map it computes, ``Complex.check_square`` and ``ChainMap.check``
+to record the objects they check, and ``ModelInstance.filtration_level`` to
+record the (perversity, degree) levels it computes: a call that reaches the
+model's ``intersect`` computes its level, a call that does not read a
+cached one.  The spectral
 module's ``quotient`` is counted, and ``SpectralSequence._span`` records
 the spans of chosen chains it returns: every cell denominator is such a
 span, and no span is built outside a ``z`` or ``cell`` call, so an E_3 map
@@ -32,7 +35,7 @@ import io
 
 import pytest
 
-from eqih import fixtures, homalg, model, perverse, ratla, spectral
+from eqih import equivariant, fixtures, homalg, model, perverse, ratla, spectral
 from eqih.cli import main
 from eqih.model import save_model
 
@@ -50,31 +53,43 @@ def commands(tmp_path):
             out += [[command, path] + perv
                     for command in ("cohomology", "gysin", "equivariant", "localize")]
             out.append(["spectral", path] + perv + ["--d3-check"])
+        out.append(["skjelbred", path])
     return out
 
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """Per command: the complexes whose cohomology was built and the
-    (sequence, degree) pairs whose connecting map was computed (both held,
-    so no id is reused), the count of computations per (perversity,
+    """Per command: the complexes whose cohomology was built, the (sequence,
+    degree) pairs whose connecting map was computed and the complexes and
+    chain maps checked (all held, so no id is reused), the count of computations per (perversity,
     degree), the spectral quotients with their denominators, the spans of
     chosen chains (all held) and the spans built outside a z or cell call."""
-    record = {"complexes": [], "connecting": [], "levels": collections.Counter(),
+    record = {"complexes": [], "connecting": [], "checked": [], "levels": collections.Counter(),
               "intersects": 0, "denominators": [], "spans": [], "stray_spans": 0}
     depth = [0]
 
     cohomology_init = homalg.Cohomology.__init__
 
-    def recording_init(self, c, check=True):
+    def recording_init(self, c):
         record["complexes"].append(c)
-        cohomology_init(self, c, check)
+        cohomology_init(self, c)
 
-    connecting = homalg.SesData.connecting
+    connect = homalg.SesData._connect
 
-    def recording_connecting(self, k):
+    def recording_connect(self, k):
         record["connecting"].append((self, k))
-        return connecting(self, k)
+        return connect(self, k)
+
+    check_square = homalg.Complex.check_square
+    check = homalg.ChainMap.check
+
+    def recording_check_square(self):
+        record["checked"].append(self)
+        return check_square(self)
+
+    def recording_check(self, *args, **kwargs):
+        record["checked"].append(self)
+        return check(self, *args, **kwargs)
 
     level = model.ModelInstance.filtration_level
     intersect = model.intersect
@@ -113,7 +128,9 @@ def builds(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(homalg.Cohomology, "__init__", recording_init)
-    monkeypatch.setattr(homalg.SesData, "connecting", recording_connecting)
+    monkeypatch.setattr(homalg.SesData, "_connect", recording_connect)
+    monkeypatch.setattr(homalg.Complex, "check_square", recording_check_square)
+    monkeypatch.setattr(homalg.ChainMap, "check", recording_check)
     monkeypatch.setattr(model, "intersect", counting_intersect)
     monkeypatch.setattr(model.ModelInstance, "filtration_level", recording_level)
     monkeypatch.setattr(spectral, "quotient", recording_quotient)
@@ -128,6 +145,7 @@ def test_every_object_is_built_once(tmp_path, builds):
     for argv in commands(tmp_path):
         builds["complexes"].clear()
         builds["connecting"].clear()
+        builds["checked"].clear()
         builds["levels"].clear()
         builds["denominators"].clear()
         builds["spans"].clear()
@@ -138,6 +156,8 @@ def test_every_object_is_built_once(tmp_path, builds):
         assert max(per_complex.values(), default=0) == 1, argv
         per_map = collections.Counter((id(ses), k) for ses, k in builds["connecting"])
         assert all(n == 1 for n in per_map.values()), argv
+        per_object = collections.Counter(id(x) for x in builds["checked"])
+        assert max(per_object.values(), default=0) == 1, argv
         twice = [key for key, n in builds["levels"].items() if n > 1]
         assert not twice, (argv, twice)
         # every cell denominator is a span of chosen chains, and no span is
@@ -153,7 +173,7 @@ def test_gysin_sequence_starts_at_the_perverse_complex():
     for name in FIXTURES:
         m = fixtures.make(name)
         for p in m.perversity_set:
-            perverse.gysin_les(m, p)
+            equivariant.gysin_les(m, p)
             ses = m.cached(("gysin_ses", p), None)
             assert ses.ha is perverse.omega_cohomology(m, p), (name, p)
 
@@ -176,11 +196,11 @@ def rrefs(monkeypatch):
 # elimination each, and none where a zero or empty operand fixes the answer
 ELIMINATIONS = {
     ("cohomology", "cone2", "apex=2"): 9,
-    ("gysin", "cone2", "apex=2"): 23,
-    ("equivariant", "cone2", "apex=2"): 61,
+    ("gysin", "cone2", "apex=2"): 20,
+    ("equivariant", "cone2", "apex=2"): 50,
     ("localize", "cone2", "apex=2"): 11,
-    ("spectral", "hopf", None): 58,
-    ("spectral", "cone2", "apex=2"): 70,
+    ("spectral", "hopf", None): 44,
+    ("spectral", "cone2", "apex=2"): 59,
 }
 
 
@@ -200,7 +220,7 @@ def test_commands_take_their_counted_eliminations(tmp_path, rrefs, command, name
 def test_connecting_map_takes_two_eliminations(rrefs):
     m = fixtures.random_model(2)
     p = m.zero_perversity()
-    ses = homalg.SesData(*perverse.gysin_maps(m, p))
+    ses = homalg.SesData(*equivariant.gysin_maps(m, p))
     for k in ses.i.target.degrees():
         rrefs.clear()
         ses.connecting(k)

@@ -4,8 +4,8 @@ import pytest
 
 from eqih import localize, spectral
 from eqih.cli import main
-from eqih.fixtures import cone2, hopf
-from eqih.model import model_to_dict, save_model
+from eqih.fixtures import cone2, hopf, noperv, random_model
+from eqih.model import model_from_dict, model_to_dict, save_model, validate
 
 
 @pytest.fixture()
@@ -197,6 +197,35 @@ class TestErrors:
         code, out, err = run(capsys, argv[0], cone_file, *argv[1:])
         assert code == 1 and not out
         assert json.loads(err)["error"] == "TheoremViolation"
+
+    # noperv with d.d != 0, and random 121 (size 3) with an Euler operator
+    # that is not a chain map: every engine command refuses them as input
+    @pytest.mark.parametrize("document, perversity, axiom", [
+        ("noperv", "apex=1", "differential: d.d = 0"),
+        ("random", "s0=2", "euler operator: chain map"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["cohomology"], ["gysin"], ["equivariant"], ["localize"],
+        ["spectral", "--d3-check"], ["skjelbred"],
+    ], ids=lambda argv: argv[0])
+    def test_model_failing_an_axiom_exits_2(self, capsys, tmp_path, document, perversity,
+                                            axiom, argv):
+        if document == "noperv":
+            data = model_to_dict(noperv())
+            data["d"][0] = [["1"]]
+        else:
+            data = model_to_dict(random_model(121, size=3))
+            assert data["euler_op"][0][2][1] == "-1"
+            data["euler_op"][0][2][1] = "3"
+        failed = [r["axiom"] for r in validate(model_from_dict(data)) if not r["passed"]]
+        assert failed == [axiom]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        perv = [] if argv[0] == "skjelbred" else ["-p", perversity]
+        code, out, err = run(capsys, argv[0], str(path), *perv, *argv[1:])
+        assert code == 2 and not out
+        report = json.loads(err)
+        assert report["error"] == "InputError" and axiom in report["detail"]
 
     def test_bad_perversity_syntax(self, capsys, cone_file):
         code, _, err = run(capsys, "cohomology", cone_file, "-p", "apex")

@@ -11,6 +11,7 @@ from eqih.homalg import (
     SesData,
     chain_map,
     check_exact,
+    check_short_exact,
     is_exact,
     quotient_complex,
     subcomplex,
@@ -172,9 +173,20 @@ class TestLes:
         a = two_term(1, [[0]])
         c = two_term(1, [[0]])
         i, s = split_ses(a, c)
+        check_short_exact(i, s)
+        b = i.target
+        # the maps of a sequence must share its middle complex
         bad_s = chain_map(c, c, {0: Matrix.zero(1, 1), 1: Matrix.zero(1, 1)})
         with pytest.raises(NotExact):
             SesData(i, bad_s)
+        # i not injective, s not surjective, and s.i != 0 (every map of
+        # these complexes, whose differentials are zero, is a chain map)
+        zero_i = chain_map(a, b, {})
+        zero_s = chain_map(b, c, {})
+        head = chain_map(b, c, {k: Matrix.from_rows([[1, 0]]) for k in (0, 1)})
+        for f, g in ((zero_i, s), (i, zero_s), (i, head)):
+            with pytest.raises(NotExact):
+                check_short_exact(f, g)
 
     def test_connecting_nontrivial_and_lift_independent(self):
         # 0 -> Q[1] -> (Q -> Q, d=1) -> Q[0] -> 0 : connecting is an iso

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from eqih.equivariant import gysin_les
 from eqih.errors import InputError
 from eqih.fixtures import cone2, hopf, noperv, random_model, rot
 from eqih.homalg import Cohomology, chain_map, is_exact
@@ -12,7 +13,6 @@ from eqih.perverse import (
     cogysin_les,
     euler_map,
     gysin_cohomology,
-    gysin_les,
     inclusion_map,
     omega_cohomology,
     perverse_complex,
