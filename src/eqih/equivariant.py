@@ -114,7 +114,7 @@ def _shift_down(c: Complex) -> Complex:
     (no sign twist: the twisted middle differential already carries it)."""
     dims = (0,) + c.dims
     diffs = (Matrix.zero(c.dim(c.lo), 0),) + c.diffs
-    return Complex.build(c.lo, c.hi + 1, dims, diffs, check=False)
+    return Complex.build(c.lo, c.hi + 1, dims, diffs)
 
 
 def gysin_maps(m: ModelInstance, p: Perversity):
@@ -196,7 +196,9 @@ class LambdaExtension:
         if shift is not None:
             terms.append((1, shift.__getitem__))
         diffs = [self.tensor(n, self, 1, terms) for n in range(0, self.hi + 1)]
-        self.complex = Complex.build(0, self.hi, dims, diffs, check=shift is not None)
+        self.complex = Complex.build(0, self.hi, dims, diffs)
+        if shift is not None:
+            self.complex.check_square()
 
     def dim(self, n) -> int:
         return self.dims[n] if 0 <= n <= self.hi else 0
@@ -253,7 +255,8 @@ class LambdaExtension:
         return self.tensor(n, self, 2, [(1, lambda k: Matrix.identity(self.base.dim(k)))])
 
     def u_rank(self, n) -> int:
-        """Rank of u: H^n -> H^{n+2}, via cocycle images modulo coboundaries."""
+        """Rank of u: H^n -> H^{n+2}, via cocycle images modulo coboundaries
+        (truncation_stable's independent path)."""
         b = image(self.complex.d(n + 1))
         moved = map_image(self.u_matrix(n), kernel(self.complex.d(n)))
         return subspace_sum(moved, b).dim - b.dim
@@ -265,9 +268,7 @@ class EquivariantComplex:
     n_u is the default highest degree a report lists."""
 
     def __init__(self, m: ModelInstance, p: Perversity):
-        m.check_perversity(p)
         self.m = m
-        self.p = p
         self.n_u = default_window(m)
         self.eq1 = build_eq1(m, p)
         self.ext = LambdaExtension(self.eq1.complex, shift=pair_shift(m, p))
@@ -285,9 +286,10 @@ class EquivariantComplex:
         return tuple(self.dim(n) for n in range(0, upto + 1))
 
     def u_rank(self, n) -> int:
+        """Rank of u: H^n -> H^{n+2}, once per fold."""
         f = self.ext.fold(n)
         if f not in self._folded_u_ranks:
-            self._folded_u_ranks[f] = self.ext.u_rank(f)
+            self._folded_u_ranks[f] = self.u_cohomology_matrix(f).rank()
         return self._folded_u_ranks[f]
 
     def u_ranks(self, upto=None):

@@ -44,11 +44,7 @@ class PropertyViolation(EqihError):
 
 
 class NotAComplex(PropertyViolation):
-    """d.d != 0 in degree ``degree``, or a map does not commute with d."""
-
-    def __init__(self, message, degree=None):
-        super().__init__(message)
-        self.degree = degree
+    """d.d != 0, or a map does not commute with d."""
 
 
 class NotExact(PropertyViolation):

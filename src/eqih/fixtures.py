@@ -290,10 +290,16 @@ def _solve_euler_op(rng, dims, diffs, filtration_constraints):
             for k in range(n)]
 
 
+# the largest random_model size: over seeds 0-19 the slowest model takes
+# 0.5 s at size 20 and 5.7 s at size 24 (Python 3.11, Fraction scalars, one
+# core of a 2-CPU x86 machine)
+MAX_RANDOM_SIZE = 20
+
+
 def random_model(seed: int, size: int = 2) -> ModelInstance:
     """Deterministic random model passing strict validation, for property tests."""
-    if size < 1:
-        raise InputError("random model size must be at least 1, not %d" % size)
+    if not 1 <= size <= MAX_RANDOM_SIZE:
+        raise InputError("random model size must be 1..%d, not %d" % (MAX_RANDOM_SIZE, size))
     rng = random.Random(("model", seed, size).__repr__())
     top = rng.randint(2, 3)
     dims = [rng.randint(1, size)] + [rng.randint(0, size) for _ in range(top)]

@@ -6,13 +6,14 @@ chain maps relating them to their parent, and a short exact sequence of chain
 maps induces a long exact sequence with an explicitly computed connecting
 morphism.
 
-Each object is checked once, where it is built.  Complex.build(check=True)
-checks d.d = 0; the engine asks it only of a model's ambient and pair
-complexes and of the u-twisted tensor complex, and builds every other
-complex as a sub- or quotient complex, shift or untwisted tensor copy of a
-checked one.  subcomplex checks d-stability, quotient_complex that its
-projection is a chain map, chain_map its maps, and check_short_exact the
-exactness of two chain maps; Cohomology and SesData check nothing.
+Each object is checked once, where it is built.  Complex.build checks
+shapes only: d.d = 0 holds on a model's ambient and pair complexes once the
+model passes its axioms (model.check_axioms), the u-twisted tensor complex
+calls check_square itself, and every other complex is a sub- or quotient
+complex, shift or untwisted tensor copy of one of these.  subcomplex checks
+d-stability, quotient_complex that its projection is a chain map, chain_map
+its maps, and check_short_exact the exactness of two chain maps; Cohomology
+and SesData check nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class Complex:
     diffs: tuple           # diffs[k - lo]: dim(k+1) x dim(k); empty above hi
 
     @staticmethod
-    def build(lo, hi, dims, diffs, check=True) -> "Complex":
+    def build(lo, hi, dims, diffs) -> "Complex":
         dims = tuple(dims)
         diffs = tuple(diffs)
         if len(dims) != hi - lo + 1 or len(diffs) != hi - lo + 1:
@@ -45,8 +46,6 @@ class Complex:
             d = diffs[k - lo]
             if d.cols != dims[k - lo] or d.rows != c.dim(k + 1):
                 raise ValueError("differential shape mismatch in degree %d" % k)
-        if check:
-            c.check_square()
         return c
 
     @staticmethod
@@ -72,7 +71,7 @@ class Complex:
         in every degree."""
         for k in range(self.lo, self.hi):
             if not (self.d(k + 1) * self.d(k)).is_zero():
-                raise NotAComplex("d.d != 0 in degree %d" % k, k)
+                raise NotAComplex("d.d != 0 in degree %d" % k)
 
     @cached_property
     def cohomology(self) -> "Cohomology":
@@ -129,7 +128,7 @@ def subcomplex(parent: Complex, bases: dict) -> tuple:
             raise NotAComplex("subspace is not d-stable in degree %d" % k)
         dims.append(v.dim)
         diffs.append(coords)
-    sub = Complex.build(parent.lo, parent.hi, dims, diffs, check=False)
+    sub = Complex.build(parent.lo, parent.hi, dims, diffs)
     incl = ChainMap(sub, parent, 0, {k: spaces[k].basis for k in parent.degrees()})
     return sub, incl
 
@@ -150,7 +149,7 @@ def quotient_complex(parent: Complex, bases: dict) -> tuple:
         else:
             diffs.append(Matrix.zero(nrows, q.dim))
         dims.append(q.dim)
-    quo = Complex.build(parent.lo, parent.hi, dims, diffs, check=False)
+    quo = Complex.build(parent.lo, parent.hi, dims, diffs)
     # induced differential must be well defined: projection is a chain map
     return quo, chain_map(parent, quo, {k: quots[k].projection for k in parent.degrees()})
 

@@ -146,7 +146,7 @@ def localized_gysin(m: ModelInstance, p: Perversity) -> dict:
     ih = omega_cohomology(m, p)
     hg = gysin_cohomology(m, p)
     il = lambda_u_module(m, p)
-    report = {"parities": [], "exact": True}
+    report = {"parities": []}
     b_dims = [sum(ih.dim(k) for k in range(0, top + 1) if k % 2 == r)
               for r in (0, 1)]
     g_dims = [sum(hg.dim(k) for k in range(0, top + 1) if k % 2 == r)
@@ -166,8 +166,7 @@ def localized_gysin(m: ModelInstance, p: Perversity) -> dict:
             "exact": predicted == computed,
         }
         report["parities"].append(entry)
-        if not entry["exact"]:
-            report["exact"] = False
+    report["exact"] = all(entry["exact"] for entry in report["parities"])
     if not report["exact"]:
         raise TheoremViolation(
             "localized Gysin sequence rank bookkeeping fails: %s" % report)

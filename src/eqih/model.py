@@ -172,7 +172,6 @@ class ModelInstance:
         if p.strata() != tuple(sorted(self.stratum_names())):
             raise UnknownStratum("perversity strata %s do not match model strata %s"
                                  % (p.strata(), self.stratum_names()))
-        return p
 
     def filtration_level(self, p: Perversity, degree: int) -> Subspace:
         """F_p in one degree: the intersection over strata of F_S^{p(S)}."""
@@ -203,9 +202,64 @@ class ModelInstance:
 # validation
 
 
-def _check(report, axiom, ok, detail=""):
+def _check(report, axiom, ok, detail):
     report.append({"axiom": axiom, "passed": bool(ok), "detail": detail})
-    return ok
+
+
+def _space_axioms(m: ModelInstance):
+    """(axiom, passed, detail) for each axiom on the model's spaces and
+    maps, in validate's order, one row at a time: every computation on the
+    model assumes them, so check_axioms stops at the first failing row."""
+    a = m.ambient
+    yield ("strata: unique names", len({s.name for s in m.strata}) == len(m.strata), "")
+    yield ("strata: filtration data present",
+           set(a.filtrations) == {s.name for s in m.strata},
+           "filtrations for %s" % sorted(a.filtrations))
+
+    bad = next(("degree %d" % k for k in range(a.top_degree)
+                if not (a.diff(k + 1) * a.diff(k)).is_zero()), "")
+    yield "differential: d.d = 0", not bad, bad
+
+    bad = ""
+    for s in m.strata:
+        for level in range(0, a.kmax[s.name]):
+            for deg in range(a.top_degree + 1):
+                lo = a.filtration(s.name, level - 1, deg)
+                hi = a.filtration(s.name, level, deg)
+                if not hi.contains_subspace(lo):
+                    bad = "stratum %s level %d degree %d" % (s.name, level, deg)
+    yield "filtration: nested levels", not bad, bad
+
+    bad = ""
+    for s in m.strata:
+        if not a.filtration(s.name, 0, 0).is_full():
+            bad = "stratum %s" % s.name
+    yield "filtration: degree-0 forms have perverse degree 0", not bad, bad
+
+    bad = next(("degree %d" % k for k in range(a.top_degree + 1)
+                if a.euler(k + 1) * a.diff(k) != a.diff(k + 2) * a.euler(k)), "")
+    yield "euler operator: chain map", not bad, bad
+
+    eps = a.epsilon()
+    deps = a.diff(2) * eps
+    closed = deps.is_zero()
+    yield ("euler cocycle: closed", closed,
+           "" if closed else "d(epsilon) = %s" % (vec_to_json(deps.transpose().entries[0]),))
+
+    bad = ""
+    ebar = m.euler_perversity()
+    for s in m.strata:
+        if a.filtration(s.name, ebar[s.name], 2).coords_of(eps) is None:
+            bad = "stratum %s" % s.name
+    yield "euler cocycle: lies in the Euler-perversity level", not bad, bad
+
+
+def check_axioms(m: ModelInstance):
+    """Raise InputError naming the first axiom on the model's spaces and
+    maps that m fails, with validate's detail."""
+    for axiom, ok, detail in _space_axioms(m):
+        if not ok:
+            raise InputError("model fails '%s'%s" % (axiom, " in " + detail if detail else ""))
 
 
 def validate(m: ModelInstance, strict: bool = False):
@@ -213,58 +267,9 @@ def validate(m: ModelInstance, strict: bool = False):
     filtration shift and the product-compatibility axioms."""
     a = m.ambient
     report = []
-    _check(report, "strata: unique names",
-           len({s.name for s in m.strata}) == len(m.strata))
-    _check(report, "strata: filtration data present",
-           set(a.filtrations) == {s.name for s in m.strata},
-           "filtrations for %s" % sorted(a.filtrations))
-
-    ok = True
-    bad = ""
-    for k in range(a.top_degree):
-        if not (a.diff(k + 1) * a.diff(k)).is_zero():
-            ok, bad = False, "degree %d" % k
-            break
-    _check(report, "differential: d.d = 0", ok, bad)
-
-    ok, bad = True, ""
-    for s in m.strata:
-        for level in range(0, a.kmax[s.name]):
-            for deg in range(a.top_degree + 1):
-                lo = a.filtration(s.name, level - 1, deg)
-                hi = a.filtration(s.name, level, deg)
-                if not hi.contains_subspace(lo):
-                    ok, bad = False, "stratum %s level %d degree %d" % (s.name, level, deg)
-    _check(report, "filtration: nested levels", ok, bad)
-
-    ok, bad = True, ""
-    for s in m.strata:
-        f0 = a.filtration(s.name, 0, 0)
-        if not f0.is_full():
-            ok, bad = False, "stratum %s" % s.name
-    _check(report, "filtration: degree-0 forms have perverse degree 0", ok, bad)
-
-    ok, bad = True, ""
-    for k in range(a.top_degree + 1):
-        lhs = a.euler(k + 1) * a.diff(k)
-        rhs = a.diff(k + 2) * a.euler(k)
-        if lhs != rhs:
-            ok, bad = False, "degree %d" % k
-            break
-    _check(report, "euler operator: chain map", ok, bad)
-
-    eps = a.epsilon()
-    deps = a.diff(2) * eps
-    closed = deps.is_zero()
-    _check(report, "euler cocycle: closed", closed,
-           "" if closed else "d(epsilon) = %s" % (vec_to_json(deps.transpose().entries[0]),))
-
-    ok, bad = True, ""
+    for row in _space_axioms(m):
+        _check(report, *row)
     ebar = m.euler_perversity()
-    for s in m.strata:
-        if a.filtration(s.name, ebar[s.name], 2).coords_of(eps) is None:
-            ok, bad = False, "stratum %s" % s.name
-    _check(report, "euler cocycle: lies in the Euler-perversity level", ok, bad)
 
     # NOTE: no axiom d(F_S^k) <= F_S^k -- the perverse complexes impose the
     # d-condition themselves and the filtration need not be d-stable.
@@ -505,17 +510,18 @@ def model_from_dict(data: dict) -> ModelInstance:
             _typed(s.get(key), str, "stratum field %r" % key)
         strata.append(Stratum(s["name"], s["kind"]))
     strata = tuple(strata)
-    if len({s.name for s in strata}) != len(strata):
+    names = {s.name for s in strata}
+    if len(names) != len(strata):
         raise InputError("duplicate stratum names")
 
     filtrations = {}
     kmax = {}
     filt_json = _typed(data["filtrations"], dict, "filtrations")
+    if set(filt_json) != names:
+        raise InputError("filtrations must list the strata %s, not %s"
+                         % (sorted(names), sorted(filt_json)))
     for s in strata:
-        levels_json = filt_json.get(s.name)
-        if levels_json is None:
-            raise InputError("missing filtration for stratum %r" % s.name)
-        _typed(levels_json, dict, "filtration of %r" % s.name)
+        levels_json = _typed(filt_json[s.name], dict, "filtration of %r" % s.name)
         level_count = len(levels_json)
         if set(levels_json) != {str(level) for level in range(level_count)}:
             raise InputError("filtration levels for %r must be 0..kmax-1" % s.name)
@@ -555,7 +561,6 @@ def model_from_dict(data: dict) -> ModelInstance:
             product[(i, j)] = mat_from_json(rows, dim(i + j), dim(i) * dim(j),
                                              "product[%s]" % key)
 
-    names = {s.name for s in strata}
     perversities = []
     for entry in _typed(data["perversities"], list, "perversities"):
         if set(_typed(entry, dict, "perversity")) != names:

@@ -1,7 +1,7 @@
 """The ambient and pair complexes of a model, perverse complexes, the Gysin
 term, the co-Gysin quotient and the Euler map.
 
-A model gives two complexes, built and checked once (ambient_complexes):
+A model gives two complexes, built once it passes its axioms (ambient_complexes):
 the ambient complex A with differential d, and the pair complex P with
 P^k = A^k + A^{k-1} and (alpha, beta) |-> (d alpha + sign(k) E beta, d beta).
 P squares to zero exactly when A does and the Euler operator E is a chain
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, InternalInvariantViolation, NotAComplex, WitnessNotFound
+from .errors import InputError, InternalInvariantViolation, WitnessNotFound
 from .homalg import (ChainMap, Cohomology, Complex, LongExactSequence, SesData, chain_map,
                      quotient_complex, subcomplex)
-from .model import ModelInstance, Perversity
+from .model import ModelInstance, Perversity, check_axioms
 from .ratla import (Matrix, Subspace, block_matrix, intersect, map_image, preimage, quotient,
                     subspace_sum)
 
@@ -43,31 +43,23 @@ def _pair_d(a, k) -> Matrix:
 
 def ambient_complexes(m: ModelInstance) -> tuple:
     """(A, P): the ambient complex in degrees 0..top and the pair complex in
-    degrees 0..top + 1, built and checked once per model.  A model whose d
-    does not square to zero, or whose E is not a chain map, is malformed
-    input: InputError names the validate axiom and its degree."""
-    return m.cached("ambient_complexes", lambda: _ambient_complexes(m.ambient))
+    degrees 0..top + 1, built once per model after check_axioms: a model
+    that fails an axiom on its spaces and maps is malformed input, and one
+    that passes has d.d = 0 on A and, E being a chain map, on P."""
+    return m.cached("ambient_complexes", lambda: _ambient_complexes(m))
 
 
-def _ambient_complexes(a) -> tuple:
-    top = a.top_degree
-    try:
-        amb = Complex.build(0, top, a.dims, a.d, check=True)
-    except NotAComplex as e:
-        raise InputError("model fails 'differential: d.d = 0' in degree %d" % e.degree)
-    try:
-        pair = Complex.build(0, top + 1, [a.dim(k) + a.dim(k - 1) for k in range(top + 2)],
-                             [_pair_d(a, k) for k in range(top + 2)], check=True)
-    except NotAComplex as e:
-        # given d.d = 0, D.D on P^k is sign(k) (dE - Ed) on A^{k-1}
-        raise InputError("model fails 'euler operator: chain map' in degree %d"
-                         % (e.degree - 1))
+def _ambient_complexes(m: ModelInstance) -> tuple:
+    check_axioms(m)
+    a, top = m.ambient, m.ambient.top_degree
+    amb = Complex.build(0, top, a.dims, a.d)
+    pair = Complex.build(0, top + 1, [a.dim(k) + a.dim(k - 1) for k in range(top + 2)],
+                         [_pair_d(a, k) for k in range(top + 2)])
     return amb, pair
 
 
 @dataclass(frozen=True)
 class PerverseComplex:
-    p: Perversity
     ambient: Complex
     omega: Complex
     omega_incl: ChainMap        # omega -> ambient
@@ -110,7 +102,6 @@ def omega_spaces(m: ModelInstance, p: Perversity) -> dict:
 
 
 def _build(m: ModelInstance, p: Perversity) -> PerverseComplex:
-    m.check_perversity(p)
     a = m.ambient
     amb, _ = ambient_complexes(m)
     spaces = omega_spaces(m, p)
@@ -132,7 +123,7 @@ def _build(m: ModelInstance, p: Perversity) -> PerverseComplex:
     gysin, gysin_incl = subcomplex(omega, gysin_in_omega)
     cogysin, projection = quotient_complex(omega, gysin_in_omega)
 
-    return PerverseComplex(p, amb, omega, omega_incl, spaces,
+    return PerverseComplex(amb, omega, omega_incl, spaces,
                            gysin, gysin_incl, gysin_spaces, cogysin, projection)
 
 
@@ -188,7 +179,6 @@ class EulerMap:
     """
 
     def __init__(self, m: ModelInstance, p: Perversity):
-        m.check_perversity(p)
         self.m = m
         self.p = p
         self.pc = perverse_complex(m, p)

@@ -366,6 +366,9 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch(self.ambient_dim, other.ambient_dim)
+        # the operands fix the answer: no product to compare
+        if other.is_zero() or self.is_full():
+            return True
         return self.coords_of(other.basis) is not None
 
     def vectors(self):

@@ -578,8 +578,9 @@ def _require_fixed_point_preconditions(m: ModelInstance):
             "fixed-point sequence unavailable: %s" % "; ".join(failed))
 
 
-def skjelbred(m: ModelInstance) -> LongExactSequence:
-    """The fixed-point long exact sequence at the zero perversity,
+def skjelbred(m: ModelInstance) -> tuple:
+    """(sequence, exactness rows of check_exact): the fixed-point long exact
+    sequence at the zero perversity,
 
         ... -> A^i -> H^{i+1}(B) -> IH^{i+1}_{S^1} -> A^{i+1} -> ...
 
@@ -681,7 +682,8 @@ def skjelbred(m: ModelInstance) -> LongExactSequence:
         if i < i_hi:
             maps.append(beta(i))
     seq = LongExactSequence(labels, dims, maps)
-    bad = [r for r in check_exact(seq) if not r["exact"]]
+    rows = check_exact(seq)
+    bad = [r for r in rows if not r["exact"]]
     if bad:
         raise TheoremViolation("fixed-point sequence fails at %s" % bad[0]["node"])
-    return seq
+    return seq, rows

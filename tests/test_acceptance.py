@@ -155,7 +155,7 @@ def test_criterion_5_long_exact_sequences(suite):
     nodes = 0
     for m in suite:
         if all(c["passed"] for c in fixed_point_preconditions(m)):
-            seq = skjelbred(m)  # raises NotExact on any failed node
+            seq, _ = skjelbred(m)  # raises TheoremViolation on any failed node
             nodes += seq.node_count()
         for p in m.perversity_set:
             for seq in (gysin_les(m, p), cogysin_les(m, p),

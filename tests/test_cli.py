@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eqih import localize, spectral
+from eqih import fixtures, localize, spectral
 from eqih.cli import main
 from eqih.fixtures import cone2, hopf, noperv, random_model
 from eqih.model import model_from_dict, model_to_dict, save_model, validate
@@ -183,6 +183,16 @@ class TestFixtureCommand:
         assert code == 2 and not out
         assert json.loads(err)["error"] == "InputError"
 
+    def test_random_size_above_the_bound_exits_2(self, capsys, monkeypatch):
+        def generating(*args):
+            raise AssertionError("a model was generated")
+
+        monkeypatch.setattr(fixtures, "_random_differential", generating)
+        size = str(fixtures.MAX_RANDOM_SIZE + 1)
+        code, out, err = run(capsys, "fixture", "random", "--seed", "0", "--size", size)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "InputError"
+
 
 class TestErrors:
     @pytest.mark.parametrize("argv, owner, name, fake", [
@@ -198,31 +208,60 @@ class TestErrors:
         assert code == 1 and not out
         assert json.loads(err)["error"] == "TheoremViolation"
 
-    # noperv with d.d != 0, and random 121 (size 3) with an Euler operator
-    # that is not a chain map: every engine command refuses them as input
+    # documents that each fail one axiom on the model's spaces and maps:
+    # noperv with d.d != 0; random 121 (size 3) with an Euler operator that
+    # is not a chain map; cone2 with the degree-2 form in apex level 0 but
+    # not level 1, and without the degree-0 form in level 0; random 29 with
+    # a cocycle that is not closed; and noperv with an empty Euler level in
+    # degree 2.  Every engine command, and compare with the document in
+    # either position, refuses them as input
     @pytest.mark.parametrize("document, perversity, axiom", [
         ("noperv", "apex=1", "differential: d.d = 0"),
         ("random", "s0=2", "euler operator: chain map"),
+        ("nested", "apex=2", "filtration: nested levels"),
+        ("degree0", "apex=2", "filtration: degree-0 forms have perverse degree 0"),
+        ("closed", "s0=0,s1=0", "euler cocycle: closed"),
+        ("level", "apex=1", "euler cocycle: lies in the Euler-perversity level"),
     ])
     @pytest.mark.parametrize("argv", [
         ["cohomology"], ["gysin"], ["equivariant"], ["localize"],
-        ["spectral", "--d3-check"], ["skjelbred"],
-    ], ids=lambda argv: argv[0])
-    def test_model_failing_an_axiom_exits_2(self, capsys, tmp_path, document, perversity,
-                                            axiom, argv):
+        ["spectral", "--d3-check"], ["skjelbred"], ["compare", "first"],
+        ["compare", "second"],
+    ], ids=lambda argv: argv[0] if argv[0] != "compare" else "-".join(argv))
+    def test_model_failing_an_axiom_exits_2(self, capsys, tmp_path, cone_file, document,
+                                            perversity, axiom, argv):
         if document == "noperv":
             data = model_to_dict(noperv())
             data["d"][0] = [["1"]]
-        else:
+        elif document == "random":
             data = model_to_dict(random_model(121, size=3))
             assert data["euler_op"][0][2][1] == "-1"
             data["euler_op"][0][2][1] = "3"
+        elif document in ("nested", "degree0"):
+            data = model_to_dict(cone2())
+            degree, form = (2, [["1"]]) if document == "nested" else (0, [])
+            data["filtrations"]["apex"]["0"][degree] = form
+        elif document == "closed":
+            data = model_to_dict(random_model(29))
+            assert data["euler_cocycle"] == ["0"]
+            data["euler_cocycle"] = ["1"]
+        else:
+            data = model_to_dict(noperv())
+            data["filtrations"]["apex"]["1"][2] = []
         failed = [r["axiom"] for r in validate(model_from_dict(data)) if not r["passed"]]
         assert failed == [axiom]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        perv = [] if argv[0] == "skjelbred" else ["-p", perversity]
-        code, out, err = run(capsys, argv[0], str(path), *perv, *argv[1:])
+        if argv[0] == "compare":
+            iso = tmp_path / "iso.json"
+            iso.write_text(json.dumps({"mats": {"0": [["1"]], "1": [], "2": [["1"]]},
+                                       "strata": {"apex": "apex"}}))
+            files = [str(path), cone_file] if argv[1] == "first" else [cone_file, str(path)]
+            argv = ["compare", *files, "--iso", str(iso)]
+        else:
+            perv = [] if argv[0] == "skjelbred" else ["-p", perversity]
+            argv = [argv[0], str(path), *perv, *argv[1:]]
+        code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         report = json.loads(err)
         assert report["error"] == "InputError" and axiom in report["detail"]
@@ -293,6 +332,8 @@ class TestErrors:
         # JSON floats that int() would truncate
         lambda d: d.update(dims=[1.0, 0, 1.5]),
         lambda d: d.update(perversities=[{"apex": v} for v in (-1.0, 0.4, 1, 2.9)]),
+        # a filtration for a stratum the document does not list
+        lambda d: d["filtrations"].update(typo=d["filtrations"]["apex"]),
     ])
     def test_malformed_model_exits_2(self, capsys, tmp_path, edit):
         data = model_to_dict(cone2())

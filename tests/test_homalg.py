@@ -37,8 +37,9 @@ class TestComplex:
     def test_dd_zero_enforced(self):
         d0 = Matrix.from_rows([[1]])
         d1 = Matrix.from_rows([[1]])
+        c = Complex.build(0, 2, (1, 1, 1), (d0, d1, Matrix.zero(0, 1)))
         with pytest.raises(NotAComplex):
-            Complex.build(0, 2, (1, 1, 1), (d0, d1, Matrix.zero(0, 1)))
+            c.check_square()
 
     def test_hopf_ambient(self):
         # dims (1, 0, 1), zero differential: cohomology equals the spaces

@@ -5,13 +5,17 @@ private function or class (``_name``) is referenced somewhere in the
 package, and every module-level public function or class, and every
 non-dunder method of a package class, is referenced somewhere in the
 package, its tests or the benchmark, so deleting a helper or its last
-caller cannot leave dead code behind.
+caller cannot leave dead code behind.  Only the model module spells the
+name of a ``validate`` axiom, so each axiom is decided in one place.
 """
 
 import ast
 import pathlib
 
 import pytest
+
+from eqih.fixtures import cone2
+from eqih.model import validate
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "eqih"
@@ -140,3 +144,16 @@ def test_the_oracle_imports_only_errors_model_and_ratla():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.split(".")[0] == "eqih")
     assert imported == {"errors", "model", "ratla"}
+
+
+def test_only_the_model_spells_an_axiom_name():
+    """A string in another module that holds an axiom name decides, or
+    reports, that axiom a second time."""
+    # cone2 has a product table, so the strict report lists every axiom
+    axioms = {row["axiom"] for row in validate(cone2(), strict=True)}
+    assert "strict: product associative" in axioms
+    spelled = [(name, axiom) for name, tree in TREES.items() if name != "model.py"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               for axiom in axioms if axiom in node.value]
+    assert not spelled, "axiom names spelled outside model.py: %s" % spelled
