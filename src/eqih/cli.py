@@ -102,8 +102,8 @@ def _emit(report, human=False, stream=None):
     if human:
         _emit_human(report, stream)
     else:
-        json.dump(report, stream, indent=2)
-        stream.write("\n")
+        # one write: json.dump writes each chunk of the encoding separately
+        stream.write(json.dumps(report, indent=2) + "\n")
 
 
 def _emit_human(node, stream, indent=0):

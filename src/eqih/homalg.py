@@ -14,6 +14,13 @@ complex, shift or untwisted tensor copy of one of these.  subcomplex checks
 d-stability, quotient_complex that its projection is a chain map, chain_map
 its maps, and check_short_exact the exactness of two chain maps; Cohomology
 and SesData check nothing.
+
+A degree where an operand is empty is skipped, since every check there
+holds between empty matrices: chain map squares whose source degree or
+target degree above is 0, d.d where dim(k) or dim(k + 2) is 0, the
+d-stability of a zero space, and the cocycle check on no columns or into a
+zero degree.  A map on cohomology out of a zero degree is a zero matrix
+built without arithmetic.  Every check that can fail still runs.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ class Complex:
         """Raise NotAComplex, with the first failing degree, unless d.d = 0
         in every degree."""
         for k in range(self.lo, self.hi):
-            if not (self.d(k + 1) * self.d(k)).is_zero():
+            if self.dim(k) and self.dim(k + 2) and not (self.d(k + 1) * self.d(k)).is_zero():
                 raise NotAComplex("d.d != 0 in degree %d" % k)
 
     @cached_property
@@ -100,6 +107,9 @@ class ChainMap:
     def check(self, degrees=None):
         degs = degrees if degrees is not None else self.source.degrees()
         for k in degs:
+            # the square holds between empty matrices
+            if not (self.source.dim(k) and self.target.dim(k + self.shift + 1)):
+                continue
             lhs = self.mat(k + 1) * self.source.d(k)
             rhs = self.target.d(k + self.shift) * self.mat(k)
             if lhs != rhs:
@@ -123,7 +133,8 @@ def subcomplex(parent: Complex, bases: dict) -> tuple:
     for k in parent.degrees():
         v = spaces[k]
         w_next = spaces.get(k + 1, Subspace.zero(parent.dim(k + 1)))
-        coords = w_next.coords_of(parent.d(k) * v.basis)
+        coords = (w_next.coords_of(parent.d(k) * v.basis) if v.dim
+                  else Matrix.zero(w_next.dim, 0))
         if coords is None:
             raise NotAComplex("subspace is not d-stable in degree %d" % k)
         dims.append(v.dim)
@@ -177,9 +188,11 @@ class Cohomology:
 
     def classes_of(self, k, cocycles: Matrix) -> Matrix:
         """The classes of the columns of cocycles, one column each."""
-        if not (self.complex.d(k) * cocycles).is_zero():
+        if not cocycles.cols:
+            return Matrix.zero(self.dim(k), 0)
+        if self.complex.dim(k + 1) and not (self.complex.d(k) * cocycles).is_zero():
             raise InternalInvariantViolation("vector is not a cocycle in degree %d" % k)
-        if k not in self._quotients:
+        if not self.dim(k):
             return Matrix.zero(0, cocycles.cols)
         return self._quotients[k].projection * cocycles
 
@@ -192,6 +205,8 @@ class Cohomology:
 
     def induced_map(self, other: "Cohomology", f: ChainMap, k) -> Matrix:
         """Matrix of H^k(f): H^k(self) -> H^{k+shift}(other) for a chain map f."""
+        if not self.dim(k):
+            return Matrix.zero(other.dim(k + f.shift), 0)
         return other.classes_of(k + f.shift, f.mat(k) * self.lifts(k))
 
 
@@ -270,6 +285,8 @@ class SesData:
     def _connect(self, k) -> Matrix:
         """Lift the class representatives of H^k(C) through s, differentiate
         in B, and take the i-preimage's classes."""
+        if not self.hc.dim(k):
+            return Matrix.zero(self.ha.dim(k + 1), 0)
         pre = self.s.mat(k).solve(self.hc.lifts(k))
         if pre is None:
             raise InternalInvariantViolation("surjectivity failed during connecting map")

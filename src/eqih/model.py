@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import InputError, StrataMismatch, UnknownStratum
 from .ratla import QNUM, Matrix, Subspace, intersect, kron, map_image, rat
@@ -206,10 +207,15 @@ def _check(report, axiom, ok, detail):
     report.append({"axiom": axiom, "passed": bool(ok), "detail": detail})
 
 
-def _space_axioms(m: ModelInstance):
+def _space_axioms(m: ModelInstance) -> list:
     """(axiom, passed, detail) for each axiom on the model's spaces and
-    maps, in validate's order, one row at a time: every computation on the
-    model assumes them, so check_axioms stops at the first failing row."""
+    maps, in validate's order.  Every computation on the model assumes them,
+    and validate and check_axioms both read them, so they are computed once
+    per model."""
+    return m.cached("space_axioms", lambda: list(_space_axiom_rows(m)))
+
+
+def _space_axiom_rows(m: ModelInstance):
     a = m.ambient
     yield ("strata: unique names", len({s.name for s in m.strata}) == len(m.strata), "")
     yield ("strata: filtration data present",
@@ -255,8 +261,8 @@ def _space_axioms(m: ModelInstance):
 
 
 def check_axioms(m: ModelInstance):
-    """Raise InputError naming the first axiom on the model's spaces and
-    maps that m fails, with validate's detail."""
+    """Raise InputError naming the first axiom, in validate's order, on the
+    model's spaces and maps that m fails, with validate's detail."""
     for axiom, ok, detail in _space_axioms(m):
         if not ok:
             raise InputError("model fails '%s'%s" % (axiom, " in " + detail if detail else ""))
@@ -316,6 +322,10 @@ def _validate_product(m: ModelInstance, report):
     + y is the product of the x-th basis vector of A^i and the y-th of A^j."""
     a = m.ambient
     top = a.top_degree
+    # an identity on a degree tuple with a zero factor holds between empty
+    # matrices, so only tuples of degrees with forms are checked
+    degrees = [i for i in range(top + 1) if a.dim(i)]
+    pairs = [(i, j) for i in degrees for j in degrees if i + j <= top]
 
     def table(i, j):
         t = a.product.get((i, j))
@@ -332,24 +342,23 @@ def _validate_product(m: ModelInstance, report):
 
     ok, bad = True, ""
     eps = a.epsilon()
-    for i in range(top + 1):
+    for i in degrees:
         if table(i, 2) * kron(eye(i), eps) != a.euler(i):
             ok, bad = False, "degree %d" % i
     _check(report, "strict: euler operator equals wedging with the euler cocycle",
            ok, bad)
 
     ok, bad = True, ""
-    for i in range(top + 1):
-        for j in range(top + 1 - i):
-            sign = -1 if (i % 2 and j % 2) else 1
-            if table(i, j) != (table(j, i) * swap(i, j)).scale(sign):
-                ok, bad = False, "degrees (%d, %d)" % (i, j)
+    for i, j in pairs:
+        sign = -1 if (i % 2 and j % 2) else 1
+        if table(i, j) != (table(j, i) * swap(i, j)).scale(sign):
+            ok, bad = False, "degrees (%d, %d)" % (i, j)
     _check(report, "strict: product graded-commutative", ok, bad)
 
     ok, bad = True, ""
-    for i in range(top + 1):
-        for j in range(top + 1 - i):
-            for k in range(top + 1 - i - j):
+    for i, j in pairs:
+        for k in degrees:
+            if i + j + k <= top:
                 lhs = table(i + j, k) * kron(table(i, j), eye(k))
                 rhs = table(i, j + k) * kron(eye(i), table(j, k))
                 if lhs != rhs:
@@ -361,15 +370,14 @@ def _validate_product(m: ModelInstance, report):
         km = a.kmax[s.name]
         for k in range(-1, km + 1):
             for l in range(-1, km + 1):
-                for i in range(top + 1):
-                    for j in range(top + 1 - i):
-                        fk = a.filtration(s.name, k, i).basis
-                        fl = a.filtration(s.name, l, j).basis
-                        tgt = a.filtration(s.name, k + l, i + j)
-                        if tgt.coords_of(table(i, j) * kron(fk, fl)) is None:
-                            ok, bad = False, (
-                                "stratum %s levels (%d, %d) degrees (%d, %d)"
-                                % (s.name, k, l, i, j))
+                for i, j in pairs:
+                    fk = a.filtration(s.name, k, i).basis
+                    fl = a.filtration(s.name, l, j).basis
+                    tgt = a.filtration(s.name, k + l, i + j)
+                    if fk.cols and fl.cols and \
+                            tgt.coords_of(table(i, j) * kron(fk, fl)) is None:
+                        ok, bad = False, ("stratum %s levels (%d, %d) degrees (%d, %d)"
+                                          % (s.name, k, l, i, j))
     _check(report, "strict: product adds perverse degrees", ok, bad)
 
 
@@ -516,6 +524,9 @@ def model_from_dict(data: dict) -> ModelInstance:
 
     filtrations = {}
     kmax = {}
+    # each distinct level space is canonicalized once per document, and
+    # equal ones share one Subspace
+    span = cache(Subspace.from_vectors)
     filt_json = _typed(data["filtrations"], dict, "filtrations")
     if set(filt_json) != names:
         raise InputError("filtrations must list the strata %s, not %s"
@@ -533,10 +544,9 @@ def model_from_dict(data: dict) -> ModelInstance:
                 raise InputError("filtration of %r level %d must list every degree"
                                  % (s.name, level))
             levels[level] = tuple(
-                Subspace.from_vectors(
-                    dim(deg),
-                    [_vec_from_json(v, dim(deg), "%s/%d" % (where, deg))
-                     for v in _typed(vecs, list, "%s/%d" % (where, deg))])
+                span(dim(deg),
+                     tuple(_vec_from_json(v, dim(deg), "%s/%d" % (where, deg))
+                           for v in _typed(vecs, list, "%s/%d" % (where, deg))))
                 for deg, vecs in enumerate(per_degree)
             )
         filtrations[s.name] = levels

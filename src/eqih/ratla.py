@@ -23,7 +23,11 @@ at the edges: the rows ``Matrix.kernel_basis`` returns and
 An operand that fixes the answer costs no elimination: the kernel of a zero
 or empty matrix is the full space, the span of zero rows is the zero space,
 a preimage of the zero subspace is a kernel, and full / zero is the
-identity quotient.
+identity quotient.  Nor does it cost a product: a product with an empty
+factor is the cached ``Matrix.zero``, a product with the cached
+``Matrix.identity`` as a factor (tested with ``is``) is the other factor,
+coordinates in the zero subspace are read without one, and a subspace
+contains itself.
 
 Every matrix entry is a ``QNUM``.  The public ``Matrix(rows, cols, entries)``
 coerces each entry through ``rat`` and checks the declared shape; the private
@@ -137,6 +141,13 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product: %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
+        # operands that fix the answer: an empty one, or the cached identity
+        if not (self.rows and self.cols and other.cols):
+            return Matrix.zero(self.rows, other.cols)
+        if self.rows == self.cols and self is Matrix.identity(self.rows):
+            return other
+        if other.rows == other.cols and other is Matrix.identity(other.rows):
+            return self
         # only products of two non-zero factors are added
         nonzero = [[(j, b) for j, b in enumerate(orow) if b] for orow in other.entries]
         out = []
@@ -360,6 +371,8 @@ class Subspace:
         pivot rows), or None if a column lies outside the span."""
         if m.rows != self.ambient_dim:
             raise AmbientMismatch(self.ambient_dim, m.rows)
+        if not self.dim:
+            return Matrix.zero(0, m.cols) if m.is_zero() else None
         c = Matrix._of(self.dim, m.cols, tuple(m.entries[r] for r in self._pivots))
         return c if self.basis * c == m else None
 
@@ -367,7 +380,7 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch(self.ambient_dim, other.ambient_dim)
         # the operands fix the answer: no product to compare
-        if other.is_zero() or self.is_full():
+        if other is self or other.is_zero() or self.is_full():
             return True
         return self.coords_of(other.basis) is not None
 

@@ -25,8 +25,9 @@ against counts read from the normal form.
 A map on cohomology is computed on a whole basis at once: with
 ``Matrix.rref`` counted, a connecting map takes two eliminations and the
 Euler map at most three per degree, however many classes they carry.
-Whole commands are held to their counted eliminations too, which are the
-same on every machine.
+Whole commands are held to their counted eliminations and products too,
+which are the same on every machine.  A filtration level that repeats in a
+model document loads as one space, canonicalized once.
 """
 
 import collections
@@ -37,6 +38,7 @@ import pytest
 
 from eqih import cli, equivariant, fixtures, homalg, model, perverse, ratla, spectral
 from eqih.cli import main
+from eqih.errors import InputError
 from eqih.model import save_model
 
 FIXTURES = ("hopf", "rot", "cone2", "noperv")
@@ -214,28 +216,88 @@ def rrefs(monkeypatch):
 
 
 # Matrix.rref calls per command: kernel, preimage and quotient take one
-# elimination each, and none where a zero or empty operand fixes the answer
+# elimination each, none where a zero or empty operand fixes the answer,
+# and a filtration level that repeats in the document is canonicalized once
 ELIMINATIONS = {
-    ("cohomology", "cone2", "apex=2"): 9,
-    ("gysin", "cone2", "apex=2"): 20,
-    ("equivariant", "cone2", "apex=2"): 44,
-    ("localize", "cone2", "apex=2"): 11,
+    ("cohomology", "cone2", "apex=2"): 8,
+    ("gysin", "cone2", "apex=2"): 19,
+    ("equivariant", "cone2", "apex=2"): 43,
+    ("localize", "cone2", "apex=2"): 10,
     ("spectral", "hopf", None): 44,
-    ("spectral", "cone2", "apex=2"): 59,
+    ("spectral", "cone2", "apex=2"): 58,
+}
+
+# Matrix.__mul__ calls per command: a degree whose operand is empty takes
+# no product
+PRODUCTS = {
+    ("cohomology", "cone2", "apex=2"): 23,
+    ("gysin", "cone2", "apex=2"): 61,
+    ("equivariant", "cone2", "apex=2"): 121,
+    ("localize", "cone2", "apex=2"): 45,
+    ("spectral", "hopf", None): 128,
+    ("spectral", "cone2", "apex=2"): 156,
+    ("skjelbred", "cone2", None): 131,
 }
 
 
-@pytest.mark.parametrize("command, name, perversity", ELIMINATIONS)
-def test_commands_take_their_counted_eliminations(tmp_path, rrefs, command, name, perversity):
+@pytest.fixture()
+def products(monkeypatch):
+    """A counter of Matrix.__mul__ calls."""
+    count = collections.Counter()
+    mul = ratla.Matrix.__mul__
+
+    def counting_mul(self, other):
+        count["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(ratla.Matrix, "__mul__", counting_mul)
+    return count
+
+
+def run_counted(tmp_path, counter, command, name, perversity):
+    """counter after one command on a fixture; spectral runs --d3-check."""
     path = str(tmp_path / (name + ".json"))
     save_model(fixtures.make(name), path)
     argv = [command, path] + (["-p", perversity] if perversity else [])
     if command == "spectral":
         argv.append("--d3-check")
-    rrefs.clear()
+    counter.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert rrefs["rref"] == ELIMINATIONS[(command, name, perversity)]
+    return counter
+
+
+@pytest.mark.parametrize("command, name, perversity", ELIMINATIONS)
+def test_commands_take_their_counted_eliminations(tmp_path, rrefs, command, name, perversity):
+    counted = run_counted(tmp_path, rrefs, command, name, perversity)
+    assert counted["rref"] == ELIMINATIONS[(command, name, perversity)]
+
+
+@pytest.mark.parametrize("command, name, perversity", PRODUCTS)
+def test_commands_take_their_counted_products(tmp_path, products, command, name, perversity):
+    counted = run_counted(tmp_path, products, command, name, perversity)
+    assert counted["mul"] == PRODUCTS[(command, name, perversity)]
+
+
+def test_equal_levels_load_as_one_space(tmp_path):
+    """cone2's levels 0 and 1 are equal, so they load as one Subspace per
+    degree, and the model saves to the bytes it was loaded from."""
+    path = tmp_path / "cone2.json"
+    save_model(fixtures.cone2(), str(path))
+    loaded = model.load_model(str(path))
+    levels = loaded.ambient.filtrations["apex"]
+    assert all(a is b for a, b in zip(levels[0], levels[1]))
+    out = io.StringIO()
+    save_model(loaded, out)
+    assert out.getvalue() == path.read_text()
+
+
+def test_bad_entry_in_repeated_level_names_its_first_place():
+    doc = model.model_to_dict(fixtures.cone2())
+    for level in ("0", "1"):
+        doc["filtrations"]["apex"][level][0] = [["1/0"]]
+    with pytest.raises(InputError, match="filtration apex/0/0"):
+        model.model_from_dict(doc)
 
 
 def test_connecting_map_takes_two_eliminations(rrefs):

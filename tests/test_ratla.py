@@ -413,11 +413,11 @@ rationals = st.one_of(
 
 
 @st.composite
-def rational_matrices(draw, rows=None, max_dim=8):
+def rational_matrices(draw, rows=None, max_dim=8, cols=None):
     """Matrices of 0-8 rows and columns mixing drawn rows, zero rows and
     rational combinations of two earlier rows."""
     r = draw(st.integers(0, max_dim)) if rows is None else rows
-    c = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim)) if cols is None else cols
     grid = []
     for _ in range(r):
         kind = draw(st.sampled_from(["drawn", "drawn", "zero", "dependent"]))
@@ -551,3 +551,55 @@ def test_quotient_matches_inverted_reference(pair):
     assert (q.projection, q.lift) == inverted_quotient(v, w)
     assert all_qnum(q.projection.entries) and all_qnum(q.lift.entries)
 
+
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b) of shapes r x k and k x c, each of r, k and c from 0 to 4; an
+    operand is drawn, zero, or, when square, the cached identity or an equal
+    identity built entry by entry."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def operand(rows, cols):
+        kinds = ["drawn", "zero"] + (["cached", "built"] if rows == cols else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            return Matrix.zero(rows, cols)
+        if kind == "cached":
+            return Matrix.identity(rows)
+        if kind == "built":
+            return Matrix(rows, rows, [[int(i == j) for j in range(rows)] for i in range(rows)])
+        return draw(rational_matrices(rows=rows, cols=cols))
+
+    return operand(r, k), operand(k, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands())
+# each dimension zero in turn, and the cached identity beside a drawn factor
+@example((Matrix(0, 3, []), M([[1, 2], [3, 4], [5, 6]])))
+@example((Matrix(2, 0, [[], []]), Matrix(0, 3, [])))
+@example((M([[1, 2, 3], [4, 5, 6]]), Matrix(3, 0, [[], [], []])))
+@example((Matrix.identity(2), M([[1, 2], [3, 4]])))
+@example((M([[1, 2], [3, 4]]), Matrix.identity(2)))
+def test_product_matches_triple_loop(operands):
+    a, b = operands
+    p = a * b
+    loop = [[ZERO] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for t in range(a.cols):
+                loop[i][j] += a.entries[i][t] * b.entries[t][j]
+    assert (p.rows, p.cols) == (a.rows, b.cols)
+    assert p.entries == tuple(map(tuple, loop)) and all_qnum(p.entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: rational_matrices(rows=n)))
+def test_zero_subspace_coordinates(m):
+    coords = Subspace.zero(m.rows).coords_of(m)
+    if m.is_zero():
+        assert coords == Matrix.zero(0, m.cols)
+    else:
+        assert coords is None
