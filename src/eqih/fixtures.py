@@ -22,8 +22,10 @@ linear system on the entries of every E_k:
   y (x) v, for v in the canonical basis of V and y in the kernel basis of
   W's basis transposed (the annihilator of W), so that y . E_j v = 0.
 
-Every row is a primitive integer row, and one integer Gauss-Jordan
-elimination (``ratla.rref_integer_rows``) solves the system.  One coefficient
+Every row is a primitive integer row: a chain row is built from its non-zero
+terms alone, with each unknown's column computed in place, and is scaled
+before it is written out dense.  One integer Gauss-Jordan elimination
+(``ratla.rref_integer_rows``) solves the system.  One coefficient
 in -2..2 is drawn per free column, in column order, and each pivot unknown
 then follows from its row.  The reduced row echelon form of a row space is
 unique, so the free columns and the kernel basis, and with them the rng
@@ -53,7 +55,6 @@ from .model import (
     vec_to_json,
 )
 from .ratla import (
-    QNUM,
     Matrix,
     Subspace,
     block_matrix,
@@ -63,6 +64,7 @@ from .ratla import (
     map_image,
     primitive_row,
     quotient,
+    rat,
     rref_integer_rows,
     subspace_sum,
 )
@@ -241,24 +243,27 @@ def _solve_euler_op(rng, dims, diffs, filtration_constraints):
     if total == 0:
         return [Matrix.zero(dim(k + 2), dim(k)) for k in range(n)]
 
-    def var(k, r, c):
-        return offsets[k] + r * dim(k) + c
-
+    # unknown (r, c) of E_k is column offsets[k] + r * dim(k) + c
     rows = []
     # chain condition: E_{k+1} d_k = d_{k+2} E_k; the two terms of an entry
-    # have their unknowns in different blocks
+    # have their unknowns in different blocks, and only the non-zero
+    # (column, value) terms are scaled to a primitive integer row
     for k in range(n):
         d_in, d_out = diff(k).entries, diff(k + 2).entries
+        n0, n1 = dim(k), dim(k + 1)
         for i in range(dim(k + 3)):
-            for j in range(dim(k)):
-                row = [0] * total
-                if 0 <= k + 1 < n:
-                    for t in range(dim(k + 1)):
-                        row[var(k + 1, i, t)] = d_in[t][j]
-                for t in range(dim(k + 2)):
-                    row[var(k, t, j)] = -d_out[i][t]
-                if any(row):
-                    rows.append(primitive_row(row))
+            for j in range(n0):
+                terms = []
+                if k + 1 < n:
+                    base = offsets[k + 1] + i * n1
+                    terms += [(base + t, d_in[t][j]) for t in range(n1) if d_in[t][j]]
+                terms += [(offsets[k] + t * n0 + j, -b) for t, b in enumerate(d_out[i]) if b]
+                if terms:
+                    cols, values = zip(*terms)
+                    row = [0] * total
+                    for col, a in zip(cols, primitive_row(values)):
+                        row[col] = a
+                    rows.append(row)
     # filtration shifts: for each (degree j, source space V, target space W):
     # E_j(V) inside W, i.e. y . E_j v = 0 for basis v of V and y of W's
     # annihilator; the outer product of two primitive rows is primitive
@@ -271,8 +276,9 @@ def _solve_euler_op(rng, dims, diffs, filtration_constraints):
                 row = [0] * total
                 for t, a in enumerate(y):
                     if a:
+                        base = offsets[j] + t * dim(j)
                         for c, b in enumerate(v):
-                            row[var(j, t, c)] = a * b
+                            row[base + c] = a * b
                 rows.append(row)
 
     # one coefficient per free column, in column order, then each pivot
@@ -284,15 +290,18 @@ def _solve_euler_op(rng, dims, diffs, filtration_constraints):
     for f in free:
         x[f] = rng.randint(-2, 2)
     for row, pc in zip(rows, pivots):
-        x[pc] = QNUM(-sum(row[f] * x[f] for f in free if row[f]), row[pc])
+        x[pc] = rat(-sum(row[f] * x[f] for f in free if row[f])) / row[pc]
     return [Matrix(dim(k + 2), dim(k),
-                   [[x[var(k, r, c)] for c in range(dim(k))] for r in range(dim(k + 2))])
+                   [[x[offsets[k] + r * dim(k) + c] for c in range(dim(k))]
+                    for r in range(dim(k + 2))])
             for k in range(n)]
 
 
 # the largest random_model size: over seeds 0-19 the slowest model takes
-# 0.5 s at size 20 and 5.7 s at size 24 (Python 3.11, Fraction scalars, one
-# core of a 2-CPU x86 machine)
+# 0.3 s at size 20 and 6.1 s at size 24 (Python 3.11, Fraction scalars, one
+# core of a 2-CPU x86 machine); at size 24 nearly all of it goes to the
+# scaled row updates of one 460 x 786 Euler-operator system, whose entries
+# grow to 71 bits
 MAX_RANDOM_SIZE = 20
 
 

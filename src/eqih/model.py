@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import InputError, StrataMismatch, UnknownStratum
-from .ratla import QNUM, Matrix, Subspace, intersect, kron, map_image, rat
+from .ratla import Matrix, Subspace, intersect, kron, map_image, rat
 
 STRATUM_KINDS = ("mobile", "fixed_nonperverse", "fixed_perverse")
 
@@ -390,15 +390,16 @@ def rat_from_json(x, where):
     refused: it arrives as a binary fraction, not the number its text shows.
 
     JSON integers and plain ASCII '-?digits' strings, the common entries,
-    take a fast path through ``int``; every other input goes through ``rat``,
+    take a fast path through ``int`` into ``rat``, which gives the shared
+    value for -1, 0 and 1; every other input goes through ``rat`` as it is,
     which accepts the same inputs and gives the same values for these."""
     if type(x) is int:
-        return QNUM(x)
+        return rat(x)
     if isinstance(x, (bool, float)):
         raise InputError("%s: %r is not an integer or a 'p/q' string" % (where, x))
     try:
         if type(x) is str and x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
-            return QNUM(int(x))
+            return rat(int(x))
         return rat(x)
     except (ValueError, ZeroDivisionError, TypeError) as e:
         raise InputError("bad rational in %s: %s" % (where, e))

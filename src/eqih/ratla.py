@@ -33,7 +33,10 @@ Every matrix entry is a ``QNUM``.  The public ``Matrix(rows, cols, entries)``
 coerces each entry through ``rat`` and checks the declared shape; the private
 ``Matrix._of`` does neither and takes a tuple of tuples of ``QNUM`` as it is,
 so it is used only for entries that come out of ``QNUM`` arithmetic or out of
-existing matrices.
+existing matrices.  ``QNUM(...)`` is called in this module only.  ``QNUM``
+values are immutable, so the integers -1, 0 and 1 are shared: ``rat`` gives
+the one value in ``SMALL`` for each, and so does ``Matrix.rref`` in a pivot
+row whose pivot is 1 or -1.
 """
 
 from __future__ import annotations
@@ -49,13 +52,21 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 
 from .errors import AmbientMismatch, NotASubspace
 
-ZERO = QNUM(0)
-ONE = QNUM(1)
+# the shared scalars: one QNUM per integer -1, 0 and 1, the most common
+# entries by far; QNUM values are immutable, so every matrix may hold them
+SMALL = {a: QNUM(a) for a in (-1, 0, 1)}
+ZERO = SMALL[0]
+ONE = SMALL[1]
 
 
 def rat(x) -> "QNUM":
-    """Coerce ints, 'p/q' strings and rationals to the scalar type."""
-    return x if type(x) is QNUM else QNUM(x)
+    """Coerce ints, 'p/q' strings and rationals to the scalar type; an int
+    in ``SMALL`` gives the shared value."""
+    if type(x) is QNUM:
+        return x
+    if type(x) is int and -1 <= x <= 1:
+        return SMALL[x]
+    return QNUM(x)
 
 
 class Matrix:
@@ -174,7 +185,9 @@ class Matrix:
 
         The elimination is ``rref_integer_rows`` on the rows scaled to
         primitive integer rows; only the pivot rows are divided by their
-        pivots, at the end."""
+        pivots, at the end; a pivot row whose pivot is 1 or -1 needs no
+        division, and its entries go through ``rat``, which shares -1, 0
+        and 1."""
         nrows, ncols = self.rows, self.cols
         if not nrows or not ncols:
             return self, []
@@ -183,7 +196,10 @@ class Matrix:
         out = []
         for row, c in zip(m, pivots):
             p = row[c]
-            out.append(tuple(QNUM(a, p) if a else ZERO for a in row))
+            if p == 1 or p == -1:
+                out.append(tuple(rat(p * a) for a in row))
+            else:
+                out.append(tuple(QNUM(a, p) if a else ZERO for a in row))
         out.extend([(ZERO,) * ncols] * (nrows - len(pivots)))
         return Matrix._of(nrows, ncols, tuple(out)), pivots
 
@@ -240,25 +256,35 @@ def rref_integer_rows(m, ncols):
 
     Afterwards ``m[r]`` for r < len(pivots) is an integer row whose entry in
     pivots[r] is its non-zero pivot and whose entries in the other pivot
-    columns are zero, and the remaining rows are zero.  A pivot row r with
-    pivot p clears column c of row i, whose entry there is f, by
+    columns are zero, and the remaining rows are zero.  The pivot of column
+    c comes from the rows at or below r: the first whose entry is 1 or -1,
+    so that every update below takes the in-place path, else the first of
+    least absolute value.  A pivot row r with pivot p clears column c of
+    row i, whose entry there is f, by
     row_i <- q*row_i - (f/g)*row_r with g = gcd(p, f) and q = |p/g| (the
     sign goes into the second term), subtracting only in the columns where
     row_r is non-zero.  When q is 1, as for every pivot 1 or -1, row_i is
     updated in place with no scaling; otherwise the scaled row is divided by
     the gcd of its entries.  Every step multiplies a row by a non-zero
     scalar or adds a multiple of another row, so the row space is the one of
-    the rational elimination; the reduced row echelon form of a row space is
-    unique, so dividing each pivot row by its pivot gives exactly the
-    rational Gauss-Jordan result."""
+    the rational elimination, whatever row is taken as pivot; the reduced
+    row echelon form of a row space is unique, so the pivot columns are
+    those of the rational Gauss-Jordan result, and dividing each pivot row
+    by its pivot gives exactly its rows."""
     nrows = len(m)
     pivots = []
     r = 0
     for c in range(ncols):
-        for pr in range(r, nrows):
-            if m[pr][c]:
-                break
-        else:
+        pr, best = None, 0
+        for i in range(r, nrows):
+            a = m[i][c]
+            if a:
+                if a == 1 or a == -1:
+                    pr = i
+                    break
+                if pr is None or abs(a) < best:
+                    pr, best = i, abs(a)
+        if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         prow = m[r]

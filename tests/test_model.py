@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from eqih.model import (
     validate,
     zero_perversity,
 )
-from eqih.ratla import QNUM, rat
+from eqih.ratla import QNUM, SMALL, rat
 
 
 class TestPerversity:
@@ -282,3 +283,42 @@ json_numbers = st.one_of(
 @given(json_numbers)
 def test_rat_from_json_fast_path_matches_general_parse(x):
     assert json_outcome(rat_from_json, x) == json_outcome(general_rat_from_json, x)
+
+
+def test_rat_from_json_of_integers_and_strings():
+    """Integers and '-?digits' strings inside and outside the shared table
+    give their values; inside it, they give the shared objects."""
+    for x in range(-70, 71):
+        for doc in (x, str(x)):
+            value = rat_from_json(doc, "entry")
+            assert type(value) is QNUM and value == Fraction(x)
+            if x in SMALL:
+                assert value is SMALL[x]
+    assert rat_from_json("-0", "entry") is SMALL[0]
+
+
+# inputs off the '-?digits' fast path and their outcomes: Fraction's reading
+# of a string, or the exact refusal
+OFF_FAST_PATH = [
+    (True, "entry: True is not an integer or a 'p/q' string"),
+    (False, "entry: False is not an integer or a 'p/q' string"),
+    (1.0, "entry: 1.0 is not an integer or a 'p/q' string"),
+    ("", "bad rational in entry: Invalid literal for Fraction: ''"),
+    ("\u00b2", "bad rational in entry: Invalid literal for Fraction: '\u00b2'"),
+    ("1/0", "bad rational in entry: Fraction(1, 0)"),
+    ("+2", Fraction(2)),
+    ("1_0", Fraction(10)),
+    ("1.0", Fraction(1)),
+    ("\u0663", Fraction(3)),
+    ("-3/3", Fraction(-1)),
+]
+
+
+@pytest.mark.parametrize("x, outcome", OFF_FAST_PATH, ids=repr)
+def test_rat_from_json_off_the_fast_path(x, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(InputError) as err:
+            rat_from_json(x, "entry")
+        assert str(err.value) == outcome
+    else:
+        assert rat_from_json(x, "entry") == outcome

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from eqih.errors import AmbientMismatch, NotASubspace
 from eqih.ratla import (
     ONE,
     QNUM,
+    SMALL,
     ZERO,
     Matrix,
     Subspace,
@@ -19,6 +22,7 @@ from eqih.ratla import (
     preimage,
     quotient,
     rat,
+    rref_integer_rows,
     subspace_sum,
     _row_span,
 )
@@ -463,6 +467,72 @@ def test_rref_matches_rational_reference(m):
     red, pivots = m.rref()
     assert (red.entries, pivots) == rational_rref(m)
     assert (red.rows, red.cols) == (m.rows, m.cols) and all_qnum(red.entries)
+
+
+# -- the pivot rule ------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(max_dim=4))
+# the only unit of column 0 below a non-unit entry
+@example(M([[2, 4, 1], [1, 3, 0], [3, 7, 1]]))
+# no unit in column 0, with a tie of least absolute value
+@example(M([[4, 1, 3], [-2, 5, 1], [2, 3, 6], [6, 0, 2]]))
+# zero columns
+@example(M([[0, 2, 0, 3], [0, 4, 0, 1], [0, 6, 0, 4]]))
+# more rows than columns
+@example(M([[3, 6], [2, 4], [5, 1], [4, 2]]))
+def test_rref_is_the_same_for_every_row_order(m):
+    """The pivot a column takes depends on the order of the rows, but the
+    reduced row echelon form does not."""
+    want = m.rref()
+    assert (want[0].entries, want[1]) == rational_rref(m)
+    for order in itertools.permutations(m.entries):
+        assert Matrix._of(m.rows, m.cols, order).rref() == want
+
+
+@pytest.mark.parametrize("rows, pivot_row", [
+    # the only unit of column 0, below a non-unit entry, is the pivot
+    ([[2, 1], [1, 0], [3, 5]], [1, 0]),
+    # with no unit, the first entry of least absolute value is
+    ([[4, 1], [-2, 0], [2, 3]], [-2, 0]),
+    ([[6, 1], [9, 0], [3, 0]], [3, 0]),
+])
+def test_pivot_rule(rows, pivot_row):
+    """rref_integer_rows moves the chosen pivot row to the top of its column;
+    a row with 0 in every later pivot column is left as it is."""
+    m = [list(row) for row in rows]
+    assert rref_integer_rows(m, 2) == [0, 1]
+    assert m[0] == pivot_row
+
+
+# -- shared scalars ------------------------------------------------------------
+
+def test_rat_of_integers_and_strings():
+    """Integers inside and outside the shared table, and their strings, give
+    their values; the integers inside it give the shared objects."""
+    for x in range(-70, 71):
+        for value in (rat(x), rat(str(x)), rat("%d/1" % x)):
+            assert type(value) is QNUM and value == Fraction(x)
+        if x in SMALL:
+            assert rat(x) is SMALL[x]
+
+
+def test_small_scalars():
+    assert sorted(SMALL) == [-1, 0, 1]
+    assert all(type(v) is QNUM and v == a for a, v in SMALL.items())
+    assert ZERO is SMALL[0] and ONE is SMALL[1]
+
+
+def test_unit_pivot_rows_hold_shared_scalars():
+    """A pivot row with pivot 1 or -1 takes -1, 0 and 1 from SMALL, and the
+    other entries are equal to the rational quotient."""
+    for rows in ([[1, -1, 0, 2]], [[-1, 1, 0, 3]], [[1, 2], [1, 3]], [[1, 0, -1], [0, -1, 3]]):
+        red, _ = M(rows).rref()
+        assert red.entries == rational_rref(M(rows))[0]
+        for x in (x for row in red.entries for x in row):
+            assert type(x) is QNUM
+            if x in SMALL:
+                assert x is SMALL[int(x)]
 
 
 @settings(max_examples=60, deadline=None)

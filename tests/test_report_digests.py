@@ -86,7 +86,8 @@ WIDE = [
 WIDE_EQUIVARIANT_MODELS = ["hopf", "rot", "cone2", "noperv"]
 
 # (size, seed) of the generated documents whose saved bytes are recorded
-GENERATED = [(9, 3), (10, 11), (11, 8), (12, 3), (13, 2), (13, 6)]
+GENERATED = [(9, 3), (10, 11), (11, 8), (12, 3), (13, 2), (13, 6),
+             (16, 0), (20, 3), (20, 10)]
 
 
 def commands():

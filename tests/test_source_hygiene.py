@@ -6,7 +6,9 @@ package, and every module-level public function or class, and every
 non-dunder method of a package class, is referenced somewhere in the
 package, its tests or the benchmark, so deleting a helper or its last
 caller cannot leave dead code behind.  Only the model module spells the
-name of a ``validate`` axiom, so each axiom is decided in one place.
+name of a ``validate`` axiom, so each axiom is decided in one place, and
+only the linear-algebra module calls the scalar type ``QNUM``, so scalars
+are coerced in one place.
 """
 
 import ast
@@ -65,6 +67,13 @@ def methods(tree):
     return [(node.name, f.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
             for f in node.body if isinstance(f, ast.FunctionDef)
             and not (f.name.startswith("__") and f.name.endswith("__"))]
+
+
+def qnum_calls(tree):
+    """Lines of the calls to QNUM, by its name or as an attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "QNUM"
+                 or getattr(node.func, "attr", None) == "QNUM")]
 
 
 @pytest.mark.parametrize("name", sorted(TREES))
@@ -157,3 +166,18 @@ def test_only_the_model_spells_an_axiom_name():
                if isinstance(node, ast.Constant) and isinstance(node.value, str)
                for axiom in axioms if axiom in node.value]
     assert not spelled, "axiom names spelled outside model.py: %s" % spelled
+
+
+def test_only_ratla_calls_qnum():
+    """Every other module coerces a scalar through ``ratla.rat`` or builds
+    it by QNUM arithmetic."""
+    assert qnum_calls(TREES["ratla.py"])
+    calls = [(name, line) for name, tree in TREES.items() if name != "ratla.py"
+             for line in qnum_calls(tree)]
+    assert not calls, "QNUM called outside ratla.py: %s" % calls
+
+
+def test_the_checks_see_a_qnum_call():
+    tree = ast.parse("from .ratla import QNUM, rat\nfrom . import ratla\n\n"
+                     "a = QNUM(1)\nb = ratla.QNUM(2, 3)\nc = rat(4) * QNUM\n")
+    assert qnum_calls(tree) == [4, 5]
