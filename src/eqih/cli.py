@@ -1,6 +1,11 @@
 """Command-line front end: load and validate models, run each computation,
 and emit deterministic JSON reports (schema ``eqih-report/1``).
 
+Every command goes through main: it loads the model file and parses -p
+where the command takes them, calls the command's _cmd_* function with
+both, and emits the report: schema, command, then model and perversity
+where they apply, then the body the command returned.
+
 Exit codes: 0 all checks pass, 1 a verified structural property failed
 (engine bug or theorem violation), 2 malformed input.
 """
@@ -126,78 +131,54 @@ def _emit_human(node, stream, indent=0):
         stream.write("%s%s\n" % (pad, json.dumps(node)))
 
 
-def _report(command, model=None, **body):
-    head = {"schema": SCHEMA, "command": command}
-    if model is not None:
-        head["model"] = model.name
-    head.update(body)
-    return head
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the loaded model m (or None), the parsed
+# perversity p (or None) and the arguments, and returns (body, exit code)
 
 
-def _cmd_validate(args):
-    m = _load(args.file)
+def _cmd_validate(m, p, args):
     checks = validate(m, strict=args.strict)
     passed = all(c["passed"] for c in checks)
-    report = _report("validate", m, strict=args.strict, checks=checks,
-                     passed=passed)
-    return report, 0 if passed else 2
+    return {"strict": args.strict, "checks": checks, "passed": passed}, 0 if passed else 2
 
 
-def _cmd_cohomology(args):
-    m = _load(args.file)
-    p = _perversity(args.perversity, m)
-    report = _report(
-        "cohomology", m, perversity=p.label(),
-        base_dims=list(omega_cohomology(m, p).dims()),
-        total_dims=list(eq1_cohomology(m, p).dims()),
-    )
-    return report, 0
+def _cmd_cohomology(m, p, args):
+    return {"base_dims": list(omega_cohomology(m, p).dims()),
+            "total_dims": list(eq1_cohomology(m, p).dims())}, 0
 
 
-def _cmd_gysin(args):
-    m = _load(args.file)
-    p = _perversity(args.perversity, m)
+def _cmd_gysin(m, p, args):
     eub = euler_map(m, p)
     top = m.ambient.top_degree
     gles = gysin_les(m, p)
     kles = cogysin_les(m, p)
-    report = _report(
-        "gysin", m, perversity=p.label(),
-        gysin_dims=list(gysin_cohomology(m, p).dims()),
-        cogysin_dims=list(cogysin_cohomology(m, p).dims()),
-        euler_maps={str(k): mat_to_json(eub.mat(k)) for k in range(top + 1)},
-        gysin_les=_les_json(gles, is_exact(gles)),
-        cogysin_les=_les_json(kles, is_exact(kles)),
-    )
-    ok = report["gysin_les"]["exact"] and report["cogysin_les"]["exact"]
-    return report, 0 if ok else 1
+    body = {
+        "gysin_dims": list(gysin_cohomology(m, p).dims()),
+        "cogysin_dims": list(cogysin_cohomology(m, p).dims()),
+        "euler_maps": {str(k): mat_to_json(eub.mat(k)) for k in range(top + 1)},
+        "gysin_les": _les_json(gles, is_exact(gles)),
+        "cogysin_les": _les_json(kles, is_exact(kles)),
+    }
+    ok = body["gysin_les"]["exact"] and body["cogysin_les"]["exact"]
+    return body, 0 if ok else 1
 
 
-def _cmd_equivariant(args):
-    m = _load(args.file)
-    p = _perversity(args.perversity, m)
+def _cmd_equivariant(m, p, args):
     n_u = args.nu if args.nu is not None else default_window(m)
     if not 1 <= n_u <= MAX_WINDOW:
         raise InputError("--nu must be between 1 and %d, not %d" % (MAX_WINDOW, n_u))
     eq = build_equivariant(m, p)
     seq, les_report = equivariant_gysin_les(m, p, n_u)
-    report = _report(
-        "equivariant", m, perversity=p.label(), window=n_u,
-        dims=list(eq.dims(n_u)),
-        u_ranks=list(eq.u_ranks(n_u)),
-        les=_les_json(seq, les_report["exact"]),
-        les_checks=les_report,
-    )
-    return report, 0 if les_report["exact"] else 1
+    return {
+        "window": n_u,
+        "dims": list(eq.dims(n_u)),
+        "u_ranks": list(eq.u_ranks(n_u)),
+        "les": _les_json(seq, les_report["exact"]),
+        "les_checks": les_report,
+    }, 0 if les_report["exact"] else 1
 
 
-def _cmd_spectral(args):
-    m = _load(args.file)
-    p = _perversity(args.perversity, m)
+def _cmd_spectral(m, p, args):
     if args.pages is not None and not 1 <= args.pages <= MAX_WINDOW:
         raise InputError("--pages must be between 1 and %d, not %d"
                          % (MAX_WINDOW, args.pages))
@@ -214,25 +195,19 @@ def _cmd_spectral(args):
     }
     if args.d3_check:
         body["d3"] = d3_check(m, p)
-    report = _report("spectral", m, perversity=p.label(), **body)
-    return report, 0
+    return body, 0
 
 
-def _cmd_skjelbred(args):
-    m = _load(args.file)
+def _cmd_skjelbred(m, p, args):
     seq, checks = skjelbred(m)
-    report = _report(
-        "skjelbred", m,
-        preconditions=fixed_point_preconditions(m),
-        sequence=_les_json(seq, True),
-        checks=checks,
-    )
-    return report, 0
+    return {
+        "preconditions": fixed_point_preconditions(m),
+        "sequence": _les_json(seq, True),
+        "checks": checks,
+    }, 0
 
 
-def _cmd_localize(args):
-    m = _load(args.file)
-    p = _perversity(args.perversity, m)
+def _cmd_localize(m, p, args):
     il = lambda_u_module(m, p)
     body = {
         "ranks": {"even": il.even_rank, "odd": il.odd_rank},
@@ -240,9 +215,8 @@ def _cmd_localize(args):
     }
     if args.cone_check:
         body["cone"] = cone_formula_check(m, p)
-    report = _report("localize", m, perversity=p.label(), **body)
     ok = not args.cone_check or body["cone"]["match"]
-    return report, 0 if ok else 1
+    return body, 0 if ok else 1
 
 
 def _load_iso(path):
@@ -253,7 +227,7 @@ def _load_iso(path):
             data = json.load(fh, object_pairs_hook=unique_keys)
     if not isinstance(data, dict):
         raise InputError("iso document must be a JSON object")
-    raw = data.get("mats") or {}
+    raw = data.get("mats", {})
     if not isinstance(raw, dict):
         raise InputError("iso field 'mats' must map degrees to matrices")
     mats = {}
@@ -262,13 +236,13 @@ def _load_iso(path):
         if degree in mats:
             raise InputError("iso degree %r repeats degree %d" % (key, degree))
         mats[degree] = rows_from_json(rows, "iso matrix for degree %s" % key)
-    strata = data.get("strata") or {}
+    strata = data.get("strata", {})
     if not isinstance(strata, dict) or not all(isinstance(v, str) for v in strata.values()):
         raise InputError("iso field 'strata' must map stratum names to stratum names")
     return ModelIso(mats, strata)
 
 
-def _cmd_compare(args):
+def _cmd_compare(m, p, args):
     m1 = _load(args.file1)
     m2 = _load(args.file2)
     for m in (m1, m2):
@@ -282,21 +256,19 @@ def _cmd_compare(args):
         if related:
             body["witness"] = vec_to_json(gamma)
             body["consequences"] = consequence_check(iso, m1, m2)
-    report = _report("compare", **body)
-    return report, 0
+    return body, 0
 
 
-def _cmd_fixture(args):
+def _cmd_fixture(m, p, args):
     m = fixtures.make(args.name, seed=args.seed, size=args.size)
     if args.output:
         save_model(m, args.output)
-        report = _report("fixture", m, written=args.output)
-        return report, 0
+        return {"model": m.name, "written": args.output}, 0
     _emit(model_to_dict(m), human=False)
     return None, 0
 
 
-def _cmd_selftest(args):
+def _cmd_selftest(m, p, args):
     if args.seeds < 0:
         raise InputError("--seeds must be at least 0, not %d" % args.seeds)
     models = [build() for build in fixtures.FIXTURES.values()]
@@ -345,9 +317,7 @@ def _cmd_selftest(args):
             if not truncation_stable(m, p):
                 raise PropertyViolation("truncation instability")
             counters["truncation_stable"] += 1
-    report = {"schema": SCHEMA, "command": "selftest", "seeds": args.seeds,
-              "checks": counters, "passed": True}
-    return report, 0
+    return {"seeds": args.seeds, "checks": counters, "passed": True}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -410,47 +380,44 @@ def _build_parser():
     sp.add_argument("--cone-check", action="store_true",
                     help="compare with the cone formula (needs cone metadata)")
 
-    sp = sub.add_parser("compare",
-                        help="compare two models through an isomorphism file")
+    sp = add("compare", _cmd_compare, "compare two models through an isomorphism file",
+             model_arg=False)
     sp.add_argument("file1")
     sp.add_argument("file2")
     sp.add_argument("--iso", required=True,
                     help="JSON with per-degree matrices and a stratum map")
-    sp.add_argument("--human", action="store_true")
-    sp.set_defaults(fn=_cmd_compare)
 
-    sp = sub.add_parser("fixture", help="emit a named fixture model")
+    sp = add("fixture", _cmd_fixture, "emit a named fixture model", model_arg=False)
     sp.add_argument("name", help="%s, or random" % ", ".join(fixtures.FIXTURES))
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--size", type=int, default=2)
-    sp.add_argument("--human", action="store_true")
-    sp.set_defaults(fn=_cmd_fixture)
 
-    sp = sub.add_parser("selftest", help="run the full invariant suite")
+    sp = add("selftest", _cmd_selftest, "run the full invariant suite", model_arg=False)
     sp.add_argument("--seeds", type=int, default=10,
                     help="number of seeded random models (at least 0)")
-    sp.add_argument("--human", action="store_true")
-    sp.set_defaults(fn=_cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    report = {"schema": SCHEMA, "command": args.command}
     try:
-        report, code = args.fn(args)
-    except PropertyViolation as e:
-        _emit({"schema": SCHEMA, "error": type(e).__name__,
-               "detail": str(e)}, stream=sys.stderr)
-        return 1
+        m = p = None
+        if "file" in args:
+            m = _load(args.file)
+            report["model"] = m.name
+        if "perversity" in args:
+            p = _perversity(args.perversity, m)
+            report["perversity"] = p.label()
+        body, code = args.fn(m, p, args)
     except (EqihError, OSError, json.JSONDecodeError) as e:
         _emit({"schema": SCHEMA, "error": type(e).__name__,
                "detail": str(e)}, stream=sys.stderr)
-        return 2
-    if report is not None:
-        _emit(report, human=args.human)
+        return 1 if isinstance(e, PropertyViolation) else 2
+    if body is not None:
+        _emit({**report, **body}, human=args.human)
     return code
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import DecompositionMismatch, InternalInvariantViolation
 from .homalg import (ChainMap, Cohomology, Complex, LongExactSequence, SesData, chain_map,
                      check_exact, check_short_exact, subcomplex)
-from .model import ModelInstance, Perversity
+from .model import ModelInstance, Perversity, per_model
 from .perverse import _sign, ambient_complexes, euler_map, omega_spaces, perverse_complex
 from .ratla import (Matrix, Subspace, block_matrix, image, intersect, kernel, map_image,
                     preimage, subspace_sum)
@@ -51,11 +51,8 @@ class Eq1Complex:
         return Subspace.zero(0)
 
 
+@per_model("eq1")
 def build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
-    return m.cached(("eq1", p), lambda: _build_eq1(m, p))
-
-
-def _build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
     m.check_perversity(p)
     a = m.ambient
     _, pair = ambient_complexes(m)
@@ -76,13 +73,10 @@ def _build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
     return Eq1Complex(cx, spaces)
 
 
+@per_model("eq1_shift")
 def pair_shift(m: ModelInstance, p: Perversity) -> dict:
     """The signed u-shift S_k: Eq1^k -> Eq1^{k-1}, (alpha, beta) |->
     sign(k) * (beta, 0), per pair degree k, in the pair-space bases."""
-    return m.cached(("eq1_shift", p), lambda: _pair_shift(m, p))
-
-
-def _pair_shift(m: ModelInstance, p: Perversity) -> dict:
     a = m.ambient
     eq1 = build_eq1(m, p)
     shift = {}
@@ -117,6 +111,7 @@ def _shift_down(c: Complex) -> Complex:
     return Complex.build(c.lo, c.hi + 1, dims, diffs)
 
 
+@per_model("gysin_maps")
 def gysin_maps(m: ModelInstance, p: Perversity):
     """The chain maps (i, s) of 0 -> Omega_p -> Eq1_p -> G_p[-1] -> 0,
     checked exact once.
@@ -124,10 +119,6 @@ def gysin_maps(m: ModelInstance, p: Perversity):
     The middle term is the complex of admissible pairs; i is
     alpha |-> (alpha, 0) and s is (alpha, beta) |-> beta.
     """
-    return m.cached(("gysin_maps", p), lambda: _gysin_maps(m, p))
-
-
-def _gysin_maps(m: ModelInstance, p: Perversity):
     pc = perverse_complex(m, p)
     eq1 = build_eq1(m, p)
     a = m.ambient
@@ -155,10 +146,15 @@ def _gysin_maps(m: ModelInstance, p: Perversity):
     return i, s
 
 
+@per_model("gysin_ses")
+def gysin_ses(m: ModelInstance, p: Perversity) -> SesData:
+    return SesData(*gysin_maps(m, p))
+
+
 def gysin_les(m: ModelInstance, p: Perversity) -> LongExactSequence:
     """The Gysin long exact sequence; its connecting morphism is verified to
     coincide with the Euler map."""
-    ses = m.cached(("gysin_ses", p), lambda: SesData(*gysin_maps(m, p)))
+    ses = gysin_ses(m, p)
     eub = euler_map(m, p)
     for k in range(ses.i.target.lo, ses.i.target.hi):
         if ses.connecting(k) != eub.mat(k - 1):
@@ -304,8 +300,7 @@ class EquivariantComplex:
         return h.classes_of(n + 2, self.ext.u_matrix(n) * h.lifts(n))
 
 
-def build_equivariant(m: ModelInstance, p: Perversity) -> EquivariantComplex:
-    return m.cached(("equivariant", p), lambda: EquivariantComplex(m, p))
+build_equivariant = per_model("equivariant")(EquivariantComplex)
 
 
 def truncation_stable(m: ModelInstance, p: Perversity) -> bool:
@@ -377,10 +372,13 @@ class EquivariantGysin:
         return {"decomposition_verified": True, "degrees_checked": list(range(0, n_u))}
 
 
+equivariant_gysin = per_model("eq_gysin")(EquivariantGysin)
+
+
 def equivariant_gysin_les(m: ModelInstance, p: Perversity, n_u=None):
     """(long exact sequence, report) for the u-extended Gysin sequence."""
     n_u = default_window(m) if n_u is None else n_u
-    gy = m.cached(("eq_gysin", p), lambda: EquivariantGysin(m, p))
+    gy = equivariant_gysin(m, p)
     seq = gy.ses.les(range(n_u), gy.eq.ext.fold)
     report = gy.connecting_decomposition_report(n_u)
     report["exactness"] = check_exact(seq)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .equivariant import build_eq1, pair_shift
 from .errors import InputError, NotAConeModel, TheoremViolation
-from .model import ModelInstance, Perversity, _typed, int_from_json, int_from_text, rows_from_json
+from .model import (ModelInstance, Perversity, _typed, int_from_json, int_from_text, per_model,
+                    rows_from_json)
 from .perverse import euler_map, gysin_cohomology, omega_cohomology, perverse_complex
 from .ratla import Matrix, block_matrix
 
@@ -73,14 +74,11 @@ class LocalizedModule:
         return (self.even_rank, self.odd_rank)
 
 
+@per_model("localized")
 def lambda_u_module(m: ModelInstance, p: Perversity) -> LocalizedModule:
     """Even/odd ranks of the equivariant cohomology over rational functions
     in u: the cohomology of the two-periodic complex of the pair complex with
     differential d + S."""
-    return m.cached(("localized", p), lambda: _periodic_cohomology(m, p))
-
-
-def _periodic_cohomology(m: ModelInstance, p: Perversity) -> LocalizedModule:
     cx = build_eq1(m, p).complex
     shift = pair_shift(m, p)
     offsets = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, wraps
 
 from .errors import InputError, StrataMismatch, UnknownStratum
 from .ratla import Matrix, Subspace, intersect, kron, map_image, rat
@@ -142,6 +142,18 @@ class AmbientModel:
         return Matrix._of(self.dim(2), 1, tuple((x,) for x in self.euler_cocycle))
 
 
+def per_model(kind):
+    """Decorator: builder(m, *args), a function or a class, is built once per
+    model through m.cached, under the key kind when it takes no arguments
+    and (kind, *args) otherwise."""
+    def decorate(builder):
+        @wraps(builder, updated=())
+        def built_once(m, *args):
+            return m.cached((kind, *args) if args else kind, lambda: builder(m, *args))
+        return built_once
+    return decorate
+
+
 @dataclass(frozen=True)
 class ModelInstance:
     name: str
@@ -174,12 +186,9 @@ class ModelInstance:
             raise UnknownStratum("perversity strata %s do not match model strata %s"
                                  % (p.strata(), self.stratum_names()))
 
+    @per_model("flevel")
     def filtration_level(self, p: Perversity, degree: int) -> Subspace:
         """F_p in one degree: the intersection over strata of F_S^{p(S)}."""
-        return self.cached(("flevel", p, degree),
-                           lambda: self._filtration_level(p, degree))
-
-    def _filtration_level(self, p: Perversity, degree: int) -> Subspace:
         self.check_perversity(p)
         space = Subspace.full(self.ambient.dim(degree))
         for s in self.strata:
@@ -187,13 +196,12 @@ class ModelInstance:
         return space
 
     def cached(self, key, thunk):
-        """The value of thunk(), computed once per key for this model.
-
-        A key is a kind, or a tuple of a kind and its arguments; among them
-        ("flevel", p, degree) holds the level space F_p of one degree and
-        ("omega", p) the spaces of Omega_p, degree -> Subspace of the
-        ambient degree.  Cached values are shared, never modified.
-        """
+        """The value of thunk(), computed once per key for this model: the
+        memo behind per_model, keyed by a builder's kind or (kind, *args).
+        The kinds are space_axioms, flevel, ambient_complexes, perverse,
+        omega, cogysin_ses, eub, eq1, eq1_shift, gysin_maps, gysin_ses,
+        equivariant, eq_gysin, localized, spectral, e3 and
+        fixed_point_preconditions.  Cached values are shared, never modified."""
         if key not in self._cache:
             self._cache[key] = thunk()
         return self._cache[key]
@@ -207,24 +215,21 @@ def _check(report, axiom, ok, detail):
     report.append({"axiom": axiom, "passed": bool(ok), "detail": detail})
 
 
+@per_model("space_axioms")
 def _space_axioms(m: ModelInstance) -> list:
     """(axiom, passed, detail) for each axiom on the model's spaces and
     maps, in validate's order.  Every computation on the model assumes them,
     and validate and check_axioms both read them, so they are computed once
     per model."""
-    return m.cached("space_axioms", lambda: list(_space_axiom_rows(m)))
-
-
-def _space_axiom_rows(m: ModelInstance):
     a = m.ambient
-    yield ("strata: unique names", len({s.name for s in m.strata}) == len(m.strata), "")
-    yield ("strata: filtration data present",
-           set(a.filtrations) == {s.name for s in m.strata},
-           "filtrations for %s" % sorted(a.filtrations))
+    rows = [("strata: unique names", len({s.name for s in m.strata}) == len(m.strata), ""),
+            ("strata: filtration data present",
+             set(a.filtrations) == {s.name for s in m.strata},
+             "filtrations for %s" % sorted(a.filtrations))]
 
     bad = next(("degree %d" % k for k in range(a.top_degree)
                 if not (a.diff(k + 1) * a.diff(k)).is_zero()), "")
-    yield "differential: d.d = 0", not bad, bad
+    rows.append(("differential: d.d = 0", not bad, bad))
 
     bad = ""
     for s in m.strata:
@@ -234,30 +239,31 @@ def _space_axiom_rows(m: ModelInstance):
                 hi = a.filtration(s.name, level, deg)
                 if not hi.contains_subspace(lo):
                     bad = "stratum %s level %d degree %d" % (s.name, level, deg)
-    yield "filtration: nested levels", not bad, bad
+    rows.append(("filtration: nested levels", not bad, bad))
 
     bad = ""
     for s in m.strata:
         if not a.filtration(s.name, 0, 0).is_full():
             bad = "stratum %s" % s.name
-    yield "filtration: degree-0 forms have perverse degree 0", not bad, bad
+    rows.append(("filtration: degree-0 forms have perverse degree 0", not bad, bad))
 
     bad = next(("degree %d" % k for k in range(a.top_degree + 1)
                 if a.euler(k + 1) * a.diff(k) != a.diff(k + 2) * a.euler(k)), "")
-    yield "euler operator: chain map", not bad, bad
+    rows.append(("euler operator: chain map", not bad, bad))
 
     eps = a.epsilon()
     deps = a.diff(2) * eps
     closed = deps.is_zero()
-    yield ("euler cocycle: closed", closed,
-           "" if closed else "d(epsilon) = %s" % (vec_to_json(deps.transpose().entries[0]),))
+    rows.append(("euler cocycle: closed", closed, "" if closed else
+                 "d(epsilon) = %s" % (vec_to_json(deps.transpose().entries[0]),)))
 
     bad = ""
     ebar = m.euler_perversity()
     for s in m.strata:
         if a.filtration(s.name, ebar[s.name], 2).coords_of(eps) is None:
             bad = "stratum %s" % s.name
-    yield "euler cocycle: lies in the Euler-perversity level", not bad, bad
+    rows.append(("euler cocycle: lies in the Euler-perversity level", not bad, bad))
+    return rows
 
 
 def check_axioms(m: ModelInstance):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import InputError, InternalInvariantViolation, WitnessNotFound
 from .homalg import (ChainMap, Cohomology, Complex, LongExactSequence, SesData, chain_map,
                      quotient_complex, subcomplex)
-from .model import ModelInstance, Perversity, check_axioms
+from .model import ModelInstance, Perversity, check_axioms, per_model
 from .ratla import (Matrix, Subspace, block_matrix, intersect, map_image, preimage, quotient,
                     subspace_sum)
 
@@ -41,15 +41,12 @@ def _pair_d(a, k) -> Matrix:
                          (a.dim(k + 1), na, a.diff(k - 1))])
 
 
+@per_model("ambient_complexes")
 def ambient_complexes(m: ModelInstance) -> tuple:
     """(A, P): the ambient complex in degrees 0..top and the pair complex in
     degrees 0..top + 1, built once per model after check_axioms: a model
     that fails an axiom on its spaces and maps is malformed input, and one
     that passes has d.d = 0 on A and, E being a chain map, on P."""
-    return m.cached("ambient_complexes", lambda: _ambient_complexes(m))
-
-
-def _ambient_complexes(m: ModelInstance) -> tuple:
     check_axioms(m)
     a, top = m.ambient, m.ambient.top_degree
     amb = Complex.build(0, top, a.dims, a.d)
@@ -88,20 +85,17 @@ class PerverseComplex:
         return self.omega_incl.mat(k) * self.gysin_incl.mat(k)
 
 
-def perverse_complex(m: ModelInstance, p: Perversity) -> PerverseComplex:
-    return m.cached(("perverse", p), lambda: _build(m, p))
-
-
+@per_model("omega")
 def omega_spaces(m: ModelInstance, p: Perversity) -> dict:
     """The spaces of Omega_p, degree -> Subspace of the ambient degree: the
     forms in the p-level whose differential stays in the level."""
-    return m.cached(("omega", p), lambda: {
-        k: intersect(m.filtration_level(p, k),
-                     preimage(m.ambient.diff(k), m.filtration_level(p, k + 1)))
-        for k in range(0, m.ambient.top_degree + 1)})
+    return {k: intersect(m.filtration_level(p, k),
+                         preimage(m.ambient.diff(k), m.filtration_level(p, k + 1)))
+            for k in range(0, m.ambient.top_degree + 1)}
 
 
-def _build(m: ModelInstance, p: Perversity) -> PerverseComplex:
+@per_model("perverse")
+def perverse_complex(m: ModelInstance, p: Perversity) -> PerverseComplex:
     a = m.ambient
     amb, _ = ambient_complexes(m)
     spaces = omega_spaces(m, p)
@@ -127,18 +121,22 @@ def _build(m: ModelInstance, p: Perversity) -> PerverseComplex:
                            gysin, gysin_incl, gysin_spaces, cogysin, projection)
 
 
+@per_model("cogysin_ses")
+def cogysin_ses(m: ModelInstance, p: Perversity) -> SesData:
+    """The connecting data of 0 -> G_p -> Omega_p -> K_p -> 0."""
+    pc = perverse_complex(m, p)
+    return SesData(pc.gysin_incl, pc.projection)
+
+
 def build_cogysin(m: ModelInstance, p: Perversity):
     """The quotient complex K_p with the projection and the connecting data
     of 0 -> G_p -> Omega_p -> K_p -> 0."""
     pc = perverse_complex(m, p)
-    ses = m.cached(("cogysin_ses", p),
-                   lambda: SesData(pc.gysin_incl, pc.projection))
-    return pc.cogysin, pc.projection, ses
+    return pc.cogysin, pc.projection, cogysin_ses(m, p)
 
 
 def cogysin_les(m: ModelInstance, p: Perversity) -> LongExactSequence:
-    _, _, ses = build_cogysin(m, p)
-    return ses.les()
+    return cogysin_ses(m, p).les()
 
 
 def omega_cohomology(m: ModelInstance, p: Perversity) -> Cohomology:
@@ -217,5 +215,4 @@ class EulerMap:
         return Matrix.zero(self.ih.dim(k + 2), self.hg.dim(k))
 
 
-def euler_map(m: ModelInstance, p: Perversity) -> EulerMap:
-    return m.cached(("eub", p), lambda: EulerMap(m, p))
+euler_map = per_model("eub")(EulerMap)

@@ -34,10 +34,10 @@ from .errors import (
     TheoremViolation,
 )
 from .homalg import LongExactSequence, check_exact
-from .model import ModelInstance, Perversity, mat_to_json
+from .model import ModelInstance, Perversity, mat_to_json, per_model
 from .perverse import (
-    build_cogysin,
     cogysin_cohomology,
+    cogysin_ses,
     euler_map,
     gysin_cohomology,
     inclusion_map,
@@ -313,9 +313,9 @@ def _low(col):
     return None
 
 
+@per_model("spectral")
 def spectral_sequence(m: ModelInstance, p: Perversity) -> SpectralSequence:
-    return m.cached(("spectral", p),
-                    lambda: SpectralSequence(build_equivariant(m, p)))
+    return SpectralSequence(build_equivariant(m, p))
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +421,7 @@ def _component_pairs(ss, n, cochains: Matrix, j):
             Matrix._of(pairs.rows - na, pairs.cols, pairs.entries[na:]))
 
 
+@per_model("e3")
 def e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
     """Explicit isomorphisms identifying the third page: (i, j) -> matrix
     from E_3^{i,2j} onto IH^i (j = 0) or the co-Gysin cohomology H^i(K)
@@ -431,12 +432,7 @@ def e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
     the third differential equals the Euler-map composite with no extra sign.
     Every map is checked to kill the cell denominator and to be bijective;
     a zero cell has no representatives, and its denominator is its Z_3.
-    Computed once per (model, perversity).
     """
-    return m.cached(("e3", p), lambda: _e3_isomorphisms(m, p))
-
-
-def _e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
     ss = spectral_sequence(m, p)
     pc = perverse_complex(m, p)
     ih = omega_cohomology(m, p)
@@ -490,7 +486,7 @@ def d3_check(m: ModelInstance, p: Perversity) -> dict:
     ih = omega_cohomology(m, p)
     hk = cogysin_cohomology(m, p)
     eub = euler_map(m, p)
-    _, _, ses = build_cogysin(m, p)
+    ses = cogysin_ses(m, p)
     euler_deltas = {}   # i -> the Euler map after the connecting map, per degree
     cells = []
     for (i, j), src_phi in sorted(phi.items()):
@@ -533,6 +529,7 @@ def d3_check(m: ModelInstance, p: Perversity) -> dict:
 # the fixed-point long exact sequence
 
 
+@per_model("fixed_point_preconditions")
 def fixed_point_preconditions(m: ModelInstance) -> list:
     """Report of the subspace identifications the fixed-point sequence needs
     (the model-level surrogate for the normality hypothesis):
@@ -541,10 +538,6 @@ def fixed_point_preconditions(m: ModelInstance) -> list:
     - the same one characteristic step further down,
     - the Euler operator maps the lower perverse complex into itself.
     """
-    return m.cached("fixed_point_preconditions", lambda: _fixed_point_preconditions(m))
-
-
-def _fixed_point_preconditions(m: ModelInstance) -> list:
     zero = m.zero_perversity()
     q = zero.minus(m.characteristic_perversity())
     pc0 = perverse_complex(m, zero)
@@ -606,7 +599,7 @@ def skjelbred(m: ModelInstance) -> tuple:
     hg0 = gysin_cohomology(m, zero)
     hgq = gysin_cohomology(m, q)
     hk = cogysin_cohomology(m, zero)
-    _, _, ses0 = build_cogysin(m, zero)
+    ses0 = cogysin_ses(m, zero)
     eub_q = euler_map(m, q)
     iota = inclusion_map(m, q, zero)
     pair_incl, _ = gysin_maps(m, zero)

@@ -28,10 +28,16 @@ Euler map at most three per degree, however many classes they carry.
 Whole commands are held to their counted eliminations and products too,
 which are the same on every machine.  A filtration level that repeats in a
 model document loads as one space, canonicalized once.
+
+Every per-model builder is made by ``model.per_model``: a second call
+returns the object of the first, held under the builder's kind, or the
+kind and the arguments, and a selftest caches under exactly those kinds.
 """
 
 import collections
 import contextlib
+import importlib
+import inspect
 import io
 
 import pytest
@@ -393,3 +399,85 @@ def test_pages_build_only_where_a_count_changes(page_builds):
                 same = same and r > 1 and ss.dim(r, i, j) == ss.dim(r - 1, i, j)
             if r > first:
                 assert (getattr(ss, kind)(r - 1, i, j) is out) == same, (kind, r, i, j)
+
+
+# every per-model builder, by module and name, with its key kind
+BUILDERS = {
+    ("model", "_space_axioms"): "space_axioms",
+    ("model", "ModelInstance.filtration_level"): "flevel",
+    ("perverse", "ambient_complexes"): "ambient_complexes",
+    ("perverse", "omega_spaces"): "omega",
+    ("perverse", "perverse_complex"): "perverse",
+    ("perverse", "cogysin_ses"): "cogysin_ses",
+    ("perverse", "euler_map"): "eub",
+    ("equivariant", "build_eq1"): "eq1",
+    ("equivariant", "pair_shift"): "eq1_shift",
+    ("equivariant", "gysin_maps"): "gysin_maps",
+    ("equivariant", "gysin_ses"): "gysin_ses",
+    ("equivariant", "build_equivariant"): "equivariant",
+    ("equivariant", "equivariant_gysin"): "eq_gysin",
+    ("localize", "lambda_u_module"): "localized",
+    ("spectral", "spectral_sequence"): "spectral",
+    ("spectral", "e3_isomorphisms"): "e3",
+    ("spectral", "fixed_point_preconditions"): "fixed_point_preconditions",
+}
+
+
+def per_model_builders():
+    """{(module, name): (builder, kind)} for every function of the engine
+    modules, and every method of ModelInstance, that model.per_model made:
+    its code is per_model's, and its closure holds the kind."""
+    code = model.per_model("probe")(lambda m: m).__code__
+    modules = {name: importlib.import_module("eqih." + name)
+               for name in ("model", "perverse", "equivariant", "localize", "spectral")}
+    candidates = [(modname, name, value) for modname, module in modules.items()
+                  for name, value in vars(module).items()
+                  if getattr(value, "__module__", None) == module.__name__]
+    candidates += [("model", "ModelInstance." + name, value)
+                   for name, value in vars(model.ModelInstance).items()]
+    return {(modname, name): (value, inspect.getclosurevars(value).nonlocals["kind"])
+            for modname, name, value in candidates
+            if getattr(value, "__code__", None) is code}
+
+
+def builder_arguments(m, p, kind):
+    """The argument tuples a builder of this kind takes on m at p."""
+    if kind == "flevel":
+        return [(p, k) for k in range(m.ambient.top_degree + 1)]
+    if kind in ("space_axioms", "ambient_complexes", "fixed_point_preconditions"):
+        return [()]
+    return [(p,)]
+
+
+def test_every_builder_is_decorated_with_its_kind():
+    found = per_model_builders()
+    assert {key: kind for key, (_, kind) in found.items()} == BUILDERS
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_each_builder_builds_once_under_its_key(name):
+    """A second call returns the object of the first, and the model holds
+    it under the kind, or the kind and the arguments."""
+    m = fixtures.make(name)
+    for p in m.perversity_set:
+        for (_, builder_name), (builder, kind) in per_model_builders().items():
+            for args in builder_arguments(m, p, kind):
+                out = builder(m, *args)
+                assert builder(m, *args) is out, (builder_name, args)
+                key = (kind, *args) if args else kind
+                assert m.cached(key, None) is out, (builder_name, key)
+
+
+def test_a_selftest_creates_every_kind(monkeypatch):
+    """One selftest pass caches under exactly the builders' kinds."""
+    kinds = collections.Counter()
+    cached = model.ModelInstance.cached
+
+    def recording_cached(m, key, thunk):
+        kinds[key if isinstance(key, str) else key[0]] += 1
+        return cached(m, key, thunk)
+
+    monkeypatch.setattr(model.ModelInstance, "cached", recording_cached)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["selftest", "--seeds", "0"]) == 0
+    assert set(kinds) == set(BUILDERS.values())

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from eqih import fixtures, localize, spectral
+from eqih import cli, fixtures, localize, spectral
 from eqih.cli import main
 from eqih.fixtures import cone2, hopf, noperv, random_model
 from eqih.model import model_from_dict, model_to_dict, save_model, validate
@@ -159,6 +160,36 @@ class TestCompare:
                              "--iso", str(iso))
         assert code == 2 and not out
         assert json.loads(err)["error"] == "InputError"
+
+    # a present field must be a JSON object, even a falsy one
+    @pytest.mark.parametrize("value", [[], 0, "", None, [1]])
+    @pytest.mark.parametrize("field", ["mats", "strata"])
+    def test_iso_field_of_the_wrong_type_exits_2(self, capsys, tmp_path, hopf_file, field,
+                                                 value):
+        doc = {"mats": {"0": [["1"]], "1": [], "2": [["1"]]}, "strata": {}}
+        doc[field] = value
+        iso = tmp_path / "iso.json"
+        iso.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compare", hopf_file, hopf_file, "--iso", str(iso))
+        assert code == 2 and not out
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "iso field '%s'" % field in error["detail"]
+
+    # an absent field is empty: hopf has no strata, and no matrices leave
+    # degree 0 without an invertible one
+    @pytest.mark.parametrize("doc, code, error", [
+        ({"mats": {"0": [["1"]], "1": [], "2": [["1"]]}}, 0, None),
+        ({"strata": {}}, 2, "InvalidIso"),
+    ])
+    def test_absent_iso_field_is_empty(self, capsys, tmp_path, hopf_file, doc, code, error):
+        iso = tmp_path / "iso.json"
+        iso.write_text(json.dumps(doc))
+        got, out, err = run(capsys, "compare", hopf_file, hopf_file, "--iso", str(iso))
+        assert got == code
+        if error:
+            assert json.loads(err)["error"] == error
+        else:
+            assert json.loads(out)["optimal"]
 
 
 class TestFixtureCommand:
@@ -422,6 +453,56 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/model.json")
         assert code == 2
+
+
+def top_level_keys(text):
+    """The keys of a report's top level, from its JSON or its human text,
+    where each top-level key starts a line that has no indent."""
+    if text.startswith("{"):
+        return list(json.loads(text))
+    return [line.split(":")[0] for line in text.splitlines() if line and line[0] != " "]
+
+
+class TestDispatch:
+    """main loads the model and parses -p for every command that takes
+    them, and writes schema, command, then model and perversity where they
+    apply, before the body."""
+
+    def argvs(self, tmp_path, cone_file, hopf_file):
+        """command -> (its arguments, the report fields after schema and
+        command that it must start with)."""
+        iso = tmp_path / "iso.json"
+        iso.write_text(json.dumps({"mats": {"0": [["1"]], "1": [], "2": [["1"]]}}))
+        perv = ["-p", "apex=2"]
+        model = {"model": "cone2"}
+        both = {"model": "cone2", "perversity": "apex=2"}
+        return {
+            "validate": ([cone_file], model),
+            "cohomology": ([cone_file, *perv], both),
+            "gysin": ([cone_file, *perv], both),
+            "equivariant": ([cone_file, *perv], both),
+            "spectral": ([cone_file, *perv], both),
+            "skjelbred": ([cone_file], model),
+            "localize": ([cone_file, *perv], both),
+            "compare": ([hopf_file, hopf_file, "--iso", str(iso)], {"models": ["hopf", "hopf"]}),
+            "fixture": (["cone2", "-o", str(tmp_path / "out.json")], model),
+            "selftest": (["--seeds", "0"], {"seeds": 0}),
+        }
+
+    def test_every_command_writes_its_header_first(self, capsys, tmp_path, cone_file,
+                                                   hopf_file):
+        argvs = self.argvs(tmp_path, cone_file, hopf_file)
+        commands = next(a for a in cli._build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(argvs) == set(commands)
+        for command, (rest, head) in argvs.items():
+            want = {"schema": "eqih-report/1", "command": command, **head}
+            for human in ([], ["--human"]):
+                code, out, _ = run(capsys, command, *rest, *human)
+                assert code == 0, command
+                assert top_level_keys(out)[:len(want)] == list(want), (command, human)
+                if not human:
+                    assert {key: json.loads(out)[key] for key in want} == want, command
 
 
 class TestDeterminism:

@@ -8,7 +8,9 @@ package, its tests or the benchmark, so deleting a helper or its last
 caller cannot leave dead code behind.  Only the model module spells the
 name of a ``validate`` axiom, so each axiom is decided in one place, and
 only the linear-algebra module calls the scalar type ``QNUM``, so scalars
-are coerced in one place.
+are coerced in one place.  Only ``model.per_model`` calls
+``ModelInstance.cached``, and no two builders it makes share a kind, so
+every per-model value is memoized in one place under its own key.
 """
 
 import ast
@@ -74,6 +76,19 @@ def qnum_calls(tree):
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
             and (getattr(node.func, "id", None) == "QNUM"
                  or getattr(node.func, "attr", None) == "QNUM")]
+
+
+def cached_calls(tree):
+    """(top-level definition, line) of every call of a ``cached`` attribute."""
+    return [(getattr(top, "name", None), node.lineno) for top in tree.body
+            for node in ast.walk(top) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "cached"]
+
+
+def per_model_kinds(tree):
+    """The kind of every ``per_model(kind)`` call, as a decorator or not."""
+    return [node.args[0].value for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "per_model"]
 
 
 @pytest.mark.parametrize("name", sorted(TREES))
@@ -181,3 +196,23 @@ def test_the_checks_see_a_qnum_call():
     tree = ast.parse("from .ratla import QNUM, rat\nfrom . import ratla\n\n"
                      "a = QNUM(1)\nb = ratla.QNUM(2, 3)\nc = rat(4) * QNUM\n")
     assert qnum_calls(tree) == [4, 5]
+
+
+def test_only_per_model_calls_cached():
+    """Every per-model value is memoized through the per_model decorator."""
+    calls = [(name, top) for name, tree in TREES.items() for top, _ in cached_calls(tree)]
+    assert calls == [("model.py", "per_model")]
+
+
+def test_no_two_builders_share_a_kind():
+    kinds = [kind for tree in TREES.values() for kind in per_model_kinds(tree)]
+    assert kinds and all(isinstance(kind, str) for kind in kinds)
+    assert len(set(kinds)) == len(kinds), sorted(kinds)
+
+
+def test_the_checks_see_a_stray_cached_call_and_a_shared_kind():
+    tree = ast.parse("def per_model(kind):\n    return m.cached(kind, f)\n\n"
+                     "@per_model('a')\ndef build(m):\n    return m.cached('b', lambda: 1)\n\n"
+                     "other = per_model('a')(Builder)\n")
+    assert cached_calls(tree) == [("per_model", 2), ("build", 6)]
+    assert per_model_kinds(tree) == ["a", "a"]
