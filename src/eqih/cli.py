@@ -28,17 +28,16 @@ from .equivariant import (
     truncation_stable,
 )
 from .errors import EqihError, InputError, PropertyViolation
-from .homalg import is_exact
 from .localize import cone_formula_check, lambda_u_module, localized_gysin
 from .model import (
     Perversity,
     int_from_text,
+    load_json,
     load_model,
     mat_to_json,
     model_to_dict,
     rows_from_json,
     save_model,
-    unique_keys,
     validate,
     vec_to_json,
 )
@@ -68,13 +67,12 @@ MAX_WINDOW = 1000
 # serialization helpers
 
 
-def _les_json(seq, exact):
-    """A long exact sequence with the exactness its caller has checked."""
+def _les_json(seq):
     return {
         "nodes": [{"label": lab, "dim": dim}
                   for lab, dim in zip(seq.labels, seq.dims)],
         "maps": [mat_to_json(m) for m in seq.maps],
-        "exact": exact,
+        "exact": seq.exact,
     }
 
 
@@ -96,10 +94,9 @@ def _perversity(arg: str, m) -> Perversity:
     return p
 
 
-def _load(path):
-    if path == "-":
-        return load_model(sys.stdin)
-    return load_model(path)
+def _input(path):
+    """A file argument: the path, or stdin for -."""
+    return sys.stdin if path == "-" else path
 
 
 def _emit(report, human=False, stream=None):
@@ -156,11 +153,10 @@ def _cmd_gysin(m, p, args):
         "gysin_dims": list(gysin_cohomology(m, p).dims()),
         "cogysin_dims": list(cogysin_cohomology(m, p).dims()),
         "euler_maps": {str(k): mat_to_json(eub.mat(k)) for k in range(top + 1)},
-        "gysin_les": _les_json(gles, is_exact(gles)),
-        "cogysin_les": _les_json(kles, is_exact(kles)),
+        "gysin_les": _les_json(gles),
+        "cogysin_les": _les_json(kles),
     }
-    ok = body["gysin_les"]["exact"] and body["cogysin_les"]["exact"]
-    return body, 0 if ok else 1
+    return body, 0 if gles.exact and kles.exact else 1
 
 
 def _cmd_equivariant(m, p, args):
@@ -168,14 +164,14 @@ def _cmd_equivariant(m, p, args):
     if not 1 <= n_u <= MAX_WINDOW:
         raise InputError("--nu must be between 1 and %d, not %d" % (MAX_WINDOW, n_u))
     eq = build_equivariant(m, p)
-    seq, les_report = equivariant_gysin_les(m, p, n_u)
+    seq, decomposition = equivariant_gysin_les(m, p, n_u)
     return {
         "window": n_u,
         "dims": list(eq.dims(n_u)),
         "u_ranks": list(eq.u_ranks(n_u)),
-        "les": _les_json(seq, les_report["exact"]),
-        "les_checks": les_report,
-    }, 0 if les_report["exact"] else 1
+        "les": _les_json(seq),
+        "les_checks": {**decomposition, "exactness": seq.exactness, "exact": seq.exact},
+    }, 0 if seq.exact else 1
 
 
 def _cmd_spectral(m, p, args):
@@ -199,11 +195,11 @@ def _cmd_spectral(m, p, args):
 
 
 def _cmd_skjelbred(m, p, args):
-    seq, checks = skjelbred(m)
+    seq = skjelbred(m)
     return {
         "preconditions": fixed_point_preconditions(m),
-        "sequence": _les_json(seq, True),
-        "checks": checks,
+        "sequence": _les_json(seq),
+        "checks": seq.exactness,
     }, 0
 
 
@@ -220,11 +216,7 @@ def _cmd_localize(m, p, args):
 
 
 def _load_iso(path):
-    if path == "-":
-        data = json.load(sys.stdin, object_pairs_hook=unique_keys)
-    else:
-        with open(path) as fh:
-            data = json.load(fh, object_pairs_hook=unique_keys)
+    data = load_json(_input(path))
     if not isinstance(data, dict):
         raise InputError("iso document must be a JSON object")
     raw = data.get("mats", {})
@@ -243,8 +235,8 @@ def _load_iso(path):
 
 
 def _cmd_compare(m, p, args):
-    m1 = _load(args.file1)
-    m2 = _load(args.file2)
+    m1 = load_model(_input(args.file1))
+    m2 = load_model(_input(args.file2))
     for m in (m1, m2):
         ambient_complexes(m)  # refuses a model that fails an axiom
     iso = _load_iso(args.iso)
@@ -300,9 +292,8 @@ def _cmd_selftest(m, p, args):
                 raise PropertyViolation(
                     "oracle disagreement on %r at %s" % (m.name, p.label()))
             counters["oracle_agreements"] += 1
-            for exact in (is_exact(gysin_les(m, p)), is_exact(cogysin_les(m, p)),
-                          equivariant_gysin_les(m, p)[1]["exact"]):
-                if not exact:
+            for seq in (gysin_les(m, p), cogysin_les(m, p), equivariant_gysin_les(m, p)[0]):
+                if not seq.exact:
                     raise PropertyViolation(
                         "inexact sequence on %r at %s" % (m.name, p.label()))
                 counters["exact_sequences"] += 1
@@ -406,13 +397,13 @@ def main(argv=None) -> int:
     try:
         m = p = None
         if "file" in args:
-            m = _load(args.file)
+            m = load_model(_input(args.file))
             report["model"] = m.name
         if "perversity" in args:
             p = _perversity(args.perversity, m)
             report["perversity"] = p.label()
         body, code = args.fn(m, p, args)
-    except (EqihError, OSError, json.JSONDecodeError) as e:
+    except (EqihError, OSError) as e:
         _emit({"schema": SCHEMA, "error": type(e).__name__,
                "detail": str(e)}, stream=sys.stderr)
         return 1 if isinstance(e, PropertyViolation) else 2

@@ -48,6 +48,7 @@ from .model import (
     _EBAR,
     _XBAR,
     STRATUM_KINDS,
+    AmbientModel,
     ModelInstance,
     Perversity,
     mat_to_json,
@@ -220,28 +221,19 @@ def _killing_projection(space: Subspace) -> Matrix:
     return quotient(Subspace.full(space.ambient_dim), space).projection
 
 
-def _solve_euler_op(rng, dims, diffs, filtration_constraints):
-    """Random graded operator A^k -> A^{k+2} that is a chain map and respects
-    every required filtration shift; found as a random element of the solution
-    space of the combined linear system on its entries (see the module
-    docstring)."""
-    n = len(dims)
-
-    def dim(k):
-        return dims[k] if 0 <= k < n else 0
-
-    def diff(k):
-        if 0 <= k < n:
-            return diffs[k]
-        return Matrix.zero(dim(k + 1), dim(k))
-
+def _solve_euler_op(rng, a: AmbientModel, filtration_constraints):
+    """Random graded operator A^k -> A^{k+2} on the spaces and differentials
+    of a that is a chain map and respects every required filtration shift;
+    found as a random element of the solution space of the combined linear
+    system on its entries (see the module docstring)."""
+    n = a.top_degree + 1
     offsets = {}
     total = 0
     for k in range(n):
         offsets[k] = total
-        total += dim(k + 2) * dim(k)
+        total += a.dim(k + 2) * a.dim(k)
     if total == 0:
-        return [Matrix.zero(dim(k + 2), dim(k)) for k in range(n)]
+        return [Matrix.zero(a.dim(k + 2), a.dim(k)) for k in range(n)]
 
     # unknown (r, c) of E_k is column offsets[k] + r * dim(k) + c
     rows = []
@@ -249,9 +241,9 @@ def _solve_euler_op(rng, dims, diffs, filtration_constraints):
     # have their unknowns in different blocks, and only the non-zero
     # (column, value) terms are scaled to a primitive integer row
     for k in range(n):
-        d_in, d_out = diff(k).entries, diff(k + 2).entries
-        n0, n1 = dim(k), dim(k + 1)
-        for i in range(dim(k + 3)):
+        d_in, d_out = a.diff(k).entries, a.diff(k + 2).entries
+        n0, n1 = a.dim(k), a.dim(k + 1)
+        for i in range(a.dim(k + 3)):
             for j in range(n0):
                 terms = []
                 if k + 1 < n:
@@ -261,24 +253,24 @@ def _solve_euler_op(rng, dims, diffs, filtration_constraints):
                 if terms:
                     cols, values = zip(*terms)
                     row = [0] * total
-                    for col, a in zip(cols, primitive_row(values)):
-                        row[col] = a
+                    for col, value in zip(cols, primitive_row(values)):
+                        row[col] = value
                     rows.append(row)
     # filtration shifts: for each (degree j, source space V, target space W):
     # E_j(V) inside W, i.e. y . E_j v = 0 for basis v of V and y of W's
     # annihilator; the outer product of two primitive rows is primitive
     for (j, src, tgt) in filtration_constraints:
-        if dim(j + 2) == 0 or src.dim == 0 or tgt.is_full():
+        if a.dim(j + 2) == 0 or src.dim == 0 or tgt.is_full():
             continue
         annihilator = [primitive_row(y) for y in tgt.basis.transpose().kernel_basis()]
         for v in map(primitive_row, src.vectors()):
             for y in annihilator:
                 row = [0] * total
-                for t, a in enumerate(y):
-                    if a:
-                        base = offsets[j] + t * dim(j)
+                for t, coef in enumerate(y):
+                    if coef:
+                        base = offsets[j] + t * a.dim(j)
                         for c, b in enumerate(v):
-                            row[base + c] = a * b
+                            row[base + c] = coef * b
                 rows.append(row)
 
     # one coefficient per free column, in column order, then each pivot
@@ -291,9 +283,9 @@ def _solve_euler_op(rng, dims, diffs, filtration_constraints):
         x[f] = rng.randint(-2, 2)
     for row, pc in zip(rows, pivots):
         x[pc] = rat(-sum(row[f] * x[f] for f in free if row[f])) / row[pc]
-    return [Matrix(dim(k + 2), dim(k),
-                   [[x[offsets[k] + r * dim(k) + c] for c in range(dim(k))]
-                    for r in range(dim(k + 2))])
+    return [Matrix(a.dim(k + 2), a.dim(k),
+                   [[x[offsets[k] + r * a.dim(k) + c] for c in range(a.dim(k))]
+                    for r in range(a.dim(k + 2))])
             for k in range(n)]
 
 
@@ -321,14 +313,8 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
     filtrations = {s["name"]: _random_filtration(rng, dims, rng.randint(1, 3))
                    for s in strata}
     kmax = {name: len(levels) for name, levels in filtrations.items()}
-
-    def filt(name, level, deg):
-        n = dims[deg] if 0 <= deg <= top else 0
-        if level <= -1 or n == 0:
-            return Subspace.zero(n)
-        if level >= kmax[name]:
-            return Subspace.full(n)
-        return filtrations[name][level][deg]
+    # the spaces, differentials and levels; the Euler data is solved for below
+    a = AmbientModel(top, tuple(dims), tuple(diffs), filtrations, kmax, (), ())
 
     constraints = []
     for s in strata:
@@ -337,16 +323,15 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
             if level + shift >= kmax[s["name"]]:
                 continue
             for deg in range(top + 1):
-                constraints.append((deg, filt(s["name"], level, deg),
-                                    filt(s["name"], level + shift, deg + 2)))
-    euler = _solve_euler_op(rng, dims, diffs, constraints)
+                constraints.append((deg, a.filtration(s["name"], level, deg),
+                                    a.filtration(s["name"], level + shift, deg + 2)))
+    euler = _solve_euler_op(rng, a, constraints)
 
     # closed cocycle inside every stratum's Euler level in degree 2
-    eps_space = kernel(diffs[2]) if top >= 2 else Subspace.zero(dims[2] if top >= 2 else 0)
+    eps_space = kernel(a.diff(2))
     for s in strata:
-        eps_space = intersect(eps_space, filt(s["name"], _EBAR[s["kind"]], 2))
-    n2 = dims[2] if top >= 2 else 0
-    eps = [0] * n2
+        eps_space = intersect(eps_space, a.filtration(s["name"], _EBAR[s["kind"]], 2))
+    eps = [0] * a.dim(2)
     for b in eps_space.vectors():
         c = rng.randint(-2, 2)
         eps = [x + c * y for x, y in zip(eps, b)]

@@ -13,7 +13,8 @@ calls check_square itself, and every other complex is a sub- or quotient
 complex, shift or untwisted tensor copy of one of these.  subcomplex checks
 d-stability, quotient_complex that its projection is a chain map, chain_map
 its maps, and check_short_exact the exactness of two chain maps; Cohomology
-and SesData check nothing.
+and SesData check nothing.  A long exact sequence checks its own exactness
+once, through check_exact, the first time it is read.
 
 A degree where an operand is empty is skipped, since every check there
 holds between empty matrices: chain map squares whose source degree or
@@ -222,6 +223,15 @@ class LongExactSequence:
     def node_count(self):
         return len(self.labels)
 
+    @cached_property
+    def exactness(self) -> list:
+        """The rows of check_exact, computed on first use."""
+        return check_exact(self)
+
+    @property
+    def exact(self) -> bool:
+        return all(r["exact"] for r in self.exactness)
+
 
 def check_exact(seq: LongExactSequence):
     """Per-interior-node report of image/kernel dimensions."""
@@ -240,10 +250,6 @@ def check_exact(seq: LongExactSequence):
             "exact": ok,
         })
     return report
-
-
-def is_exact(seq: LongExactSequence) -> bool:
-    return all(r["exact"] for r in check_exact(seq))
 
 
 def check_short_exact(i: ChainMap, s: ChainMap):

@@ -601,17 +601,24 @@ def unique_keys(pairs) -> dict:
     return out
 
 
-def load_model(path_or_file) -> ModelInstance:
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        with open(path_or_file) as fh:
-            text = fh.read()
+def load_json(path_or_file):
+    """The JSON document in a file, given by path or open, with repeated keys
+    refused (unique_keys).  Text that is not UTF-8 or not JSON, and JSON past
+    the parser's limits (nesting depth, integer digits), is an InputError."""
+    # JSONDecodeError, UnicodeDecodeError and the digit limit are ValueErrors
     try:
-        data = json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as e:
+        if hasattr(path_or_file, "read"):
+            text = path_or_file.read()
+        else:
+            with open(path_or_file, encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as e:
         raise InputError("not valid JSON: %s" % e)
-    return model_from_dict(data)
+
+
+def load_model(path_or_file) -> ModelInstance:
+    return model_from_dict(load_json(path_or_file))
 
 
 def save_model(m: ModelInstance, path_or_file):

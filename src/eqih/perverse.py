@@ -128,13 +128,6 @@ def cogysin_ses(m: ModelInstance, p: Perversity) -> SesData:
     return SesData(pc.gysin_incl, pc.projection)
 
 
-def build_cogysin(m: ModelInstance, p: Perversity):
-    """The quotient complex K_p with the projection and the connecting data
-    of 0 -> G_p -> Omega_p -> K_p -> 0."""
-    pc = perverse_complex(m, p)
-    return pc.cogysin, pc.projection, cogysin_ses(m, p)
-
-
 def cogysin_les(m: ModelInstance, p: Perversity) -> LongExactSequence:
     return cogysin_ses(m, p).les()
 

@@ -33,7 +33,7 @@ from .errors import (
     PropertyViolation,
     TheoremViolation,
 )
-from .homalg import LongExactSequence, check_exact
+from .homalg import LongExactSequence
 from .model import ModelInstance, Perversity, mat_to_json, per_model
 from .perverse import (
     cogysin_cohomology,
@@ -408,11 +408,10 @@ def pages(m: ModelInstance, p: Perversity, r_max=None):
     return out[:r_keep], limit
 
 
-def _component_pairs(ss, n, cochains: Matrix, j):
+def _component_pairs(eq, n, cochains: Matrix, j):
     """(alpha, beta): the ambient pair matrices of the u^j components of
     equivariant cochain columns of total degree n, given in the basis of
     degree fold(n)."""
-    eq = ss.eq
     k = n - 2 * j
     n = eq.ext.fold(n)
     pairs = eq.eq1.space(k).basis * eq.ext.component_of(n, cochains, (n - k) // 2)
@@ -443,7 +442,7 @@ def e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
             target = ih if j == 0 else hk
 
             def classify(reps, i=i, j=j, target=target):
-                alpha, beta = _component_pairs(ss, i + 2 * j, reps, j)
+                alpha, beta = _component_pairs(ss.eq, i + 2 * j, reps, j)
                 if not beta.is_zero():
                     raise InternalInvariantViolation(
                         "bottom component of a filtered representative has a "
@@ -571,9 +570,8 @@ def _require_fixed_point_preconditions(m: ModelInstance):
             "fixed-point sequence unavailable: %s" % "; ".join(failed))
 
 
-def skjelbred(m: ModelInstance) -> tuple:
-    """(sequence, exactness rows of check_exact): the fixed-point long exact
-    sequence at the zero perversity,
+def skjelbred(m: ModelInstance) -> LongExactSequence:
+    """The fixed-point long exact sequence at the zero perversity,
 
         ... -> A^i -> H^{i+1}(B) -> IH^{i+1}_{S^1} -> A^{i+1} -> ...
 
@@ -605,7 +603,6 @@ def skjelbred(m: ModelInstance) -> tuple:
     pair_incl, _ = gysin_maps(m, zero)
     eq = build_equivariant(m, zero)
     heq = eq.cohomology
-    ss = spectral_sequence(m, zero)
 
     def to_lower(k) -> Matrix:
         """Basis change H^k of the Gysin term -> H^k of the lower complex."""
@@ -640,7 +637,7 @@ def skjelbred(m: ModelInstance) -> tuple:
         reps = heq.lifts(eq.ext.fold(i))
         rows = []
         for s, k in a_blocks(i):
-            alpha_s, _ = _component_pairs(ss, i, reps, s)
+            alpha_s, _ = _component_pairs(eq, i, reps, s)
             om = pc0.omega_space(k).coords_of(alpha_s)
             if om is None:
                 raise IdentificationFails(
@@ -675,8 +672,7 @@ def skjelbred(m: ModelInstance) -> tuple:
         if i < i_hi:
             maps.append(beta(i))
     seq = LongExactSequence(labels, dims, maps)
-    rows = check_exact(seq)
-    bad = [r for r in rows if not r["exact"]]
-    if bad:
-        raise TheoremViolation("fixed-point sequence fails at %s" % bad[0]["node"])
-    return seq, rows
+    if not seq.exact:
+        bad = next(r for r in seq.exactness if not r["exact"])
+        raise TheoremViolation("fixed-point sequence fails at %s" % bad["node"])
+    return seq

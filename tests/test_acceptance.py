@@ -25,7 +25,6 @@ from eqih.fixtures import (
     random_model,
     rot,
 )
-from eqih.homalg import is_exact
 from eqih.localize import cone_formula_check, lambda_u_module, localized_gysin
 from eqih.model import Perversity, model_from_dict, model_to_dict
 from eqih.perverse import (
@@ -155,12 +154,12 @@ def test_criterion_5_long_exact_sequences(suite):
     nodes = 0
     for m in suite:
         if all(c["passed"] for c in fixed_point_preconditions(m)):
-            seq, _ = skjelbred(m)  # raises TheoremViolation on any failed node
+            seq = skjelbred(m)  # raises TheoremViolation on any failed node
             nodes += seq.node_count()
         for p in m.perversity_set:
             for seq in (gysin_les(m, p), cogysin_les(m, p),
                         equivariant_gysin_les(m, p)[0]):
-                assert is_exact(seq), (m.name, p.label())
+                assert seq.exact, (m.name, p.label())
                 nodes += seq.node_count()
             assert localized_gysin(m, p)["exact"], (m.name, p.label())
             nodes += 2

@@ -1,9 +1,12 @@
 import argparse
+import io
 import json
+import pathlib
+import sys
 
 import pytest
 
-from eqih import cli, fixtures, localize, spectral
+from eqih import cli, fixtures, homalg, localize
 from eqih.cli import main
 from eqih.fixtures import cone2, hopf, noperv, random_model
 from eqih.model import model_from_dict, model_to_dict, save_model, validate
@@ -227,7 +230,7 @@ class TestFixtureCommand:
 
 class TestErrors:
     @pytest.mark.parametrize("argv, owner, name, fake", [
-        (["skjelbred"], spectral, "check_exact",
+        (["skjelbred"], homalg, "check_exact",
          lambda seq: [{"node": "A^0", "exact": False}]),
         (["localize", "-p", "apex=2"], localize.PolyMatrix, "rank",
          lambda self: 99),
@@ -453,6 +456,44 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/model.json")
         assert code == 2
+
+    # a document that is not JSON, not UTF-8, nested deeper than the parser
+    # recurses, or holding an integer longer than Python converts is
+    # malformed input, as a model or an iso, from a file or from stdin
+    @pytest.mark.parametrize("content", [b"not json", b'\xff\xfe{"a":1}',
+                                         b"[" * 200000 + b"]" * 200000,
+                                         b'{"top_degree": 1' + b"0" * 5000 + b"}"],
+                             ids=["not-json", "not-utf8", "nested", "long-integer"])
+    @pytest.mark.parametrize("role", ["model", "iso"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_unreadable_json_exits_2(self, capsys, monkeypatch, tmp_path, hopf_file,
+                                     source, role, content):
+        path = "-"
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(content),
+                                                               encoding="utf-8"))
+        else:
+            path = str(tmp_path / "bad.json")
+            pathlib.Path(path).write_bytes(content)
+        argv = (["validate", path] if role == "model"
+                else ["compare", hopf_file, hopf_file, "--iso", path])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        error = json.loads(err)
+        assert error["error"] == "InputError"
+        assert error["detail"].startswith("not valid JSON: ")
+
+    @pytest.mark.parametrize("role", ["model", "iso"])
+    def test_dash_reads_stdin(self, capsys, monkeypatch, hopf_file, role):
+        if role == "model":
+            argv, doc = ["validate", "-"], pathlib.Path(hopf_file).read_text()
+        else:
+            argv = ["compare", hopf_file, hopf_file, "--iso", "-"]
+            doc = json.dumps({"mats": {"0": [["1"]], "1": [], "2": [["1"]]}})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["passed" if role == "model" else "related"]
 
 
 def top_level_keys(text):

@@ -169,7 +169,7 @@ class TestEquivariantGysin:
         m = make(name)
         for p in m.perversity_set:
             seq, report = equivariant_gysin_les(m, p)
-            assert report["exact"], (name, p.label())
+            assert seq.exact, (name, p.label())
             assert report["decomposition_verified"]
 
     def test_random_models(self):
@@ -177,7 +177,7 @@ class TestEquivariantGysin:
             m = random_model(seed)
             for p in m.perversity_set:
                 seq, report = equivariant_gysin_les(m, p)
-                assert report["exact"], (seed, p.label())
+                assert seq.exact, (seed, p.label())
                 assert report["decomposition_verified"]
 
     def test_maps_commute_with_u(self):
@@ -214,6 +214,6 @@ class TestEquivariantGysin:
             "strata": [], "filtrations": {}, "euler_cocycle": [],
             "euler_op": [[]], "perversities": [{}],
         })
-        seq, report = equivariant_gysin_les(m, Perversity({}))
-        assert report["exact"]
+        seq, _ = equivariant_gysin_les(m, Perversity({}))
+        assert seq.exact
         assert all(d == 0 for d in seq.dims)

@@ -184,10 +184,10 @@ def test_euler_op_solver_matches_dense_reference(cases, monkeypatch):
     solve = fixtures._solve_euler_op
     calls = []
 
-    def recording(rng, dims, diffs, constraints):
+    def recording(rng, a, constraints):
         before = rng.getstate()
-        euler = solve(rng, dims, diffs, constraints)
-        calls.append((before, rng.getstate(), dims, diffs, constraints, euler))
+        euler = solve(rng, a, constraints)
+        calls.append((before, rng.getstate(), list(a.dims), list(a.d), constraints, euler))
         return euler
 
     monkeypatch.setattr(fixtures, "_solve_euler_op", recording)

@@ -12,7 +12,6 @@ from eqih.homalg import (
     chain_map,
     check_exact,
     check_short_exact,
-    is_exact,
     quotient_complex,
     subcomplex,
 )
@@ -147,7 +146,7 @@ class TestLes:
         ses = SesData(i, s)
         for k in (0,):
             assert ses.connecting(k).is_zero()
-        assert is_exact(ses.les())
+        assert ses.les().exact
 
     def test_zero_ses(self):
         z = Complex.zero(0, 1)
@@ -155,7 +154,7 @@ class TestLes:
         s = chain_map(z, z, {})
         seq = SesData(i, s).les()
         assert all(d == 0 for d in seq.dims)
-        assert is_exact(seq)
+        assert seq.exact
 
     def test_nonexact_detection(self):
         # Q -> 0 -> Q with identity-ish ends is not exact at the middle
@@ -164,11 +163,13 @@ class TestLes:
             [Matrix.zero(0, 1), Matrix.zero(1, 0)])
         report = check_exact(seq)
         assert report[0]["exact"]  # im 0 == ker 0 at the zero middle node
+        assert seq.exactness == report and seq.exact
         # Q -> Q -> Q with both maps zero fails at the middle
         seq2 = LongExactSequence(
             ["A", "B", "C"], [1, 1, 1],
             [Matrix.zero(1, 1), Matrix.zero(1, 1)])
         assert not check_exact(seq2)[0]["exact"]
+        assert not seq2.exact
 
     def test_ses_hypothesis_checked(self):
         a = two_term(1, [[0]])
@@ -199,7 +200,7 @@ class TestLes:
         ses = SesData(i, s)
         conn = ses.connecting(0)
         assert conn == Matrix.identity(1)
-        assert is_exact(ses.les())
+        assert ses.les().exact
         # perturbing the chosen preimage by a kernel element changes nothing
         assert perturbed_connecting(ses, 0) == conn
 
@@ -220,4 +221,4 @@ class TestLes:
             a = _random_complex(rng, dims)
             c = _random_complex(rng, [rng.randint(0, 2) for _ in range(4)])
             i, s = split_ses(a, c)
-            assert is_exact(SesData(i, s).les())
+            assert SesData(i, s).les().exact

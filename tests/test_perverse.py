@@ -5,10 +5,9 @@ import pytest
 from eqih.equivariant import gysin_les
 from eqih.errors import InputError
 from eqih.fixtures import cone2, hopf, noperv, random_model, rot
-from eqih.homalg import Cohomology, chain_map, is_exact
+from eqih.homalg import Cohomology, chain_map
 from eqih.model import Perversity, model_from_dict, model_to_dict
 from eqih.perverse import (
-    build_cogysin,
     cogysin_cohomology,
     cogysin_les,
     euler_map,
@@ -143,13 +142,13 @@ class TestGysin:
 class TestCogysin:
     def test_free_action_quotient_vanishes(self):
         m = hopf()
-        k, proj, ses = build_cogysin(m, Perversity({}))
+        k = perverse_complex(m, Perversity({})).cogysin
         assert sum(k.dims) == 0
         seq = cogysin_les(m, Perversity({}))
-        assert is_exact(seq)
+        assert seq.exact
 
     def test_cone_concentrated_in_degree_two(self):
-        k, _, _ = build_cogysin(cone2(), P(apex=2))
+        k = perverse_complex(cone2(), P(apex=2)).cogysin
         assert k.dims == (0, 0, 1)
 
     def test_zero_euler_quotient(self):
@@ -173,7 +172,7 @@ class TestCogysin:
         for seed in range(10):
             m = random_model(seed)
             for p in m.perversity_set:
-                assert is_exact(cogysin_les(m, p))
+                assert cogysin_les(m, p).exact
 
 
 class TestEulerMap:
@@ -275,7 +274,7 @@ class TestGysinLes:
         from eqih.equivariant import eq1_cohomology
         m = hopf()
         seq = gysin_les(m, Perversity({}))
-        assert is_exact(seq)
+        assert seq.exact
         # middle nodes carry the total-space cohomology (the 3-sphere)
         mids = [seq.dims[i] for i, lab in enumerate(seq.labels) if "(B)" in lab]
         assert tuple(mids[:4]) == (1, 0, 0, 1)
@@ -284,7 +283,7 @@ class TestGysinLes:
     def test_rot_splits(self):
         from eqih.equivariant import eq1_cohomology
         m = rot()
-        assert is_exact(gysin_les(m, Perversity({})))
+        assert gysin_les(m, Perversity({})).exact
         assert eq1_cohomology(m, Perversity({})).dims() == (1, 1, 1, 1)
 
     def test_zero_model(self):
@@ -295,14 +294,14 @@ class TestGysinLes:
         })
         seq = gysin_les(m, Perversity({}))
         assert all(d == 0 for d in seq.dims)
-        assert is_exact(seq)
+        assert seq.exact
 
     def test_exact_and_connecting_matches_euler_map_random(self):
         # gysin_les internally raises if the connecting morphism differs
         for seed in range(12):
             m = random_model(seed)
             for p in m.perversity_set:
-                assert is_exact(gysin_les(m, p))
+                assert gysin_les(m, p).exact
 
 
 class TestWedgeCompatibility:

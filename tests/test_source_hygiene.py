@@ -10,7 +10,11 @@ name of a ``validate`` axiom, so each axiom is decided in one place, and
 only the linear-algebra module calls the scalar type ``QNUM``, so scalars
 are coerced in one place.  Only ``model.per_model`` calls
 ``ModelInstance.cached``, and no two builders it makes share a kind, so
-every per-model value is memoized in one place under its own key.
+every per-model value is memoized in one place under its own key.  Only
+``LongExactSequence`` calls ``check_exact``, so a sequence's exactness is
+computed once, by the sequence; and only ``model.load_json`` calls
+``json.load`` or ``json.loads``, so every JSON document is read, and its
+malformations reported, in one place.
 """
 
 import ast
@@ -71,18 +75,21 @@ def methods(tree):
             and not (f.name.startswith("__") and f.name.endswith("__"))]
 
 
-def qnum_calls(tree):
-    """Lines of the calls to QNUM, by its name or as an attribute."""
-    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and (getattr(node.func, "id", None) == "QNUM"
-                 or getattr(node.func, "attr", None) == "QNUM")]
-
-
-def cached_calls(tree):
-    """(top-level definition, line) of every call of a ``cached`` attribute."""
-    return [(getattr(top, "name", None), node.lineno) for top in tree.body
-            for node in ast.walk(top) if isinstance(node, ast.Call)
-            and getattr(node.func, "attr", None) == "cached"]
+def calls(tree, names):
+    """(top-level definition, line) of every call of a function in names,
+    spelled as a name, as an attribute (``m.cached``), or as an attribute of
+    a name (``json.loads``)."""
+    out = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                spelled = {getattr(f, "id", None), getattr(f, "attr", None)}
+                if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                    spelled.add("%s.%s" % (f.value.id, f.attr))
+                if spelled & names:
+                    out.append((getattr(top, "name", None), node.lineno))
+    return out
 
 
 def per_model_kinds(tree):
@@ -186,22 +193,22 @@ def test_only_the_model_spells_an_axiom_name():
 def test_only_ratla_calls_qnum():
     """Every other module coerces a scalar through ``ratla.rat`` or builds
     it by QNUM arithmetic."""
-    assert qnum_calls(TREES["ratla.py"])
-    calls = [(name, line) for name, tree in TREES.items() if name != "ratla.py"
-             for line in qnum_calls(tree)]
-    assert not calls, "QNUM called outside ratla.py: %s" % calls
+    assert calls(TREES["ratla.py"], {"QNUM"})
+    found = [(name, line) for name, tree in TREES.items() if name != "ratla.py"
+             for _, line in calls(tree, {"QNUM"})]
+    assert not found, "QNUM called outside ratla.py: %s" % found
 
 
 def test_the_checks_see_a_qnum_call():
     tree = ast.parse("from .ratla import QNUM, rat\nfrom . import ratla\n\n"
                      "a = QNUM(1)\nb = ratla.QNUM(2, 3)\nc = rat(4) * QNUM\n")
-    assert qnum_calls(tree) == [4, 5]
+    assert calls(tree, {"QNUM"}) == [(None, 4), (None, 5)]
 
 
 def test_only_per_model_calls_cached():
     """Every per-model value is memoized through the per_model decorator."""
-    calls = [(name, top) for name, tree in TREES.items() for top, _ in cached_calls(tree)]
-    assert calls == [("model.py", "per_model")]
+    found = [(name, top) for name, tree in TREES.items() for top, _ in calls(tree, {"cached"})]
+    assert found == [("model.py", "per_model")]
 
 
 def test_no_two_builders_share_a_kind():
@@ -214,5 +221,30 @@ def test_the_checks_see_a_stray_cached_call_and_a_shared_kind():
     tree = ast.parse("def per_model(kind):\n    return m.cached(kind, f)\n\n"
                      "@per_model('a')\ndef build(m):\n    return m.cached('b', lambda: 1)\n\n"
                      "other = per_model('a')(Builder)\n")
-    assert cached_calls(tree) == [("per_model", 2), ("build", 6)]
+    assert calls(tree, {"cached"}) == [("per_model", 2), ("build", 6)]
     assert per_model_kinds(tree) == ["a", "a"]
+
+
+def test_only_long_exact_sequence_calls_check_exact():
+    """A sequence's exactness rows are computed once, by the sequence."""
+    found = [(name, top) for name, tree in TREES.items()
+             for top, _ in calls(tree, {"check_exact"})]
+    assert found == [("homalg.py", "LongExactSequence")]
+
+
+def test_only_load_json_parses_json():
+    """Every JSON document enters through one reader, which reports each way
+    the text can fail to parse as an InputError."""
+    found = [(name, top) for name, tree in TREES.items()
+             for top, _ in calls(tree, {"json.load", "json.loads"})]
+    assert found == [("model.py", "load_json")]
+
+
+def test_the_checks_see_stray_check_exact_and_json_calls():
+    tree = ast.parse("class LongExactSequence:\n    def exactness(self):\n"
+                     "        return check_exact(self)\n\n"
+                     "def skjelbred(seq):\n    return homalg.check_exact(seq)\n\n"
+                     "def load_json(fh):\n    return json.loads(fh.read())\n\n"
+                     "def _load_iso(fh):\n    return json.load(fh), fh.load()\n")
+    assert calls(tree, {"check_exact"}) == [("LongExactSequence", 3), ("skjelbred", 6)]
+    assert calls(tree, {"json.load", "json.loads"}) == [("load_json", 9), ("_load_iso", 12)]

@@ -257,7 +257,7 @@ class TestD3:
 class TestSkjelbred:
     def test_free_action_collapses_to_isomorphism(self):
         m = hopf()
-        seq, _ = skjelbred(m)
+        seq = skjelbred(m)
         # no fixed-point contribution: every third node vanishes and the
         # first map of each triple is an isomorphism
         for idx, lab in enumerate(seq.labels):
@@ -268,14 +268,14 @@ class TestSkjelbred:
             assert mat.rank() == mat.rows == mat.cols
 
     def test_zero_euler_beta_vanishes(self):
-        seq, _ = skjelbred(rot())
+        seq = skjelbred(rot())
         for idx, lab in enumerate(seq.labels[:-1]):
             if lab.startswith("A^"):
                 assert seq.maps[idx].is_zero()
 
     def test_cone_fixed_point_column(self):
         m = cone2()
-        seq, _ = skjelbred(m)
+        seq = skjelbred(m)
         a_dims = {lab: seq.dims[i] for i, lab in enumerate(seq.labels)
                   if lab.startswith("A^")}
         # one co-Gysin class per positive even degree
