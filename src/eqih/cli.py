@@ -235,6 +235,8 @@ def _load_iso(path):
 
 
 def _cmd_compare(m, p, args):
+    if [args.file1, args.file2, args.iso].count("-") > 1:
+        raise InputError("stdin (-) given more than once: it can be read only once")
     m1 = load_model(_input(args.file1))
     m2 = load_model(_input(args.file2))
     for m in (m1, m2):

@@ -63,9 +63,10 @@ def build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
         na, nb = a.dim(k), a.dim(k - 1)
         fp = m.filtration_level(p, k)
         om = lower[k - 1].basis if k else Matrix.zero(0, 0)
-        # product subspace F_p^k x Omega_{p-xbar}^{k-1}
-        prod = Subspace.from_matrix(block_matrix(na + nb, fp.dim + om.cols,
-                                                 [(0, 0, fp.basis), (na, fp.dim, om)]))
+        # product subspace F_p^k x Omega_{p-xbar}^{k-1}: two canonical bases
+        # side by side, so already canonical
+        prod = Subspace(na + nb, block_matrix(na + nb, fp.dim + om.cols,
+                                              [(0, 0, fp.basis), (na, fp.dim, om)]))
         # pairs whose twisted differential head stays in level
         head = Matrix._of(a.dim(k + 1), na + nb, pair.d(k).entries[:a.dim(k + 1)])
         spaces[k] = intersect(prod, preimage(head, m.filtration_level(p, k + 1)))

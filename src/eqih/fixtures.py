@@ -13,9 +13,12 @@ Two families in degree 2n have closed-form answers:
 ``cone(1)``; ``noperv`` is an apex variant whose Euler cocycle is exact at
 its own level, so the fixed stratum is not perverse.
 
-``random_model`` draws a seeded model that passes strict validation.  Its
-Euler operator E, with E_k: A^k -> A^{k+2}, is a random solution of one
-linear system on the entries of every E_k:
+``random_model`` draws a seeded model that passes strict validation.  It
+builds the model as values (``Subspace`` levels, the solved Euler data,
+``Stratum`` and ``Perversity`` objects), parsing no document; its document
+is ``model_to_dict`` of them.  Its Euler operator E, with
+E_k: A^k -> A^{k+2}, is a random solution of one linear system on the
+entries of every E_k:
 
 * chain rows, one per matrix entry of E_{k+1} d_k = d_{k+2} E_k;
 * annihilator rows, for each filtration shift E_j(V) inside W: the rows
@@ -42,18 +45,18 @@ linear constraints, with no use of the dedicated pipeline modules.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from .errors import InputError, InternalInvariantViolation
 from .model import (
-    _EBAR,
-    _XBAR,
+    CLAMP_FLOOR,
     STRATUM_KINDS,
     AmbientModel,
     ModelInstance,
     Perversity,
-    mat_to_json,
+    Stratum,
     model_from_dict,
-    vec_to_json,
+    zero_perversity,
 )
 from .ratla import (
     Matrix,
@@ -308,69 +311,43 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
     diffs = _random_differential(rng, dims)
 
     n_strata = rng.randint(0, 2)
-    kinds = [rng.choice(STRATUM_KINDS) for _ in range(n_strata)]
-    strata = [{"name": "s%d" % i, "kind": kind} for i, kind in enumerate(kinds)]
-    filtrations = {s["name"]: _random_filtration(rng, dims, rng.randint(1, 3))
-                   for s in strata}
+    strata = tuple(Stratum("s%d" % i, rng.choice(STRATUM_KINDS)) for i in range(n_strata))
+    filtrations = {s.name: _random_filtration(rng, dims, rng.randint(1, 3)) for s in strata}
     kmax = {name: len(levels) for name, levels in filtrations.items()}
     # the spaces, differentials and levels; the Euler data is solved for below
     a = AmbientModel(top, tuple(dims), tuple(diffs), filtrations, kmax, (), ())
 
     constraints = []
     for s in strata:
-        shift = _EBAR[s["kind"]]
-        for level in range(kmax[s["name"]]):
-            if level + shift >= kmax[s["name"]]:
-                continue
+        for level in range(kmax[s.name] - s.ebar):
             for deg in range(top + 1):
-                constraints.append((deg, a.filtration(s["name"], level, deg),
-                                    a.filtration(s["name"], level + shift, deg + 2)))
+                constraints.append((deg, a.filtration(s.name, level, deg),
+                                    a.filtration(s.name, level + s.ebar, deg + 2)))
     euler = _solve_euler_op(rng, a, constraints)
 
     # closed cocycle inside every stratum's Euler level in degree 2
     eps_space = kernel(a.diff(2))
     for s in strata:
-        eps_space = intersect(eps_space, a.filtration(s["name"], _EBAR[s["kind"]], 2))
+        eps_space = intersect(eps_space, a.filtration(s.name, s.ebar, 2))
     eps = [0] * a.dim(2)
     for b in eps_space.vectors():
         c = rng.randint(-2, 2)
         eps = [x + c * y for x, y in zip(eps, b)]
 
     # perversity working set closed under subtracting the characteristic one
-    xbar = {s["name"]: _XBAR[s["kind"]] for s in strata}
-    ebar = {s["name"]: _EBAR[s["kind"]] for s in strata}
-    base = [
-        {s["name"]: 0 for s in strata},
-        ebar,
-        {s["name"]: rng.randint(-1, kmax[s["name"]] + 1) for s in strata},
-    ]
+    xbar = Perversity({s.name: s.xbar for s in strata})
+    todo = [zero_perversity(strata), Perversity({s.name: s.ebar for s in strata}),
+            Perversity({s.name: rng.randint(CLAMP_FLOOR, kmax[s.name] + 1) for s in strata})]
     pset = []
-    todo = [tuple(sorted(p.items())) for p in base]
     while todo:
         p = todo.pop()
-        if p in pset:
-            continue
-        pset.append(p)
-        todo.append(tuple(sorted((k, max(-1, v - xbar[k])) for k, v in p)))
-    pset.sort()
+        if p not in pset:
+            pset.append(p)
+            todo.append(p.minus(xbar))
+    pset.sort(key=lambda p: p.items)
 
-    data = {
-        "name": "random-%d-%d" % (seed, size),
-        "top_degree": top,
-        "dims": dims,
-        "d": [mat_to_json(d) for d in diffs],
-        "strata": strata,
-        "filtrations": {
-            name: {str(level): [[vec_to_json(v) for v in spaces[deg].vectors()]
-                                for deg in range(top + 1)]
-                   for level, spaces in levels.items()}
-            for name, levels in filtrations.items()
-        },
-        "euler_cocycle": vec_to_json(eps),
-        "euler_op": [mat_to_json(e) for e in euler],
-        "perversities": [dict(p) for p in pset],
-    }
-    return model_from_dict(data)
+    ambient = replace(a, euler_cocycle=tuple(map(rat, eps)), euler_op=tuple(euler))
+    return ModelInstance("random-%d-%d" % (seed, size), ambient, strata, tuple(pset))
 
 
 # ---------------------------------------------------------------------------

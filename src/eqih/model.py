@@ -35,6 +35,16 @@ class Stratum:
         if self.kind not in STRATUM_KINDS:
             raise InputError("unknown stratum kind %r" % self.kind)
 
+    @property
+    def xbar(self) -> int:
+        """The characteristic perversity value of the stratum's kind."""
+        return _XBAR[self.kind]
+
+    @property
+    def ebar(self) -> int:
+        """The Euler perversity value of the stratum's kind."""
+        return _EBAR[self.kind]
+
 
 class Perversity:
     """Integer weight per singular stratum; totally defined on a model."""
@@ -63,10 +73,6 @@ class Perversity:
     def _check_same(self, other: "Perversity"):
         if self.strata() != other.strata():
             raise StrataMismatch("%s vs %s" % (self.strata(), other.strata()))
-
-    def __add__(self, other: "Perversity") -> "Perversity":
-        self._check_same(other)
-        return Perversity({k: v + other[k] for k, v in self.items})
 
     def minus(self, other: "Perversity") -> "Perversity":
         """Pointwise difference, clamped at the floor below which the
@@ -173,10 +179,10 @@ class ModelInstance:
         return tuple(s.name for s in self.strata)
 
     def characteristic_perversity(self) -> Perversity:
-        return Perversity({s.name: _XBAR[s.kind] for s in self.strata})
+        return Perversity({s.name: s.xbar for s in self.strata})
 
     def euler_perversity(self) -> Perversity:
-        return Perversity({s.name: _EBAR[s.kind] for s in self.strata})
+        return Perversity({s.name: s.ebar for s in self.strata})
 
     def zero_perversity(self) -> Perversity:
         return zero_perversity(self.strata)
@@ -587,7 +593,7 @@ def model_from_dict(data: dict) -> ModelInstance:
 
     metadata = _typed(data.get("metadata", {}), dict, "metadata")
     ambient = AmbientModel(n, dims, d, filtrations, kmax, euler_cocycle, euler_op, product)
-    return ModelInstance(str(data["name"]), ambient, strata, tuple(perversities),
+    return ModelInstance(_typed(data["name"], str, "name"), ambient, strata, tuple(perversities),
                          dict(metadata))
 
 

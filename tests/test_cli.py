@@ -368,6 +368,9 @@ class TestErrors:
         lambda d: d.update(perversities=[{"apex": v} for v in (-1.0, 0.4, 1, 2.9)]),
         # a filtration for a stratum the document does not list
         lambda d: d["filtrations"].update(typo=d["filtrations"]["apex"]),
+        # a name that is not a string
+        lambda d: d.update(name=[1]),
+        lambda d: d.update(name=None),
     ])
     def test_malformed_model_exits_2(self, capsys, tmp_path, edit):
         data = model_to_dict(cone2())
@@ -494,6 +497,21 @@ class TestErrors:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["passed" if role == "model" else "related"]
+
+    # compare reads each of its three documents once, so stdin can stand
+    # for at most one of them
+    @pytest.mark.parametrize("args", [("-", "-", "iso"), ("-", "model", "-"),
+                                      ("model", "-", "-"), ("-", "-", "-")])
+    def test_stdin_given_twice_exits_2(self, capsys, monkeypatch, tmp_path, hopf_file, args):
+        iso = tmp_path / "iso.json"
+        iso.write_text(json.dumps({"mats": {"0": [["1"]], "1": [], "2": [["1"]]}}))
+        named = {"-": "-", "model": hopf_file, "iso": str(iso)}
+        file1, file2, iso_arg = (named[a] for a in args)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(pathlib.Path(hopf_file).read_text()))
+        code, out, err = run(capsys, "compare", file1, file2, "--iso", iso_arg)
+        assert code == 2 and not out
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "more than once" in error["detail"]
 
 
 def top_level_keys(text):

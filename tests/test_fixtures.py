@@ -101,6 +101,19 @@ class TestRandomModels:
         m = random_model(seed)
         assert model_to_dict(model_from_dict(model_to_dict(m))) == model_to_dict(m)
 
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_built_model_is_the_one_its_document_loads_as(self, size):
+        """random_model builds its model as values; the checks a load of
+        its document would make still hold: the document loads to an equal
+        model, saves back to itself, and the model passes strict
+        validation."""
+        for seed in range(20):
+            m = random_model(seed, size)
+            doc = model_to_dict(m)
+            loaded = model_from_dict(doc)
+            assert loaded == m and model_to_dict(loaded) == doc
+            assert all(r["passed"] for r in validate(m, strict=True))
+
     def test_size_parameter(self):
         m = random_model(0, size=3)
         assert max(m.ambient.dims) <= 3

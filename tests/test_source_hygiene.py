@@ -12,9 +12,11 @@ are coerced in one place.  Only ``model.per_model`` calls
 ``ModelInstance.cached``, and no two builders it makes share a kind, so
 every per-model value is memoized in one place under its own key.  Only
 ``LongExactSequence`` calls ``check_exact``, so a sequence's exactness is
-computed once, by the sequence; and only ``model.load_json`` calls
+computed once, by the sequence; only ``model.load_json`` calls
 ``json.load`` or ``json.loads``, so every JSON document is read, and its
-malformations reported, in one place.
+malformations reported, in one place; and only the model module names the
+stratum-kind weight tables ``_XBAR`` and ``_EBAR``, so every other module
+reads a stratum's weights through ``Stratum.xbar`` and ``Stratum.ebar``.
 """
 
 import ast
@@ -248,3 +250,24 @@ def test_the_checks_see_stray_check_exact_and_json_calls():
                      "def _load_iso(fh):\n    return json.load(fh), fh.load()\n")
     assert calls(tree, {"check_exact"}) == [("LongExactSequence", 3), ("skjelbred", 6)]
     assert calls(tree, {"json.load", "json.loads"}) == [("load_json", 9), ("_load_iso", 12)]
+
+
+WEIGHT_TABLES = {"_XBAR", "_EBAR"}
+
+
+def test_only_the_model_names_the_weight_tables():
+    """The stratum-kind weights have one owner: other modules read them
+    through Stratum.xbar and Stratum.ebar."""
+    found = {name: referenced_names(tree) & WEIGHT_TABLES for name, tree in TREES.items()}
+    assert found.pop("model.py") == WEIGHT_TABLES
+    assert not any(found.values()), "weight tables named outside model.py: %s" % found
+
+
+def test_the_checks_see_a_weight_table_named_elsewhere():
+    """An import of a table, or an attribute read of one, is reported."""
+    imported = ast.parse("from .model import _XBAR, Stratum\n\nx = _XBAR['mobile']\n")
+    read = ast.parse("from . import model\n\ne = model._EBAR['mobile']\n")
+    clean = ast.parse("def weights(s):\n    return s.xbar, s.ebar\n")
+    assert referenced_names(imported) & WEIGHT_TABLES == {"_XBAR"}
+    assert referenced_names(read) & WEIGHT_TABLES == {"_EBAR"}
+    assert not referenced_names(clean) & WEIGHT_TABLES
