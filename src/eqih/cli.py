@@ -32,6 +32,7 @@ from .localize import cone_formula_check, lambda_u_module, localized_gysin
 from .model import (
     Perversity,
     int_from_text,
+    json_text,
     load_json,
     load_model,
     mat_to_json,
@@ -104,8 +105,7 @@ def _emit(report, human=False, stream=None):
     if human:
         _emit_human(report, stream)
     else:
-        # one write: json.dump writes each chunk of the encoding separately
-        stream.write(json.dumps(report, indent=2) + "\n")
+        stream.write(json_text(report, 2) + "\n")
 
 
 def _emit_human(node, stream, indent=0):

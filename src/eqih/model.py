@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cache, wraps
+from functools import wraps
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError, StrataMismatch, UnknownStratum
 from .ratla import Matrix, Subspace, intersect, kron, map_image, rat
@@ -398,8 +399,12 @@ def _validate_product(m: ModelInstance, report):
 
 
 def rat_from_json(x, where):
-    """A JSON integer or 'p/q' string as an exact rational.  A JSON float is
-    refused: it arrives as a binary fraction, not the number its text shows.
+    """A JSON integer, or a string the scalar type reads, as an exact
+    rational.  With ``Fraction`` that is its whole string grammar: 'p/q',
+    and also signs, decimals, exponents, underscores and non-ASCII digits
+    ('+2', '1.5', '1e3', '1_0', '\u0663'), as tests/test_model.py pins.  A
+    JSON float is refused: it arrives as a binary fraction, not the number
+    its text shows.
 
     JSON integers and plain ASCII '-?digits' strings, the common entries,
     take a fast path through ``int`` into ``rat``, which gives the shared
@@ -452,24 +457,26 @@ def mat_to_json(m: Matrix):
     return [vec_to_json(row) for row in m.entries]
 
 
-def _vec_from_json(v, n, where):
+def _vec_from_json(v, n, where, num):
     if len(_typed(v, list, where)) != n:
         raise InputError("vector length %d != %d in %s" % (len(v), n, where))
-    return tuple(rat_from_json(x, where) for x in v)
+    return tuple(num(x, where) for x in v)
 
 
-def mat_from_json(rows, nrows, ncols, where) -> Matrix:
+def mat_from_json(rows, nrows, ncols, where, num) -> Matrix:
+    """The matrix a JSON list of rows spells, each entry read by num(entry,
+    where)."""
     if len(_typed(rows, list, where)) != nrows \
             or any(len(_typed(r, list, where)) != ncols for r in rows):
         raise InputError("matrix shape mismatch in %s (want %dx%d)" % (where, nrows, ncols))
-    return Matrix(nrows, ncols, [[rat_from_json(x, where) for x in r] for r in rows])
+    return Matrix(nrows, ncols, [[num(x, where) for x in r] for r in rows])
 
 
 def rows_from_json(rows, where) -> Matrix:
     """A JSON list of equally long rows as a matrix of that shape."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("%s must be a list of rows" % where)
-    return mat_from_json(rows, len(rows), len(rows[0]) if rows else 0, where)
+    return mat_from_json(rows, len(rows), len(rows[0]) if rows else 0, where, rat_from_json)
 
 
 def model_to_dict(m: ModelInstance) -> dict:
@@ -519,9 +526,21 @@ def model_from_dict(data: dict) -> ModelInstance:
     def dim(k):
         return dims[k] if 0 <= k <= n else 0
 
+    # each distinct entry string is parsed once per document; only strings
+    # are memoized, so true and 1.0 still reach rat_from_json and are refused
+    parsed = {}
+
+    def num(x, where):
+        if type(x) is not str:
+            return rat_from_json(x, where)
+        q = parsed.get(x)
+        if q is None:
+            q = parsed[x] = rat_from_json(x, where)
+        return q
+
     if len(_typed(data["d"], list, "d")) != n + 1:
         raise InputError("d must list one matrix per degree")
-    d = tuple(mat_from_json(rows, dim(k + 1), dim(k), "d[%d]" % k)
+    d = tuple(mat_from_json(rows, dim(k + 1), dim(k), "d[%d]" % k, num)
               for k, rows in enumerate(data["d"]))
 
     strata = []
@@ -538,8 +557,9 @@ def model_from_dict(data: dict) -> ModelInstance:
     filtrations = {}
     kmax = {}
     # each distinct level space is canonicalized once per document, and
-    # equal ones share one Subspace
-    span = cache(Subspace.from_vectors)
+    # equal ones share one Subspace: its key is the dimension and the JSON
+    # entries, read once they have parsed, so they are ints and strings
+    spans = {}
     filt_json = _typed(data["filtrations"], dict, "filtrations")
     if set(filt_json) != names:
         raise InputError("filtrations must list the strata %s, not %s"
@@ -556,19 +576,23 @@ def model_from_dict(data: dict) -> ModelInstance:
             if len(per_degree) != n + 1:
                 raise InputError("filtration of %r level %d must list every degree"
                                  % (s.name, level))
-            levels[level] = tuple(
-                span(dim(deg),
-                     tuple(_vec_from_json(v, dim(deg), "%s/%d" % (where, deg))
-                           for v in _typed(vecs, list, "%s/%d" % (where, deg))))
-                for deg, vecs in enumerate(per_degree)
-            )
+            spaces = []
+            for deg, vecs in enumerate(per_degree):
+                at = "%s/%d" % (where, deg)
+                vectors = [_vec_from_json(v, dim(deg), at, num)
+                           for v in _typed(vecs, list, at)]
+                key = (dim(deg), tuple(map(tuple, vecs)))
+                if key not in spans:
+                    spans[key] = Subspace.from_vectors(dim(deg), vectors)
+                spaces.append(spans[key])
+            levels[level] = tuple(spaces)
         filtrations[s.name] = levels
         kmax[s.name] = level_count
 
-    euler_cocycle = _vec_from_json(data["euler_cocycle"], dim(2), "euler_cocycle")
+    euler_cocycle = _vec_from_json(data["euler_cocycle"], dim(2), "euler_cocycle", num)
     if len(_typed(data["euler_op"], list, "euler_op")) != n + 1:
         raise InputError("euler_op must list one matrix per degree")
-    euler_op = tuple(mat_from_json(rows, dim(k + 2), dim(k), "euler_op[%d]" % k)
+    euler_op = tuple(mat_from_json(rows, dim(k + 2), dim(k), "euler_op[%d]" % k, num)
                      for k, rows in enumerate(data["euler_op"]))
 
     product = None
@@ -582,7 +606,7 @@ def model_from_dict(data: dict) -> ModelInstance:
             if (i, j) in product:
                 raise InputError("product key %r repeats degrees %d,%d" % (key, i, j))
             product[(i, j)] = mat_from_json(rows, dim(i + j), dim(i) * dim(j),
-                                             "product[%s]" % key)
+                                             "product[%s]" % key, num)
 
     perversities = []
     for entry in _typed(data["perversities"], list, "perversities"):
@@ -627,10 +651,75 @@ def load_model(path_or_file) -> ModelInstance:
     return model_from_dict(load_json(path_or_file))
 
 
+_INF = float("inf")
+
+
+def json_text(obj, indent) -> str:
+    """The text ``json.dumps(obj, indent=indent)`` gives, for a tree of
+    dicts with string keys, lists, tuples, strings, ints, floats, booleans
+    and None; any other node, and a dict key that is not a string, is a
+    TypeError.  json indents through its pure-Python encoder; this
+    writer escapes strings through json's C escaper, writes ints by
+    ``int.__repr__`` and joins a list of strings, a matrix row, at once."""
+    parts = []
+    _json_parts(obj, parts, "\n", " " * indent)
+    return "".join(parts)
+
+
+def _json_parts(o, parts, nl, step):
+    """Append the text of o, indented by nl, to parts.  json tests a node's
+    type in the order str, None, True, False, int, float, list or tuple,
+    dict; no type is both a container and a scalar, so testing for the
+    containers first gives the same text."""
+    if isinstance(o, str):
+        parts.append(encode_basestring_ascii(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = nl + step
+        if all(type(x) is str for x in o):
+            parts.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, o))
+                         + nl + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            parts.append(sep)
+            _json_parts(x, parts, inner, step)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = nl + step
+        sep = "{" + inner
+        for k, v in o.items():
+            # the escaper refuses a key that is not a string with a TypeError
+            parts.append(sep + encode_basestring_ascii(k) + ": ")
+            _json_parts(v, parts, inner, step)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif isinstance(o, int):
+        parts.append(int.__repr__(o))
+    elif isinstance(o, float):
+        parts.append("NaN" if o != o else "Infinity" if o == _INF else
+                     "-Infinity" if o == -_INF else float.__repr__(o))
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+
 def save_model(m: ModelInstance, path_or_file):
-    data = model_to_dict(m)
+    """Write m's document, in one write, as json.dump with indent 1 would."""
+    text = json_text(model_to_dict(m), 1)
     if hasattr(path_or_file, "write"):
-        json.dump(data, path_or_file, indent=1)
+        path_or_file.write(text)
     else:
         with open(path_or_file, "w") as fh:
-            json.dump(data, fh, indent=1)
+            fh.write(text)

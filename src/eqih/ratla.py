@@ -8,7 +8,9 @@ where every other basis column is 0, so the coordinates of a vector in the
 span are its entries at the pivot rows, with no elimination.
 
 Vectors are worked on a basis at a time, as the columns of one matrix:
-products are ``Matrix.__mul__``, ``Subspace.coords_of`` reads the
+products are ``Matrix.__mul__``, which runs on integers (each factor's rows
+scaled to integer rows, each sum divided once by both scales, the way
+``rref_integer_rows`` eliminates), ``Subspace.coords_of`` reads the
 coordinates of every column at the pivots, and ``Matrix.solve`` solves for
 a whole matrix of right-hand sides with a single elimination.  One routine,
 ``_row_span``, canonicalizes a span given by rows; ``Subspace.from_matrix``,
@@ -22,12 +24,14 @@ at the edges: the rows ``Matrix.kernel_basis`` returns and
 
 An operand that fixes the answer costs no elimination: the kernel of a zero
 or empty matrix is the full space, the span of zero rows is the zero space,
-a preimage of the zero subspace is a kernel, and full / zero is the
-identity quotient.  Nor does it cost a product: a product with an empty
-factor is the cached ``Matrix.zero``, a product with the cached
-``Matrix.identity`` as a factor (tested with ``is``) is the other factor,
-coordinates in the zero subspace are read without one, and a subspace
-contains itself.
+the span of rows that already are a reduced row echelon basis has them as
+its canonical basis (so a saved model document, whose levels list such
+rows, loads with none), a preimage of the zero subspace is a kernel, and
+full / zero is the identity quotient.  Nor does it cost a product: a
+product with an empty factor is the cached ``Matrix.zero``, a product with
+the cached ``Matrix.identity`` as a factor (tested with ``is``) is the
+other factor, coordinates in the zero subspace are read without one, and a
+subspace contains itself.
 
 Every matrix entry is a ``QNUM``.  The public ``Matrix(rows, cols, entries)``
 coerces each entry through ``rat`` and checks the declared shape; the private
@@ -35,8 +39,8 @@ coerces each entry through ``rat`` and checks the declared shape; the private
 so it is used only for entries that come out of ``QNUM`` arithmetic or out of
 existing matrices.  ``QNUM(...)`` is called in this module only.  ``QNUM``
 values are immutable, so the integers -1, 0 and 1 are shared: ``rat`` gives
-the one value in ``SMALL`` for each, and so does ``Matrix.rref`` in a pivot
-row whose pivot is 1 or -1.
+the one value in ``SMALL`` for each, and so do ``Matrix.__mul__`` and
+``Matrix.rref`` in a pivot row whose pivot is 1 or -1.
 """
 
 from __future__ import annotations
@@ -159,16 +163,32 @@ class Matrix:
             return other
         if other.rows == other.cols and other is Matrix.identity(other.rows):
             return self
-        # only products of two non-zero factors are added
+        # integer rows: other's non-zero entries scaled by the lcm of their
+        # denominators, and the non-zero entries of each row of self that
+        # meet a non-zero row of other by the lcm of theirs; each sum is
+        # divided once, by both scales
         nonzero = [[(j, b) for j, b in enumerate(orow) if b] for orow in other.entries]
+        den = lcm(*[b.denominator for terms in nonzero for _, b in terms])
+        nonzero = [[(j, b.numerator * (den // b.denominator)) for j, b in terms]
+                   for terms in nonzero]
+        zero_row = (ZERO,) * other.cols
         out = []
         for row in self.entries:
-            acc = [ZERO] * other.cols
-            for a, terms in zip(row, nonzero):
-                if a:
-                    for j, b in terms:
-                        acc[j] += a * b
-            out.append(tuple(acc))
+            parts = [(a, terms) for a, terms in zip(row, nonzero) if terms and a]
+            if not parts:
+                out.append(zero_row)
+                continue
+            rden = lcm(*[a.denominator for a, _ in parts])
+            acc = [0] * other.cols
+            for a, terms in parts:
+                a = a.numerator * (rden // a.denominator)
+                for j, b in terms:
+                    acc[j] += a * b
+            d = rden * den
+            if d == 1:
+                out.append(tuple([SMALL[x] if -1 <= x <= 1 else QNUM(x) for x in acc]))
+            else:
+                out.append(tuple([_ratio(x, d) for x in acc]))
         return Matrix._of(self.rows, other.cols, tuple(out))
 
     def hstack(self, other) -> "Matrix":
@@ -239,6 +259,15 @@ class Matrix:
 # the slots' own setters, since Matrix.__setattr__ refuses every assignment
 _SET_ROWS, _SET_COLS, _SET_ENTRIES, _SET_HASH = (
     getattr(Matrix, name).__set__ for name in Matrix.__slots__)
+
+
+def _ratio(n, d):
+    """n / d as a QNUM, for integers n and d > 0; -1, 0 and 1 are the shared
+    values."""
+    q, r = divmod(n, d)
+    if r:
+        return QNUM(n, d)
+    return SMALL[q] if -1 <= q <= 1 else QNUM(q)
 
 
 def primitive_row(row):
@@ -338,12 +367,35 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 def _row_span(ambient_dim, rows) -> "Subspace":
     """The span of rows, vectors of Q^ambient_dim with QNUM entries, with
     the non-zero rows of their reduced row echelon form as its canonical
-    basis columns."""
+    basis columns; rows that already are that basis (``_is_reduced``) are
+    taken as they are, with no elimination."""
     if not any(map(any, rows)):
         return Subspace.zero(ambient_dim)
-    red, pivots = Matrix._of(len(rows), ambient_dim, tuple(rows)).rref()
-    basis = Matrix._of(len(pivots), ambient_dim, red.entries[:len(pivots)])
-    return Subspace(ambient_dim, basis.transpose())
+    rows = tuple(rows)
+    if not _is_reduced(rows):
+        red, pivots = Matrix._of(len(rows), ambient_dim, rows).rref()
+        rows = red.entries[:len(pivots)]
+    return Subspace(ambient_dim, Matrix._of(len(rows), ambient_dim, rows).transpose())
+
+
+def _is_reduced(rows) -> bool:
+    """Whether rows are the non-zero rows of a reduced row echelon form:
+    each leads with 1, the leads ascend, and each lead column is 0 in the
+    rows above (a row below is 0 there, since its lead comes later)."""
+    last = -1
+    for i, row in enumerate(rows):
+        for lead, x in enumerate(row):
+            if x:
+                break
+        else:
+            return False
+        if lead <= last or x != 1:
+            return False
+        for k in range(i):
+            if rows[k][lead]:
+                return False
+        last = lead
+    return True
 
 
 @dataclass(frozen=True)

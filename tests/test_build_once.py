@@ -27,7 +27,9 @@ A map on cohomology is computed on a whole basis at once: with
 Euler map at most three per degree, however many classes they carry.
 Whole commands are held to their counted eliminations and products too,
 which are the same on every machine.  A filtration level that repeats in a
-model document loads as one space, canonicalized once.
+model document loads as one space, canonicalized once, and a saved
+document, whose levels list reduced row echelon bases, loads with no
+elimination at all.
 
 Every per-model builder is made by ``model.per_model``: a second call
 returns the object of the first, held under the builder's kind, or the
@@ -220,17 +222,17 @@ def rrefs(monkeypatch):
 
 
 # Matrix.rref calls per command: kernel, preimage and quotient take one
-# elimination each, none where a zero or empty operand fixes the answer,
-# and a filtration level that repeats in the document is canonicalized once;
-# the pair-space product F_p^k x Omega^{k-1} is two canonical bases side by
-# side, so it takes none
+# elimination each, none where a zero or empty operand fixes the answer;
+# a span whose rows already are a reduced row echelon basis takes none, so
+# a saved document loads with none; the pair-space product
+# F_p^k x Omega^{k-1} is two canonical bases side by side, so it takes none
 ELIMINATIONS = {
-    ("cohomology", "cone2", "apex=2"): 5,
-    ("gysin", "cone2", "apex=2"): 16,
-    ("equivariant", "cone2", "apex=2"): 40,
-    ("localize", "cone2", "apex=2"): 7,
-    ("spectral", "hopf", None): 40,
-    ("spectral", "cone2", "apex=2"): 55,
+    ("cohomology", "cone2", "apex=2"): 1,
+    ("gysin", "cone2", "apex=2"): 9,
+    ("equivariant", "cone2", "apex=2"): 30,
+    ("localize", "cone2", "apex=2"): 4,
+    ("spectral", "hopf", None): 31,
+    ("spectral", "cone2", "apex=2"): 44,
 }
 
 # Matrix.__mul__ calls per command: a degree whose operand is empty takes
@@ -304,6 +306,55 @@ def test_bad_entry_in_repeated_level_names_its_first_place():
         doc["filtrations"]["apex"][level][0] = [["1/0"]]
     with pytest.raises(InputError, match="filtration apex/0/0"):
         model.model_from_dict(doc)
+
+
+# every fixture, and random models of three seeds at six sizes
+SAVED = [(name, None, None) for name in FIXTURES] + [
+    ("random", seed, size) for seed in range(3) for size in (2, 3, 4, 6, 9, 13)]
+
+
+def saved_text(m):
+    out = io.StringIO()
+    save_model(m, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name, seed, size", SAVED)
+def test_saved_documents_load_without_elimination(rrefs, name, seed, size):
+    """A saved level lists the reduced row echelon basis of its space, which
+    loads as it is."""
+    m = fixtures.make(name, seed, size)
+    text = saved_text(m)
+    rrefs.clear()
+    loaded = model.load_model(io.StringIO(text))
+    assert rrefs["rref"] == 0
+    assert model.model_to_dict(loaded) == model.model_to_dict(m)
+
+
+# levels of up to 1, 5 and 8 vectors
+@pytest.mark.parametrize("seed, size", [(0, 6), (0, 9), (0, 13)])
+def test_a_level_in_another_basis_loads_to_the_same_space(rrefs, seed, size):
+    """Every level, its basis reordered and scaled, loads to the space of
+    the saved document, with the same canonical basis."""
+    m = fixtures.random_model(seed, size)
+    doc = model.model_to_dict(m)
+    moved = 0
+    for levels in doc["filtrations"].values():
+        for per_degree in levels.values():
+            for vecs in per_degree:
+                if vecs:
+                    vecs.reverse()
+                    vecs[0] = [str(ratla.rat("-2/3") * ratla.rat(x)) for x in vecs[0]]
+                    moved += 1
+    assert moved
+    rrefs.clear()
+    got = model.model_from_dict(doc)
+    assert rrefs["rref"] > 0
+    for name, levels in m.ambient.filtrations.items():
+        for level, spaces in levels.items():
+            for a, b in zip(got.ambient.filtrations[name][level], spaces):
+                assert a == b and a.basis.entries == b.basis.entries
+    assert saved_text(got) == saved_text(m)
 
 
 def test_connecting_map_takes_two_eliminations(rrefs):

@@ -1,8 +1,9 @@
 import io
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqih.errors import InputError, StrataMismatch, UnknownStratum
@@ -10,6 +11,7 @@ from eqih.fixtures import cone2, hopf, noperv
 from eqih.model import (
     Perversity,
     Stratum,
+    json_text,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -323,3 +325,99 @@ def test_rat_from_json_off_the_fast_path(x, outcome):
         assert str(err.value) == outcome
     else:
         assert rat_from_json(x, "entry") == outcome
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+# strings with quotes, backslashes, control, non-ASCII, astral and lone
+# surrogate characters, and ints past 64 bits
+json_strings = st.one_of(st.text(), st.text(
+    alphabet='"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001f600\ud800 a'))
+json_leaves = st.one_of(json_strings, st.integers(), st.integers(-2 ** 200, 2 ** 200),
+                        st.booleans(), st.none(), st.just([]), st.just({}), st.just(()))
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(json_strings, children, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_trees)
+def test_json_text_matches_json_dumps(tree):
+    for indent in (1, 2):
+        assert json_text(tree, indent) == json.dumps(tree, indent=indent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_trees, st.floats())
+@example([], float("nan"))
+@example([], float("inf"))
+@example({"a": "b"}, float("-inf"))
+@example([1], -0.0)
+@example([], 1e300)
+def test_json_text_writes_floats_as_json_does(tree, x):
+    """A float leaf, NaN and the infinities among them, gives json's bytes,
+    so a float in a document's metadata saves as json would save it."""
+    for doc in (x, [tree, x], {"a": x, "b": [x, tree]}):
+        assert json_text(doc, 1) == json.dumps(doc, indent=1)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
+def test_json_text_refuses_a_key_that_is_not_a_string(key):
+    """json writes int, float, bool and None keys as strings and refuses any
+    other key with a TypeError; the writer refuses every key that is not a
+    string with a TypeError, since no document or report has one."""
+    doc = {"rows": [{key: "1"}]}
+    with pytest.raises(TypeError):
+        json_text(doc, 2)
+    if isinstance(key, tuple):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("node", [Fraction(1, 2), {1, 2}, object()])
+def test_json_text_refuses_what_json_refuses(node):
+    for doc in (node, [node], {"a": node}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=1)
+        with pytest.raises(TypeError):
+            json_text(doc, 1)
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+@pytest.mark.parametrize("first, then", [
+    (("filtrations", "apex", "0", 0, 0, 0), ("euler_cocycle", 0)),
+    (("euler_cocycle", 0), ("euler_op", 0, 0, 0)),
+])
+def test_a_non_string_equal_to_a_parsed_entry_is_refused(first, then, value):
+    """Entries are parsed once per distinct string; true and 1.0 equal the
+    integer 1, and are refused after an entry 1 as they are anywhere."""
+    doc = model_to_dict(cone2())
+
+    def put(path, x):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = x
+
+    put(first, 1)
+    put(then, value)
+    with pytest.raises(InputError, match="is not an integer or a 'p/q' string"):
+        model_from_dict(doc)
+
+
+def test_save_model_writes_json_dumps_text_once():
+    class Stream(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    for m in (hopf(), cone2(), noperv()):
+        out = Stream()
+        save_model(m, out)
+        assert out.writes == 1
+        assert out.getvalue() == json.dumps(model_to_dict(m), indent=1)

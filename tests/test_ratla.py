@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from eqih.ratla import (
     rat,
     rref_integer_rows,
     subspace_sum,
+    _is_reduced,
     _row_span,
 )
 
@@ -673,3 +675,124 @@ def test_zero_subspace_coordinates(m):
         assert coords == Matrix.zero(0, m.cols)
     else:
         assert coords is None
+
+
+# -- spans given by reduced rows -------------------------------------------------
+
+def eliminated_span(n, rows):
+    """Reference: the span of rows from a forced elimination."""
+    red, pivots = Matrix(len(rows), n, rows).rref()
+    return Subspace(n, Matrix._of(len(pivots), n, red.entries[:len(pivots)]).transpose())
+
+
+def near_misses(rows, data):
+    """Row lists that differ from the reduced rows `rows` in one way each, so
+    that none is a reduced row echelon basis: row i times -1 or 2, a zero
+    row or a second copy of row i inserted, and, with two rows or more, row
+    i plus a multiple of row j, which is non-zero in the lead column of j,
+    and rows i and j swapped."""
+    rows = [list(row) for row in rows]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    out = []
+    for factor in (-1, 2):
+        scaled = [r[:] for r in rows]
+        scaled[i] = [factor * x for x in rows[i]]
+        out.append(scaled)
+    out.append(rows[:i] + [[ZERO] * len(rows[i])] + rows[i:])
+    out.append(rows[:i + 1] + [rows[i]] + rows[i + 1:])
+    if len(rows) >= 2:
+        j = data.draw(st.integers(0, len(rows) - 1).filter(lambda j: j != i))
+        c = data.draw(rationals.filter(bool))
+        mixed = [r[:] for r in rows]
+        mixed[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        out.append(mixed)
+        swapped = [r[:] for r in rows]
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        out.append(swapped)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(max_dim=6), st.data())
+# reduced rows with a zero column, and a row whose later entries are not 0
+@example(M([[1, 0, 2, 0], [0, 0, 0, 1]]), None)
+@example(M([[0, 1, -1], [0, 0, 0]]), None)
+def test_row_span_matches_forced_elimination(m, data):
+    """_row_span takes reduced rows as they are and eliminates every other
+    row set, near misses of reduced rows among them, to the same space."""
+    n = m.cols
+    assert_same_space(_row_span(n, m.entries), eliminated_span(n, m.entries))
+    red, pivots = m.rref()
+    reduced = red.entries[:len(pivots)]
+    if not reduced:
+        return
+    count = collections.Counter()
+    rref = Matrix.rref
+
+    def counting_rref(self):
+        count["rref"] += 1
+        return rref(self)
+
+    Matrix.rref = counting_rref
+    try:
+        span = _row_span(n, reduced)
+    finally:
+        Matrix.rref = rref
+    assert count["rref"] == 0
+    assert_same_space(span, eliminated_span(n, reduced))
+    if data is None:
+        return
+    for rows in near_misses(reduced, data):
+        assert not _is_reduced(rows)
+        assert_same_space(_row_span(n, [tuple(map(rat, r)) for r in rows]),
+                          eliminated_span(n, rows))
+
+
+# -- products on integers --------------------------------------------------------
+
+def fraction_product(a, b):
+    """Reference: the product summed in rational arithmetic over the terms
+    whose two factors are non-zero, as products were computed before they
+    ran on integers."""
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b.entries]
+    out = []
+    for row in a.entries:
+        acc = [Fraction(0)] * b.cols
+        for x, terms in zip(row, nonzero):
+            if x:
+                for j, y in terms:
+                    acc[j] += Fraction(x) * Fraction(y)
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+# signed, with numerators and denominators that do and do not cancel
+signed_entries = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 5, 6, 9, 10])))
+
+
+@st.composite
+def integer_product_operands(draw):
+    """(a, b) of shapes r x k and k x c, each of r, k and c from 0 to 6."""
+    r, k, c = (draw(st.integers(0, 6)) for _ in range(3))
+
+    def operand(rows, cols):
+        return Matrix(rows, cols, [[draw(signed_entries) for _ in range(cols)]
+                                   for _ in range(rows)])
+
+    return operand(r, k), operand(k, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_product_operands())
+# a denominator cancels to 1, -1 and 0 in one row, and large entries
+@example((M([[rat("1/2"), rat("1/3")]]), M([[2, -2, 4], [0, 0, -3]])))
+@example((M([[10 ** 30, -1]]), M([[10 ** 30], [rat("1/7")]])))
+def test_integer_product_matches_fraction_reference(operands):
+    a, b = operands
+    p = a * b
+    assert (p.rows, p.cols) == (a.rows, b.cols)
+    assert p.entries == fraction_product(a, b) and all_qnum(p.entries)
+    small = [x for row in p.entries for x in row if x in SMALL]
+    assert all(x is SMALL[int(x)] for x in small)

@@ -14,7 +14,10 @@ every per-model value is memoized in one place under its own key.  Only
 ``LongExactSequence`` calls ``check_exact``, so a sequence's exactness is
 computed once, by the sequence; only ``model.load_json`` calls
 ``json.load`` or ``json.loads``, so every JSON document is read, and its
-malformations reported, in one place; and only the model module names the
+malformations reported, in one place; ``json.dump`` is called nowhere and
+``json.dumps`` only for the scalar leaves of the human format, so every
+document and report is written by ``model.json_text``; and only the model
+module names the
 stratum-kind weight tables ``_XBAR`` and ``_EBAR``, so every other module
 reads a stratum's weights through ``Stratum.xbar`` and ``Stratum.ebar``.
 """
@@ -250,6 +253,23 @@ def test_the_checks_see_stray_check_exact_and_json_calls():
                      "def _load_iso(fh):\n    return json.load(fh), fh.load()\n")
     assert calls(tree, {"check_exact"}) == [("LongExactSequence", 3), ("skjelbred", 6)]
     assert calls(tree, {"json.load", "json.loads"}) == [("load_json", 9), ("_load_iso", 12)]
+
+
+def test_only_json_text_writes_json():
+    """Every document and report is written by one writer, json_text; json's
+    own writers serve only the human format's scalar leaves."""
+    found = {(name, top) for name, tree in TREES.items()
+             for top, _ in calls(tree, {"json.dump", "json.dumps"})}
+    assert found == {("cli.py", "_emit_human")}
+
+
+def test_the_checks_see_stray_json_writes():
+    tree = ast.parse("def _emit_human(node, fh):\n    fh.write(json.dumps(node))\n\n"
+                     "def save_model(m, fh):\n    json.dump(model_to_dict(m), fh)\n\n"
+                     "def _emit(report, fh):\n"
+                     "    fh.write(json.dumps(report, indent=2) + json_text(report, 2))\n")
+    assert calls(tree, {"json.dump", "json.dumps"}) == [
+        ("_emit_human", 2), ("save_model", 5), ("_emit", 8)]
 
 
 WEIGHT_TABLES = {"_XBAR", "_EBAR"}
