@@ -7,6 +7,8 @@ Euler cocycle of one to the other up to the differential of an admissible
 1-form (admissible for the Euler perversity).  Relatedness forces the
 equivariant invariants to agree; `consequence_check` verifies those
 necessary equalities and treats any failure as an internal contradiction.
+Each public check validates its isomorphism; `compare`, the body of
+``eqih compare``, validates it once and solves for the witness once.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass, field
 from .equivariant import build_equivariant
 from .errors import InvalidIso, TheoremViolation
 from .localize import lambda_u_module
-from .model import ModelInstance, Perversity
-from .perverse import perverse_complex
-from .ratla import Matrix, map_image, rat
+from .model import ModelInstance, Perversity, vec_to_json
+from .perverse import omega_spaces
+from .ratla import Matrix, rat
 
 
 @dataclass(frozen=True)
@@ -72,15 +74,15 @@ def validate_iso(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> None:
     if sorted(iso.strata.values()) != sorted(m1.stratum_names()):
         raise InvalidIso("correspondence image does not cover the strata of %r"
                          % m1.name)
+    # f is invertible, so f(src) = tgt exactly when dims agree and f(src) lies in tgt
     for s2, s1 in iso.strata.items():
         kmax = max(a1.kmax.get(s1, 0), a2.kmax.get(s2, 0))
         for level in range(-1, kmax + 1):
             for k in range(top + 1):
                 src = a2.filtration(s2, level, k)
                 tgt = a1.filtration(s1, level, k)
-                img = map_image(iso.mat(m1, m2, k), src)
-                if not (tgt.contains_subspace(img)
-                        and img.dim == tgt.dim):
+                if src.dim != tgt.dim or not (tgt.is_full() or tgt.coords_of(
+                        iso.mat(m1, m2, k) * src.basis) is not None):
                     raise InvalidIso(
                         "filtration level %d of stratum %r not preserved in "
                         "degree %d" % (level, s2, k))
@@ -103,12 +105,17 @@ def f_related(iso: ModelIso, m1: ModelInstance, m2: ModelInstance):
     """
     if not is_optimal(iso, m1, m2):
         raise InvalidIso("relatedness needs an optimal isomorphism")
+    return _witness(iso, m1, m2)
+
+
+def _witness(iso: ModelIso, m1: ModelInstance, m2: ModelInstance):
+    """f_related for an iso already validated and optimal."""
     a1, a2 = m1.ambient, m2.ambient
     diff = iso.mat(m1, m2, 2) * a2.epsilon() - a1.epsilon()
     if diff.is_zero():
         return True, (rat(0),) * a1.dim(1)
-    ebar = m1.euler_perversity()
-    omega1 = perverse_complex(m1, ebar).omega_space(1)
+    # diff is a non-zero degree-2 form, so degree 1 lies in 0..top
+    omega1 = omega_spaces(m1, m1.euler_perversity())[1]
     x = (a1.diff(1) * omega1.basis).solve(diff)
     if x is None:
         return False, None
@@ -119,29 +126,40 @@ def consequence_check(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> di
     """Verify the necessary consequences of relatedness: for every shared
     perversity the graded equivariant dims, the u-action ranks, and the
     localized ranks coincide.  Raises TheoremViolation on any mismatch."""
-    related, _ = f_related(iso, m1, m2)
-    if not related:
+    if not f_related(iso, m1, m2)[0]:
         raise InvalidIso("consequence check needs related models")
-    transported = {}
-    for p2 in m2.perversity_set:
+    return _consequences(iso, m1, m2)
+
+
+def _consequences(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> dict:
+    """consequence_check for an iso already known to relate m1 and m2."""
+    entries = []
+    for p2 in sorted(m2.perversity_set, key=Perversity.label):
         p1 = Perversity({iso.strata[s]: v for s, v in p2.items})
-        if p1 in m1.perversity_set:
-            transported[p2] = p1
-    report = {"perversities": [], "all_equal": True}
-    for p2, p1 in sorted(transported.items(), key=lambda kv: kv[0].label()):
-        eq1 = build_equivariant(m1, p1)
-        eq2 = build_equivariant(m2, p2)
-        entry = {
+        if p1 not in m1.perversity_set:
+            continue
+        eq1, eq2 = build_equivariant(m1, p1), build_equivariant(m2, p2)
+        entries.append({
             "perversity": p2.label(),
             "dims_equal": eq1.dims() == eq2.dims(),
             "u_ranks_equal": eq1.u_ranks() == eq2.u_ranks(),
             "localization_equal":
                 lambda_u_module(m1, p1).ranks() == lambda_u_module(m2, p2).ranks(),
-        }
-        report["perversities"].append(entry)
-        if not all(v for k, v in entry.items() if k != "perversity"):
-            report["all_equal"] = False
+        })
+    report = {"perversities": entries,
+              "all_equal": all(v for e in entries for k, v in e.items() if k != "perversity")}
     if not report["all_equal"]:
         raise TheoremViolation(
             "related models disagree on equivariant invariants: %s" % report)
     return report
+
+
+def compare(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> dict:
+    """The verdicts of ``eqih compare``, each asked only if the one before holds."""
+    out = {"optimal": is_optimal(iso, m1, m2)}
+    if out["optimal"]:
+        out["related"], gamma = _witness(iso, m1, m2)
+        if out["related"]:
+            out["witness"] = vec_to_json(gamma)
+            out["consequences"] = _consequences(iso, m1, m2)
+    return out

@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import fixtures
-from .classify import ModelIso, consequence_check, f_related, is_optimal
+from .classify import ModelIso, compare
 from .equivariant import (
     build_equivariant,
     default_window,
@@ -40,7 +40,6 @@ from .model import (
     rows_from_json,
     save_model,
     validate,
-    vec_to_json,
 )
 from .perverse import (
     ambient_complexes,
@@ -241,16 +240,7 @@ def _cmd_compare(m, p, args):
     m2 = load_model(_input(args.file2))
     for m in (m1, m2):
         ambient_complexes(m)  # refuses a model that fails an axiom
-    iso = _load_iso(args.iso)
-    optimal = is_optimal(iso, m1, m2)
-    body = {"models": [m1.name, m2.name], "optimal": optimal}
-    if optimal:
-        related, gamma = f_related(iso, m1, m2)
-        body["related"] = related
-        if related:
-            body["witness"] = vec_to_json(gamma)
-            body["consequences"] = consequence_check(iso, m1, m2)
-    return body, 0
+    return {"models": [m1.name, m2.name], **compare(_load_iso(args.iso), m1, m2)}, 0
 
 
 def _cmd_fixture(m, p, args):

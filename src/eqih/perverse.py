@@ -24,8 +24,7 @@ from .errors import InputError, InternalInvariantViolation, WitnessNotFound
 from .homalg import (ChainMap, Cohomology, Complex, LongExactSequence, SesData, chain_map,
                      quotient_complex, subcomplex)
 from .model import ModelInstance, Perversity, check_axioms, per_model
-from .ratla import (Matrix, Subspace, block_matrix, intersect, map_image, preimage, quotient,
-                    subspace_sum)
+from .ratla import Matrix, Subspace, block_matrix, intersect, preimage, quotient
 
 
 def _sign(k):
@@ -104,8 +103,9 @@ def perverse_complex(m: ModelInstance, p: Perversity) -> PerverseComplex:
     gysin_spaces = {}
     gysin_in_omega = {}
     for k in amb.degrees():
-        allowance = subspace_sum(m.filtration_level(p, k + 2),
-                                 map_image(a.diff(k + 1), m.filtration_level(p, k + 1)))
+        # F^{k+2} + d(F^{k+1}), spanned at once
+        allowance = Subspace.from_matrix(m.filtration_level(p, k + 2).basis.hstack(
+            a.diff(k + 1) * m.filtration_level(p, k + 1).basis))
         gysin_spaces[k] = intersect(lower[k], preimage(a.euler(k), allowance))
         coords = spaces[k].coords_of(gysin_spaces[k].basis)
         if coords is None:

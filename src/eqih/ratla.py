@@ -5,7 +5,9 @@ canonical reduced-column-echelon basis, so two equal subspaces compare (and
 hash) identically.  Everything downstream relies on that canonicalization,
 and so do coordinates: each basis column has a leading 1 in a pivot row
 where every other basis column is 0, so the coordinates of a vector in the
-span are its entries at the pivot rows, with no elimination.
+span are its entries at the pivot rows, with no elimination.  So a
+containment is read from coordinates, with no elimination: W contains f(V)
+exactly when ``W.coords_of(f * V.basis)`` is not None, and f(V) is not built.
 
 Vectors are worked on a basis at a time, as the columns of one matrix:
 products are ``Matrix.__mul__``, which runs on integers (each factor's rows
@@ -367,11 +369,11 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 def _row_span(ambient_dim, rows) -> "Subspace":
     """The span of rows, vectors of Q^ambient_dim with QNUM entries, with
     the non-zero rows of their reduced row echelon form as its canonical
-    basis columns; rows that already are that basis (``_is_reduced``) are
-    taken as they are, with no elimination."""
-    if not any(map(any, rows)):
+    basis columns; zero rows are dropped, and rows that already are that
+    basis (``_is_reduced``) are taken as they are, with no elimination."""
+    rows = tuple(filter(any, rows))
+    if not rows:
         return Subspace.zero(ambient_dim)
-    rows = tuple(rows)
     if not _is_reduced(rows):
         red, pivots = Matrix._of(len(rows), ambient_dim, rows).rref()
         rows = red.entries[:len(pivots)]

@@ -29,7 +29,8 @@ Whole commands are held to their counted eliminations and products too,
 which are the same on every machine.  A filtration level that repeats in a
 model document loads as one space, canonicalized once, and a saved
 document, whose levels list reduced row echelon bases, loads with no
-elimination at all.
+elimination at all, and its strict validation takes none either.  ``eqih
+compare`` validates its isomorphism once and solves for its witness once.
 
 Every per-model builder is made by ``model.per_model``: a second call
 returns the object of the first, held under the builder's kind, or the
@@ -41,10 +42,11 @@ import contextlib
 import importlib
 import inspect
 import io
+import json
 
 import pytest
 
-from eqih import equivariant, fixtures, homalg, model, perverse, ratla, spectral
+from eqih import classify, equivariant, fixtures, homalg, model, perverse, ratla, spectral
 from eqih.cli import main
 from eqih.errors import InputError
 from eqih.model import save_model
@@ -244,7 +246,7 @@ PRODUCTS = {
     ("localize", "cone2", "apex=2"): 45,
     ("spectral", "hopf", None): 128,
     ("spectral", "cone2", "apex=2"): 156,
-    ("skjelbred", "cone2", None): 131,
+    ("skjelbred", "cone2", None): 128,
 }
 
 
@@ -329,6 +331,90 @@ def test_saved_documents_load_without_elimination(rrefs, name, seed, size):
     loaded = model.load_model(io.StringIO(text))
     assert rrefs["rref"] == 0
     assert model.model_to_dict(loaded) == model.model_to_dict(m)
+
+
+# (seed, size, perversity) of a random model: the eliminations of its
+# perverse complex once its Omega spaces are built.  The Gysin allowance
+# F^{k+2} + d(F^{k+1}) is one span per degree, and zero rows cost none
+ALLOWANCE = {(0, 6, "s0=0"): 2, (10, 6, "()"): 2, (13, 6, "s0=1,s1=2"): 3}
+
+
+@pytest.mark.parametrize("seed, size, label", ALLOWANCE)
+def test_the_gysin_allowance_is_one_span(rrefs, seed, size, label):
+    m = fixtures.random_model(seed, size)
+    p = next(p for p in m.perversity_set if p.label() == label)
+    perverse.ambient_complexes(m)
+    for q in (p, p.minus(m.characteristic_perversity())):
+        perverse.omega_spaces(m, q)
+    rrefs.clear()
+    perverse.perverse_complex(m, p)
+    assert rrefs["rref"] == ALLOWANCE[(seed, size, label)]
+
+
+# every fixture, and random models of three seeds at sizes 2, 3, 6 and 13
+STRICT = [(name, None, None) for name in FIXTURES] + [
+    ("random", seed, size) for seed in range(3) for size in (2, 3, 6, 13)]
+
+
+@pytest.mark.parametrize("name, seed, size", STRICT)
+def test_strict_validation_takes_no_elimination(tmp_path, rrefs, name, seed, size):
+    """A saved document loads with no elimination, and the strict
+    Euler-operator shift, E(F_l) inside F_{l + e}, is read from the
+    coordinates of E times each level basis: no image space is built."""
+    path = tmp_path / "model.json"
+    path.write_text(saved_text(fixtures.make(name, seed, size)))
+    rrefs.clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["validate", "--strict", str(path)]) == 0
+    assert rrefs["rref"] == 0
+    checks = json.loads(out.getvalue())["checks"]
+    assert any(c["axiom"].startswith("strict: euler") and c["passed"] for c in checks)
+
+
+def shifted_noperv():
+    """noperv with its Euler cocycle moved by an exact admissible form, so
+    that relatedness to noperv needs a witness solved for."""
+    doc = model.model_to_dict(fixtures.noperv())
+    doc["name"] = "noperv-2e"
+    doc["euler_cocycle"] = ["2"]
+    doc["euler_op"] = [[["2"]], [], []]
+    del doc["product"]
+    return model.model_from_dict(doc)
+
+
+@pytest.mark.parametrize("first, second, related", [
+    (fixtures.noperv, shifted_noperv, True), (fixtures.hopf, fixtures.rot, False)])
+def test_compare_validates_once_and_solves_once(tmp_path, monkeypatch, first, second, related):
+    """``eqih compare`` validates its isomorphism once and solves for the
+    relatedness witness once (``classify._witness``), though it reports
+    optimality, relatedness and, for a related pair, the consequences."""
+    m1, m2 = first(), second()
+    files = []
+    for i, m in enumerate((m1, m2)):
+        files.append(str(tmp_path / ("%d.json" % i)))
+        save_model(m, files[-1])
+    iso = classify.identity_iso(m1)
+    iso_path = tmp_path / "iso.json"
+    mats = {str(k): model.mat_to_json(f) for k, f in iso.mats.items()}
+    iso_path.write_text(json.dumps({"mats": mats, "strata": iso.strata}))
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(classify, "validate_iso", counted("validate_iso", classify.validate_iso))
+    monkeypatch.setattr(classify, "_witness", counted("witness", classify._witness))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["compare", *files, "--iso", str(iso_path)]) == 0
+    report = json.loads(out.getvalue())
+    assert report["optimal"] and report["related"] == related
+    assert ("consequences" in report) == related
+    assert calls == {"validate_iso": 1, "witness": 1}
 
 
 # levels of up to 1, 5 and 8 vectors

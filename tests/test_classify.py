@@ -56,6 +56,24 @@ def cone2_plain():
     return model_from_dict(data)
 
 
+def twoline(level0):
+    """One degree of dimension 2, with level 0 spanned by level0."""
+    return model_from_dict({
+        "name": "twoline",
+        "top_degree": 0,
+        "dims": [2],
+        "d": [[]],
+        "strata": [{"name": "s", "kind": "fixed_nonperverse"}],
+        "filtrations": {"s": {"0": [level0]}},
+        "euler_cocycle": [],
+        "euler_op": [[]],
+        "perversities": [{"s": 0}, {"s": 1}],
+    })
+
+
+FILTRATION_BREAK = "^filtration level 0 of stratum 's' not preserved in degree 0$"
+
+
 class TestValidation:
     def test_identity_is_valid(self):
         for m in (hopf(), rot(), cone2(), noperv()):
@@ -65,7 +83,7 @@ class TestValidation:
         m = hopf()
         iso = identity_iso(m)
         bad = ModelIso({**iso.mats, 2: Matrix.zero(1, 1)}, dict(iso.strata))
-        with pytest.raises(InvalidIso):
+        with pytest.raises(InvalidIso, match="^degree-2 matrix is not invertible$"):
             validate_iso(bad, m, m)
 
     def test_non_chain_map_rejected(self):
@@ -73,23 +91,13 @@ class TestValidation:
         iso = identity_iso(m)
         bad = ModelIso({**iso.mats, 2: Matrix.from_rows([[2]])},
                        dict(iso.strata))
-        with pytest.raises(InvalidIso):
+        with pytest.raises(InvalidIso, match="^not a chain map in degree 1$"):
             validate_iso(bad, m, m)
 
     def test_filtration_break_rejected(self):
-        m = model_from_dict({
-            "name": "twoline",
-            "top_degree": 0,
-            "dims": [2],
-            "d": [[]],
-            "strata": [{"name": "s", "kind": "fixed_nonperverse"}],
-            "filtrations": {"s": {"0": [[["1", "0"]]]}},
-            "euler_cocycle": [],
-            "euler_op": [[]],
-            "perversities": [{"s": 0}, {"s": 1}],
-        })
+        m = twoline([["1", "0"]])
         swap = ModelIso({0: Matrix.from_rows([[0, 1], [1, 0]])}, {"s": "s"})
-        with pytest.raises(InvalidIso):
+        with pytest.raises(InvalidIso, match=FILTRATION_BREAK):
             validate_iso(swap, m, m)
         keep = ModelIso({0: Matrix.from_rows([[1, 1], [0, 1]])}, {"s": "s"})
         validate_iso(keep, m, m)
@@ -97,8 +105,19 @@ class TestValidation:
     def test_missing_stratum_correspondence(self):
         m = cone2_plain()
         iso = ModelIso(identity_iso(m).mats, {})
-        with pytest.raises(InvalidIso):
+        with pytest.raises(InvalidIso,
+                           match="^correspondence domain does not cover the strata of 'cone2'$"):
             validate_iso(iso, m, m)
+
+    def test_level_of_another_dimension_rejected(self):
+        """An invertible map carries a level onto one of its own dimension,
+        so a level of the target with more or fewer vectors is not
+        preserved, even where the image lies in it."""
+        line, plane = twoline([["1", "0"]]), twoline([["1", "0"], ["0", "1"]])
+        iso = ModelIso({0: Matrix.identity(2)}, {"s": "s"})
+        for m1, m2 in ((line, plane), (plane, line)):
+            with pytest.raises(InvalidIso, match=FILTRATION_BREAK):
+                validate_iso(iso, m1, m2)
 
 
 class TestOptimality:
@@ -115,8 +134,10 @@ class TestOptimality:
         m1 = noperv_plain()
         iso = identity_iso(m1)
         assert not is_optimal(iso, m1, m2)
-        with pytest.raises(InvalidIso):
+        with pytest.raises(InvalidIso, match="^relatedness needs an optimal isomorphism$"):
             f_related(iso, m1, m2)
+        with pytest.raises(InvalidIso, match="^relatedness needs an optimal isomorphism$"):
+            consequence_check(iso, m1, m2)
 
 
 class TestRelatedness:
@@ -180,7 +201,7 @@ class TestConsequences:
         iso = identity_iso(m1)
         ok, _ = f_related(iso, m1, m2)
         assert not ok
-        with pytest.raises(InvalidIso):
+        with pytest.raises(InvalidIso, match="^consequence check needs related models$"):
             consequence_check(iso, m1, m2)
         p1 = list(m1.perversity_set)[0]
         p2 = list(m2.perversity_set)[0]

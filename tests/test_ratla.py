@@ -20,6 +20,7 @@ from eqih.ratla import (
     inverse,
     kernel,
     kron,
+    map_image,
     preimage,
     quotient,
     rat,
@@ -718,8 +719,9 @@ def near_misses(rows, data):
 @example(M([[1, 0, 2, 0], [0, 0, 0, 1]]), None)
 @example(M([[0, 1, -1], [0, 0, 0]]), None)
 def test_row_span_matches_forced_elimination(m, data):
-    """_row_span takes reduced rows as they are and eliminates every other
-    row set, near misses of reduced rows among them, to the same space."""
+    """_row_span takes reduced rows as they are, also with zero rows among
+    them, and eliminates every other row set, near misses of reduced rows
+    among them, to the same space."""
     n = m.cols
     assert_same_space(_row_span(n, m.entries), eliminated_span(n, m.entries))
     red, pivots = m.rref()
@@ -733,13 +735,17 @@ def test_row_span_matches_forced_elimination(m, data):
         count["rref"] += 1
         return rref(self)
 
+    zero = (ZERO,) * n
+    padded = [row for r in reduced for row in (zero, r)] + [zero]
     Matrix.rref = counting_rref
     try:
         span = _row_span(n, reduced)
+        padded_span = _row_span(n, padded)
     finally:
         Matrix.rref = rref
     assert count["rref"] == 0
     assert_same_space(span, eliminated_span(n, reduced))
+    assert padded_span.basis.entries == span.basis.entries
     if data is None:
         return
     for rows in near_misses(reduced, data):
@@ -796,3 +802,59 @@ def test_integer_product_matches_fraction_reference(operands):
     assert p.entries == fraction_product(a, b) and all_qnum(p.entries)
     small = [x for row in p.entries for x in row if x in SMALL]
     assert all(x is SMALL[int(x)] for x in small)
+
+
+# -- containment of an image, read from coordinates -----------------------------
+
+@st.composite
+def image_containments(draw):
+    """(w, e, v) with e: Q^n -> Q^m, v in Q^n and w in Q^m, each of n and m
+    from 1 to 4 (the examples hold dimension 0).  Some draws zero a block of
+    e's last columns, and w is drawn, or spanned by e(v) and drawn vectors,
+    or by part of e(v), so that both answers occur."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    v = Subspace.from_matrix(draw(rational_matrices(rows=n, cols=draw(st.integers(1, 3)))))
+    e = draw(rational_matrices(rows=m, cols=n))
+    zeroed = min(n, draw(st.sampled_from([0, 0, 1, 2])))
+    e = Matrix(m, n, [row[:n - zeroed] + (0,) * zeroed for row in e.entries])
+    moved = e * v.basis
+    kind = draw(st.sampled_from(["drawn", "spans the image", "spans part of the image"]))
+    if kind == "drawn":
+        return Subspace.from_matrix(draw(rational_matrices(rows=m, max_dim=2))), e, v
+    keep = moved.cols
+    if kind == "spans part of the image":
+        keep = draw(st.integers(0, max(keep - 1, 0)))
+    part = Matrix(m, keep, [row[:keep] for row in moved.entries])
+    return Subspace.from_matrix(part.hstack(draw(rational_matrices(rows=m, max_dim=1)))), e, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(image_containments())
+# v is zero
+@example((Subspace.from_vectors(2, [(1, 0)]), M([[1, 2], [3, 4]]), Subspace.zero(2)))
+# w is full: the cached full space, and a full span that is not it
+@example((Subspace.full(2), M([[1, 2], [0, 0]]), Subspace.full(2)))
+@example((Subspace.from_vectors(2, [(1, 1), (1, -1)]), M([[1, 2], [3, 5]]),
+          Subspace.from_vectors(2, [(1, 3)])))
+# ambient dimension 0, of w and of v
+@example((Subspace.zero(0), Matrix.zero(0, 3), Subspace.from_vectors(3, [(1, 0, 2)])))
+@example((Subspace.from_vectors(2, [(1, 0)]), Matrix.zero(2, 0), Subspace.zero(0)))
+# e is not invertible: e(v) is a line inside w, then outside it
+@example((Subspace.from_vectors(3, [(1, 2, 0)]), M([[1, 1, 0], [2, 2, 0], [0, 0, 0]]),
+          Subspace.from_vectors(3, [(1, 0, 0), (0, 0, 1)])))
+@example((Subspace.from_vectors(3, [(1, 0, 0)]), M([[1, 1, 0], [2, 2, 0], [0, 0, 0]]),
+          Subspace.from_vectors(3, [(1, 0, 0), (0, 0, 1)])))
+# e has a zero column block: it kills v, then maps part of v outside w
+@example((Subspace.zero(2), M([[1, 0, 0], [2, 0, 0]]),
+          Subspace.from_vectors(3, [(0, 1, 0), (0, 0, 1)])))
+@example((Subspace.from_vectors(2, [(1, 0)]), M([[1, 0, 0], [2, 0, 0]]), Subspace.full(3)))
+def test_image_containment_is_read_from_coordinates(case):
+    """w contains e(v) exactly when every column of e * v.basis has
+    coordinates in w, so the test builds no image subspace; it is also
+    decided outright when v is zero or w is full."""
+    w, e, v = case
+    want = w.contains_subspace(map_image(e, v))
+    moved = e * v.basis
+    assert want == (w.basis.hstack(moved).rank() == w.dim)
+    assert (w.coords_of(moved) is not None) == want
+    assert (v.is_zero() or w.is_full() or w.coords_of(moved) is not None) == want

@@ -20,6 +20,9 @@ document and report is written by ``model.json_text``; and only the model
 module names the
 stratum-kind weight tables ``_XBAR`` and ``_EBAR``, so every other module
 reads a stratum's weights through ``Stratum.xbar`` and ``Stratum.ebar``.
+No module asks ``contains_subspace`` of a ``map_image``: whether W contains
+f(V) is read from the coordinates of f * V.basis in W, with no image
+subspace built and no elimination.
 """
 
 import ast
@@ -291,3 +294,45 @@ def test_the_checks_see_a_weight_table_named_elsewhere():
     assert referenced_names(imported) & WEIGHT_TABLES == {"_XBAR"}
     assert referenced_names(read) & WEIGHT_TABLES == {"_EBAR"}
     assert not referenced_names(clean) & WEIGHT_TABLES
+
+
+def image_containments(tree):
+    """(top-level definition, line) of every ``contains_subspace`` call whose
+    argument is a ``map_image`` call, written inside it (on one line or
+    several) or bound to a name earlier in the same definition."""
+    def is_map_image(node):
+        return isinstance(node, ast.Call) and "map_image" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    out = []
+    for top in tree.body:
+        images = {t.id for node in ast.walk(top) if isinstance(node, ast.Assign)
+                  and is_map_image(node.value) for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "contains_subspace"
+                    and any(is_map_image(a) or getattr(a, "id", None) in images
+                            for a in node.args)):
+                out.append((getattr(top, "name", None), node.lineno))
+    return out
+
+
+def test_no_containment_builds_an_image():
+    """A containment W >= f(V) is read from coordinates, as
+    ``W.coords_of(f * V.basis)``, and never by building f(V)."""
+    found = [(name, top, line) for name, tree in TREES.items()
+             for top, line in image_containments(tree)]
+    assert not found, "containments of a built image: %s" % found
+
+
+def test_the_checks_see_a_containment_of_an_image():
+    """The nested call on one line or split over lines, and a name bound to
+    a map_image, are reported; a coordinate test and a containment of a
+    space that is no image are not."""
+    tree = ast.parse("def one(w, e, v):\n    return w.contains_subspace(map_image(e, v))\n\n"
+                     "def split(w, e, v):\n    return w.contains_subspace(\n"
+                     "        ratla.map_image(e,\n                        v))\n\n"
+                     "def bound(w, e, v):\n    img = map_image(e, v)\n"
+                     "    return w.contains_subspace(img) and img.dim == w.dim\n\n"
+                     "def clean(w, e, v, u):\n"
+                     "    return w.coords_of(e * v.basis) is not None and w.contains_subspace(u)\n")
+    assert image_containments(tree) == [("one", 2), ("split", 5), ("bound", 11)]
