@@ -50,10 +50,12 @@ class Stratum:
 class Perversity:
     """Integer weight per singular stratum; totally defined on a model."""
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "_hash")
 
     def __init__(self, values: dict):
-        object.__setattr__(self, "items", tuple(sorted(values.items())))
+        items = tuple(sorted(values.items()))
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "_hash", hash(items))
 
     def __setattr__(self, *a):
         raise AttributeError("Perversity is immutable")
@@ -89,7 +91,7 @@ class Perversity:
         return isinstance(other, Perversity) and self.items == other.items
 
     def __hash__(self):
-        return hash(self.items)
+        return self._hash
 
     def __repr__(self):
         return "Perversity(%s)" % (dict(self.items),)
@@ -238,12 +240,13 @@ def _space_axioms(m: ModelInstance) -> list:
                 if not (a.diff(k + 1) * a.diff(k)).is_zero()), "")
     rows.append(("differential: d.d = 0", not bad, bad))
 
+    # the stored levels, read directly; level 0 is skipped, since every
+    # space contains the zero space below it
     bad = ""
     for s in m.strata:
-        for level in range(0, a.kmax[s.name]):
-            for deg in range(a.top_degree + 1):
-                lo = a.filtration(s.name, level - 1, deg)
-                hi = a.filtration(s.name, level, deg)
+        levels = a.filtrations[s.name]
+        for level in range(1, a.kmax[s.name]):
+            for deg, (lo, hi) in enumerate(zip(levels[level - 1], levels[level])):
                 if not hi.contains_subspace(lo):
                     bad = "stratum %s level %d degree %d" % (s.name, level, deg)
     rows.append(("filtration: nested levels", not bad, bad))
@@ -351,7 +354,8 @@ def _validate_product(m: ModelInstance, report):
         """The commutation matrix A^i (x) A^j -> A^j (x) A^i."""
         di, dj = a.dim(i), a.dim(j)
         units = Matrix.identity(di * dj).entries
-        return Matrix.from_rows([units[x * dj + y] for y in range(dj) for x in range(di)])
+        return Matrix._of(di * dj, di * dj,
+                          tuple(units[x * dj + y] for y in range(dj) for x in range(di)))
 
     ok, bad = True, ""
     eps = a.epsilon()
@@ -457,26 +461,60 @@ def mat_to_json(m: Matrix):
     return [vec_to_json(row) for row in m.entries]
 
 
-def _vec_from_json(v, n, where, num):
+def _vec_from_json(v, n, where):
     if len(_typed(v, list, where)) != n:
         raise InputError("vector length %d != %d in %s" % (len(v), n, where))
-    return tuple(num(x, where) for x in v)
+    return tuple(rat_from_json(x, where) for x in v)
 
 
-def mat_from_json(rows, nrows, ncols, where, num) -> Matrix:
-    """The matrix a JSON list of rows spells, each entry read by num(entry,
-    where)."""
+def mat_from_json(rows, nrows, ncols, where) -> Matrix:
+    """The matrix a JSON list of rows spells, each entry read by
+    rat_from_json(entry, where)."""
     if len(_typed(rows, list, where)) != nrows \
             or any(len(_typed(r, list, where)) != ncols for r in rows):
         raise InputError("matrix shape mismatch in %s (want %dx%d)" % (where, nrows, ncols))
-    return Matrix(nrows, ncols, [[num(x, where) for x in r] for r in rows])
+    return Matrix._of(nrows, ncols, tuple(tuple([rat_from_json(x, where) for x in r])
+                                            for r in rows))
 
 
 def rows_from_json(rows, where) -> Matrix:
     """A JSON list of equally long rows as a matrix of that shape."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("%s must be a list of rows" % where)
-    return mat_from_json(rows, len(rows), len(rows[0]) if rows else 0, where, rat_from_json)
+    return mat_from_json(rows, len(rows), len(rows[0]) if rows else 0, where)
+
+
+class _Entries(dict):
+    """Entry string -> QNUM for one document: an entry is read by
+    rat_from_json at its first lookup, and only strings are kept, so true
+    and 1.0, which equal the integer 1, are read, and refused, every time.
+    Rows are read with no location formatted; rows that rows() refuses are
+    read again by the checked readers, which name the first fault."""
+
+    def __missing__(self, x):
+        q = rat_from_json(x, "entry")
+        if type(x) is str:
+            self[x] = q
+        return q
+
+    def rows(self, rows, ncols):
+        """The QNUM rows of a JSON list of lists of ncols entries, or None."""
+        if type(rows) is not list:
+            return None
+        try:
+            out = tuple([tuple([self[x] for x in r]) for r in rows
+                         if type(r) is list and len(r) == ncols])
+        except (TypeError, InputError):
+            return None
+        return out if len(out) == len(rows) else None
+
+    def matrix(self, rows, nrows, ncols, where):
+        """rows as an nrows x ncols matrix; rows that rows() refuses are read
+        by mat_from_json, at the place where[0] % where[1:]."""
+        out = self.rows(rows, ncols)
+        if out is None or len(out) != nrows:
+            return mat_from_json(rows, nrows, ncols, where[0] % where[1:])
+        return Matrix._of(nrows, ncols, out)
 
 
 def model_to_dict(m: ModelInstance) -> dict:
@@ -511,6 +549,10 @@ def model_to_dict(m: ModelInstance) -> dict:
 
 
 def model_from_dict(data: dict) -> ModelInstance:
+    """The model a document spells, or an InputError naming its first
+    fault.  Each distinct entry string is parsed once into a QNUM
+    (_Entries) and rows go to Matrix._of as they are read, with no second
+    coercion; the place of a fault is formatted only when one is found."""
     _typed(data, dict, "model document")
     for key in ("name", "top_degree", "dims", "d", "strata", "filtrations",
                 "euler_cocycle", "euler_op", "perversities"):
@@ -526,21 +568,10 @@ def model_from_dict(data: dict) -> ModelInstance:
     def dim(k):
         return dims[k] if 0 <= k <= n else 0
 
-    # each distinct entry string is parsed once per document; only strings
-    # are memoized, so true and 1.0 still reach rat_from_json and are refused
-    parsed = {}
-
-    def num(x, where):
-        if type(x) is not str:
-            return rat_from_json(x, where)
-        q = parsed.get(x)
-        if q is None:
-            q = parsed[x] = rat_from_json(x, where)
-        return q
-
+    entries = _Entries()
     if len(_typed(data["d"], list, "d")) != n + 1:
         raise InputError("d must list one matrix per degree")
-    d = tuple(mat_from_json(rows, dim(k + 1), dim(k), "d[%d]" % k, num)
+    d = tuple(entries.matrix(rows, dim(k + 1), dim(k), ("d[%d]", k))
               for k, rows in enumerate(data["d"]))
 
     strata = []
@@ -558,7 +589,8 @@ def model_from_dict(data: dict) -> ModelInstance:
     kmax = {}
     # each distinct level space is canonicalized once per document, and
     # equal ones share one Subspace: its key is the dimension and the JSON
-    # entries, read once they have parsed, so they are ints and strings
+    # entries, read once they have parsed, so they are ints and strings (read
+    # before, a level [[true]] would find the space of [[1]], as True == 1)
     spans = {}
     filt_json = _typed(data["filtrations"], dict, "filtrations")
     if set(filt_json) != names:
@@ -571,28 +603,30 @@ def model_from_dict(data: dict) -> ModelInstance:
             raise InputError("filtration levels for %r must be 0..kmax-1" % s.name)
         levels = {}
         for level in range(level_count):
-            where = "filtration %s/%d" % (s.name, level)
-            per_degree = _typed(levels_json[str(level)], list, where)
-            if len(per_degree) != n + 1:
+            per_degree = levels_json[str(level)]
+            if not isinstance(per_degree, list) or len(per_degree) != n + 1:
+                _typed(per_degree, list, "filtration %s/%d" % (s.name, level))
                 raise InputError("filtration of %r level %d must list every degree"
                                  % (s.name, level))
             spaces = []
             for deg, vecs in enumerate(per_degree):
-                at = "%s/%d" % (where, deg)
-                vectors = [_vec_from_json(v, dim(deg), at, num)
-                           for v in _typed(vecs, list, at)]
-                key = (dim(deg), tuple(map(tuple, vecs)))
+                vectors = entries.rows(vecs, dims[deg])
+                if vectors is None:
+                    at = "filtration %s/%d/%d" % (s.name, level, deg)
+                    vectors = [_vec_from_json(v, dims[deg], at)
+                               for v in _typed(vecs, list, at)]
+                key = (dims[deg], tuple(map(tuple, vecs)))
                 if key not in spans:
-                    spans[key] = Subspace.from_vectors(dim(deg), vectors)
+                    spans[key] = Subspace.from_vectors(dims[deg], vectors)
                 spaces.append(spans[key])
             levels[level] = tuple(spaces)
         filtrations[s.name] = levels
         kmax[s.name] = level_count
 
-    euler_cocycle = _vec_from_json(data["euler_cocycle"], dim(2), "euler_cocycle", num)
+    euler_cocycle = _vec_from_json(data["euler_cocycle"], dim(2), "euler_cocycle")
     if len(_typed(data["euler_op"], list, "euler_op")) != n + 1:
         raise InputError("euler_op must list one matrix per degree")
-    euler_op = tuple(mat_from_json(rows, dim(k + 2), dim(k), "euler_op[%d]" % k, num)
+    euler_op = tuple(entries.matrix(rows, dim(k + 2), dim(k), ("euler_op[%d]", k))
                      for k, rows in enumerate(data["euler_op"]))
 
     product = None
@@ -605,8 +639,8 @@ def model_from_dict(data: dict) -> ModelInstance:
             i, j = (int_from_text(x, "product key degree") for x in pieces)
             if (i, j) in product:
                 raise InputError("product key %r repeats degrees %d,%d" % (key, i, j))
-            product[(i, j)] = mat_from_json(rows, dim(i + j), dim(i) * dim(j),
-                                             "product[%s]" % key, num)
+            product[(i, j)] = entries.matrix(rows, dim(i + j), dim(i) * dim(j),
+                                             ("product[%s]", key))
 
     perversities = []
     for entry in _typed(data["perversities"], list, "perversities"):
@@ -652,60 +686,68 @@ def load_model(path_or_file) -> ModelInstance:
 
 
 _INF = float("inf")
+# the text of a str, int, bool or None, by exact type, as json writes it
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}
 
 
 def json_text(obj, indent) -> str:
     """The text ``json.dumps(obj, indent=indent)`` gives, for a tree of
     dicts with string keys, lists, tuples, strings, ints, floats, booleans
     and None; any other node, and a dict key that is not a string, is a
-    TypeError.  json indents through its pure-Python encoder; this
-    writer escapes strings through json's C escaper, writes ints by
-    ``int.__repr__`` and joins a list of strings, a matrix row, at once."""
+    TypeError.  json indents through its pure-Python encoder; this writer
+    dispatches on exact type, writes a string, int, bool or None member
+    inside its parent's loop, with no call of its own, escapes strings
+    through json's C escaper and writes ints by ``int.__repr__``."""
     parts = []
     _json_parts(obj, parts, "\n", " " * indent)
     return "".join(parts)
 
 
 def _json_parts(o, parts, nl, step):
-    """Append the text of o, indented by nl, to parts.  json tests a node's
-    type in the order str, None, True, False, int, float, list or tuple,
-    dict; no type is both a container and a scalar, so testing for the
+    """Append the text of o, indented by nl, to parts.  A node whose exact
+    type is not in _LEAVES takes json's isinstance tests, so a subclass is
+    written as its base.  json tests in the order str, None, True, False,
+    int, float, list or tuple, dict; None, True and False are in _LEAVES,
+    and no type is both a container and a scalar, so testing for the
     containers first gives the same text."""
-    if isinstance(o, str):
-        parts.append(encode_basestring_ascii(o))
+    leaf = _LEAVES.get(type(o))
+    if leaf is not None:
+        parts.append(leaf(o))
     elif isinstance(o, (list, tuple)):
         if not o:
             parts.append("[]")
             return
         inner = nl + step
-        if all(type(x) is str for x in o):
-            parts.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, o))
-                         + nl + "]")
-            return
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for x in o:
-            parts.append(sep)
-            _json_parts(x, parts, inner, step)
-            sep = "," + inner
+            leaf = _LEAVES.get(type(x))
+            if leaf is not None:
+                parts += sep, leaf(x)
+            else:
+                parts.append(sep)
+                _json_parts(x, parts, inner, step)
+            sep = comma
         parts.append(nl + "]")
     elif isinstance(o, dict):
         if not o:
             parts.append("{}")
             return
         inner = nl + step
-        sep = "{" + inner
+        sep, comma = "{" + inner, "," + inner
         for k, v in o.items():
             # the escaper refuses a key that is not a string with a TypeError
-            parts.append(sep + encode_basestring_ascii(k) + ": ")
-            _json_parts(v, parts, inner, step)
-            sep = "," + inner
+            leaf = _LEAVES.get(type(v))
+            if leaf is not None:
+                parts += sep, encode_basestring_ascii(k), ": ", leaf(v)
+            else:
+                parts += sep, encode_basestring_ascii(k), ": "
+                _json_parts(v, parts, inner, step)
+            sep = comma
         parts.append(nl + "}")
-    elif o is None:
-        parts.append("null")
-    elif o is True:
-        parts.append("true")
-    elif o is False:
-        parts.append("false")
+    elif isinstance(o, str):
+        parts.append(encode_basestring_ascii(o))
     elif isinstance(o, int):
         parts.append(int.__repr__(o))
     elif isinstance(o, float):

@@ -150,6 +150,13 @@ class Matrix:
         return self + other.scale(-1)
 
     def scale(self, c) -> "Matrix":
+        """c times the matrix: for c = 1 the matrix itself, for c = -1 each
+        entry negated, with no product of scalars."""
+        if c == 1:
+            return self
+        if c == -1:
+            return Matrix._of(self.rows, self.cols, tuple(tuple([-x if x else x for x in row])
+                                                          for row in self.entries))
         c = rat(c)
         return Matrix._of(self.rows, self.cols,
                           tuple(tuple(c * x for x in row) for row in self.entries))

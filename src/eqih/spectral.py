@@ -209,8 +209,11 @@ class SpectralSequence:
         if n not in self._normal:
             src, tags = self.adapted_basis(n)
             tgt, tgt_tags = self.adapted_basis(n + 1)
-            d = inverse(tgt) * self.cx.d(n) * src
             amb = len(tags)
+            # an empty D_n is the zero matrix and takes no column operation,
+            # so its chains are the adapted basis: no product is taken
+            empty = not (amb and tgt_tags)
+            d = Matrix.zero(len(tgt_tags), amb) if empty else inverse(tgt) * self.cx.d(n) * src
             # the columns of [I; d], each cleared by the earlier ones at its
             # low: the top block becomes V; a cycle's low is its own 1 in V
             reduced, ops, targets = {}, [], []
@@ -223,10 +226,11 @@ class SpectralSequence:
                 reduced[low] = col
                 ops.append(col[:amb])
                 targets.append(low - amb if low >= amb else None)
-            chains = src * Matrix._of(amb, amb, tuple(ops)).transpose()
+            chains = src if empty else src * Matrix._of(amb, amb, tuple(ops)).transpose()
             self._normal[n] = NormalForm(
                 tags, targets, [None if t is None else tgt_tags[t] for t in targets],
-                chains.transpose().entries, (self.cx.d(n) * chains).transpose().entries)
+                chains.transpose().entries,
+                (d if empty else self.cx.d(n) * chains).transpose().entries)
         return self._normal[n]
 
     def lives(self, n):
@@ -355,9 +359,10 @@ def pages(m: ModelInstance, p: Perversity, r_max=None):
             if j % 2 == 1:
                 raise PropertyViolation(
                     "odd row cell (%d, %d) nonzero on page %d" % (i, j, r))
-            # d_r o d_r = 0
-            if i + j + 1 <= n_cap:
-                if not (pg.d(i + r, j - r + 1) * d_out).is_zero():
+            # d_r o d_r = 0, which holds where a factor is empty
+            d_next = pg.d(i + r, j - r + 1)
+            if i + j + 1 <= n_cap and d_next.rows and d_out.rows and d_out.cols:
+                if not (d_next * d_out).is_zero():
                     raise PropertyViolation(
                         "page %d differential does not square to zero at (%d, %d)"
                         % (r, i, j))

@@ -408,6 +408,36 @@ def test_a_non_string_equal_to_a_parsed_entry_is_refused(first, then, value):
         model_from_dict(doc)
 
 
+# (level 0 degree 0, a place in level 1, its value, refusal): a level equal
+# to an accepted one, as true and 1.0 equal 1, or one that spells the same
+# characters or keys as a string or an object, is read and refused on its own
+LEVEL_REFUSALS = [
+    ([[1]], ("1", 0), [[True]], "filtration apex/1/0: True is not an integer or a 'p/q' string"),
+    ([[1]], ("1", 0), [[1.0]], "filtration apex/1/0: 1.0 is not an integer or a 'p/q' string"),
+    ([["1"]], ("1", 0), ["1"], "filtration apex/1/0 must be a JSON array, not '1'"),
+    ([["1"]], ("1", 0), "1", "filtration apex/1/0 must be a JSON array, not '1'"),
+    ([["1"]], ("1", 0), {"1": 0}, "filtration apex/1/0 must be a JSON array, not {'1': 0}"),
+    ([["1"]], ("1", 0), [{"1": 0}], "filtration apex/1/0 must be a JSON array, not {'1': 0}"),
+    ([["1"]], ("1",), "1", "filtration apex/1 must be a JSON array, not '1'"),
+    ([["1"]], ("1",), {"0": [["1"]]},
+     "filtration apex/1 must be a JSON array, not {'0': [['1']]}"),
+]
+
+
+@pytest.mark.parametrize("first, path, value, refusal", LEVEL_REFUSALS)
+def test_a_level_equal_to_an_accepted_one_is_refused(first, path, value, refusal):
+    doc = model_to_dict(cone2())
+    levels = doc["filtrations"]["apex"]
+    levels["0"][0] = first
+    if len(path) == 1:
+        levels[path[0]] = value
+    else:
+        levels[path[0]][path[1]] = value
+    with pytest.raises(InputError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == refusal
+
+
 def test_save_model_writes_json_dumps_text_once():
     class Stream(io.StringIO):
         writes = 0

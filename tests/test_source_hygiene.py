@@ -8,7 +8,9 @@ package, its tests or the benchmark, so deleting a helper or its last
 caller cannot leave dead code behind.  Only the model module spells the
 name of a ``validate`` axiom, so each axiom is decided in one place, and
 only the linear-algebra module calls the scalar type ``QNUM``, so scalars
-are coerced in one place.  Only ``model.per_model`` calls
+are coerced in one place; the model module builds no matrix through the
+coercing ``Matrix(...)`` or ``Matrix.from_rows``, so each document entry is
+coerced once.  Only ``model.per_model`` calls
 ``ModelInstance.cached``, and no two builders it makes share a kind, so
 every per-model value is memoized in one place under its own key.  Only
 ``LongExactSequence`` calls ``check_exact``, so a sequence's exactness is
@@ -211,6 +213,24 @@ def test_the_checks_see_a_qnum_call():
     tree = ast.parse("from .ratla import QNUM, rat\nfrom . import ratla\n\n"
                      "a = QNUM(1)\nb = ratla.QNUM(2, 3)\nc = rat(4) * QNUM\n")
     assert calls(tree, {"QNUM"}) == [(None, 4), (None, 5)]
+
+
+# the public constructor and from_rows, which calls it, coerce every entry
+COERCING = {"Matrix", "from_rows"}
+
+
+def test_the_model_builds_no_matrix_by_coercion():
+    """The model module reads each document entry once into a QNUM and
+    builds its matrices with ``Matrix._of``, so no entry is coerced twice."""
+    found = calls(TREES["model.py"], COERCING)
+    assert not found, "coercing Matrix calls in model.py: %s" % found
+
+
+def test_the_checks_see_a_coercing_matrix_call():
+    tree = ast.parse("def read(rows):\n    return Matrix(1, 1, rows)\n\n"
+                     "def swap(rows):\n    return ratla.Matrix.from_rows(rows)\n\n"
+                     "def fast(rows):\n    return Matrix._of(1, 1, rows), Matrix.zero(1, 1)\n")
+    assert calls(tree, COERCING) == [("read", 2), ("swap", 5)]
 
 
 def test_only_per_model_calls_cached():
