@@ -76,7 +76,7 @@ def validate_iso(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> None:
                          % m1.name)
     # f is invertible, so f(src) = tgt exactly when dims agree and f(src) lies in tgt
     for s2, s1 in iso.strata.items():
-        kmax = max(a1.kmax.get(s1, 0), a2.kmax.get(s2, 0))
+        kmax = max(len(a1.filtrations.get(s1, ())), len(a2.filtrations.get(s2, ())))
         for level in range(-1, kmax + 1):
             for k in range(top + 1):
                 src = a2.filtration(s2, level, k)

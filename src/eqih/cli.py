@@ -35,9 +35,9 @@ from .model import (
     json_text,
     load_json,
     load_model,
+    mat_from_json,
     mat_to_json,
     model_to_dict,
-    rows_from_json,
     save_model,
     validate,
 )
@@ -226,7 +226,7 @@ def _load_iso(path):
         degree = int_from_text(key, "iso degree")
         if degree in mats:
             raise InputError("iso degree %r repeats degree %d" % (key, degree))
-        mats[degree] = rows_from_json(rows, "iso matrix for degree %s" % key)
+        mats[degree] = mat_from_json(rows, None, None, ("iso matrix for degree %s", key))
     strata = data.get("strata", {})
     if not isinstance(strata, dict) or not all(isinstance(v, str) for v in strata.values()):
         raise InputError("iso field 'strata' must map stratum names to stratum names")

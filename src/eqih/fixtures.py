@@ -206,7 +206,7 @@ def _random_differential(rng, dims):
 
 def _random_filtration(rng, dims, kmax):
     """Nested per-degree subspace chains with all degree-0 forms at level 0."""
-    levels = {}
+    levels = []
     prev = [Subspace.full(dims[0])] + [Subspace.zero(n) for n in dims[1:]]
     for level in range(kmax):
         cur = []
@@ -215,9 +215,9 @@ def _random_filtration(rng, dims, kmax):
             if n and rng.random() < 0.7:
                 s = subspace_sum(s, Subspace.from_vectors(n, [_random_vector(rng, n)]))
             cur.append(s)
-        levels[level] = tuple(cur)
+        levels.append(tuple(cur))
         prev = cur
-    return levels
+    return tuple(levels)
 
 
 def _killing_projection(space: Subspace) -> Matrix:
@@ -313,13 +313,12 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
     n_strata = rng.randint(0, 2)
     strata = tuple(Stratum("s%d" % i, rng.choice(STRATUM_KINDS)) for i in range(n_strata))
     filtrations = {s.name: _random_filtration(rng, dims, rng.randint(1, 3)) for s in strata}
-    kmax = {name: len(levels) for name, levels in filtrations.items()}
     # the spaces, differentials and levels; the Euler data is solved for below
-    a = AmbientModel(top, tuple(dims), tuple(diffs), filtrations, kmax, (), ())
+    a = AmbientModel(top, tuple(dims), tuple(diffs), filtrations, (), ())
 
     constraints = []
     for s in strata:
-        for level in range(kmax[s.name] - s.ebar):
+        for level in range(len(filtrations[s.name]) - s.ebar):
             for deg in range(top + 1):
                 constraints.append((deg, a.filtration(s.name, level, deg),
                                     a.filtration(s.name, level + s.ebar, deg + 2)))
@@ -337,7 +336,8 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
     # perversity working set closed under subtracting the characteristic one
     xbar = Perversity({s.name: s.xbar for s in strata})
     todo = [zero_perversity(strata), Perversity({s.name: s.ebar for s in strata}),
-            Perversity({s.name: rng.randint(CLAMP_FLOOR, kmax[s.name] + 1) for s in strata})]
+            Perversity({s.name: rng.randint(CLAMP_FLOOR, len(filtrations[s.name]) + 1)
+                        for s in strata})]
     pset = []
     while todo:
         p = todo.pop()

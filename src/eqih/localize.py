@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .equivariant import build_eq1, pair_shift
 from .errors import InputError, NotAConeModel, TheoremViolation
-from .model import (ModelInstance, Perversity, _typed, int_from_json, int_from_text, per_model,
-                    rows_from_json)
+from .model import (ModelInstance, Perversity, _typed, int_from_json, int_from_text,
+                    mat_from_json, per_model)
 from .perverse import euler_map, gysin_cohomology, omega_cohomology, perverse_complex
 from .ratla import Matrix, block_matrix
 
@@ -206,7 +206,7 @@ def cone_formula_check(m: ModelInstance, p: Perversity) -> dict:
         k = int_from_text(key, "cone link_eub degree")
         if k in eub:
             raise InputError("cone link_eub: degree %r repeats degree %d" % (key, k))
-        eub[k] = rows_from_json(rows, "cone link_eub %s" % key)
+        eub[k] = mat_from_json(rows, None, None, ("cone link_eub %s", key))
 
     def link_dim(k):
         return link[k] if 0 <= k < len(link) else 0

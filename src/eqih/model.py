@@ -16,7 +16,7 @@ from functools import wraps
 from json.encoder import encode_basestring_ascii
 
 from .errors import InputError, StrataMismatch, UnknownStratum
-from .ratla import Matrix, Subspace, intersect, kron, rat
+from .ratla import Matrix, Subspace, _row_span, intersect, kron, rat
 
 STRATUM_KINDS = ("mobile", "fixed_nonperverse", "fixed_perverse")
 
@@ -111,8 +111,8 @@ class AmbientModel:
     top_degree: int
     dims: tuple
     d: tuple                 # d[k]: dims[k+1] x dims[k], k = 0..top_degree
-    filtrations: dict        # stratum name -> {level: tuple of Subspace per degree}
-    kmax: dict               # stratum name -> first level at which F is full
+    filtrations: dict        # stratum name -> levels 0..kmax-1, each a tuple of
+                             # Subspace per degree; F is full from level kmax on
     euler_cocycle: tuple     # vector in degree 2
     euler_op: tuple          # E[k]: dims[k+2] x dims[k]
     product: dict = field(default=None)  # (i, j) -> Matrix dims[i+j] x dims[i]*dims[j]
@@ -142,7 +142,7 @@ class AmbientModel:
             return Subspace.zero(0)
         if level <= CLAMP_FLOOR:
             return Subspace.zero(n)
-        if level >= self.kmax[stratum]:
+        if level >= len(self.filtrations[stratum]):
             return Subspace.full(n)
         return self.filtrations[stratum][level][degree]
 
@@ -245,7 +245,7 @@ def _space_axioms(m: ModelInstance) -> list:
     bad = ""
     for s in m.strata:
         levels = a.filtrations[s.name]
-        for level in range(1, a.kmax[s.name]):
+        for level in range(1, len(levels)):
             for deg, (lo, hi) in enumerate(zip(levels[level - 1], levels[level])):
                 if not hi.contains_subspace(lo):
                     bad = "stratum %s level %d degree %d" % (s.name, level, deg)
@@ -317,7 +317,7 @@ def validate(m: ModelInstance, strict: bool = False):
         bad = ""
         for s in m.strata:
             shift = ebar[s.name]
-            for level in range(-1, a.kmax[s.name] + 1):
+            for level in range(-1, len(a.filtrations[s.name]) + 1):
                 for deg in range(a.top_degree + 1):
                     src = a.filtration(s.name, level, deg)
                     tgt = a.filtration(s.name, level + shift, deg + 2)
@@ -384,7 +384,7 @@ def _validate_product(m: ModelInstance, report):
 
     ok, bad = True, ""
     for s in m.strata:
-        km = a.kmax[s.name]
+        km = len(a.filtrations[s.name])
         for k in range(-1, km + 1):
             for l in range(-1, km + 1):
                 for i, j in pairs:
@@ -461,15 +461,25 @@ def mat_to_json(m: Matrix):
     return [vec_to_json(row) for row in m.entries]
 
 
-def _vec_from_json(v, n, where):
-    if len(_typed(v, list, where)) != n:
-        raise InputError("vector length %d != %d in %s" % (len(v), n, where))
-    return tuple(rat_from_json(x, where) for x in v)
-
-
-def mat_from_json(rows, nrows, ncols, where) -> Matrix:
+def mat_from_json(rows, nrows, ncols, where, entries=None) -> Matrix:
     """The matrix a JSON list of rows spells, each entry read by
-    rat_from_json(entry, where)."""
+    rat_from_json; nrows None takes any number of rows, and ncols None the
+    length of the first.  Given a document's _Entries, a well-formed grid is
+    read at once through it, and only a grid it refuses is read again with
+    checks, which name the place where, a format and its arguments, and the
+    first fault: the list, its length, each row, then each entry."""
+    if ncols is None:
+        ncols = len(rows[0]) if type(rows) is list and rows and type(rows[0]) is list else 0
+    if entries is not None and type(rows) is list:
+        try:
+            out = tuple([tuple([entries[x] for x in r]) for r in rows
+                         if type(r) is list and len(r) == ncols])
+        except (TypeError, InputError):
+            out = ()
+        if len(out) == len(rows) and nrows in (None, len(out)):
+            return Matrix._of(len(out), ncols, out)
+    where = where[0] % where[1:]
+    nrows = len(_typed(rows, list, where)) if nrows is None else nrows
     if len(_typed(rows, list, where)) != nrows \
             or any(len(_typed(r, list, where)) != ncols for r in rows):
         raise InputError("matrix shape mismatch in %s (want %dx%d)" % (where, nrows, ncols))
@@ -477,19 +487,10 @@ def mat_from_json(rows, nrows, ncols, where) -> Matrix:
                                             for r in rows))
 
 
-def rows_from_json(rows, where) -> Matrix:
-    """A JSON list of equally long rows as a matrix of that shape."""
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise InputError("%s must be a list of rows" % where)
-    return mat_from_json(rows, len(rows), len(rows[0]) if rows else 0, where)
-
-
 class _Entries(dict):
-    """Entry string -> QNUM for one document: an entry is read by
-    rat_from_json at its first lookup, and only strings are kept, so true
-    and 1.0, which equal the integer 1, are read, and refused, every time.
-    Rows are read with no location formatted; rows that rows() refuses are
-    read again by the checked readers, which name the first fault."""
+    """Entry -> QNUM for one document, read by rat_from_json at its first
+    lookup.  Only strings are kept, so true and 1.0, which equal the integer
+    1, are read, and refused, every time."""
 
     def __missing__(self, x):
         q = rat_from_json(x, "entry")
@@ -497,32 +498,13 @@ class _Entries(dict):
             self[x] = q
         return q
 
-    def rows(self, rows, ncols):
-        """The QNUM rows of a JSON list of lists of ncols entries, or None."""
-        if type(rows) is not list:
-            return None
-        try:
-            out = tuple([tuple([self[x] for x in r]) for r in rows
-                         if type(r) is list and len(r) == ncols])
-        except (TypeError, InputError):
-            return None
-        return out if len(out) == len(rows) else None
-
-    def matrix(self, rows, nrows, ncols, where):
-        """rows as an nrows x ncols matrix; rows that rows() refuses are read
-        by mat_from_json, at the place where[0] % where[1:]."""
-        out = self.rows(rows, ncols)
-        if out is None or len(out) != nrows:
-            return mat_from_json(rows, nrows, ncols, where[0] % where[1:])
-        return Matrix._of(nrows, ncols, out)
-
 
 def model_to_dict(m: ModelInstance) -> dict:
     a = m.ambient
     filt = {}
     for s in m.strata:
         levels = {}
-        for level in range(0, a.kmax[s.name]):
+        for level in range(len(a.filtrations[s.name])):
             levels[str(level)] = [
                 [vec_to_json(v) for v in a.filtration(s.name, level, deg).vectors()]
                 for deg in range(a.top_degree + 1)
@@ -550,9 +532,10 @@ def model_to_dict(m: ModelInstance) -> dict:
 
 def model_from_dict(data: dict) -> ModelInstance:
     """The model a document spells, or an InputError naming its first
-    fault.  Each distinct entry string is parsed once into a QNUM
-    (_Entries) and rows go to Matrix._of as they are read, with no second
-    coercion; the place of a fault is formatted only when one is found."""
+    fault.  Every grid (d, each filtration level, euler_cocycle as one row,
+    euler_op and product) is read by mat_from_json through one _Entries,
+    so each distinct entry string is parsed once into a QNUM, with no
+    second coercion, and a place is formatted only for a refusal."""
     _typed(data, dict, "model document")
     for key in ("name", "top_degree", "dims", "d", "strata", "filtrations",
                 "euler_cocycle", "euler_op", "perversities"):
@@ -571,7 +554,7 @@ def model_from_dict(data: dict) -> ModelInstance:
     entries = _Entries()
     if len(_typed(data["d"], list, "d")) != n + 1:
         raise InputError("d must list one matrix per degree")
-    d = tuple(entries.matrix(rows, dim(k + 1), dim(k), ("d[%d]", k))
+    d = tuple(mat_from_json(rows, dim(k + 1), dim(k), ("d[%d]", k), entries)
               for k, rows in enumerate(data["d"]))
 
     strata = []
@@ -586,7 +569,6 @@ def model_from_dict(data: dict) -> ModelInstance:
         raise InputError("duplicate stratum names")
 
     filtrations = {}
-    kmax = {}
     # each distinct level space is canonicalized once per document, and
     # equal ones share one Subspace: its key is the dimension and the JSON
     # entries, read once they have parsed, so they are ints and strings (read
@@ -601,7 +583,7 @@ def model_from_dict(data: dict) -> ModelInstance:
         level_count = len(levels_json)
         if set(levels_json) != {str(level) for level in range(level_count)}:
             raise InputError("filtration levels for %r must be 0..kmax-1" % s.name)
-        levels = {}
+        levels = []
         for level in range(level_count):
             per_degree = levels_json[str(level)]
             if not isinstance(per_degree, list) or len(per_degree) != n + 1:
@@ -610,23 +592,20 @@ def model_from_dict(data: dict) -> ModelInstance:
                                  % (s.name, level))
             spaces = []
             for deg, vecs in enumerate(per_degree):
-                vectors = entries.rows(vecs, dims[deg])
-                if vectors is None:
-                    at = "filtration %s/%d/%d" % (s.name, level, deg)
-                    vectors = [_vec_from_json(v, dims[deg], at)
-                               for v in _typed(vecs, list, at)]
+                vectors = mat_from_json(vecs, None, dims[deg],
+                                        ("filtration %s/%d/%d", s.name, level, deg), entries)
                 key = (dims[deg], tuple(map(tuple, vecs)))
                 if key not in spans:
-                    spans[key] = Subspace.from_vectors(dims[deg], vectors)
+                    spans[key] = _row_span(dims[deg], vectors.entries)
                 spaces.append(spans[key])
-            levels[level] = tuple(spaces)
-        filtrations[s.name] = levels
-        kmax[s.name] = level_count
+            levels.append(tuple(spaces))
+        filtrations[s.name] = tuple(levels)
 
-    euler_cocycle = _vec_from_json(data["euler_cocycle"], dim(2), "euler_cocycle")
+    euler_cocycle = mat_from_json([data["euler_cocycle"]], 1, dim(2), ("euler_cocycle",),
+                                  entries).entries[0]
     if len(_typed(data["euler_op"], list, "euler_op")) != n + 1:
         raise InputError("euler_op must list one matrix per degree")
-    euler_op = tuple(entries.matrix(rows, dim(k + 2), dim(k), ("euler_op[%d]", k))
+    euler_op = tuple(mat_from_json(rows, dim(k + 2), dim(k), ("euler_op[%d]", k), entries)
                      for k, rows in enumerate(data["euler_op"]))
 
     product = None
@@ -639,8 +618,8 @@ def model_from_dict(data: dict) -> ModelInstance:
             i, j = (int_from_text(x, "product key degree") for x in pieces)
             if (i, j) in product:
                 raise InputError("product key %r repeats degrees %d,%d" % (key, i, j))
-            product[(i, j)] = entries.matrix(rows, dim(i + j), dim(i) * dim(j),
-                                             ("product[%s]", key))
+            product[(i, j)] = mat_from_json(rows, dim(i + j), dim(i) * dim(j),
+                                            ("product[%s]", key), entries)
 
     perversities = []
     for entry in _typed(data["perversities"], list, "perversities"):
@@ -650,7 +629,7 @@ def model_from_dict(data: dict) -> ModelInstance:
             {k: int_from_json(v, "perversity value") for k, v in entry.items()}))
 
     metadata = _typed(data.get("metadata", {}), dict, "metadata")
-    ambient = AmbientModel(n, dims, d, filtrations, kmax, euler_cocycle, euler_op, product)
+    ambient = AmbientModel(n, dims, d, filtrations, euler_cocycle, euler_op, product)
     return ModelInstance(_typed(data["name"], str, "name"), ambient, strata, tuple(perversities),
                          dict(metadata))
 

@@ -16,12 +16,13 @@ scaled to integer rows, each sum divided once by both scales, the way
 coordinates of every column at the pivots, and ``Matrix.solve`` solves for
 a whole matrix of right-hand sides with a single elimination.  One routine,
 ``_row_span``, canonicalizes a span given by rows; ``Subspace.from_matrix``,
-``Subspace.from_vectors`` and ``intersect`` end in it.  ``kernel`` and
-``preimage`` need no such second elimination: one rref of the
-column-reversed matrix puts every free column f at the head of its own
-kernel vector, so those vectors, cut to the domain, already are the
-canonical basis (see ``_free_span``).  Tuples stand for single vectors only
-at the edges: the rows ``Matrix.kernel_basis`` returns and
+``Subspace.from_vectors`` and the levels of a model document end in it.
+``kernel``, ``preimage`` and ``intersect`` need no such second elimination:
+one rref of the column-reversed matrix puts every free column f at the head
+of its own kernel vector, so those vectors, cut to the domain, already are
+the canonical basis (see ``_free_span``), and an intersection is one such
+basis times a canonical one, which is canonical too.  Tuples stand for single
+vectors only at the edges: the rows ``Matrix.kernel_basis`` returns and
 ``Subspace.vectors``, which serialization and the random generator read.
 
 An operand that fixes the answer costs no elimination: the kernel of a zero
@@ -78,7 +79,7 @@ def rat(x) -> "QNUM":
 class Matrix:
     """Immutable dense matrix over the rationals."""
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(tuple(rat(x) for x in row) for row in entries)
@@ -87,7 +88,6 @@ class Matrix:
         _SET_ROWS(self, rows)
         _SET_COLS(self, cols)
         _SET_ENTRIES(self, entries)
-        _SET_HASH(self, None)
 
     @classmethod
     def _of(cls, rows, cols, entries) -> "Matrix":
@@ -97,7 +97,6 @@ class Matrix:
         _SET_ROWS(m, rows)
         _SET_COLS(m, cols)
         _SET_ENTRIES(m, entries)
-        _SET_HASH(m, None)
         return m
 
     def __setattr__(self, *a):
@@ -131,9 +130,7 @@ class Matrix:
                 and self.cols == other.cols and self.entries == other.entries)
 
     def __hash__(self):
-        if self._hash is None:
-            _SET_HASH(self, hash((self.rows, self.cols, self.entries)))
-        return self._hash
+        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return "Matrix(%d, %d, %s)" % (
@@ -266,7 +263,7 @@ class Matrix:
 
 
 # the slots' own setters, since Matrix.__setattr__ refuses every assignment
-_SET_ROWS, _SET_COLS, _SET_ENTRIES, _SET_HASH = (
+_SET_ROWS, _SET_COLS, _SET_ENTRIES = (
     getattr(Matrix, name).__set__ for name in Matrix.__slots__)
 
 
@@ -528,11 +525,10 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         return b
     if b.is_full():
         return a
-    # x in both spans: a.basis*s = b.basis*t, so (s,t) in ker[a.basis | -b.basis];
-    # the rows s of that kernel give the rows s * a.basis^T of the intersection
-    ks = a.basis.hstack(b.basis.scale(-1)).kernel_basis()
-    s = Matrix._of(len(ks), a.dim, tuple(k[:a.dim] for k in ks))
-    return _row_span(a.ambient_dim, (s * a.basis.transpose()).entries)
+    # x = a.basis*s = -b.basis*t for (s, t) in ker[a.basis | b.basis]; a reduced
+    # s basis times the reduced column echelon a.basis is reduced column echelon
+    s = _free_span(a.basis.hstack(b.basis), a.dim)
+    return Subspace(a.ambient_dim, a.basis * s.basis)
 
 
 def preimage(m: Matrix, w: Subspace) -> Subspace:

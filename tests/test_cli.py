@@ -155,6 +155,22 @@ class TestCompare:
         assert code == 2 and not out
         assert json.loads(err)["error"] == "InputError"
 
+    # the matrix reader names the iso degree and the first fault
+    @pytest.mark.parametrize("mats, detail", [
+        ({"0": [["1"], ["1", "0"]]}, "matrix shape mismatch in iso matrix for degree 0 (want 2x1)"),
+        ({"0": "1"}, "iso matrix for degree 0 must be a JSON array, not '1'"),
+        ({"0": [["1"], 1]}, "iso matrix for degree 0 must be a JSON array, not 1"),
+        ({"0": [[True]]}, "iso matrix for degree 0: True is not an integer or a 'p/q' string"),
+    ])
+    def test_malformed_iso_matrix_names_its_degree(self, capsys, tmp_path, hopf_file, mats,
+                                                   detail):
+        iso = tmp_path / "iso.json"
+        iso.write_text(json.dumps({"mats": mats, "strata": {}}))
+        code, out, err = run(capsys, "compare", hopf_file, hopf_file, "--iso", str(iso))
+        assert code == 2 and not out
+        assert json.loads(err) == {"schema": "eqih-report/1", "error": "InputError",
+                                   "detail": detail}
+
     @pytest.mark.parametrize("strata", [[1], "ab"])
     def test_malformed_iso_strata_exits_2(self, capsys, tmp_path, hopf_file, strata):
         iso = tmp_path / "iso.json"
@@ -407,6 +423,20 @@ class TestErrors:
                              "--cone-check")
         assert code == 2 and not out
         assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("link_eub, detail", [
+        ({"0": "1"}, "cone link_eub 0 must be a JSON array, not '1'"),
+        ({"0": [["1"], "1"]}, "cone link_eub 0 must be a JSON array, not '1'"),
+        ({"0": [["1"], ["1", "2"]]}, "matrix shape mismatch in cone link_eub 0 (want 2x1)"),
+    ])
+    def test_malformed_link_eub_names_its_degree(self, capsys, tmp_path, link_eub, detail):
+        data = model_to_dict(cone2())
+        data["metadata"]["cone"]["link_eub"] = link_eub
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "localize", str(path), "-p", "apex=1", "--cone-check")
+        assert code == 2 and not out
+        assert json.loads(err)["detail"] == detail
 
     @pytest.mark.parametrize("with_key, key", [
         (validate_with_product_key, "0, 2"), (compare_with_iso_key, " 2"),

@@ -11,8 +11,10 @@ from eqih.fixtures import cone2, hopf, noperv
 from eqih.model import (
     Perversity,
     Stratum,
+    _Entries,
     json_text,
     load_model,
+    mat_from_json,
     model_from_dict,
     model_to_dict,
     rat_from_json,
@@ -436,6 +438,88 @@ def test_a_level_equal_to_an_accepted_one_is_refused(first, path, value, refusal
     with pytest.raises(InputError) as err:
         model_from_dict(doc)
     assert str(err.value) == refusal
+
+
+# a level vector and the Euler cocycle are read as grids, so their refusals
+# name the shape of the grid
+GRID_REFUSALS = [
+    (("filtrations", "apex", "1", 0), [["1", "0"]],
+     "matrix shape mismatch in filtration apex/1/0 (want 1x1)"),
+    (("filtrations", "apex", "1", 0), [["1"], ["1", "0"]],
+     "matrix shape mismatch in filtration apex/1/0 (want 2x1)"),
+    (("euler_cocycle",), [], "matrix shape mismatch in euler_cocycle (want 1x1)"),
+    (("euler_cocycle",), ["1", "2"], "matrix shape mismatch in euler_cocycle (want 1x1)"),
+    (("euler_cocycle",), "1", "euler_cocycle must be a JSON array, not '1'"),
+    (("euler_cocycle",), [True], "euler_cocycle: True is not an integer or a 'p/q' string"),
+]
+
+
+@pytest.mark.parametrize("path, value, refusal", GRID_REFUSALS)
+def test_a_malformed_grid_names_its_place_and_shape(path, value, refusal):
+    doc = model_to_dict(cone2())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(InputError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == refusal
+
+
+def read_outcome(rows, nrows, ncols, entries):
+    try:
+        m = mat_from_json(rows, nrows, ncols, ("grid %s/%d", "a", 1), entries)
+    except InputError as e:
+        return ("refused", str(e))
+    assert all(type(x) is QNUM for row in m.entries for x in row)
+    assert len(m.entries) == m.rows and all(len(row) == m.cols for row in m.entries)
+    return ("read", m.rows, m.cols, m.entries)
+
+
+# entries on and off the fast path, and values no reader takes; grids of
+# rows of one length, ragged rows, rows and grids that are not lists
+grid_entries = st.one_of(
+    st.integers(-3, 3), st.integers(), st.sampled_from(["1", "-1", "0", "12", "2/4", "-7/3"]),
+    st.sampled_from(["+2", "1.0", "1_0", "\u0663", "", "1/0", "x", "-"]),
+    st.booleans(), st.floats(), st.none(), st.just([]), st.just(["1"]), st.just({}))
+well_formed = st.integers(0, 3).flatmap(lambda c: st.lists(
+    st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(["1", "0", "-1/2", "+2"])),
+             min_size=c, max_size=c), max_size=3))
+grids = st.one_of(well_formed, st.lists(st.one_of(st.lists(grid_entries, max_size=3),
+                                                  grid_entries), max_size=3),
+                  grid_entries, st.text(max_size=2), st.dictionaries(st.text(max_size=1),
+                                                                    st.integers(), max_size=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(grids, st.sampled_from([None, 0, 1, 2, 3]), st.sampled_from([None, 0, 1, 2, 3]))
+@example([[1, "1"], [True, "2"]], 2, 2)
+@example([[1], [1.0]], None, 1)
+@example([["1", "2"], ["3"]], None, None)
+@example("", None, 0)
+@example({"a": 1}, None, None)
+@example([[[1]]], 1, 1)
+def test_entries_and_checked_reads_agree(rows, nrows, ncols):
+    """A grid read through a fresh _Entries gives the matrix, or the
+    refusal, of the checked read."""
+    assert read_outcome(rows, nrows, ncols, _Entries()) == read_outcome(rows, nrows, ncols, None)
+
+
+class Place:
+    """A place format that fails the test if it is formatted."""
+
+    def __mod__(self, args):
+        raise AssertionError("a place was formatted for %r" % (args,))
+
+
+def test_a_well_formed_grid_formats_no_place():
+    entries = _Entries()
+    for rows, nrows, ncols in (([["1", "-1/2"], [0, "3"]], 2, 2), ([["1"]], None, 1),
+                               ([], None, 4), ([[]], 1, None)):
+        m = mat_from_json(rows, nrows, ncols, (Place(), "a"), entries)
+        assert (m.rows, m.cols) == (len(rows), len(rows[0]) if rows else ncols)
+    with pytest.raises(AssertionError, match="a place was formatted"):
+        mat_from_json([["1"], ["2", "3"]], None, 1, (Place(), "a"), entries)
 
 
 def test_save_model_writes_json_dumps_text_once():

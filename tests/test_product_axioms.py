@@ -102,7 +102,7 @@ def per_vector_report(m):
 
     ok, bad = True, ""
     for s in m.strata:
-        km = a.kmax[s.name]
+        km = len(a.filtrations[s.name])
         for k in range(-1, km + 1):
             for l in range(-1, km + 1):
                 for i in range(top + 1):

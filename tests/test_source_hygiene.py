@@ -24,7 +24,9 @@ stratum-kind weight tables ``_XBAR`` and ``_EBAR``, so every other module
 reads a stratum's weights through ``Stratum.xbar`` and ``Stratum.ebar``.
 No module asks ``contains_subspace`` of a ``map_image``: whether W contains
 f(V) is read from the coordinates of f * V.basis in W, with no image
-subspace built and no elimination.
+subspace built and no elimination.  Only ``model.mat_from_json`` and the
+per-document memo ``_Entries.__missing__`` call ``rat_from_json``, so every
+matrix and vector a JSON document carries is read by one reader.
 """
 
 import ast
@@ -356,3 +358,37 @@ def test_the_checks_see_a_containment_of_an_image():
                      "def clean(w, e, v, u):\n"
                      "    return w.coords_of(e * v.basis) is not None and w.contains_subspace(u)\n")
     assert image_containments(tree) == [("one", 2), ("split", 5), ("bound", 11)]
+
+
+def scoped_calls(tree, names):
+    """calls(tree, names), with a call inside a method of a top-level class
+    named ``Class.method``."""
+    out = []
+    for top in tree.body:
+        scopes = ([("%s.%s" % (top.name, getattr(f, "name", None)), f) for f in top.body]
+                  if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
+        for name, scope in scopes:
+            out += [(name, line) for _, line in calls(ast.Module([scope], []), names)]
+    return out
+
+
+def test_only_the_matrix_reader_reads_entries():
+    """Every grid of a document, a level, the Euler cocycle, an iso matrix
+    or the cone metadata's link_eub, is read by mat_from_json."""
+    found = {(name, scope) for name, tree in TREES.items()
+             for scope, _ in scoped_calls(tree, {"rat_from_json"})}
+    assert found == {("model.py", "mat_from_json"), ("model.py", "_Entries.__missing__")}
+
+
+def test_the_checks_see_a_second_entry_reader():
+    tree = ast.parse("def mat_from_json(rows, where):\n"
+                     "    return [[rat_from_json(x, where) for x in r] for r in rows]\n\n"
+                     "class _Entries(dict):\n    cache = True\n\n"
+                     "    def __missing__(self, x):\n        return rat_from_json(x, 'entry')\n\n"
+                     "    def rows(self, rows):\n"
+                     "        return [model.rat_from_json(x, 'r') for x in rows]\n\n"
+                     "def _vec_from_json(v, where):\n"
+                     "    return tuple(rat_from_json(x, where) for x in v)\n")
+    assert scoped_calls(tree, {"rat_from_json"}) == [
+        ("mat_from_json", 2), ("_Entries.__missing__", 8), ("_Entries.rows", 11),
+        ("_vec_from_json", 14)]
