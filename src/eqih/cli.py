@@ -309,8 +309,8 @@ def _cmd_selftest(m, p, args):
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built once per process: parsing does not change
-    it."""
+    """The argument parser and its map from command name to subparser,
+    built once per process: parsing changes neither."""
     parser = argparse.ArgumentParser(
         prog="eqih",
         description="Exact computations for circle actions on stratified "
@@ -380,11 +380,26 @@ def _build_parser():
     sp.add_argument("--seeds", type=int, default=10,
                     help="number of seeded random models (at least 0)")
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv):
+    """The namespace the full parser gives, read by argv[0]'s own subparser
+    where that takes every argument: the full parser would hand it the same
+    arguments.  Anything else, no arguments, no command first or arguments
+    left over, goes to the full parser, which writes its usage or error."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     report = {"schema": SCHEMA, "command": args.command}
     try:
         m = p = None

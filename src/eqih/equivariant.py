@@ -28,8 +28,8 @@ from .homalg import (ChainMap, Cohomology, Complex, LongExactSequence, SesData, 
                      check_short_exact, subcomplex)
 from .model import ModelInstance, Perversity, per_model
 from .perverse import _sign, ambient_complexes, euler_map, omega_spaces, perverse_complex
-from .ratla import (Matrix, Subspace, block_matrix, image, intersect, kernel, map_image,
-                    preimage, subspace_sum)
+from .ratla import (Matrix, Subspace, block_matrix, image, kernel, map_image, preimage,
+                    subspace_sum)
 
 
 def default_window(m: ModelInstance) -> int:
@@ -69,7 +69,7 @@ def build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
                                               [(0, 0, fp.basis), (na, fp.dim, om)]))
         # pairs whose twisted differential head stays in level
         head = Matrix._of(a.dim(k + 1), na + nb, pair.d(k).entries[:a.dim(k + 1)])
-        spaces[k] = intersect(prod, preimage(head, m.filtration_level(p, k + 1)))
+        spaces[k] = preimage(head, m.filtration_level(p, k + 1), within=prod)
     cx, _ = subcomplex(pair, spaces)
     return Eq1Complex(cx, spaces)
 

@@ -66,6 +66,7 @@ from .ratla import (
     intersect,
     kernel,
     map_image,
+    preimage,
     primitive_row,
     quotient,
     rat,
@@ -325,9 +326,10 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
     euler = _solve_euler_op(rng, a, constraints)
 
     # closed cocycle inside every stratum's Euler level in degree 2
-    eps_space = kernel(a.diff(2))
+    levels = Subspace.full(a.dim(2))
     for s in strata:
-        eps_space = intersect(eps_space, a.filtration(s.name, s.ebar, 2))
+        levels = intersect(levels, a.filtration(s.name, s.ebar, 2))
+    eps_space = preimage(a.diff(2), Subspace.zero(a.dim(3)), within=levels)
     eps = [0] * a.dim(2)
     for b in eps_space.vectors():
         c = rng.randint(-2, 2)

@@ -14,7 +14,10 @@ complex, shift or untwisted tensor copy of one of these.  subcomplex checks
 d-stability, quotient_complex that its projection is a chain map, chain_map
 its maps, and check_short_exact the exactness of two chain maps; Cohomology
 and SesData check nothing.  A long exact sequence checks its own exactness
-once, through check_exact, the first time it is read.
+once, through check_exact, the first time it is read, and takes the image
+and the kernel of each distinct map object once: the sequence of a
+u-extension reads its folded degrees at their fold (see
+equivariant.LambdaExtension.fold), so their nodes share map objects.
 
 A degree where an operand is empty is skipped, since every check there
 holds between empty matrices: chain map squares whose source degree or
@@ -234,13 +237,20 @@ class LongExactSequence:
 
 
 def check_exact(seq: LongExactSequence):
-    """Per-interior-node report of image/kernel dimensions."""
+    """Per-interior-node report of image/kernel dimensions.  The image and
+    the kernel of each distinct map object are taken once: the nodes of
+    folded degrees share their maps."""
+    images, kernels = {}, {}
     report = []
     for i in range(1, seq.node_count() - 1):
         incoming = seq.maps[i - 1]
         outgoing = seq.maps[i]
-        im = image(incoming)
-        ker = kernel(outgoing)
+        if id(incoming) not in images:
+            images[id(incoming)] = image(incoming)
+        if id(outgoing) not in kernels:
+            kernels[id(outgoing)] = kernel(outgoing)
+        im = images[id(incoming)]
+        ker = kernels[id(outgoing)]
         ok = im == ker
         report.append({
             "node": seq.labels[i],

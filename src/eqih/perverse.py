@@ -24,7 +24,7 @@ from .errors import InputError, InternalInvariantViolation, WitnessNotFound
 from .homalg import (ChainMap, Cohomology, Complex, LongExactSequence, SesData, chain_map,
                      quotient_complex, subcomplex)
 from .model import ModelInstance, Perversity, check_axioms, per_model
-from .ratla import Matrix, Subspace, block_matrix, intersect, preimage, quotient
+from .ratla import Matrix, Subspace, block_matrix, preimage, quotient
 
 
 def _sign(k):
@@ -88,8 +88,8 @@ class PerverseComplex:
 def omega_spaces(m: ModelInstance, p: Perversity) -> dict:
     """The spaces of Omega_p, degree -> Subspace of the ambient degree: the
     forms in the p-level whose differential stays in the level."""
-    return {k: intersect(m.filtration_level(p, k),
-                         preimage(m.ambient.diff(k), m.filtration_level(p, k + 1)))
+    return {k: preimage(m.ambient.diff(k), m.filtration_level(p, k + 1),
+                        within=m.filtration_level(p, k))
             for k in range(0, m.ambient.top_degree + 1)}
 
 
@@ -106,7 +106,7 @@ def perverse_complex(m: ModelInstance, p: Perversity) -> PerverseComplex:
         # F^{k+2} + d(F^{k+1}), spanned at once
         allowance = Subspace.from_matrix(m.filtration_level(p, k + 2).basis.hstack(
             a.diff(k + 1) * m.filtration_level(p, k + 1).basis))
-        gysin_spaces[k] = intersect(lower[k], preimage(a.euler(k), allowance))
+        gysin_spaces[k] = preimage(a.euler(k), allowance, within=lower[k])
         coords = spaces[k].coords_of(gysin_spaces[k].basis)
         if coords is None:
             raise InternalInvariantViolation(

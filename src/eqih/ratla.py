@@ -21,20 +21,25 @@ a whole matrix of right-hand sides with a single elimination.  One routine,
 one rref of the column-reversed matrix puts every free column f at the head
 of its own kernel vector, so those vectors, cut to the domain, already are
 the canonical basis (see ``_free_span``), and an intersection is one such
-basis times a canonical one, which is canonical too.  Tuples stand for single
-vectors only at the edges: the rows ``Matrix.kernel_basis`` returns and
-``Subspace.vectors``, which serialization and the random generator read.
+basis times a canonical one, which is canonical too.  So is a preimage
+within a subspace V, {x in V : m*x in W}: the solutions of
+[m*V.basis | W.basis], cut to V's coordinates, times V.basis, one
+elimination where a preimage then an intersection take two.  Tuples stand
+for single vectors only at the edges: the rows ``Matrix.kernel_basis``
+returns and ``Subspace.vectors``, which serialization and the random
+generator read.
 
 An operand that fixes the answer costs no elimination: the kernel of a zero
 or empty matrix is the full space, the span of zero rows is the zero space,
 the span of rows that already are a reduced row echelon basis has them as
 its canonical basis (so a saved model document, whose levels list such
-rows, loads with none), a preimage of the zero subspace is a kernel, and
-full / zero is the identity quotient.  Nor does it cost a product: a
-product with an empty factor is the cached ``Matrix.zero``, a product with
-the cached ``Matrix.identity`` as a factor (tested with ``is``) is the
-other factor, coordinates in the zero subspace are read without one, and a
-subspace contains itself.
+rows, loads with none), a preimage of the zero subspace is a kernel, a
+preimage of the full space, or within the zero space, is the space it is
+taken within, and full / zero is the identity quotient.  Nor does it cost
+a product: a product with an empty factor is the cached ``Matrix.zero``, a
+product with the cached ``Matrix.identity`` as a factor (tested with
+``is``) is the other factor, coordinates in the zero subspace are read
+without one, and a subspace contains itself.
 
 Every matrix entry is a ``QNUM``.  The public ``Matrix(rows, cols, entries)``
 coerces each entry through ``rat`` and checks the declared shape; the private
@@ -531,10 +536,29 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.ambient_dim, a.basis * s.basis)
 
 
-def preimage(m: Matrix, w: Subspace) -> Subspace:
-    """{x : m*x in w} as a subspace of the domain."""
+def preimage(m: Matrix, w: Subspace, within: Subspace = None) -> Subspace:
+    """{x in within : m*x in w} as a subspace of the domain; within is the
+    whole domain unless given.  A proper within V takes one elimination,
+    of [m*V.basis | w.basis]: its canonical solution basis s, times the
+    canonical V.basis, is canonical, as in ``intersect``."""
     if m.rows != w.ambient_dim:
         raise AmbientMismatch(m.rows, w.ambient_dim)
+    if within is not None and within.ambient_dim != m.cols:
+        raise AmbientMismatch(m.cols, within.ambient_dim)
+    if within is None or within.is_full():
+        return _preimage(m, w)
+    if within.is_zero() or w.is_full():
+        return within
+    s = _preimage(m * within.basis, w)
+    if s.is_zero():
+        return Subspace.zero(m.cols)
+    if s.is_full():
+        return within
+    return Subspace(m.cols, within.basis * s.basis)
+
+
+def _preimage(m: Matrix, w: Subspace) -> Subspace:
+    """{x : m*x in w}, for w in m's target."""
     if w.is_full():
         return Subspace.full(m.cols)
     if w.is_zero():

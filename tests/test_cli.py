@@ -1,4 +1,3 @@
-import argparse
 import io
 import json
 import pathlib
@@ -581,8 +580,7 @@ class TestDispatch:
     def test_every_command_writes_its_header_first(self, capsys, tmp_path, cone_file,
                                                    hopf_file):
         argvs = self.argvs(tmp_path, cone_file, hopf_file)
-        commands = next(a for a in cli._build_parser()._actions
-                        if isinstance(a, argparse._SubParsersAction)).choices
+        _, commands = cli._build_parser()
         assert set(argvs) == set(commands)
         for command, (rest, head) in argvs.items():
             want = {"schema": "eqih-report/1", "command": command, **head}
@@ -592,6 +590,46 @@ class TestDispatch:
                 assert top_level_keys(out)[:len(want)] == list(want), (command, human)
                 if not human:
                     assert {key: json.loads(out)[key] for key in want} == want, command
+
+    def test_a_command_parses_as_the_full_parser_does(self, tmp_path, cone_file, hopf_file):
+        """main reads argv by argv[0]'s own subparser: for every command, and
+        options in any order, the namespace is the full parser's."""
+        parser, _ = cli._build_parser()
+        argvs = [[command, *rest, *human] for command, (rest, _)
+                 in self.argvs(tmp_path, cone_file, hopf_file).items()
+                 for human in ([], ["--human"])]
+        argvs += [["validate", "--strict", cone_file], ["equivariant", "--nu", "3", cone_file],
+                  ["spectral", cone_file, "--pages", "2", "--d3-check", "-p", "apex=1"],
+                  ["localize", "--cone-check", cone_file],
+                  ["fixture", "random", "--seed", "3", "--size", "4"], ["selftest"],
+                  ["cohomology", "--human", "-p=apex=0", "--", cone_file]]
+        for argv in argvs:
+            assert cli._parse_args(argv) == parser.parse_args(argv), argv
+
+    def test_refused_argv_reads_as_under_the_full_parser(self, capsys, monkeypatch, cone_file,
+                                                         tmp_path):
+        """stdout, stderr and the exit code of every argv the subparser alone
+        does not take are the full parser's."""
+        parser, _ = cli._build_parser()
+        argvs = [[], ["-h"], ["nosuch", cone_file], ["--human", "validate", cone_file],
+                 ["cohomology", "-h"], ["cohomology"],
+                 ["cohomology", str(tmp_path / "missing.json")],
+                 ["equivariant", cone_file, "--nu", "x"], ["cohomology", cone_file, "extra"],
+                 ["cohomology", cone_file, "--bogus"], ["validate", "--strict=1", cone_file]]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = ("exit", e.code)
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        ours = [outcome(argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_parse_args", parser.parse_args)
+        full = [outcome(argv) for argv in argvs]
+        assert ours == full
+        assert all(out or err for _, out, err in ours)
 
 
 class TestDeterminism:

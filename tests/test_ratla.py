@@ -616,6 +616,52 @@ def test_preimage_matches_row_span_reference(m, data):
     assert_same_space(preimage(m, w), row_span_preimage(m, w))
 
 
+def restricted_preimage_cases(seed):
+    """(m, w, within) for a seeded m of 0 to 6 rows and columns, zero in
+    some draws, every w among two drawn, the zero and the full space of its
+    target, and every within among two drawn, the zero and the full space
+    of its domain and the kernel of m, which m sends into every w."""
+    rng = random.Random(seed)
+    r, c = rng.randint(0, 6), rng.randint(0, 6)
+    grid = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(c)] for _ in range(r)]
+    m = Matrix(r, c, grid) if rng.random() < 0.8 else Matrix.zero(r, c)
+    targets = [seeded_subspace(rng, r, rng.randint(0, max(r - 1, 0))) for _ in range(2)]
+    targets += [Subspace.zero(r), Subspace.full(r)]
+    domains = [seeded_subspace(rng, c, rng.randint(0, max(c - 1, 0))) for _ in range(2)]
+    domains += [Subspace.zero(c), Subspace.full(c), kernel(m)]
+    return [(m, w, v) for w in targets for v in domains]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_restricted_preimage_matches_intersection(monkeypatch, seed):
+    """preimage(m, w, within) is intersect(within, preimage(m, w)), basis
+    for basis, from at most one elimination."""
+    rref = Matrix.rref
+    count = collections.Counter()
+
+    def counting_rref(self):
+        count["rref"] += 1
+        return rref(self)
+
+    for m, w, within in restricted_preimage_cases(seed):
+        want = intersect(within, preimage(m, w))
+        monkeypatch.setattr(Matrix, "rref", counting_rref)
+        count.clear()
+        got = preimage(m, w, within=within)
+        monkeypatch.setattr(Matrix, "rref", rref)
+        assert_same_space(got, want)
+        assert count["rref"] <= 1
+
+
+def test_restricted_preimage_refuses_a_mismatched_ambient():
+    m = M([[1, 0, 2], [0, 1, 1]])
+    for within in (Subspace.zero(2), Subspace.full(2), Subspace.from_vectors(4, [(1, 0, 0, 0)])):
+        with pytest.raises(AmbientMismatch):
+            preimage(m, Subspace.full(2), within=within)
+    with pytest.raises(AmbientMismatch):
+        preimage(m, Subspace.zero(3), within=Subspace.full(3))
+
+
 @settings(max_examples=100, deadline=None)
 @given(nested_pairs())
 def test_quotient_matches_inverted_reference(pair):

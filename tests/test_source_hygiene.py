@@ -24,7 +24,9 @@ stratum-kind weight tables ``_XBAR`` and ``_EBAR``, so every other module
 reads a stratum's weights through ``Stratum.xbar`` and ``Stratum.ebar``.
 No module asks ``contains_subspace`` of a ``map_image``: whether W contains
 f(V) is read from the coordinates of f * V.basis in W, with no image
-subspace built and no elimination.  Only ``model.mat_from_json`` and the
+subspace built and no elimination.  No module intersects a space with a
+``preimage``: {x in V : m*x in W} is ``preimage(m, W, within=V)``, one
+elimination where the two calls take two.  Only ``model.mat_from_json`` and the
 per-document memo ``_Entries.__missing__`` call ``rat_from_json``, so every
 matrix and vector a JSON document carries is read by one reader.
 """
@@ -318,24 +320,34 @@ def test_the_checks_see_a_weight_table_named_elsewhere():
     assert not referenced_names(clean) & WEIGHT_TABLES
 
 
-def image_containments(tree):
-    """(top-level definition, line) of every ``contains_subspace`` call whose
-    argument is a ``map_image`` call, written inside it (on one line or
-    several) or bound to a name earlier in the same definition."""
-    def is_map_image(node):
-        return isinstance(node, ast.Call) and "map_image" in (
+def nested_calls(tree, outer, inner):
+    """(top-level definition, line) of every call of outer, spelled as a
+    name or an attribute, with an argument that is a call of inner, written
+    inside it (on one line or several) or bound to a name earlier in the
+    same definition."""
+    def is_call(node, name):
+        return isinstance(node, ast.Call) and name in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None))
 
     out = []
     for top in tree.body:
-        images = {t.id for node in ast.walk(top) if isinstance(node, ast.Assign)
-                  and is_map_image(node.value) for t in node.targets if isinstance(t, ast.Name)}
+        bound = {t.id for node in ast.walk(top) if isinstance(node, ast.Assign)
+                 and is_call(node.value, inner) for t in node.targets if isinstance(t, ast.Name)}
         for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "contains_subspace"
-                    and any(is_map_image(a) or getattr(a, "id", None) in images
-                            for a in node.args)):
+            if is_call(node, outer) and any(is_call(a, inner) or getattr(a, "id", None) in bound
+                                            for a in node.args):
                 out.append((getattr(top, "name", None), node.lineno))
     return out
+
+
+def image_containments(tree):
+    """Every ``contains_subspace`` call of a ``map_image``."""
+    return nested_calls(tree, "contains_subspace", "map_image")
+
+
+def preimage_intersections(tree):
+    """Every ``intersect`` call of a ``preimage``."""
+    return nested_calls(tree, "intersect", "preimage")
 
 
 def test_no_containment_builds_an_image():
@@ -344,6 +356,28 @@ def test_no_containment_builds_an_image():
     found = [(name, top, line) for name, tree in TREES.items()
              for top, line in image_containments(tree)]
     assert not found, "containments of a built image: %s" % found
+
+
+def test_no_intersection_of_a_preimage():
+    """{x in V : m*x in W} is ``preimage(m, W, within=V)``, one elimination,
+    and never the intersection of V with a built preimage, two."""
+    found = [(name, top, line) for name, tree in TREES.items()
+             for top, line in preimage_intersections(tree)]
+    assert not found, "intersections of a built preimage: %s" % found
+
+
+def test_the_checks_see_an_intersection_of_a_preimage():
+    """The nested call on one line or split over lines, and a name bound to
+    a preimage, are reported; a restricted preimage and an intersection of
+    spaces that are no preimage are not."""
+    tree = ast.parse("def one(v, m, w):\n    return intersect(v, preimage(m, w))\n\n"
+                     "def split(v, m, w):\n    return ratla.intersect(\n"
+                     "        ratla.preimage(m,\n                       w), v)\n\n"
+                     "def bound(v, m, w):\n    pre = preimage(m, w)\n"
+                     "    return intersect(v, pre).dim\n\n"
+                     "def clean(v, m, w, u):\n"
+                     "    return preimage(m, w, within=v), intersect(v, u)\n")
+    assert preimage_intersections(tree) == [("one", 2), ("split", 5), ("bound", 11)]
 
 
 def test_the_checks_see_a_containment_of_an_image():
