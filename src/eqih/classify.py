@@ -20,7 +20,7 @@ from .errors import InvalidIso, TheoremViolation
 from .localize import lambda_u_module
 from .model import ModelInstance, Perversity, vec_to_json
 from .perverse import omega_spaces
-from .ratla import Matrix, rat
+from .ratla import Matrix
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def _witness(iso: ModelIso, m1: ModelInstance, m2: ModelInstance):
     a1, a2 = m1.ambient, m2.ambient
     diff = iso.mat(m1, m2, 2) * a2.epsilon() - a1.epsilon()
     if diff.is_zero():
-        return True, (rat(0),) * a1.dim(1)
+        return True, (0,) * a1.dim(1)
     # diff is a non-zero degree-2 form, so degree 1 lies in 0..top
     omega1 = omega_spaces(m1, m1.euler_perversity())[1]
     x = (a1.diff(1) * omega1.basis).solve(diff)

@@ -62,6 +62,7 @@ from .ratla import (
     Matrix,
     Subspace,
     block_matrix,
+    divide,
     image,
     intersect,
     kernel,
@@ -286,7 +287,7 @@ def _solve_euler_op(rng, a: AmbientModel, filtration_constraints):
     for f in free:
         x[f] = rng.randint(-2, 2)
     for row, pc in zip(rows, pivots):
-        x[pc] = rat(-sum(row[f] * x[f] for f in free if row[f])) / row[pc]
+        x[pc] = divide(-sum(row[f] * x[f] for f in free if row[f]), row[pc])
     return [Matrix(a.dim(k + 2), a.dim(k),
                    [[x[offsets[k] + r * a.dim(k) + c] for c in range(a.dim(k))]
                     for r in range(a.dim(k + 2))])
@@ -294,10 +295,10 @@ def _solve_euler_op(rng, a: AmbientModel, filtration_constraints):
 
 
 # the largest random_model size: over seeds 0-19 the slowest model takes
-# 0.3 s at size 20 and 6.1 s at size 24 (Python 3.11, Fraction scalars, one
-# core of a 2-CPU x86 machine); at size 24 nearly all of it goes to the
-# scaled row updates of one 460 x 786 Euler-operator system, whose entries
-# grow to 71 bits
+# 0.25 s of process time at size 20, and seed 13 takes 4.5-5.0 s at size 24
+# (Python 3.11, int entries and Fraction for the rest, one core of a 2-CPU
+# x86 machine); at size 24 nearly all of it goes to the scaled row updates
+# of one 460 x 786 Euler-operator system, whose entries grow to 71 bits
 MAX_RANDOM_SIZE = 20
 
 

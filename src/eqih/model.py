@@ -403,24 +403,24 @@ def _validate_product(m: ModelInstance, report):
 
 
 def rat_from_json(x, where):
-    """A JSON integer, or a string the scalar type reads, as an exact
-    rational.  With ``Fraction`` that is its whole string grammar: 'p/q',
-    and also signs, decimals, exponents, underscores and non-ASCII digits
-    ('+2', '1.5', '1e3', '1_0', '\u0663'), as tests/test_model.py pins.  A
-    JSON float is refused: it arrives as a binary fraction, not the number
-    its text shows.
+    """A JSON integer, or a string ``ratla.rat`` reads, as an exact rational:
+    an int when it is integral, else a QNUM.  ``rat`` reads every string by
+    ``Fraction``'s grammar, on either backend: 'p/q', and also signs,
+    decimals, exponents, underscores and non-ASCII digits ('+2', '1.5',
+    '1e3', '1_0', '\u0663'), as tests/test_model.py pins.  A JSON float is
+    refused: it arrives as a binary fraction, not the number its text shows.
 
     JSON integers and plain ASCII '-?digits' strings, the common entries,
-    take a fast path through ``int`` into ``rat``, which gives the shared
-    value for -1, 0 and 1; every other input goes through ``rat`` as it is,
-    which accepts the same inputs and gives the same values for these."""
+    take a fast path through ``int``; every other input goes through ``rat``
+    as it is, which accepts the same inputs and gives the same values for
+    these."""
     if type(x) is int:
-        return rat(x)
+        return x
     if isinstance(x, (bool, float)):
         raise InputError("%s: %r is not an integer or a 'p/q' string" % (where, x))
     try:
         if type(x) is str and x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
-            return rat(int(x))
+            return int(x)
         return rat(x)
     except (ValueError, ZeroDivisionError, TypeError) as e:
         raise InputError("bad rational in %s: %s" % (where, e))
@@ -488,7 +488,7 @@ def mat_from_json(rows, nrows, ncols, where, entries=None) -> Matrix:
 
 
 class _Entries(dict):
-    """Entry -> QNUM for one document, read by rat_from_json at its first
+    """Entry -> value for one document, read by rat_from_json at its first
     lookup.  Only strings are kept, so true and 1.0, which equal the integer
     1, are read, and refused, every time."""
 
@@ -534,7 +534,7 @@ def model_from_dict(data: dict) -> ModelInstance:
     """The model a document spells, or an InputError naming its first
     fault.  Every grid (d, each filtration level, euler_cocycle as one row,
     euler_op and product) is read by mat_from_json through one _Entries,
-    so each distinct entry string is parsed once into a QNUM, with no
+    so each distinct entry string is parsed once into its value, with no
     second coercion, and a place is formatted only for a refusal."""
     _typed(data, dict, "model document")
     for key in ("name", "top_degree", "dims", "d", "strata", "filtrations",

@@ -41,44 +41,50 @@ product with the cached ``Matrix.identity`` as a factor (tested with
 ``is``) is the other factor, coordinates in the zero subspace are read
 without one, and a subspace contains itself.
 
-Every matrix entry is a ``QNUM``.  The public ``Matrix(rows, cols, entries)``
-coerces each entry through ``rat`` and checks the declared shape; the private
-``Matrix._of`` does neither and takes a tuple of tuples of ``QNUM`` as it is,
-so it is used only for entries that come out of ``QNUM`` arithmetic or out of
-existing matrices.  ``QNUM(...)`` is called in this module only.  ``QNUM``
-values are immutable, so the integers -1, 0 and 1 are shared: ``rat`` gives
-the one value in ``SMALL`` for each, and so do ``Matrix.__mul__`` and
-``Matrix.rref`` in a pivot row whose pivot is 1 or -1.
+An integral entry is a Python ``int`` on either backend, and any other
+entry a ``QNUM``: ``rat`` gives that form, and so do the product, ``rref``,
+``kernel``, ``zero``, ``identity`` and ``divide``, the exact quotient of two
+entries.  A sum or a scaling may leave an integral ``QNUM``, which every
+routine here reads by its value.  The public ``Matrix(rows, cols, entries)``
+coerces each entry through ``rat`` and checks the declared shape; the
+private ``Matrix._of`` does neither, so it is used only for entries that come
+out of scalar arithmetic or out of existing matrices.  Only this module
+calls ``QNUM(...)`` or divides, so no entry is a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from fractions import Fraction
 from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as QNUM
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as QNUM
+    QNUM = Fraction
 
 from .errors import AmbientMismatch, NotASubspace
 
-# the shared scalars: one QNUM per integer -1, 0 and 1, the most common
-# entries by far; QNUM values are immutable, so every matrix may hold them
-SMALL = {a: QNUM(a) for a in (-1, 0, 1)}
-ZERO = SMALL[0]
-ONE = SMALL[1]
 
-
-def rat(x) -> "QNUM":
-    """Coerce ints, 'p/q' strings and rationals to the scalar type; an int
-    in ``SMALL`` gives the shared value."""
-    if type(x) is QNUM:
+def rat(x):
+    """An int, string or rational as an entry: an int when it is integral,
+    else a QNUM.  Strings are read by ``Fraction``'s grammar on either
+    backend, so the accepted set and the error texts are the same on both."""
+    if type(x) is int:
         return x
-    if type(x) is int and -1 <= x <= 1:
-        return SMALL[x]
-    return QNUM(x)
+    if type(x) is str:
+        x = Fraction(x)
+    if type(x) is not QNUM:
+        x = QNUM(x)
+    return int(x.numerator) if x.denominator == 1 else x
+
+
+def divide(a, b):
+    """The exact quotient a / b of two entries, b non-zero, as ``rat`` gives
+    it."""
+    n, d = a.numerator * b.denominator, a.denominator * b.numerator
+    return _ratio(-n, -d) if d < 0 else _ratio(n, d)
 
 
 class Matrix:
@@ -96,8 +102,8 @@ class Matrix:
 
     @classmethod
     def _of(cls, rows, cols, entries) -> "Matrix":
-        """Matrix over a tuple of tuples of QNUM, taken without coercion or
-        shape check."""
+        """Matrix over a tuple of tuples of entries, taken without coercion
+        or shape check."""
         m = object.__new__(cls)
         _SET_ROWS(m, rows)
         _SET_COLS(m, cols)
@@ -118,13 +124,12 @@ class Matrix:
     @staticmethod
     @cache
     def zero(rows, cols) -> "Matrix":
-        return Matrix._of(rows, cols, ((ZERO,) * cols,) * rows)
+        return Matrix._of(rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     @cache
     def identity(n) -> "Matrix":
-        return Matrix._of(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                                        for i in range(n)))
+        return Matrix._of(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def transpose(self) -> "Matrix":
         entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
@@ -157,7 +162,7 @@ class Matrix:
         if c == 1:
             return self
         if c == -1:
-            return Matrix._of(self.rows, self.cols, tuple(tuple([-x if x else x for x in row])
+            return Matrix._of(self.rows, self.cols, tuple(tuple([-x for x in row])
                                                           for row in self.entries))
         c = rat(c)
         return Matrix._of(self.rows, self.cols,
@@ -182,7 +187,7 @@ class Matrix:
         den = lcm(*[b.denominator for terms in nonzero for _, b in terms])
         nonzero = [[(j, b.numerator * (den // b.denominator)) for j, b in terms]
                    for terms in nonzero]
-        zero_row = (ZERO,) * other.cols
+        zero_row = (0,) * other.cols
         out = []
         for row in self.entries:
             parts = [(a, terms) for a, terms in zip(row, nonzero) if terms and a]
@@ -197,7 +202,7 @@ class Matrix:
                     acc[j] += a * b
             d = rden * den
             if d == 1:
-                out.append(tuple([SMALL[x] if -1 <= x <= 1 else QNUM(x) for x in acc]))
+                out.append(tuple(acc))
             else:
                 out.append(tuple([_ratio(x, d) for x in acc]))
         return Matrix._of(self.rows, other.cols, tuple(out))
@@ -217,8 +222,7 @@ class Matrix:
         The elimination is ``rref_integer_rows`` on the rows scaled to
         primitive integer rows; only the pivot rows are divided by their
         pivots, at the end; a pivot row whose pivot is 1 or -1 needs no
-        division, and its entries go through ``rat``, which shares -1, 0
-        and 1."""
+        division, and keeps its integer entries."""
         nrows, ncols = self.rows, self.cols
         if not nrows or not ncols:
             return self, []
@@ -227,11 +231,10 @@ class Matrix:
         out = []
         for row, c in zip(m, pivots):
             p = row[c]
-            if p == 1 or p == -1:
-                out.append(tuple(rat(p * a) for a in row))
-            else:
-                out.append(tuple(QNUM(a, p) if a else ZERO for a in row))
-        out.extend([(ZERO,) * ncols] * (nrows - len(pivots)))
+            if p < 0:
+                row, p = [-a for a in row], -p
+            out.append(tuple(row) if p == 1 else tuple([_ratio(a, p) for a in row]))
+        out.extend([(0,) * ncols] * (nrows - len(pivots)))
         return Matrix._of(nrows, ncols, tuple(out)), pivots
 
     def rank(self) -> int:
@@ -244,8 +247,8 @@ class Matrix:
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
         for fc in free:
-            v = [ZERO] * self.cols
-            v[fc] = ONE
+            v = [0] * self.cols
+            v[fc] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = -red.entries[r][fc]
             basis.append(tuple(v))
@@ -261,7 +264,7 @@ class Matrix:
         red, pivots = self.hstack(rhs).rref()
         if pivots and pivots[-1] >= self.cols:
             return None
-        x = [(ZERO,) * rhs.cols] * self.cols
+        x = [(0,) * rhs.cols] * self.cols
         for r, pc in enumerate(pivots):
             x[pc] = red.entries[r][self.cols:]
         return Matrix._of(self.cols, rhs.cols, tuple(x))
@@ -273,19 +276,19 @@ _SET_ROWS, _SET_COLS, _SET_ENTRIES = (
 
 
 def _ratio(n, d):
-    """n / d as a QNUM, for integers n and d > 0; -1, 0 and 1 are the shared
-    values."""
+    """n / d for integers n and d > 0: an int when d divides n, else a
+    QNUM."""
     q, r = divmod(n, d)
-    if r:
-        return QNUM(n, d)
-    return SMALL[q] if -1 <= q <= 1 else QNUM(q)
+    return QNUM(n, d) if r else int(q)
 
 
 def primitive_row(row):
     """A row of rationals scaled to a primitive integer row: denominators
-    cleared, then divided by the gcd of the entries."""
+    cleared (``int`` turns gmpy2's ``mpz`` into an int), then divided by the
+    gcd of the entries."""
     den = lcm(*[x.denominator for x in row])
-    ints = [x.numerator * (den // x.denominator) for x in row]
+    ints = ([x.numerator for x in row] if den == 1
+            else [int(x.numerator * (den // x.denominator)) for x in row])
     g = gcd(*ints)
     return ints if g <= 1 else [a // g for a in ints]
 
@@ -360,7 +363,7 @@ def rref_integer_rows(m, ncols):
 def block_matrix(rows, cols, blocks) -> Matrix:
     """rows x cols matrix holding each (row offset, column offset, Matrix)
     of blocks and zero elsewhere; blocks must not overlap."""
-    grid = [[ZERO] * cols for _ in range(rows)]
+    grid = [[0] * cols for _ in range(rows)]
     for r0, c0, blk in blocks:
         for i, row in enumerate(blk.entries):
             grid[r0 + i][c0:c0 + blk.cols] = row
@@ -376,10 +379,10 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _row_span(ambient_dim, rows) -> "Subspace":
-    """The span of rows, vectors of Q^ambient_dim with QNUM entries, with
-    the non-zero rows of their reduced row echelon form as its canonical
-    basis columns; zero rows are dropped, and rows that already are that
-    basis (``_is_reduced``) are taken as they are, with no elimination."""
+    """The span of rows, vectors of Q^ambient_dim, with the non-zero rows
+    of their reduced row echelon form as its canonical basis columns; zero
+    rows are dropped, and rows that already are that basis
+    (``_is_reduced``) are taken as they are, with no elimination."""
     rows = tuple(filter(any, rows))
     if not rows:
         return Subspace.zero(ambient_dim)
@@ -497,10 +500,10 @@ def _free_span(a: Matrix, keep) -> Subspace:
     for i in range(keep):
         r = row_of.get(i)
         if r is None:
-            out.append(tuple(ONE if f == i else ZERO for f in free))
+            out.append(tuple(int(f == i) for f in free))
         else:
             row = red.entries[r]
-            out.append(tuple(-row[c] if row[c] else ZERO for c in back))
+            out.append(tuple([-row[c] for c in back]))
     return Subspace(keep, Matrix._of(keep, len(free), tuple(out)))
 
 

@@ -49,6 +49,7 @@ from .ratla import (
     QuotientSpace,
     Subspace,
     block_matrix,
+    divide,
     inverse,
     quotient,
 )
@@ -220,7 +221,7 @@ class SpectralSequence:
             for col in map(tuple.__add__, Matrix.identity(amb).entries, d.transpose().entries):
                 low = _low(col)
                 while low in reduced:
-                    f = col[low] / reduced[low][low]
+                    f = divide(col[low], reduced[low][low])
                     col = tuple(a - f * b for a, b in zip(col, reduced[low]))
                     low = _low(col)
                 reduced[low] = col

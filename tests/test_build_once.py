@@ -351,7 +351,7 @@ def saved_text(m):
 @pytest.mark.parametrize("name, seed, size", SAVED)
 def test_saved_documents_load_without_elimination(rrefs, monkeypatch, name, seed, size):
     """A saved level lists the reduced row echelon basis of its space, which
-    loads as it is, and each entry is read once into a QNUM: no matrix is
+    loads as it is, and each entry is read once into its value: no matrix is
     built through the coercing ``Matrix.__init__``."""
     m = fixtures.make(name, seed, size)
     text = saved_text(m)

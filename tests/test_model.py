@@ -22,7 +22,7 @@ from eqih.model import (
     validate,
     zero_perversity,
 )
-from eqih.ratla import QNUM, SMALL, rat
+from eqih.ratla import QNUM, rat
 
 
 class TestPerversity:
@@ -263,12 +263,18 @@ def general_rat_from_json(x, where):
         raise InputError("bad rational in %s: %s" % (where, e))
 
 
+def is_entry(x):
+    """Whether x is in the form rat gives: an int when it is integral, else a
+    QNUM."""
+    return type(x) is int if x.denominator == 1 else type(x) is QNUM
+
+
 def json_outcome(parse, x):
     try:
         value = parse(x, "entry")
     except InputError:
         return ("refused",)
-    assert type(value) is QNUM
+    assert is_entry(value)
     return ("accepted", value)
 
 
@@ -291,15 +297,13 @@ def test_rat_from_json_fast_path_matches_general_parse(x):
 
 
 def test_rat_from_json_of_integers_and_strings():
-    """Integers and '-?digits' strings inside and outside the shared table
-    give their values; inside it, they give the shared objects."""
+    """Integers and '-?digits' strings give their values as ints."""
     for x in range(-70, 71):
         for doc in (x, str(x)):
             value = rat_from_json(doc, "entry")
-            assert type(value) is QNUM and value == Fraction(x)
-            if x in SMALL:
-                assert value is SMALL[x]
-    assert rat_from_json("-0", "entry") is SMALL[0]
+            assert type(value) is int and value == x
+    value = rat_from_json("-0", "entry")
+    assert type(value) is int and value == 0
 
 
 # inputs off the '-?digits' fast path and their outcomes: Fraction's reading
@@ -316,6 +320,7 @@ OFF_FAST_PATH = [
     ("1.0", Fraction(1)),
     ("\u0663", Fraction(3)),
     ("-3/3", Fraction(-1)),
+    ("-6/4", Fraction(-3, 2)),
 ]
 
 
@@ -326,7 +331,8 @@ def test_rat_from_json_off_the_fast_path(x, outcome):
             rat_from_json(x, "entry")
         assert str(err.value) == outcome
     else:
-        assert rat_from_json(x, "entry") == outcome
+        value = rat_from_json(x, "entry")
+        assert value == outcome and is_entry(value)
 
 
 # -- the JSON writer -------------------------------------------------------------
@@ -471,7 +477,7 @@ def read_outcome(rows, nrows, ncols, entries):
         m = mat_from_json(rows, nrows, ncols, ("grid %s/%d", "a", 1), entries)
     except InputError as e:
         return ("refused", str(e))
-    assert all(type(x) is QNUM for row in m.entries for x in row)
+    assert all(is_entry(x) for row in m.entries for x in row)
     assert len(m.entries) == m.rows and all(len(row) == m.cols for row in m.entries)
     return ("read", m.rows, m.cols, m.entries)
 

@@ -17,7 +17,7 @@ import pytest
 
 from eqih.fixtures import cone, noperv, sphere
 from eqih.model import model_from_dict, model_to_dict, validate, vec_to_json
-from eqih.ratla import ZERO, Matrix, image, kron
+from eqih.ratla import Matrix, image, kron
 
 AXIOMS = (
     "euler cocycle: closed",
@@ -30,7 +30,7 @@ AXIOMS = (
 
 
 def apply(m, vec):
-    return tuple(sum((row[k] * vec[k] for k in range(m.cols)), ZERO) for row in m.entries)
+    return tuple(sum((row[k] * vec[k] for k in range(m.cols)), 0) for row in m.entries)
 
 
 def contains(space, vec):
@@ -41,7 +41,7 @@ def wedge(a, i, j, x, y):
     """Product of a degree-i and a degree-j vector; zero without a table."""
     table = a.product.get((i, j))
     if table is None:
-        return (ZERO,) * a.dim(i + j)
+        return (0,) * a.dim(i + j)
     return apply(table, [s * t for s in x for t in y])
 
 

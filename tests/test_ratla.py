@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from eqih.errors import AmbientMismatch, NotASubspace
 from eqih.ratla import (
-    ONE,
     QNUM,
-    SMALL,
-    ZERO,
     Matrix,
     Subspace,
+    divide,
     image,
     intersect,
     inverse,
@@ -243,7 +241,7 @@ def greedy_quotient(v, w):
     for i in range(n):
         if len(chosen) == n:
             break
-        e = tuple(ONE if j == i else ZERO for j in range(n))
+        e = tuple(int(j == i) for j in range(n))
         if not contains(Subspace.from_vectors(n, chosen), e):
             chosen.append(e)
     inv = inverse(columns_matrix(n, chosen))
@@ -388,7 +386,7 @@ def test_coordinates_match_solve_reference(seed):
 def rational_rref(m):
     """Reference: Gauss-Jordan elimination over the rationals, dividing the
     pivot row by its pivot and clearing the pivot column in every other row."""
-    rows = [list(row) for row in m.entries]
+    rows = [list(map(Fraction, row)) for row in m.entries]
     pivots = []
     r = 0
     for c in range(m.cols):
@@ -407,7 +405,7 @@ def rational_rref(m):
 
 
 def dense_product(a, b):
-    return tuple(tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), ZERO)
+    return tuple(tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), 0)
                        for j in range(b.cols)) for i in range(a.rows))
 
 
@@ -439,8 +437,16 @@ def rational_matrices(draw, rows=None, max_dim=8, cols=None):
     return Matrix(r, c, grid)
 
 
-def all_qnum(entries):
-    return all(type(x) is QNUM for row in entries for x in row)
+def canonical(entries):
+    """Every entry in the form ``rat`` gives: an int, or a QNUM that is not
+    integral."""
+    return all(type(x) is int or (type(x) is QNUM and x.denominator != 1)
+               for row in entries for x in row)
+
+
+def scalars(entries):
+    """Every entry an int or a QNUM: never a float, bool or str."""
+    return all(type(x) is int or type(x) is QNUM for row in entries for x in row)
 
 
 def sparse_integer_matrix(seed, rows, cols, rank, values):
@@ -469,7 +475,7 @@ def sparse_integer_matrix(seed, rows, cols, rank, values):
 def test_rref_matches_rational_reference(m):
     red, pivots = m.rref()
     assert (red.entries, pivots) == rational_rref(m)
-    assert (red.rows, red.cols) == (m.rows, m.cols) and all_qnum(red.entries)
+    assert (red.rows, red.cols) == (m.rows, m.cols) and canonical(red.entries)
 
 
 # -- the pivot rule ------------------------------------------------------------
@@ -508,34 +514,93 @@ def test_pivot_rule(rows, pivot_row):
     assert m[0] == pivot_row
 
 
-# -- shared scalars ------------------------------------------------------------
+# -- the form of an entry --------------------------------------------------------
 
 def test_rat_of_integers_and_strings():
-    """Integers inside and outside the shared table, and their strings, give
-    their values; the integers inside it give the shared objects."""
+    """Integers, their strings and integral rationals give ints; any other
+    rational gives a QNUM, and a QNUM that is not integral is itself."""
     for x in range(-70, 71):
-        for value in (rat(x), rat(str(x)), rat("%d/1" % x)):
-            assert type(value) is QNUM and value == Fraction(x)
-        if x in SMALL:
-            assert rat(x) is SMALL[x]
+        for value in (rat(x), rat(str(x)), rat("%d/1" % x), rat(QNUM(x)), rat(Fraction(2 * x, 2))):
+            assert type(value) is int and value == x
+    for text in ("1/2", "-7/3", "1.5", "1e-3"):
+        value = rat(text)
+        assert type(value) is QNUM and value == Fraction(text) and rat(value) is value
 
 
-def test_small_scalars():
-    assert sorted(SMALL) == [-1, 0, 1]
-    assert all(type(v) is QNUM and v == a for a, v in SMALL.items())
-    assert ZERO is SMALL[0] and ONE is SMALL[1]
+def test_integral_values_are_ints():
+    """zero, identity, the full space's basis and an integral quotient are
+    ints; a quotient that is not integral is a QNUM."""
+    assert canonical(Matrix.zero(2, 3).entries) and canonical(Matrix.identity(3).entries)
+    assert all(type(x) is int for row in Matrix.identity(3).entries for x in row)
+    assert kernel(Matrix.zero(2, 3)).basis is Matrix.identity(3)
+    for a, b, want in ((6, 3, 2), (-6, 3, -2), (6, -3, -2), (0, -5, 0),
+                       (rat("1/2"), rat("1/4"), 2), (QNUM(4), QNUM(-2), -2)):
+        assert type(divide(a, b)) is int and divide(a, b) == want
+    for a, b in ((1, 2), (1, -2), (rat("2/3"), 5), (4, rat("3/2"))):
+        assert type(divide(a, b)) is QNUM and divide(a, b) == Fraction(a) / Fraction(b)
+    with pytest.raises(ZeroDivisionError):
+        divide(1, 0)
 
 
-def test_unit_pivot_rows_hold_shared_scalars():
-    """A pivot row with pivot 1 or -1 takes -1, 0 and 1 from SMALL, and the
-    other entries are equal to the rational quotient."""
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(-30, 30), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))),
+       st.one_of(st.integers(-30, 30), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+       .filter(bool))
+def test_divide_matches_the_fraction_quotient(a, b):
+    q = divide(rat(a), rat(b))
+    assert q == Fraction(a) / Fraction(b) and canonical([[q]])
+
+
+def blurred(m, data):
+    """m with each integral entry drawn as itself or as an equal QNUM."""
+    flags = iter(data.draw(st.lists(st.booleans(), min_size=m.rows * m.cols,
+                                    max_size=m.rows * m.cols)))
+    return Matrix._of(m.rows, m.cols, tuple(
+        tuple(QNUM(x) if type(x) is int and next(flags) else x for x in row)
+        for row in m.entries))
+
+
+def blurred_space(space, data):
+    return Subspace(space.ambient_dim, blurred(space.basis, data))
+
+
+def same_entries(got, want):
+    """Equal entries, each with the same str."""
+    return got == want and [list(map(str, row)) for row in got] == \
+        [list(map(str, row)) for row in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(max_dim=5), st.data())
+def test_integral_qnum_entries_give_the_results_of_ints(m, data):
+    """Operands whose integral entries are partly QNUMs give the entries,
+    and the strs, that the all-int operands give."""
+    b = data.draw(rational_matrices(rows=m.cols, max_dim=5))
+    w = Subspace.from_matrix(data.draw(rational_matrices(rows=m.rows, max_dim=3)))
+    a = Subspace.from_matrix(data.draw(rational_matrices(rows=m.rows, max_dim=3)))
+    v = Subspace.from_matrix(data.draw(rational_matrices(rows=m.cols, max_dim=3)))
+    m2, b2 = blurred(m, data), blurred(b, data)
+    w2, a2, v2 = (blurred_space(x, data) for x in (w, a, v))
+    assert same_entries((m2 * b2).entries, (m * b).entries)
+    red2, pivots2 = m2.rref()
+    assert same_entries(red2.entries, m.rref()[0].entries) and pivots2 == m.rref()[1]
+    results = [(kernel(m2), kernel(m)), (preimage(m2, w2), preimage(m, w)),
+               (preimage(m2, w2, v2), preimage(m, w, v)), (intersect(w2, a2), intersect(w, a))]
+    for got, want in results:
+        assert same_entries(got.basis.entries, want.basis.entries)
+    total = subspace_sum(w, a)
+    got, want = quotient(blurred_space(total, data), w2), quotient(total, w)
+    assert same_entries(got.projection.entries, want.projection.entries)
+    assert same_entries(got.lift.entries, want.lift.entries)
+
+
+def test_unit_pivot_rows_hold_ints():
+    """A pivot row with pivot 1 or -1 keeps its integer entries, and every
+    entry equals the rational quotient."""
     for rows in ([[1, -1, 0, 2]], [[-1, 1, 0, 3]], [[1, 2], [1, 3]], [[1, 0, -1], [0, -1, 3]]):
         red, _ = M(rows).rref()
         assert red.entries == rational_rref(M(rows))[0]
-        for x in (x for row in red.entries for x in row):
-            assert type(x) is QNUM
-            if x in SMALL:
-                assert x is SMALL[int(x)]
+        assert all(type(x) is int for row in red.entries for x in row)
 
 
 @settings(max_examples=60, deadline=None)
@@ -554,19 +619,22 @@ def test_kron_matches_its_definition(a, b):
     assert all(k.entries[i * b.rows + r][j * b.cols + c] == a.entries[i][j] * b.entries[r][c]
                for i in range(a.rows) for j in range(a.cols)
                for r in range(b.rows) for c in range(b.cols))
-    assert all_qnum(k.entries)
+    assert scalars(k.entries)
 
 
 @settings(max_examples=50, deadline=None)
 @given(rational_matrices())
-def test_kernel_entries_are_qnum(m):
+def test_entries_are_int_or_qnum(m):
+    """Eliminations, products and rearrangements of entries in rat's form
+    keep that form; sums and scalings hold ints and QNUMs."""
     square = m * m.transpose() + Matrix.identity(m.rows)  # positive definite
-    built = [m.rref()[0], m * m.transpose(), m.transpose(), m.hstack(m),
-             m.scale(-1), m.scale(rat("2/3")), m + m, inverse(square)]
-    assert all(all_qnum(x.entries) for x in built)
-    assert all_qnum(m.kernel_basis())
+    built = [m.rref()[0], m * m.transpose(), m.transpose(), m.hstack(m), m.scale(-1),
+             inverse(square)]
+    assert all(canonical(x.entries) for x in built)
+    assert scalars(m.scale(rat("2/3")).entries) and scalars((m + m).entries)
+    assert canonical(m.kernel_basis()) and canonical(kernel(m).basis.entries)
     q = quotient(Subspace.full(m.cols), kernel(m))
-    assert all_qnum(q.projection.entries) and all_qnum(q.lift.entries)
+    assert canonical(q.projection.entries) and canonical(q.lift.entries)
 
 
 # -- one elimination against the two-elimination paths -----------------------
@@ -600,7 +668,7 @@ def inverted_quotient(v, w):
 
 def assert_same_space(got, want):
     assert got == want
-    assert got.basis.entries == want.basis.entries and all_qnum(got.basis.entries)
+    assert got.basis.entries == want.basis.entries and canonical(got.basis.entries)
 
 
 @settings(max_examples=100, deadline=None)
@@ -668,7 +736,7 @@ def test_quotient_matches_inverted_reference(pair):
     v, w = pair
     q = quotient(v, w)
     assert (q.projection, q.lift) == inverted_quotient(v, w)
-    assert all_qnum(q.projection.entries) and all_qnum(q.lift.entries)
+    assert canonical(q.projection.entries) and canonical(q.lift.entries)
 
 
 
@@ -705,13 +773,13 @@ def product_operands(draw):
 def test_product_matches_triple_loop(operands):
     a, b = operands
     p = a * b
-    loop = [[ZERO] * b.cols for _ in range(a.rows)]
+    loop = [[0] * b.cols for _ in range(a.rows)]
     for i in range(a.rows):
         for j in range(b.cols):
             for t in range(a.cols):
                 loop[i][j] += a.entries[i][t] * b.entries[t][j]
     assert (p.rows, p.cols) == (a.rows, b.cols)
-    assert p.entries == tuple(map(tuple, loop)) and all_qnum(p.entries)
+    assert p.entries == tuple(map(tuple, loop)) and canonical(p.entries)
 
 
 @settings(max_examples=60, deadline=None)
@@ -745,7 +813,7 @@ def near_misses(rows, data):
         scaled = [r[:] for r in rows]
         scaled[i] = [factor * x for x in rows[i]]
         out.append(scaled)
-    out.append(rows[:i] + [[ZERO] * len(rows[i])] + rows[i:])
+    out.append(rows[:i] + [[0] * len(rows[i])] + rows[i:])
     out.append(rows[:i + 1] + [rows[i]] + rows[i + 1:])
     if len(rows) >= 2:
         j = data.draw(st.integers(0, len(rows) - 1).filter(lambda j: j != i))
@@ -781,7 +849,7 @@ def test_row_span_matches_forced_elimination(m, data):
         count["rref"] += 1
         return rref(self)
 
-    zero = (ZERO,) * n
+    zero = (0,) * n
     padded = [row for r in reduced for row in (zero, r)] + [zero]
     Matrix.rref = counting_rref
     try:
@@ -845,9 +913,7 @@ def test_integer_product_matches_fraction_reference(operands):
     a, b = operands
     p = a * b
     assert (p.rows, p.cols) == (a.rows, b.cols)
-    assert p.entries == fraction_product(a, b) and all_qnum(p.entries)
-    small = [x for row in p.entries for x in row if x in SMALL]
-    assert all(x is SMALL[int(x)] for x in small)
+    assert p.entries == fraction_product(a, b) and canonical(p.entries)
 
 
 # -- containment of an image, read from coordinates -----------------------------

@@ -8,7 +8,8 @@ package, its tests or the benchmark, so deleting a helper or its last
 caller cannot leave dead code behind.  Only the model module spells the
 name of a ``validate`` axiom, so each axiom is decided in one place, and
 only the linear-algebra module calls the scalar type ``QNUM``, so scalars
-are coerced in one place; the model module builds no matrix through the
+are coerced in one place, and no other module divides with ``/``, so no
+quotient of two int entries becomes a float; the model module builds no matrix through the
 coercing ``Matrix(...)`` or ``Matrix.from_rows``, so each document entry is
 coerced once.  Only ``model.per_model`` calls
 ``ModelInstance.cached``, and no two builders it makes share a kind, so
@@ -104,6 +105,14 @@ def calls(tree, names):
                 if spelled & names:
                     out.append((getattr(top, "name", None), node.lineno))
     return out
+
+
+def divisions(tree):
+    """(top-level definition, line) of every true division, ``a / b`` or
+    ``a /= b``."""
+    return [(getattr(top, "name", None), node.lineno) for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
 
 
 def per_model_kinds(tree):
@@ -217,6 +226,20 @@ def test_the_checks_see_a_qnum_call():
     tree = ast.parse("from .ratla import QNUM, rat\nfrom . import ratla\n\n"
                      "a = QNUM(1)\nb = ratla.QNUM(2, 3)\nc = rat(4) * QNUM\n")
     assert calls(tree, {"QNUM"}) == [(None, 4), (None, 5)]
+
+
+def test_only_ratla_divides():
+    """An integral entry is an int, and int / int is a float: every other
+    module divides two entries through ``ratla.divide``."""
+    found = [(name, where) for name, tree in TREES.items() if name != "ratla.py"
+             for where in divisions(tree)]
+    assert not found, "division outside ratla.py: %s" % found
+
+
+def test_the_checks_see_a_division():
+    tree = ast.parse("def f(a, b):\n    return a / b\n\n"
+                     "def g(a, b):\n    a /= b\n    return a // b\n\nc = 1 / 2\n")
+    assert divisions(tree) == [("f", 2), ("g", 5), (None, 8)]
 
 
 # the public constructor and from_rows, which calls it, coerce every entry
