@@ -411,8 +411,7 @@ def main(argv=None) -> int:
             report["perversity"] = p.label()
         body, code = args.fn(m, p, args)
     except (EqihError, OSError) as e:
-        _emit({"schema": SCHEMA, "error": type(e).__name__,
-               "detail": str(e)}, stream=sys.stderr)
+        _emit({**report, "error": type(e).__name__, "detail": str(e)}, stream=sys.stderr)
         return 1 if isinstance(e, PropertyViolation) else 2
     if body is not None:
         _emit({**report, **body}, human=args.human)

@@ -168,7 +168,13 @@ class LambdaExtension:
     (default base.hi + 3, two above the degrees fold reads).  Degree n holds
     one component u^j X^k per base degree k = n - 2j; the differential is the
     base one on each component plus, when shift (a dict of S_k: X^k ->
-    X^{k-1}) is given, S one u-power up."""
+    X^{k-1}) is given, S one u-power up.
+
+    Degree hi has no outgoing differential, so its quotient is C^hi / B^hi,
+    not H^hi (dim(hi) != dim(fold(hi)) for 12 (model, perversity) pairs of
+    the fixtures and random_model seeds 0-5 at sizes 2-4).  It is read only
+    as the target of u at the last fold, where the rank is still right, as
+    H^hi embeds in C^hi / B^hi."""
 
     def __init__(self, base: Complex, hi=None, shift=None):
         self.base = base

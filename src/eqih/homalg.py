@@ -13,11 +13,13 @@ calls check_square itself, and every other complex is a sub- or quotient
 complex, shift or untwisted tensor copy of one of these.  subcomplex checks
 d-stability, quotient_complex that its projection is a chain map, chain_map
 its maps, and check_short_exact the exactness of two chain maps; Cohomology
-and SesData check nothing.  A long exact sequence checks its own exactness
-once, through check_exact, the first time it is read, and takes the image
-and the kernel of each distinct map object once: the sequence of a
-u-extension reads its folded degrees at their fold (see
-equivariant.LambdaExtension.fold), so their nodes share map objects.
+and SesData check nothing.  Cohomology builds the quotient of a degree on
+its first read, so a degree that no caller reads costs nothing.  A long
+exact sequence checks its own exactness once, through check_exact, the
+first time it is read, and takes the image and the kernel of each distinct
+map object once: the sequence of a u-extension reads its folded degrees at
+their fold (see equivariant.LambdaExtension.fold), so their nodes share map
+objects.
 
 A degree where an operand is empty is skipped, since every check there
 holds between empty matrices: chain map squares whose source degree or
@@ -170,22 +172,26 @@ def quotient_complex(parent: Complex, bases: dict) -> tuple:
 
 
 class Cohomology:
-    """Graded cohomology of a complex.  In degree k, lifts(k) holds cocycle
-    representatives of the canonical class basis as columns, and
-    classes_of(k, M) gives the classes of the cocycle columns of M in that
-    basis; every map on cohomology is read through these two, a whole basis
-    at a time."""
+    """Graded cohomology of a complex, each degree built on its first read.
+    In degree k, lifts(k) holds cocycle representatives of the canonical
+    class basis as columns, and classes_of(k, M) gives the classes of the
+    cocycle columns of M in that basis; every map on cohomology is read
+    through these two, a whole basis at a time."""
 
     def __init__(self, c: Complex):
         self.complex = c
         self._quotients = {}
-        for k in c.degrees():
+
+    def _quotient(self, k):
+        """H^k as a quotient space, built on first read; None outside the degrees."""
+        c = self.complex
+        if c.lo <= k <= c.hi and k not in self._quotients:
             self._quotients[k] = quotient(kernel(c.d(k)), image(c.d(k - 1)))
+        return self._quotients.get(k)
 
     def dim(self, k) -> int:
-        if k in self._quotients:
-            return self._quotients[k].dim
-        return 0
+        q = self._quotient(k)
+        return 0 if q is None else q.dim
 
     def dims(self):
         return tuple(self.dim(k) for k in self.complex.degrees())
@@ -198,14 +204,13 @@ class Cohomology:
             raise InternalInvariantViolation("vector is not a cocycle in degree %d" % k)
         if not self.dim(k):
             return Matrix.zero(0, cocycles.cols)
-        return self._quotients[k].projection * cocycles
+        return self._quotient(k).projection * cocycles
 
     def lifts(self, k) -> Matrix:
         """Cocycle representatives of the canonical cohomology basis, as
         columns."""
-        if k not in self._quotients:
-            return Matrix.zero(self.complex.dim(k), 0)
-        return self._quotients[k].lift
+        q = self._quotient(k)
+        return Matrix.zero(self.complex.dim(k), 0) if q is None else q.lift
 
     def induced_map(self, other: "Cohomology", f: ChainMap, k) -> Matrix:
         """Matrix of H^k(f): H^k(self) -> H^{k+shift}(other) for a chain map f."""

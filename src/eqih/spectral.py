@@ -25,6 +25,7 @@ fixed-point set).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .equivariant import build_equivariant, gysin_maps
 from .errors import (
@@ -436,46 +437,57 @@ def e3_isomorphisms(m: ModelInstance, p: Perversity) -> dict:
     the third differential equals the Euler-map composite with no extra sign.
     Every map is checked to kill the cell denominator and to be bijective;
     a zero cell has no representatives, and its denominator is its Z_3.
+    All a map reads (Z_3, the cell, the components of degree i + 2j)
+    depends only on its fold key (i, fold(i + 2j), j == 0): one map is
+    built per key, at its first (i, j), and held at every later one.
     """
     ss = spectral_sequence(m, p)
     pc = perverse_complex(m, p)
     ih = omega_cohomology(m, p)
     hk = cogysin_cohomology(m, p)
-    out = {}
+    out, built = {}, {}
     for i in range(0, ss.i_top + 1):
         for j in range(0, (ss.eq.n_u - i) // 2 + 1):
-            target = ih if j == 0 else hk
-
-            def classify(reps, i=i, j=j, target=target):
-                alpha, beta = _component_pairs(ss.eq, i + 2 * j, reps, j)
-                if not beta.is_zero():
-                    raise InternalInvariantViolation(
-                        "bottom component of a filtered representative has a "
-                        "nonzero tail at (%d, %d)" % (i, 2 * j))
-                om = pc.omega_space(i).coords_of(alpha)
-                if om is None:
-                    raise InternalInvariantViolation(
-                        "bottom component escapes the perverse complex at "
-                        "(%d, %d)" % (i, 2 * j))
-                return target.classes_of(i, om if j == 0 else pc.projection.mat(i) * om)
-
-            # well-defined: the denominator, spanned by (I - lift * projection)
-            # Z_3 and so all of Z_3 at a zero cell, maps to zero classes
-            phi, den = Matrix.zero(target.dim(i), 0), ss.z(3, i, 2 * j).basis
-            if ss.dim(3, i, 2 * j):
-                q = ss.cell(3, i, 2 * j)
-                phi = classify(q.lift).scale((-1) ** (i * (i + 1) // 2))
-                den = den - q.lift * (q.projection * den)
-            if den.cols and not classify(den).is_zero():
-                raise PropertyViolation(
-                    "third-page identification not well defined at "
-                    "(%d, %d)" % (i, 2 * j))
-            if phi.rows != phi.cols or (phi.cols and phi.rank() != phi.rows):
-                raise PropertyViolation(
-                    "third-page identification not bijective at (%d, %d): "
-                    "cell dim %d vs %d" % (i, 2 * j, phi.cols, phi.rows))
-            out[(i, j)] = phi
+            key = (i, ss.eq.ext.fold(i + 2 * j), j == 0)
+            if key not in built:
+                built[key] = _e3_identification(ss, pc, ih if j == 0 else hk, i, j)
+            out[(i, j)] = built[key]
     return out
+
+
+def _e3_identification(ss, pc, target, i, j) -> Matrix:
+    """The checked map from E_3^{i,2j} onto target, IH^i for j = 0 and
+    H^i(K) otherwise (see e3_isomorphisms)."""
+
+    def classify(reps):
+        alpha, beta = _component_pairs(ss.eq, i + 2 * j, reps, j)
+        if not beta.is_zero():
+            raise InternalInvariantViolation(
+                "bottom component of a filtered representative has a "
+                "nonzero tail at (%d, %d)" % (i, 2 * j))
+        om = pc.omega_space(i).coords_of(alpha)
+        if om is None:
+            raise InternalInvariantViolation(
+                "bottom component escapes the perverse complex at "
+                "(%d, %d)" % (i, 2 * j))
+        return target.classes_of(i, om if j == 0 else pc.projection.mat(i) * om)
+
+    # well-defined: the denominator, spanned by (I - lift * projection)
+    # Z_3 and so all of Z_3 at a zero cell, maps to zero classes
+    phi, den = Matrix.zero(target.dim(i), 0), ss.z(3, i, 2 * j).basis
+    if ss.dim(3, i, 2 * j):
+        q = ss.cell(3, i, 2 * j)
+        phi = classify(q.lift).scale((-1) ** (i * (i + 1) // 2))
+        den = den - q.lift * (q.projection * den)
+    if den.cols and not classify(den).is_zero():
+        raise PropertyViolation(
+            "third-page identification not well defined at "
+            "(%d, %d)" % (i, 2 * j))
+    if phi.rows != phi.cols or (phi.cols and phi.rank() != phi.rows):
+        raise PropertyViolation(
+            "third-page identification not bijective at (%d, %d): "
+            "cell dim %d vs %d" % (i, 2 * j, phi.cols, phi.rows))
+    return phi
 
 
 def d3_check(m: ModelInstance, p: Perversity) -> dict:
@@ -483,6 +495,8 @@ def d3_check(m: ModelInstance, p: Perversity) -> dict:
     composite of the co-Gysin connecting morphism, the Euler map and (for
     u-powers beyond the first) the co-Gysin projection, under the third-page
     identifications.  Raises TheoremViolation naming the cell on mismatch.
+    The cells of one fold key share one identification (e3_isomorphisms),
+    and each composite is built once per degree i and u-power class.
     """
     ss = spectral_sequence(m, p)
     phi = e3_isomorphisms(m, p)
@@ -491,17 +505,20 @@ def d3_check(m: ModelInstance, p: Perversity) -> dict:
     hk = cogysin_cohomology(m, p)
     eub = euler_map(m, p)
     ses = cogysin_ses(m, p)
-    euler_deltas = {}   # i -> the Euler map after the connecting map, per degree
+
+    @cache
+    def expected(i, projected) -> Matrix:
+        """Euler after connecting map out of degree i, projected for j >= 2."""
+        if projected:
+            return ih.induced_map(hk, pc.projection, i + 3) * expected(i, False)
+        return eub.mat(i + 1) * ses.connecting(i)
+
     cells = []
     for (i, j), src_phi in sorted(phi.items()):
         if j < 1 or src_phi.cols == 0 or i + 2 * j + 1 > ss.eq.n_u:
             continue
         engine_raw = ss.d_matrix(3, i, 2 * j)
-        if i not in euler_deltas:
-            euler_deltas[i] = eub.mat(i + 1) * ses.connecting(i)
-        composite = euler_deltas[i]
-        if j >= 2:
-            composite = ih.induced_map(hk, pc.projection, i + 3) * composite
+        composite = expected(i, j >= 2)
         if (i + 3, j - 1) in phi:
             engine = phi[(i + 3, j - 1)] * engine_raw * inverse(src_phi)
         else:
@@ -617,6 +634,7 @@ def skjelbred(m: ModelInstance) -> LongExactSequence:
                 "Gysin representative escapes the lower complex in degree %d" % k)
         return hq.classes_of(k, c)
 
+    @cache
     def euler_endo(k) -> Matrix:
         """Euler multiplication H^k -> H^{k+2} on the lower complex."""
         c = pcq.gysin_ambient_mat(k).solve(pcq.omega_incl.mat(k) * hq.lifts(k))
@@ -624,6 +642,15 @@ def skjelbred(m: ModelInstance) -> LongExactSequence:
             raise InternalInvariantViolation(
                 "lower class misses its Gysin term in degree %d" % k)
         return eub_q.mat(k) * hgq.classes_of(k, c)
+
+    @cache
+    def iterate(s, k) -> Matrix:
+        """The connecting map out of H^k(K) followed by s Euler maps, into
+        H^{k+1+2s} of the lower complex; each iterate extends the last."""
+        if not s:
+            return to_lower(k + 1) * ses0.connecting(k)
+        last = iterate(s - 1, k)
+        return euler_endo(k - 1 + 2 * s) * last
 
     def a_blocks(i):
         return [(s, i - 2 * s) for s in range(1, i // 2 + 1)]
@@ -653,19 +680,13 @@ def skjelbred(m: ModelInstance) -> LongExactSequence:
 
     def beta(i) -> Matrix:
         """A^i -> H^{i+1}(B): signed Euler-iterate of the connecting map."""
-        blocks = []
-        for s, k in a_blocks(i):
-            mat = to_lower(k + 1) * ses0.connecting(k)
-            for t in range(s):
-                mat = euler_endo(k + 1 + 2 * t) * mat
-            mat = hq.induced_map(hb, iota, i + 1) * mat
-            blocks.append(mat.scale((-1) ** s))
+        blocks = [iterate(s, k).scale((-1) ** s) for s, k in a_blocks(i)]
         if not blocks:
             return Matrix.zero(hb.dim(i + 1), 0)
         out = blocks[0]
         for b in blocks[1:]:
             out = out.hstack(b)
-        return out
+        return hq.induced_map(hb, iota, i + 1) * out
 
     labels, dims, maps = [], [], []
     i_hi = eq.n_u - 2

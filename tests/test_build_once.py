@@ -31,6 +31,7 @@ model document loads as one space, canonicalized once, and a saved
 document, whose levels list reduced row echelon bases, loads with no
 elimination at all, and its strict validation takes none either.  ``eqih
 compare`` validates its isomorphism once and solves for its witness once.
+A third-page identification is built once per fold key of its window.
 
 Every per-model builder is made by ``model.per_model``: a second call
 returns the object of the first, held under the builder's kind, or the
@@ -235,60 +236,57 @@ def test_gysin_sequence_starts_at_the_perverse_complex():
 
 
 @pytest.fixture()
-def rrefs(monkeypatch):
-    """A counter of Matrix.rref calls."""
-    count = collections.Counter()
-    rref = ratla.Matrix.rref
+def calls(monkeypatch):
+    """count(owner, *names): from then on, the calls of each named attribute
+    of owner, a class or a module, counted under its name in one Counter,
+    which count returns."""
+    counter = collections.Counter()
 
-    def counting_rref(self):
-        count["rref"] += 1
-        return rref(self)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counter[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(ratla.Matrix, "rref", counting_rref)
+    def count(owner, *names):
+        for name in names:
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        return counter
+
     return count
 
 
 # Matrix.rref calls per command: kernel, preimage and quotient take one
 # elimination each, none where a zero or empty operand fixes the answer,
 # and so does a preimage within a subspace; an exactness check takes one
-# image and one kernel per distinct map of its sequence; a span whose rows already are a reduced row echelon basis takes none, so
-# a saved document loads with none; the pair-space product
-# F_p^k x Omega^{k-1} is two canonical bases side by side, so it takes none
+# image and one kernel per distinct map of its sequence; a span whose rows
+# already are a reduced row echelon basis takes none, so a saved document
+# loads with none; the pair-space product F_p^k x Omega^{k-1} is two
+# canonical bases side by side, so it takes none; a cohomology degree that
+# nothing reads, and a third-page cell whose fold key is already
+# identified, take none
 ELIMINATIONS = {
     ("cohomology", "cone2", "apex=2"): 1,
     ("gysin", "cone2", "apex=2"): 9,
     ("equivariant", "cone2", "apex=2"): 27,
     ("localize", "cone2", "apex=2"): 4,
-    ("spectral", "hopf", None): 30,
-    ("spectral", "cone2", "apex=2"): 43,
+    ("spectral", "hopf", None): 28,
+    ("spectral", "cone2", "apex=2"): 39,
 }
 
 # Matrix.__mul__ calls per command: a degree whose operand is empty takes
 # no product, nor does a d_r o d_r check or a spectral normal form with an
-# empty factor
+# empty factor; the d_3 check builds each composite once per degree, and
+# skjelbred each map of a degree once
 PRODUCTS = {
     ("cohomology", "cone2", "apex=2"): 23,
     ("gysin", "cone2", "apex=2"): 61,
     ("equivariant", "cone2", "apex=2"): 121,
     ("localize", "cone2", "apex=2"): 45,
-    ("spectral", "hopf", None): 114,
-    ("spectral", "cone2", "apex=2"): 132,
-    ("skjelbred", "cone2", None): 128,
+    ("spectral", "hopf", None): 102,
+    ("spectral", "cone2", "apex=2"): 106,
+    ("skjelbred", "cone2", None): 106,
 }
-
-
-@pytest.fixture()
-def products(monkeypatch):
-    """A counter of Matrix.__mul__ calls."""
-    count = collections.Counter()
-    mul = ratla.Matrix.__mul__
-
-    def counting_mul(self, other):
-        count["mul"] += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(ratla.Matrix, "__mul__", counting_mul)
-    return count
 
 
 def run_counted(tmp_path, counter, command, name, perversity):
@@ -305,15 +303,41 @@ def run_counted(tmp_path, counter, command, name, perversity):
 
 
 @pytest.mark.parametrize("command, name, perversity", ELIMINATIONS)
-def test_commands_take_their_counted_eliminations(tmp_path, rrefs, command, name, perversity):
-    counted = run_counted(tmp_path, rrefs, command, name, perversity)
+def test_commands_take_their_counted_eliminations(tmp_path, calls, command, name, perversity):
+    counted = run_counted(tmp_path, calls(ratla.Matrix, "rref"), command, name, perversity)
     assert counted["rref"] == ELIMINATIONS[(command, name, perversity)]
 
 
 @pytest.mark.parametrize("command, name, perversity", PRODUCTS)
-def test_commands_take_their_counted_products(tmp_path, products, command, name, perversity):
-    counted = run_counted(tmp_path, products, command, name, perversity)
-    assert counted["mul"] == PRODUCTS[(command, name, perversity)]
+def test_commands_take_their_counted_products(tmp_path, calls, command, name, perversity):
+    counted = run_counted(tmp_path, calls(ratla.Matrix, "__mul__"), command, name, perversity)
+    assert counted["__mul__"] == PRODUCTS[(command, name, perversity)]
+
+
+def test_each_fold_key_is_identified_once(tmp_path, calls):
+    """``spectral --d3-check`` on cone2 builds one E_3 identification per
+    distinct fold key (i, fold(i + 2j), j == 0) of its window, so its
+    component reads are those of identifying each key once, fewer than one
+    identification per cell would make."""
+    m, label = fixtures.cone2(), "apex=2"
+    p = next(p for p in m.perversity_set if p.label() == label)
+    cells = spectral.e3_isomorphisms(m, p)
+    ss, pc = spectral.spectral_sequence(m, p), perverse.perverse_complex(m, p)
+    targets = (perverse.cogysin_cohomology(m, p), perverse.omega_cohomology(m, p))
+    first = {}
+    for i, j in cells:
+        first.setdefault((i, ss.eq.ext.fold(i + 2 * j), j == 0), (i, j))
+    counted = calls(spectral, "_component_pairs", "_e3_identification")
+    per_cell = 0
+    for i, j in cells:
+        spectral._e3_identification(ss, pc, targets[j == 0], i, j)
+        per_cell += counted.pop("_component_pairs", 0)
+    for i, j in first.values():
+        spectral._e3_identification(ss, pc, targets[j == 0], i, j)
+    per_key = counted.pop("_component_pairs", 0)
+    counted = run_counted(tmp_path, counted, "spectral", "cone2", label)
+    assert counted["_e3_identification"] == len(first) < len(cells)
+    assert counted["_component_pairs"] == per_key < per_cell
 
 
 def test_equal_levels_load_as_one_space(tmp_path):
@@ -349,22 +373,16 @@ def saved_text(m):
 
 
 @pytest.mark.parametrize("name, seed, size", SAVED)
-def test_saved_documents_load_without_elimination(rrefs, monkeypatch, name, seed, size):
+def test_saved_documents_load_without_elimination(calls, name, seed, size):
     """A saved level lists the reduced row echelon basis of its space, which
     loads as it is, and each entry is read once into its value: no matrix is
     built through the coercing ``Matrix.__init__``."""
     m = fixtures.make(name, seed, size)
     text = saved_text(m)
-    init = ratla.Matrix.__init__
-
-    def counting_init(self, *args):
-        rrefs["init"] += 1
-        init(self, *args)
-
-    monkeypatch.setattr(ratla.Matrix, "__init__", counting_init)
-    rrefs.clear()
+    counted = calls(ratla.Matrix, "rref", "__init__")
+    counted.clear()
     loaded = model.load_model(io.StringIO(text))
-    assert rrefs["rref"] == 0 and rrefs["init"] == 0
+    assert counted["rref"] == 0 and counted["__init__"] == 0
     assert model.model_to_dict(loaded) == model.model_to_dict(m)
 
 
@@ -377,13 +395,13 @@ ALLOWANCE = {(0, 6, "s0=0"): 1, (10, 6, "()"): 2, (13, 6, "s0=1,s1=2"): 3}
 
 
 @pytest.mark.parametrize("seed, size, label", ALLOWANCE)
-def test_the_gysin_allowance_is_one_span(rrefs, seed, size, label):
+def test_the_gysin_allowance_is_one_span(calls, seed, size, label):
     m = fixtures.random_model(seed, size)
     p = next(p for p in m.perversity_set if p.label() == label)
     perverse.ambient_complexes(m)
     for q in (p, p.minus(m.characteristic_perversity())):
         perverse.omega_spaces(m, q)
-    rrefs.clear()
+    rrefs = calls(ratla.Matrix, "rref")
     perverse.perverse_complex(m, p)
     assert rrefs["rref"] == ALLOWANCE[(seed, size, label)]
 
@@ -394,13 +412,13 @@ STRICT = [(name, None, None) for name in FIXTURES] + [
 
 
 @pytest.mark.parametrize("name, seed, size", STRICT)
-def test_strict_validation_takes_no_elimination(tmp_path, rrefs, name, seed, size):
+def test_strict_validation_takes_no_elimination(tmp_path, calls, name, seed, size):
     """A saved document loads with no elimination, and the strict
     Euler-operator shift, E(F_l) inside F_{l + e}, is read from the
     coordinates of E times each level basis: no image space is built."""
     path = tmp_path / "model.json"
     path.write_text(saved_text(fixtures.make(name, seed, size)))
-    rrefs.clear()
+    rrefs = calls(ratla.Matrix, "rref")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["validate", "--strict", str(path)]) == 0
@@ -456,7 +474,7 @@ def test_compare_validates_once_and_solves_once(tmp_path, monkeypatch, first, se
 
 # levels of up to 1, 5 and 8 vectors
 @pytest.mark.parametrize("seed, size", [(0, 6), (0, 9), (0, 13)])
-def test_a_level_in_another_basis_loads_to_the_same_space(rrefs, seed, size):
+def test_a_level_in_another_basis_loads_to_the_same_space(calls, seed, size):
     """Every level, its basis reordered and scaled, loads to the space of
     the saved document, with the same canonical basis."""
     m = fixtures.random_model(seed, size)
@@ -470,7 +488,7 @@ def test_a_level_in_another_basis_loads_to_the_same_space(rrefs, seed, size):
                     vecs[0] = [str(ratla.rat("-2/3") * ratla.rat(x)) for x in vecs[0]]
                     moved += 1
     assert moved
-    rrefs.clear()
+    rrefs = calls(ratla.Matrix, "rref")
     got = model.model_from_dict(doc)
     assert rrefs["rref"] > 0
     for name, levels in m.ambient.filtrations.items():
@@ -480,7 +498,8 @@ def test_a_level_in_another_basis_loads_to_the_same_space(rrefs, seed, size):
     assert saved_text(got) == saved_text(m)
 
 
-def test_connecting_map_takes_two_eliminations(rrefs):
+def test_connecting_map_takes_two_eliminations(calls):
+    rrefs = calls(ratla.Matrix, "rref")
     m = fixtures.random_model(2)
     p = m.zero_perversity()
     ses = homalg.SesData(*equivariant.gysin_maps(m, p))
@@ -491,11 +510,11 @@ def test_connecting_map_takes_two_eliminations(rrefs):
     assert max(ses.hc.dims()) >= 2
 
 
-def test_euler_map_takes_three_eliminations_per_degree(rrefs):
+def test_euler_map_takes_three_eliminations_per_degree(calls):
     m = fixtures.random_model(5)
     p = model.Perversity({"s0": 0})
     eub = perverse.euler_map(m, p)
-    rrefs.clear()
+    rrefs = calls(ratla.Matrix, "rref")
     perverse.EulerMap(m, p)
     degrees = [k for k in eub.pc.ambient.degrees() if eub.hg.dim(k)]
     assert rrefs["rref"] <= 3 * len(degrees)

@@ -167,8 +167,8 @@ class TestCompare:
         iso.write_text(json.dumps({"mats": mats, "strata": {}}))
         code, out, err = run(capsys, "compare", hopf_file, hopf_file, "--iso", str(iso))
         assert code == 2 and not out
-        assert json.loads(err) == {"schema": "eqih-report/1", "error": "InputError",
-                                   "detail": detail}
+        assert json.loads(err) == {"schema": "eqih-report/1", "command": "compare",
+                                   "error": "InputError", "detail": detail}
 
     @pytest.mark.parametrize("strata", [[1], "ab"])
     def test_malformed_iso_strata_exits_2(self, capsys, tmp_path, hopf_file, strata):
@@ -314,6 +314,20 @@ class TestErrors:
         assert code == 2 and not out
         report = json.loads(err)
         assert report["error"] == "InputError" and axiom in report["detail"]
+
+    def test_error_report_keeps_the_header(self, capsys, tmp_path):
+        """A failing run names the command, the model and the perversity of
+        the header it was building, then the error and its detail."""
+        data = model_to_dict(noperv())
+        data["filtrations"]["apex"]["1"][2] = []
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "equivariant", str(path), "-p", "apex=1")
+        assert code == 2 and not out
+        report = json.loads(err)
+        assert list(report) == ["schema", "command", "model", "perversity", "error", "detail"]
+        assert report["command"] == "equivariant" and report["model"] == data["name"]
+        assert report["perversity"] == "apex=1" and report["error"] == "InputError"
 
     def test_bad_perversity_syntax(self, capsys, cone_file):
         code, _, err = run(capsys, "cohomology", cone_file, "-p", "apex")

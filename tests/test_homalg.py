@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from eqih import homalg
 from eqih.errors import InternalInvariantViolation, NotAComplex, NotExact
 from eqih.homalg import (
     ChainMap,
@@ -15,7 +16,7 @@ from eqih.homalg import (
     quotient_complex,
     subcomplex,
 )
-from eqih.ratla import Matrix, Subspace, kernel
+from eqih.ratla import Matrix, Subspace, image, kernel, quotient
 
 
 def two_term(n, mat_rows):
@@ -65,6 +66,42 @@ class TestComplex:
             h = Cohomology(c)
             assert sum((-1) ** k * c.dim(k) for k in c.degrees()) == sum(
                 (-1) ** k * h.dim(k) for k in c.degrees())
+
+    def test_each_degree_is_built_on_first_read(self, monkeypatch):
+        """Read in a shuffled order, by a random first reader, every degree
+        has the dim, lifts and classes of quotient(kernel(d_k),
+        image(d_{k-1})); each read degree builds one quotient, and a degree
+        never read, or outside the complex, builds none."""
+        built = []
+        monkeypatch.setattr(homalg, "quotient", lambda v, w: built.append(w) or quotient(v, w))
+        seen = set()
+        for seed in range(12):
+            rng = random.Random(seed)
+            dims = [rng.randint(0, 3) for _ in range(5)]
+            dims[rng.randrange(5)] = 0
+            c = _random_complex(rng, dims)
+            h = Cohomology(c)
+            degrees = list(c.degrees())
+            rng.shuffle(degrees)
+            degrees.pop()  # never read
+            built.clear()
+            for n, k in enumerate(degrees):
+                want = quotient(kernel(c.d(k)), image(c.d(k - 1)))
+                basis = kernel(c.d(k)).basis
+                cocycles = basis * Matrix(basis.cols, 2, [[rng.randint(-2, 2) for _ in range(2)]
+                                                          for _ in range(basis.cols)])
+                reads = [lambda: h.dim(k) == want.dim,
+                         lambda: h.lifts(k) == want.lift,
+                         lambda: h.classes_of(k, cocycles) == want.projection * cocycles]
+                rng.shuffle(reads)
+                assert all(read() for read in reads), (seed, k)
+                assert len(built) == n + 1, (seed, k)
+                seen.add((c.dim(k), want.dim))
+            for k in (c.lo - 1, c.hi + 1):
+                assert h.dim(k) == 0 and h.lifts(k) == Matrix.zero(0, 0)
+            assert len(built) == len(degrees)
+        # empty degrees, and non-empty degrees with and without cohomology
+        assert (0, 0) in seen and any(a and not b for a, b in seen) and any(b for _, b in seen)
 
 
 def _random_complex(rng, dims):

@@ -9,9 +9,9 @@ from eqih.equivariant import (
     equivariant_gysin_les,
 )
 from eqih.errors import IdentificationFails
-from eqih.fixtures import cone, cone2, hopf, noperv, random_model, rot, sphere
+from eqih.fixtures import cone, cone2, hopf, make, noperv, random_model, rot, sphere
 from eqih.model import Perversity, model_from_dict, model_to_dict, validate
-from eqih.perverse import omega_cohomology
+from eqih.perverse import cogysin_cohomology, omega_cohomology, perverse_complex
 from eqih.ratla import (
     Matrix,
     Subspace,
@@ -24,6 +24,7 @@ from eqih.ratla import (
 from eqih.spectral import (
     SpectralPage,
     SpectralSequence,
+    _e3_identification,
     d3_check,
     e3_isomorphisms,
     fixed_point_preconditions,
@@ -199,7 +200,6 @@ class TestPages:
 
 class TestE3Identification:
     def test_bijective_on_fixtures(self):
-        from eqih.perverse import cogysin_cohomology, omega_cohomology
         for m in (hopf(), cone2(), noperv()):
             for p in m.perversity_set:
                 phi = e3_isomorphisms(m, p)
@@ -214,6 +214,26 @@ class TestE3Identification:
         m = cone2()
         phi = e3_isomorphisms(m, P(apex=2))
         assert phi[(0, 0)].rows == 1 and phi[(2, 0)].rows == 1
+
+    @pytest.mark.parametrize("name, seed, size", [
+        (name, None, None) for name in ("hopf", "rot", "cone2", "noperv")] + [
+        ("random", seed, size) for seed in range(6) for size in (2, 3)])
+    def test_folded_cells_share_one_identification(self, name, seed, size):
+        """Every (i, j) of the window, identified on its own, gives the
+        matrix e3_isomorphisms holds there, and that matrix is the object
+        held at the first (i, j) with its fold key (i, fold(i + 2j),
+        j == 0): a folded cell is the same cell."""
+        m = make(name, seed, size)
+        for p in m.perversity_set:
+            phi = e3_isomorphisms(m, p)
+            ss, pc = spectral_sequence(m, p), perverse_complex(m, p)
+            targets = (cogysin_cohomology(m, p), omega_cohomology(m, p))
+            fold = ss.eq.ext.fold
+            first = {}
+            for (i, j), mat in phi.items():
+                assert _e3_identification(ss, pc, targets[j == 0], i, j) == mat, (p, i, j)
+                assert first.setdefault((i, fold(i + 2 * j), j == 0), mat) is mat, (p, i, j)
+            assert len(first) < len(phi)
 
 
 class TestD3:
