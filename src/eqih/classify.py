@@ -13,24 +13,26 @@ Each public check validates its isomorphism; `compare`, the body of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .equivariant import build_equivariant
 from .errors import InvalidIso, TheoremViolation
 from .localize import lambda_u_module
 from .model import ModelInstance, Perversity, vec_to_json
 from .perverse import omega_spaces
 from .ratla import Matrix
+from .value import Value, _set
 
 
-@dataclass(frozen=True)
-class ModelIso:
+class ModelIso(Value):
     """Degreewise invertible chain map from the ambient of the second model
     to the ambient of the first, with a stratum correspondence (names of the
     second model mapped to names of the first)."""
 
-    mats: dict = field(default_factory=dict)    # degree -> Matrix A2^k -> A1^k
-    strata: dict = field(default_factory=dict)  # m2 stratum -> m1 stratum
+    __slots__ = ("mats",    # degree -> Matrix A2^k -> A1^k
+                 "strata")  # m2 stratum -> m1 stratum
+
+    def __init__(self, mats: dict = None, strata: dict = None):
+        _set(self, "mats", {} if mats is None else mats)
+        _set(self, "strata", {} if strata is None else strata)
 
     def mat(self, m1: ModelInstance, m2: ModelInstance, k: int) -> Matrix:
         got = self.mats.get(k)

@@ -79,7 +79,8 @@ def _les_json(seq):
 def _perversity(arg: str, m) -> Perversity:
     arg = (arg or "").strip()
     values = {}
-    if arg:
+    # "()" is the label of the empty perversity, which headers print
+    if arg and arg != "()":
         for piece in arg.split(","):
             if "=" not in piece:
                 raise InputError(

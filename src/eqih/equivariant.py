@@ -21,8 +21,6 @@ degrees a report lists.  Inverting u: see localize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DecompositionMismatch, InternalInvariantViolation
 from .homalg import (ChainMap, Cohomology, Complex, LongExactSequence, SesData, chain_map,
                      check_short_exact, subcomplex)
@@ -30,6 +28,7 @@ from .model import ModelInstance, Perversity, per_model
 from .perverse import _sign, ambient_complexes, euler_map, omega_spaces, perverse_complex
 from .ratla import (Matrix, Subspace, block_matrix, image, kernel, map_image, preimage,
                     subspace_sum)
+from .value import Value, _set
 
 
 def default_window(m: ModelInstance) -> int:
@@ -40,10 +39,13 @@ def default_window(m: ModelInstance) -> int:
 # the pair complex
 
 
-@dataclass(frozen=True)
-class Eq1Complex:
-    complex: Complex    # abstract, degrees 0 .. top_degree + 1
-    spaces: dict        # degree -> Subspace of Q^{dim(k) + dim(k-1)}
+class Eq1Complex(Value):
+    __slots__ = ("complex",  # abstract, degrees 0 .. top_degree + 1
+                 "spaces")   # degree -> Subspace of Q^{dim(k) + dim(k-1)}
+
+    def __init__(self, complex: Complex, spaces: dict):
+        _set(self, "complex", complex)
+        _set(self, "spaces", spaces)
 
     def space(self, k) -> Subspace:
         if k in self.spaces:

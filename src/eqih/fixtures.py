@@ -45,7 +45,6 @@ linear constraints, with no use of the dedicated pipeline modules.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from .errors import InputError, InternalInvariantViolation
 from .model import (
@@ -349,7 +348,7 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
             todo.append(p.minus(xbar))
     pset.sort(key=lambda p: p.items)
 
-    ambient = replace(a, euler_cocycle=tuple(map(rat, eps)), euler_op=tuple(euler))
+    ambient = AmbientModel(top, a.dims, a.d, filtrations, tuple(map(rat, eps)), tuple(euler))
     return ModelInstance("random-%d-%d" % (seed, size), ambient, strata, tuple(pset))
 
 

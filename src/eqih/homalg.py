@@ -31,22 +31,25 @@ built without arithmetic.  Every check that can fail still runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-
 from .errors import NotAComplex, NotExact, InternalInvariantViolation
 from .ratla import Matrix, Subspace, image, kernel, quotient
+from .value import Value, _set, memo
 
 
-@dataclass(frozen=True)
-class Complex:
+class Complex(Value):
     """Cochain complex supported in degrees lo..hi (inclusive).  Its
     cohomology is built on first use and kept with it."""
 
-    lo: int
-    hi: int
-    dims: tuple            # dims[k - lo]
-    diffs: tuple           # diffs[k - lo]: dim(k+1) x dim(k); empty above hi
+    __slots__ = ("lo", "hi",
+                 "dims",   # dims[k - lo]
+                 "diffs",  # diffs[k - lo]: dim(k+1) x dim(k); empty above hi
+                 "_cohomology")
+
+    def __init__(self, lo: int, hi: int, dims: tuple, diffs: tuple):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "dims", dims)
+        _set(self, "diffs", diffs)
 
     @staticmethod
     def build(lo, hi, dims, diffs) -> "Complex":
@@ -86,23 +89,25 @@ class Complex:
             if self.dim(k) and self.dim(k + 2) and not (self.d(k + 1) * self.d(k)).is_zero():
                 raise NotAComplex("d.d != 0 in degree %d" % k)
 
-    @cached_property
+    @memo
     def cohomology(self) -> "Cohomology":
         return Cohomology(self)
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(Value, uncompared=("maps",)):
     """Degree-preserving chain map given by per-degree matrices.
 
     maps[k] sends degree k of the source to degree k + shift of the target;
     chain_map checks commutation with the differentials on the nose.
     """
 
-    source: Complex
-    target: Complex
-    shift: int
-    maps: dict = field(compare=False)
+    __slots__ = ("source", "target", "shift", "maps")
+
+    def __init__(self, source: Complex, target: Complex, shift: int, maps: dict):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "shift", shift)
+        _set(self, "maps", maps)
 
     def mat(self, k) -> Matrix:
         m = self.maps.get(k)
@@ -219,19 +224,23 @@ class Cohomology:
         return other.classes_of(k + f.shift, f.mat(k) * self.lifts(k))
 
 
-@dataclass
-class LongExactSequence:
+class LongExactSequence(Value):
     """Period-3 long exact sequence: nodes carry labels and dimensions, and
     maps[i] goes from node i to node i+1."""
 
-    labels: list
-    dims: list
-    maps: list  # len == len(labels) - 1
+    __slots__ = ("labels", "dims",
+                 "maps",  # len == len(labels) - 1
+                 "_exactness")
+
+    def __init__(self, labels: list, dims: list, maps: list):
+        _set(self, "labels", labels)
+        _set(self, "dims", dims)
+        _set(self, "maps", maps)
 
     def node_count(self):
         return len(self.labels)
 
-    @cached_property
+    @memo
     def exactness(self) -> list:
         """The rows of check_exact, computed on first use."""
         return check_exact(self)

@@ -18,18 +18,16 @@ link data for cone models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .equivariant import build_eq1, pair_shift
 from .errors import InputError, NotAConeModel, TheoremViolation
 from .model import (ModelInstance, Perversity, _typed, int_from_json, int_from_text,
                     mat_from_json, per_model)
 from .perverse import euler_map, gysin_cohomology, omega_cohomology, perverse_complex
 from .ratla import Matrix, block_matrix
+from .value import Value, _set
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(Value):
     """The pencil a + u*b of two equally shaped rational matrices, with its
     rank over the rational functions in u.
 
@@ -41,8 +39,11 @@ class PolyMatrix:
     u = 1.
     """
 
-    a: Matrix
-    b: Matrix
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Matrix, b: Matrix):
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def rank(self) -> int:
         """Rank over the fraction field: the largest rank at u = 1, ...,
@@ -65,10 +66,12 @@ class PolyMatrix:
 # the u-module and its localization
 
 
-@dataclass(frozen=True)
-class LocalizedModule:
-    even_rank: int
-    odd_rank: int
+class LocalizedModule(Value):
+    __slots__ = ("even_rank", "odd_rank")
+
+    def __init__(self, even_rank: int, odd_rank: int):
+        _set(self, "even_rank", even_rank)
+        _set(self, "odd_rank", odd_rank)
 
     def ranks(self):
         return (self.even_rank, self.odd_rank)

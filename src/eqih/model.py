@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import wraps
 from json.encoder import encode_basestring_ascii
 
 from .errors import InputError, StrataMismatch, UnknownStratum
 from .ratla import Matrix, Subspace, _row_span, intersect, kron, rat
+from .value import Value, _set
 
 STRATUM_KINDS = ("mobile", "fixed_nonperverse", "fixed_perverse")
 
@@ -27,14 +27,14 @@ _EBAR = {"mobile": 0, "fixed_nonperverse": 1, "fixed_perverse": 2}
 CLAMP_FLOOR = -1
 
 
-@dataclass(frozen=True)
-class Stratum:
-    name: str
-    kind: str
+class Stratum(Value):
+    __slots__ = ("name", "kind")
 
-    def __post_init__(self):
-        if self.kind not in STRATUM_KINDS:
-            raise InputError("unknown stratum kind %r" % self.kind)
+    def __init__(self, name: str, kind: str):
+        if kind not in STRATUM_KINDS:
+            raise InputError("unknown stratum kind %r" % kind)
+        _set(self, "name", name)
+        _set(self, "kind", kind)
 
     @property
     def xbar(self) -> int:
@@ -106,16 +106,24 @@ def zero_perversity(strata) -> Perversity:
     return Perversity({s.name: 0 for s in strata})
 
 
-@dataclass(frozen=True)
-class AmbientModel:
-    top_degree: int
-    dims: tuple
-    d: tuple                 # d[k]: dims[k+1] x dims[k], k = 0..top_degree
-    filtrations: dict        # stratum name -> levels 0..kmax-1, each a tuple of
-                             # Subspace per degree; F is full from level kmax on
-    euler_cocycle: tuple     # vector in degree 2
-    euler_op: tuple          # E[k]: dims[k+2] x dims[k]
-    product: dict = field(default=None)  # (i, j) -> Matrix dims[i+j] x dims[i]*dims[j]
+class AmbientModel(Value):
+    __slots__ = ("top_degree", "dims",
+                 "d",              # d[k]: dims[k+1] x dims[k], k = 0..top_degree
+                 "filtrations",    # stratum name -> levels 0..kmax-1, each a tuple of
+                                   # Subspace per degree; F is full from level kmax on
+                 "euler_cocycle",  # vector in degree 2
+                 "euler_op",       # E[k]: dims[k+2] x dims[k]
+                 "product")        # (i, j) -> Matrix dims[i+j] x dims[i]*dims[j], or None
+
+    def __init__(self, top_degree: int, dims: tuple, d: tuple, filtrations: dict,
+                 euler_cocycle: tuple, euler_op: tuple, product: dict = None):
+        _set(self, "top_degree", top_degree)
+        _set(self, "dims", dims)
+        _set(self, "d", d)
+        _set(self, "filtrations", filtrations)
+        _set(self, "euler_cocycle", euler_cocycle)
+        _set(self, "euler_op", euler_op)
+        _set(self, "product", product)
 
     def dim(self, k) -> int:
         if 0 <= k <= self.top_degree:
@@ -163,14 +171,20 @@ def per_model(kind):
     return decorate
 
 
-@dataclass(frozen=True)
-class ModelInstance:
-    name: str
-    ambient: AmbientModel
-    strata: tuple            # of Stratum
-    perversity_set: tuple    # of Perversity
-    metadata: dict = field(default_factory=dict, compare=False)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+class ModelInstance(Value, uncompared=("metadata",)):
+    __slots__ = ("name", "ambient",
+                 "strata",          # of Stratum
+                 "perversity_set",  # of Perversity
+                 "metadata", "_cache")
+
+    def __init__(self, name: str, ambient: AmbientModel, strata: tuple,
+                 perversity_set: tuple, metadata: dict = None, _cache: dict = None):
+        _set(self, "name", name)
+        _set(self, "ambient", ambient)
+        _set(self, "strata", strata)
+        _set(self, "perversity_set", perversity_set)
+        _set(self, "metadata", {} if metadata is None else metadata)
+        _set(self, "_cache", {} if _cache is None else _cache)
 
     def stratum(self, name) -> Stratum:
         for s in self.strata:

@@ -18,13 +18,12 @@ image two degrees up, and is the connecting morphism of the Gysin sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError, InternalInvariantViolation, WitnessNotFound
 from .homalg import (ChainMap, Cohomology, Complex, LongExactSequence, SesData, chain_map,
                      quotient_complex, subcomplex)
 from .model import ModelInstance, Perversity, check_axioms, per_model
 from .ratla import Matrix, Subspace, block_matrix, preimage, quotient
+from .value import Value, _set
 
 
 def _sign(k):
@@ -54,17 +53,28 @@ def ambient_complexes(m: ModelInstance) -> tuple:
     return amb, pair
 
 
-@dataclass(frozen=True)
-class PerverseComplex:
-    ambient: Complex
-    omega: Complex
-    omega_incl: ChainMap        # omega -> ambient
-    omega_spaces: dict          # degree -> Subspace of the ambient degree
-    gysin: Complex
-    gysin_incl: ChainMap        # gysin -> omega
-    gysin_spaces: dict          # degree -> Subspace of the ambient degree
-    cogysin: Complex
-    projection: ChainMap        # omega -> cogysin
+class PerverseComplex(Value):
+    __slots__ = ("ambient", "omega",
+                 "omega_incl",    # omega -> ambient
+                 "omega_spaces",  # degree -> Subspace of the ambient degree
+                 "gysin",
+                 "gysin_incl",    # gysin -> omega
+                 "gysin_spaces",  # degree -> Subspace of the ambient degree
+                 "cogysin",
+                 "projection")    # omega -> cogysin
+
+    def __init__(self, ambient: Complex, omega: Complex, omega_incl: ChainMap,
+                 omega_spaces: dict, gysin: Complex, gysin_incl: ChainMap,
+                 gysin_spaces: dict, cogysin: Complex, projection: ChainMap):
+        _set(self, "ambient", ambient)
+        _set(self, "omega", omega)
+        _set(self, "omega_incl", omega_incl)
+        _set(self, "omega_spaces", omega_spaces)
+        _set(self, "gysin", gysin)
+        _set(self, "gysin_incl", gysin_incl)
+        _set(self, "gysin_spaces", gysin_spaces)
+        _set(self, "cogysin", cogysin)
+        _set(self, "projection", projection)
 
     def omega_space(self, k) -> Subspace:
         """Omega_p^k as a subspace of the ambient degree; zero outside

@@ -54,8 +54,7 @@ calls ``QNUM(...)`` or divides, so no entry is a float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -65,6 +64,7 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     QNUM = Fraction
 
 from .errors import AmbientMismatch, NotASubspace
+from .value import Value, _set, memo
 
 
 def rat(x):
@@ -412,12 +412,16 @@ def _is_reduced(rows) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """Subspace of Q^ambient_dim given by a reduced-column-echelon basis."""
 
-    ambient_dim: int
-    basis: Matrix  # columns are the canonical basis, possibly 0 of them
+    __slots__ = ("ambient_dim",
+                 "basis",  # columns are the canonical basis, possibly 0 of them
+                 "_pivots")
+
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "basis", basis)
 
     @staticmethod
     def from_matrix(m: Matrix) -> "Subspace":
@@ -452,8 +456,8 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    @cached_property
-    def _pivots(self):
+    @memo
+    def pivots(self):
         """The row of each basis column's leading 1, its first non-zero
         entry."""
         return tuple(next(i for i, x in enumerate(col) if x) for col in self.vectors())
@@ -465,7 +469,7 @@ class Subspace:
             raise AmbientMismatch(self.ambient_dim, m.rows)
         if not self.dim:
             return Matrix.zero(0, m.cols) if m.is_zero() else None
-        c = Matrix._of(self.dim, m.cols, tuple(m.entries[r] for r in self._pivots))
+        c = Matrix._of(self.dim, m.cols, tuple(m.entries[r] for r in self.pivots))
         return c if self.basis * c == m else None
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -578,18 +582,22 @@ def map_image(m: Matrix, v: Subspace) -> Subspace:
     return Subspace.from_matrix(m * v.basis)
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
+class QuotientSpace(Value):
     """v/w with a projection defined on all of Q^ambient and a lift section.
 
     projection*lift = identity, projection kills w, and the kernel of the
     projection restricted to v is exactly w.
     """
 
-    ambient_dim: int
-    dim: int
-    projection: Matrix  # dim x ambient_dim
-    lift: Matrix        # ambient_dim x dim, columns in v
+    __slots__ = ("ambient_dim", "dim",
+                 "projection",  # dim x ambient_dim
+                 "lift")        # ambient_dim x dim, columns in v
+
+    def __init__(self, ambient_dim: int, dim: int, projection: Matrix, lift: Matrix):
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "dim", dim)
+        _set(self, "projection", projection)
+        _set(self, "lift", lift)
 
 
 def quotient(v: Subspace, w: Subspace) -> QuotientSpace:

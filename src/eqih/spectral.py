@@ -24,7 +24,6 @@ fixed-point set).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .equivariant import build_equivariant, gysin_maps
@@ -54,16 +53,21 @@ from .ratla import (
     inverse,
     quotient,
 )
+from .value import Value, _set
 
 
-@dataclass(frozen=True)
-class SpectralPage:
+class SpectralPage(Value):
     """One page: cell dimensions and differentials d_r: (i,j) -> (i+r, j-r+1)
     in the total degrees a report lists."""
 
-    r: int
-    cells: dict            # (i, j) -> dimension
-    differentials: dict    # (i, j) -> Matrix
+    __slots__ = ("r",
+                 "cells",          # (i, j) -> dimension
+                 "differentials")  # (i, j) -> Matrix
+
+    def __init__(self, r: int, cells: dict, differentials: dict):
+        _set(self, "r", r)
+        _set(self, "cells", cells)
+        _set(self, "differentials", differentials)
 
     def dim(self, i, j) -> int:
         return self.cells.get((i, j), 0)
@@ -75,16 +79,23 @@ class SpectralPage:
         return Matrix.zero(self.dim(i + self.r, j - self.r + 1), 0)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Value):
     """D_n in persistence normal form: D_n sends each source chain to its
     boundary and every other chain to zero."""
 
-    tags: list        # filtration of each chain of C^n
-    targets: list     # lowest non-zero row of each boundary, None for a cycle
-    reach: list       # filtration of each target, None for a cycle
-    chains: tuple     # the chains, as vectors of C^n
-    boundaries: tuple  # D_n of each chain, as vectors of C^{n+1}
+    __slots__ = ("tags",         # filtration of each chain of C^n
+                 "targets",      # lowest non-zero row of each boundary, None for a cycle
+                 "reach",        # filtration of each target, None for a cycle
+                 "chains",       # the chains, as vectors of C^n
+                 "boundaries")   # D_n of each chain, as vectors of C^{n+1}
+
+    def __init__(self, tags: list, targets: list, reach: list, chains: tuple,
+                 boundaries: tuple):
+        _set(self, "tags", tags)
+        _set(self, "targets", targets)
+        _set(self, "reach", reach)
+        _set(self, "chains", chains)
+        _set(self, "boundaries", boundaries)
 
 
 class SpectralSequence:
@@ -663,19 +674,26 @@ def skjelbred(m: ModelInstance) -> LongExactSequence:
         cochains = block_matrix(eq.ext.dim(i), c.cols, [(eq.ext.offsets[i][0], 0, c)])
         return heq.classes_of(i, cochains)
 
+    blocks = {}
+
     def delta(i) -> Matrix:
         """IH^i_{S^1} -> A^i: co-Gysin classes of the positive u-power heads,
-        one block of rows per u-power."""
-        reps = heq.lifts(eq.ext.fold(i))
+        one block of rows per u-power.  The block at base degree k reads only
+        the representatives of the folded degree, so it is built once per
+        (fold(i), k)."""
+        n = eq.ext.fold(i)
+        reps = heq.lifts(n)
         rows = []
         for s, k in a_blocks(i):
-            alpha_s, _ = _component_pairs(eq, i, reps, s)
-            om = pc0.omega_space(k).coords_of(alpha_s)
-            if om is None:
-                raise IdentificationFails(
-                    "equivariant head escapes the perverse complex in "
-                    "degree %d at u-power %d" % (i, s))
-            rows += hk.classes_of(k, pc0.projection.mat(k) * om).entries
+            if (n, k) not in blocks:
+                alpha_s, _ = _component_pairs(eq, i, reps, s)
+                om = pc0.omega_space(k).coords_of(alpha_s)
+                if om is None:
+                    raise IdentificationFails(
+                        "equivariant head escapes the perverse complex in "
+                        "degree %d at u-power %d" % (i, s))
+                blocks[n, k] = hk.classes_of(k, pc0.projection.mat(k) * om).entries
+            rows += blocks[n, k]
         return Matrix._of(len(rows), reps.cols, tuple(rows))
 
     def beta(i) -> Matrix:

@@ -31,7 +31,8 @@ model document loads as one space, canonicalized once, and a saved
 document, whose levels list reduced row echelon bases, loads with no
 elimination at all, and its strict validation takes none either.  ``eqih
 compare`` validates its isomorphism once and solves for its witness once.
-A third-page identification is built once per fold key of its window.
+A third-page identification is built once per fold key of its window,
+and so is each block of ``skjelbred``'s delta maps.
 
 Every per-model builder is made by ``model.per_model``: a second call
 returns the object of the first, held under the builder's kind, or the
@@ -277,7 +278,8 @@ ELIMINATIONS = {
 # Matrix.__mul__ calls per command: a degree whose operand is empty takes
 # no product, nor does a d_r o d_r check or a spectral normal form with an
 # empty factor; the d_3 check builds each composite once per degree, and
-# skjelbred each map of a degree once
+# skjelbred each map of a degree once and each block of its delta maps once
+# per fold key
 PRODUCTS = {
     ("cohomology", "cone2", "apex=2"): 23,
     ("gysin", "cone2", "apex=2"): 61,
@@ -285,7 +287,7 @@ PRODUCTS = {
     ("localize", "cone2", "apex=2"): 45,
     ("spectral", "hopf", None): 102,
     ("spectral", "cone2", "apex=2"): 106,
-    ("skjelbred", "cone2", None): 106,
+    ("skjelbred", "cone2", None): 98,
 }
 
 
@@ -338,6 +340,19 @@ def test_each_fold_key_is_identified_once(tmp_path, calls):
     counted = run_counted(tmp_path, counted, "spectral", "cone2", label)
     assert counted["_e3_identification"] == len(first) < len(cells)
     assert counted["_component_pairs"] == per_key < per_cell
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_skjelbred_reads_each_folded_block_once(tmp_path, calls, name):
+    """``skjelbred`` reads the u-power components behind a block of its
+    delta maps once per (fold(i), k), the folded degree and the base degree
+    of the block: 6 reads for the 9 blocks of each fixture's window."""
+    m = fixtures.make(name)
+    eq = equivariant.build_equivariant(m, m.zero_perversity())
+    blocks = [(i, i - 2 * s) for i in range(eq.n_u - 1) for s in range(1, i // 2 + 1)]
+    keys = {(eq.ext.fold(i), k) for i, k in blocks}
+    counted = run_counted(tmp_path, calls(spectral, "_component_pairs"), "skjelbred", name, None)
+    assert counted["_component_pairs"] == len(keys) == 6 and len(blocks) == 9
 
 
 def test_equal_levels_load_as_one_space(tmp_path):

@@ -348,6 +348,12 @@ class TestErrors:
         code, out, _ = run(capsys, "cohomology", cone_file, "-p", " apex = -1 ")
         assert code == 0 and out == want
 
+    def test_the_empty_label_reads_as_no_perversity(self, capsys, hopf_file):
+        """A header's "()" given back to -p is the empty perversity."""
+        _, want, _ = run(capsys, "cohomology", hopf_file)
+        code, out, _ = run(capsys, "cohomology", hopf_file, "-p", "()")
+        assert code == 0 and out == want and json.loads(out)["perversity"] == "()"
+
     def test_unknown_stratum(self, capsys, cone_file):
         code, _, err = run(capsys, "cohomology", cone_file, "-p", "nope=1")
         assert code == 2

@@ -29,11 +29,17 @@ subspace built and no elimination.  No module intersects a space with a
 ``preimage``: {x in V : m*x in W} is ``preimage(m, W, within=V)``, one
 elimination where the two calls take two.  Only ``model.mat_from_json`` and the
 per-document memo ``_Entries.__missing__`` call ``rat_from_json``, so every
-matrix and vector a JSON document carries is read by one reader.
+matrix and vector a JSON document carries is read by one reader.  No module
+imports ``dataclasses``, which generates each class's methods by compiling
+code at import and pulls in ``inspect``: a value class is a ``value.Value``,
+and importing ``eqih.cli`` loads neither module.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -449,3 +455,36 @@ def test_the_checks_see_a_second_entry_reader():
     assert scoped_calls(tree, {"rat_from_json"}) == [
         ("mat_from_json", 2), ("_Entries.__missing__", 8), ("_Entries.rows", 11),
         ("_vec_from_json", 14)]
+
+
+def imported_modules(tree):
+    """The top-level name of every module an import statement names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_no_module_imports_dataclasses():
+    found = [name for name, tree in TREES.items() if "dataclasses" in imported_modules(tree)]
+    assert not found, "dataclasses imported by: %s" % found
+
+
+def test_the_checks_see_a_dataclasses_import():
+    tree = ast.parse("from dataclasses import dataclass\nimport dataclasses.x\n"
+                     "from .value import Value\n")
+    assert imported_modules(tree) == {"dataclasses"}
+
+
+def test_the_command_imports_neither_dataclasses_nor_inspect():
+    """A fresh interpreter without ``site``, which imports neither module
+    itself, has neither after ``import eqih.cli``."""
+    code = ("import eqih.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
