@@ -19,7 +19,7 @@ from .localize import lambda_u_module
 from .model import ModelInstance, Perversity, vec_to_json
 from .perverse import omega_spaces
 from .ratla import Matrix
-from .value import Value, _set
+from .value import Value
 
 
 class ModelIso(Value):
@@ -31,8 +31,7 @@ class ModelIso(Value):
                  "strata")  # m2 stratum -> m1 stratum
 
     def __init__(self, mats: dict = None, strata: dict = None):
-        _set(self, "mats", {} if mats is None else mats)
-        _set(self, "strata", {} if strata is None else strata)
+        super().__init__({} if mats is None else mats, {} if strata is None else strata)
 
     def mat(self, m1: ModelInstance, m2: ModelInstance, k: int) -> Matrix:
         got = self.mats.get(k)

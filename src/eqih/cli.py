@@ -384,23 +384,8 @@ def _build_parser():
     return parser, sub.choices
 
 
-def _parse_args(argv):
-    """The namespace the full parser gives, read by argv[0]'s own subparser
-    where that takes every argument: the full parser would hand it the same
-    arguments.  Anything else, no arguments, no command first or arguments
-    left over, goes to the full parser, which writes its usage or error."""
-    parser, commands = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in commands:
-        args, extra = commands[argv[0]].parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _build_parser()[0].parse_args(argv)
     report = {"schema": SCHEMA, "command": args.command}
     try:
         m = p = None

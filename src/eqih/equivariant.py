@@ -28,7 +28,7 @@ from .model import ModelInstance, Perversity, per_model
 from .perverse import _sign, ambient_complexes, euler_map, omega_spaces, perverse_complex
 from .ratla import (Matrix, Subspace, block_matrix, image, kernel, map_image, preimage,
                     subspace_sum)
-from .value import Value, _set
+from .value import Value
 
 
 def default_window(m: ModelInstance) -> int:
@@ -42,10 +42,6 @@ def default_window(m: ModelInstance) -> int:
 class Eq1Complex(Value):
     __slots__ = ("complex",  # abstract, degrees 0 .. top_degree + 1
                  "spaces")   # degree -> Subspace of Q^{dim(k) + dim(k-1)}
-
-    def __init__(self, complex: Complex, spaces: dict):
-        _set(self, "complex", complex)
-        _set(self, "spaces", spaces)
 
     def space(self, k) -> Subspace:
         if k in self.spaces:

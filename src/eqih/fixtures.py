@@ -315,7 +315,7 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
     strata = tuple(Stratum("s%d" % i, rng.choice(STRATUM_KINDS)) for i in range(n_strata))
     filtrations = {s.name: _random_filtration(rng, dims, rng.randint(1, 3)) for s in strata}
     # the spaces, differentials and levels; the Euler data is solved for below
-    a = AmbientModel(top, tuple(dims), tuple(diffs), filtrations, (), ())
+    a = AmbientModel(top, tuple(dims), tuple(diffs), filtrations, (), (), None)
 
     constraints = []
     for s in strata:
@@ -348,7 +348,8 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
             todo.append(p.minus(xbar))
     pset.sort(key=lambda p: p.items)
 
-    ambient = AmbientModel(top, a.dims, a.d, filtrations, tuple(map(rat, eps)), tuple(euler))
+    ambient = AmbientModel(top, a.dims, a.d, filtrations, tuple(map(rat, eps)), tuple(euler),
+                           None)
     return ModelInstance("random-%d-%d" % (seed, size), ambient, strata, tuple(pset))
 
 

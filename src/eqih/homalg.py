@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .errors import NotAComplex, NotExact, InternalInvariantViolation
 from .ratla import Matrix, Subspace, image, kernel, quotient
-from .value import Value, _set, memo
+from .value import Value, memo
 
 
 class Complex(Value):
@@ -44,12 +44,6 @@ class Complex(Value):
                  "dims",   # dims[k - lo]
                  "diffs",  # diffs[k - lo]: dim(k+1) x dim(k); empty above hi
                  "_cohomology")
-
-    def __init__(self, lo: int, hi: int, dims: tuple, diffs: tuple):
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        _set(self, "dims", dims)
-        _set(self, "diffs", diffs)
 
     @staticmethod
     def build(lo, hi, dims, diffs) -> "Complex":
@@ -102,12 +96,6 @@ class ChainMap(Value, uncompared=("maps",)):
     """
 
     __slots__ = ("source", "target", "shift", "maps")
-
-    def __init__(self, source: Complex, target: Complex, shift: int, maps: dict):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "shift", shift)
-        _set(self, "maps", maps)
 
     def mat(self, k) -> Matrix:
         m = self.maps.get(k)
@@ -231,11 +219,6 @@ class LongExactSequence(Value):
     __slots__ = ("labels", "dims",
                  "maps",  # len == len(labels) - 1
                  "_exactness")
-
-    def __init__(self, labels: list, dims: list, maps: list):
-        _set(self, "labels", labels)
-        _set(self, "dims", dims)
-        _set(self, "maps", maps)
 
     def node_count(self):
         return len(self.labels)

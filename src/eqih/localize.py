@@ -23,8 +23,8 @@ from .errors import InputError, NotAConeModel, TheoremViolation
 from .model import (ModelInstance, Perversity, _typed, int_from_json, int_from_text,
                     mat_from_json, per_model)
 from .perverse import euler_map, gysin_cohomology, omega_cohomology, perverse_complex
-from .ratla import Matrix, block_matrix
-from .value import Value, _set
+from .ratla import block_matrix
+from .value import Value
 
 
 class PolyMatrix(Value):
@@ -40,10 +40,6 @@ class PolyMatrix(Value):
     """
 
     __slots__ = ("a", "b")
-
-    def __init__(self, a: Matrix, b: Matrix):
-        _set(self, "a", a)
-        _set(self, "b", b)
 
     def rank(self) -> int:
         """Rank over the fraction field: the largest rank at u = 1, ...,
@@ -68,10 +64,6 @@ class PolyMatrix(Value):
 
 class LocalizedModule(Value):
     __slots__ = ("even_rank", "odd_rank")
-
-    def __init__(self, even_rank: int, odd_rank: int):
-        _set(self, "even_rank", even_rank)
-        _set(self, "odd_rank", odd_rank)
 
     def ranks(self):
         return (self.even_rank, self.odd_rank)
@@ -186,8 +178,9 @@ def cone_formula_check(m: ModelInstance, p: Perversity) -> dict:
 
     The cone degree is the perversity value on the apex stratum; the link
     quotient cohomology dims and its Euler map are read from the model
-    metadata (NotAConeModel if absent, InputError if malformed).  The
-    metadata's own cone_degree must be a JSON integer but is not used.
+    metadata (NotAConeModel if absent, InputError if malformed); the Euler
+    map of degree k must be link_dim(k + 2) x link_dim(k).  The metadata's
+    own cone_degree must be a JSON integer but is not used.
     """
     meta = (m.metadata or {}).get("cone")
     needed = ("apex_stratum", "cone_degree", "link_quotient_ih", "link_eub")
@@ -204,16 +197,20 @@ def cone_formula_check(m: ModelInstance, p: Perversity) -> dict:
             for x in _typed(meta["link_quotient_ih"], list, "cone link_quotient_ih")]
     if any(x < 0 for x in link):
         raise InputError("cone link_quotient_ih: a dimension is negative in %r" % link)
+
+    def link_dim(k):
+        return link[k] if 0 <= k < len(link) else 0
+
     eub = {}
     for key, rows in _typed(meta["link_eub"], dict, "cone link_eub").items():
         k = int_from_text(key, "cone link_eub degree")
         if k in eub:
             raise InputError("cone link_eub: degree %r repeats degree %d" % (key, k))
         eub[k] = mat_from_json(rows, None, None, ("cone link_eub %s", key))
-
-    def link_dim(k):
-        return link[k] if 0 <= k < len(link) else 0
-
+        want = (link_dim(k + 2), link_dim(k))
+        if (eub[k].rows, eub[k].cols) != want:
+            raise InputError("cone link_eub %s is %dx%d, and link_quotient_ih wants %dx%d"
+                             % (key, eub[k].rows, eub[k].cols, *want))
     predicted = [0, 0]
     if link_dim(deg):
         predicted[deg % 2] += link_dim(deg)

@@ -33,8 +33,7 @@ class Stratum(Value):
     def __init__(self, name: str, kind: str):
         if kind not in STRATUM_KINDS:
             raise InputError("unknown stratum kind %r" % kind)
-        _set(self, "name", name)
-        _set(self, "kind", kind)
+        super().__init__(name, kind)
 
     @property
     def xbar(self) -> int:
@@ -47,18 +46,13 @@ class Stratum(Value):
         return _EBAR[self.kind]
 
 
-class Perversity:
+class Perversity(Value):
     """Integer weight per singular stratum; totally defined on a model."""
 
-    __slots__ = ("items", "_hash")
+    __slots__ = ("items",)  # (stratum, weight) pairs, sorted by stratum
 
     def __init__(self, values: dict):
-        items = tuple(sorted(values.items()))
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "_hash", hash(items))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Perversity is immutable")
+        super().__init__(tuple(sorted(values.items())))
 
     @property
     def values(self) -> dict:
@@ -87,15 +81,6 @@ class Perversity:
         self._check_same(other)
         return all(v <= other[k] for k, v in self.items)
 
-    def __eq__(self, other):
-        return isinstance(other, Perversity) and self.items == other.items
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return "Perversity(%s)" % (dict(self.items),)
-
     def label(self) -> str:
         if not self.items:
             return "()"
@@ -114,16 +99,6 @@ class AmbientModel(Value):
                  "euler_cocycle",  # vector in degree 2
                  "euler_op",       # E[k]: dims[k+2] x dims[k]
                  "product")        # (i, j) -> Matrix dims[i+j] x dims[i]*dims[j], or None
-
-    def __init__(self, top_degree: int, dims: tuple, d: tuple, filtrations: dict,
-                 euler_cocycle: tuple, euler_op: tuple, product: dict = None):
-        _set(self, "top_degree", top_degree)
-        _set(self, "dims", dims)
-        _set(self, "d", d)
-        _set(self, "filtrations", filtrations)
-        _set(self, "euler_cocycle", euler_cocycle)
-        _set(self, "euler_op", euler_op)
-        _set(self, "product", product)
 
     def dim(self, k) -> int:
         if 0 <= k <= self.top_degree:
@@ -178,13 +153,10 @@ class ModelInstance(Value, uncompared=("metadata",)):
                  "metadata", "_cache")
 
     def __init__(self, name: str, ambient: AmbientModel, strata: tuple,
-                 perversity_set: tuple, metadata: dict = None, _cache: dict = None):
-        _set(self, "name", name)
-        _set(self, "ambient", ambient)
-        _set(self, "strata", strata)
-        _set(self, "perversity_set", perversity_set)
-        _set(self, "metadata", {} if metadata is None else metadata)
-        _set(self, "_cache", {} if _cache is None else _cache)
+                 perversity_set: tuple, metadata: dict = None):
+        super().__init__(name, ambient, strata, perversity_set,
+                         {} if metadata is None else metadata)
+        _set(self, "_cache", {})
 
     def stratum(self, name) -> Stratum:
         for s in self.strata:
@@ -422,19 +394,10 @@ def rat_from_json(x, where):
     ``Fraction``'s grammar, on either backend: 'p/q', and also signs,
     decimals, exponents, underscores and non-ASCII digits ('+2', '1.5',
     '1e3', '1_0', '\u0663'), as tests/test_model.py pins.  A JSON float is
-    refused: it arrives as a binary fraction, not the number its text shows.
-
-    JSON integers and plain ASCII '-?digits' strings, the common entries,
-    take a fast path through ``int``; every other input goes through ``rat``
-    as it is, which accepts the same inputs and gives the same values for
-    these."""
-    if type(x) is int:
-        return x
+    refused: it arrives as a binary fraction, not the number its text shows."""
     if isinstance(x, (bool, float)):
         raise InputError("%s: %r is not an integer or a 'p/q' string" % (where, x))
     try:
-        if type(x) is str and x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
-            return int(x)
         return rat(x)
     except (ValueError, ZeroDivisionError, TypeError) as e:
         raise InputError("bad rational in %s: %s" % (where, e))

@@ -23,7 +23,7 @@ from .homalg import (ChainMap, Cohomology, Complex, LongExactSequence, SesData, 
                      quotient_complex, subcomplex)
 from .model import ModelInstance, Perversity, check_axioms, per_model
 from .ratla import Matrix, Subspace, block_matrix, preimage, quotient
-from .value import Value, _set
+from .value import Value
 
 
 def _sign(k):
@@ -62,19 +62,6 @@ class PerverseComplex(Value):
                  "gysin_spaces",  # degree -> Subspace of the ambient degree
                  "cogysin",
                  "projection")    # omega -> cogysin
-
-    def __init__(self, ambient: Complex, omega: Complex, omega_incl: ChainMap,
-                 omega_spaces: dict, gysin: Complex, gysin_incl: ChainMap,
-                 gysin_spaces: dict, cogysin: Complex, projection: ChainMap):
-        _set(self, "ambient", ambient)
-        _set(self, "omega", omega)
-        _set(self, "omega_incl", omega_incl)
-        _set(self, "omega_spaces", omega_spaces)
-        _set(self, "gysin", gysin)
-        _set(self, "gysin_incl", gysin_incl)
-        _set(self, "gysin_spaces", gysin_spaces)
-        _set(self, "cogysin", cogysin)
-        _set(self, "projection", projection)
 
     def omega_space(self, k) -> Subspace:
         """Omega_p^k as a subspace of the ambient degree; zero outside

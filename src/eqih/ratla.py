@@ -64,7 +64,7 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     QNUM = Fraction
 
 from .errors import AmbientMismatch, NotASubspace
-from .value import Value, _set, memo
+from .value import Value, memo
 
 
 def rat(x):
@@ -419,10 +419,6 @@ class Subspace(Value):
                  "basis",  # columns are the canonical basis, possibly 0 of them
                  "_pivots")
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "basis", basis)
-
     @staticmethod
     def from_matrix(m: Matrix) -> "Subspace":
         """Column span of m, canonicalized."""
@@ -592,12 +588,6 @@ class QuotientSpace(Value):
     __slots__ = ("ambient_dim", "dim",
                  "projection",  # dim x ambient_dim
                  "lift")        # ambient_dim x dim, columns in v
-
-    def __init__(self, ambient_dim: int, dim: int, projection: Matrix, lift: Matrix):
-        _set(self, "ambient_dim", ambient_dim)
-        _set(self, "dim", dim)
-        _set(self, "projection", projection)
-        _set(self, "lift", lift)
 
 
 def quotient(v: Subspace, w: Subspace) -> QuotientSpace:

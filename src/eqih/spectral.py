@@ -53,7 +53,7 @@ from .ratla import (
     inverse,
     quotient,
 )
-from .value import Value, _set
+from .value import Value
 
 
 class SpectralPage(Value):
@@ -63,11 +63,6 @@ class SpectralPage(Value):
     __slots__ = ("r",
                  "cells",          # (i, j) -> dimension
                  "differentials")  # (i, j) -> Matrix
-
-    def __init__(self, r: int, cells: dict, differentials: dict):
-        _set(self, "r", r)
-        _set(self, "cells", cells)
-        _set(self, "differentials", differentials)
 
     def dim(self, i, j) -> int:
         return self.cells.get((i, j), 0)
@@ -88,14 +83,6 @@ class NormalForm(Value):
                  "reach",        # filtration of each target, None for a cycle
                  "chains",       # the chains, as vectors of C^n
                  "boundaries")   # D_n of each chain, as vectors of C^{n+1}
-
-    def __init__(self, tags: list, targets: list, reach: list, chains: tuple,
-                 boundaries: tuple):
-        _set(self, "tags", tags)
-        _set(self, "targets", targets)
-        _set(self, "reach", reach)
-        _set(self, "chains", chains)
-        _set(self, "boundaries", boundaries)
 
 
 class SpectralSequence:

@@ -1,12 +1,16 @@
 """Immutable value classes, as plain slotted classes.
 
-A value class names its fields in ``__slots__`` and sets them in its own
-``__init__`` through ``_set``, since ``Value.__setattr__`` refuses every
-assignment.  Two values are equal when they are of the same class and
-their compared fields are equal, and a value hashes as the tuple of those
-fields.  The compared fields are the slots in order, less the names a class
-passes as ``uncompared``; a slot named ``_name`` is private, neither compared
-nor shown, and a ``memo`` keeps its value in one.
+A value class names its fields in ``__slots__``.  ``Value.__init__`` takes
+one argument per public field and sets them in slot order, since
+``Value.__setattr__`` refuses every assignment; a class that checks or
+defaults an argument keeps a short ``__init__`` that ends in
+``super().__init__(...)``.  Two values are equal when they are of the same
+class and their compared fields are equal, and a value hashes as the tuple
+of those fields.  The compared fields are the slots in order, less the
+names a class passes as ``uncompared``; a slot named ``_name`` is private,
+neither compared nor shown nor set by ``Value.__init__``, and a ``memo``
+keeps its value in one.  ``_set`` stores a private slot past
+``__setattr__``.
 """
 
 from operator import attrgetter
@@ -21,7 +25,16 @@ class Value:
         super().__init_subclass__()
         fields = [f for f in cls.__slots__ if not f.startswith("_")]
         cls._shown = tuple(fields)
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
         cls._key = attrgetter(*[f for f in fields if f not in uncompared])
+
+    def __init__(self, *fields):
+        setters = self._setters
+        if len(fields) != len(setters):
+            raise TypeError("%s takes %d fields (%s), not %d" % (
+                type(self).__name__, len(setters), ", ".join(self._shown), len(fields)))
+        for put, field in zip(setters, fields):
+            put(self, field)
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)

@@ -32,7 +32,10 @@ per-document memo ``_Entries.__missing__`` call ``rat_from_json``, so every
 matrix and vector a JSON document carries is read by one reader.  No module
 imports ``dataclasses``, which generates each class's methods by compiling
 code at import and pulls in ``inspect``: a value class is a ``value.Value``,
-and importing ``eqih.cli`` loads neither module.
+and importing ``eqih.cli`` loads neither module.  ``Value.__init__`` sets
+every public field of a value, so outside ``value.py`` a store past the
+refusing ``__setattr__`` sets only a private slot, the per-model memo
+``ModelInstance._cache``.
 """
 
 import ast
@@ -423,16 +426,21 @@ def test_the_checks_see_a_containment_of_an_image():
     assert image_containments(tree) == [("one", 2), ("split", 5), ("bound", 11)]
 
 
+def scopes(tree):
+    """(name, node) of every top-level definition, with each member of a
+    top-level class named ``Class.member``."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            yield from (("%s.%s" % (top.name, getattr(f, "name", None)), f) for f in top.body)
+        else:
+            yield getattr(top, "name", None), top
+
+
 def scoped_calls(tree, names):
     """calls(tree, names), with a call inside a method of a top-level class
     named ``Class.method``."""
-    out = []
-    for top in tree.body:
-        scopes = ([("%s.%s" % (top.name, getattr(f, "name", None)), f) for f in top.body]
-                  if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
-        for name, scope in scopes:
-            out += [(name, line) for _, line in calls(ast.Module([scope], []), names)]
-    return out
+    return [(name, line) for name, scope in scopes(tree)
+            for _, line in calls(ast.Module([scope], []), names)]
 
 
 def test_only_the_matrix_reader_reads_entries():
@@ -455,6 +463,36 @@ def test_the_checks_see_a_second_entry_reader():
     assert scoped_calls(tree, {"rat_from_json"}) == [
         ("mat_from_json", 2), ("_Entries.__missing__", 8), ("_Entries.rows", 11),
         ("_vec_from_json", 14)]
+
+
+def slot_stores(tree):
+    """(scope, slot) of every store past ``Value.__setattr__``, a call of
+    ``_set`` or ``object.__setattr__``, scoped as by scopes(), with the slot
+    its string literal names, or None where it is named otherwise."""
+    return [(name, node.args[1].value if isinstance(node.args[1], ast.Constant) else None)
+            for name, scope in scopes(tree) for node in ast.walk(scope)
+            if isinstance(node, ast.Call) and len(node.args) > 1
+            and (getattr(node.func, "id", None) == "_set"
+                 or ast.unparse(node.func) == "object.__setattr__")]
+
+
+def test_only_the_model_memo_is_stored_past_the_constructor():
+    """Value.__init__ sets every public field, so outside value.py a store
+    past the refusing __setattr__ sets a private slot, and the one such slot
+    is the per-model memo."""
+    found = {(name, scope, slot) for name, tree in TREES.items() if name != "value.py"
+             for scope, slot in slot_stores(tree)}
+    assert found == {("model.py", "ModelInstance.__init__", "_cache")}
+
+
+def test_the_checks_see_a_field_stored_past_the_constructor():
+    tree = ast.parse("class A(Value):\n    def __init__(self, x):\n"
+                     "        _set(self, 'x', x)\n        _set(self, '_memo', {})\n\n"
+                     "class B:\n    def __init__(self, items):\n"
+                     "        object.__setattr__(self, 'items', items)\n\n"
+                     "def put(obj, slot):\n    _set(obj, slot, 1)\n    setattr(obj, 'y', 2)\n")
+    assert slot_stores(tree) == [("A.__init__", "x"), ("A.__init__", "_memo"),
+                                 ("B.__init__", "items"), ("put", None)]
 
 
 def imported_modules(tree):

@@ -1,15 +1,18 @@
 """The value classes compare, hash and refuse assignment the way frozen
 dataclasses did: equality over the compared fields of two values of one
 class, a hash over the same fields (so a value with a dict or list field
-has none), and no field may be set or deleted once built."""
+has none), and no field may be set or deleted once built.  A value is
+built from one argument per field, and another count is a TypeError."""
 
 import pytest
 
 from eqih import classify, equivariant, fixtures, localize, perverse, spectral
 from eqih.errors import InputError
 from eqih.homalg import ChainMap, Complex
-from eqih.model import ModelInstance, Stratum
+from eqih.localize import LocalizedModule
+from eqih.model import ModelInstance, Perversity, Stratum
 from eqih.ratla import Matrix, Subspace, quotient
+from eqih.value import Value
 
 
 def built(m):
@@ -24,6 +27,7 @@ def built(m):
         "ChainMap": pc.omega_incl,
         "LongExactSequence": spectral.skjelbred(m),
         "Stratum": m.strata[0],
+        "Perversity": p,
         "AmbientModel": m.ambient,
         "ModelInstance": m,
         "PerverseComplex": pc,
@@ -36,8 +40,8 @@ def built(m):
     }
 
 
-HASHABLE = {"Subspace", "QuotientSpace", "Complex", "ChainMap", "Stratum", "PolyMatrix",
-            "LocalizedModule"}
+HASHABLE = {"Subspace", "QuotientSpace", "Complex", "ChainMap", "Stratum", "Perversity",
+            "PolyMatrix", "LocalizedModule"}
 CLASSES = sorted(HASHABLE | {"LongExactSequence", "AmbientModel", "ModelInstance",
                              "PerverseComplex", "Eq1Complex", "SpectralPage", "NormalForm",
                              "ModelIso"})
@@ -118,8 +122,23 @@ def test_defaults_and_repr():
     iso = classify.ModelIso()
     assert iso.mats == {} and iso.strata == {} and iso.mats is not classify.ModelIso().mats
     assert repr(Stratum("s", "mobile")) == "Stratum(name='s', kind='mobile')"
+    assert repr(Perversity({"b": 0, "a": 1})) == "Perversity(items=(('a', 1), ('b', 0)))"
+
+
+def test_a_wrong_number_of_fields_is_refused():
+    with pytest.raises(TypeError, match=r"^LocalizedModule takes 2 fields "
+                                        r"\(even_rank, odd_rank\), not 1$"):
+        LocalizedModule(1)
+    with pytest.raises(TypeError, match="^Subspace takes 2 fields"):
+        Subspace(2, Matrix.zero(2, 0), None)
 
 
 def test_unknown_stratum_kind_is_refused():
     with pytest.raises(InputError, match="^unknown stratum kind 'bogus'$"):
         Stratum("s", "bogus")
+
+
+def test_only_a_class_that_checks_or_defaults_defines_a_constructor():
+    """Every other value class is built by Value.__init__ alone."""
+    own = {cls.__name__ for cls in Value.__subclasses__() if "__init__" in vars(cls)}
+    assert own == {"Stratum", "Perversity", "ModelInstance", "ModelIso"}
