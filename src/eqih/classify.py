@@ -147,12 +147,12 @@ def _consequences(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> dict:
             "localization_equal":
                 lambda_u_module(m1, p1).ranks() == lambda_u_module(m2, p2).ranks(),
         })
-    report = {"perversities": entries,
-              "all_equal": all(v for e in entries for k, v in e.items() if k != "perversity")}
-    if not report["all_equal"]:
-        raise TheoremViolation(
-            "related models disagree on equivariant invariants: %s" % report)
-    return report
+    for e in entries:
+        unequal = [k for k, v in e.items() if k != "perversity" and not v]
+        if unequal:
+            raise TheoremViolation("related models disagree at perversity %s: %s is false"
+                                   % (e["perversity"], unequal[0]))
+    return {"perversities": entries, "all_equal": True}
 
 
 def compare(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> dict:

@@ -140,15 +140,10 @@ def gysin_maps(m: ModelInstance, p: Perversity):
     return i, s
 
 
-@per_model("gysin_ses")
-def gysin_ses(m: ModelInstance, p: Perversity) -> SesData:
-    return SesData(*gysin_maps(m, p))
-
-
 def gysin_les(m: ModelInstance, p: Perversity) -> LongExactSequence:
     """The Gysin long exact sequence; its connecting morphism is verified to
     coincide with the Euler map."""
-    ses = gysin_ses(m, p)
+    ses = SesData(*gysin_maps(m, p))
     eub = euler_map(m, p)
     for k in range(ses.i.target.lo, ses.i.target.hi):
         if ses.connecting(k) != eub.mat(k - 1):
@@ -192,7 +187,7 @@ class LambdaExtension:
         if shift is not None:
             terms.append((1, shift.__getitem__))
         diffs = [self.tensor(n, self, 1, terms) for n in range(0, self.hi + 1)]
-        self.complex = Complex.build(0, self.hi, dims, diffs)
+        self.complex = Complex(0, self.hi, dims, diffs)
         if shift is not None:
             self.complex.check_square()
 
@@ -372,13 +367,10 @@ class EquivariantGysin:
         return {"decomposition_verified": True, "degrees_checked": list(range(0, n_u))}
 
 
-equivariant_gysin = per_model("eq_gysin")(EquivariantGysin)
-
-
 def equivariant_gysin_les(m: ModelInstance, p: Perversity, n_u=None):
     """(long exact sequence, connecting decomposition report) for the
     u-extended Gysin sequence."""
     n_u = default_window(m) if n_u is None else n_u
-    gy = equivariant_gysin(m, p)
+    gy = EquivariantGysin(m, p)
     seq = gy.ses.les(range(n_u), gy.eq.ext.fold)
     return seq, gy.connecting_decomposition_report(n_u)

@@ -6,20 +6,20 @@ chain maps relating them to their parent, and a short exact sequence of chain
 maps induces a long exact sequence with an explicitly computed connecting
 morphism.
 
-Each object is checked once, where it is built.  Complex.build checks
+Each object is checked once, where it is built.  A Complex checks its
 shapes only: d.d = 0 holds on a model's ambient and pair complexes once the
 model passes its axioms (model.check_axioms), the u-twisted tensor complex
 calls check_square itself, and every other complex is a sub- or quotient
-complex, shift or untwisted tensor copy of one of these.  subcomplex checks
-d-stability, quotient_complex that its projection is a chain map, chain_map
-its maps, and check_short_exact the exactness of two chain maps; Cohomology
-and SesData check nothing.  Cohomology builds the quotient of a degree on
-its first read, so a degree that no caller reads costs nothing.  A long
-exact sequence checks its own exactness once, through check_exact, the
-first time it is read, and takes the image and the kernel of each distinct
-map object once: the sequence of a u-extension reads its folded degrees at
-their fold (see equivariant.LambdaExtension.fold), so their nodes share map
-objects.
+complex, shift or untwisted tensor copy of one of these.  subcomplex
+checks d-stability, quotient_complex that its projection is a chain map,
+chain_map its maps, which preserve degree, and check_short_exact the
+exactness of two chain maps; Cohomology and SesData check nothing.
+Cohomology builds the quotient of a degree on its first read, so a degree
+that no caller reads costs nothing.  A long exact sequence checks its own
+exactness once, through check_exact, the first time it is read, and takes
+the image and the kernel of each distinct map object once: the sequence of
+a u-extension reads its folded degrees at their fold (see
+equivariant.LambdaExtension.fold), so their nodes share map objects.
 
 A degree where an operand is empty is skipped, since every check there
 holds between empty matrices: chain map squares whose source degree or
@@ -37,26 +37,23 @@ from .value import Value, memo
 
 
 class Complex(Value):
-    """Cochain complex supported in degrees lo..hi (inclusive).  Its
-    cohomology is built on first use and kept with it."""
+    """Cochain complex supported in degrees lo..hi (inclusive), its shapes
+    checked where it is built.  Its cohomology is built on first use and
+    kept with it."""
 
     __slots__ = ("lo", "hi",
                  "dims",   # dims[k - lo]
                  "diffs",  # diffs[k - lo]: dim(k+1) x dim(k); empty above hi
                  "_cohomology")
 
-    @staticmethod
-    def build(lo, hi, dims, diffs) -> "Complex":
-        dims = tuple(dims)
-        diffs = tuple(diffs)
+    def __init__(self, lo, hi, dims, diffs):
+        dims, diffs = tuple(dims), tuple(diffs)
         if len(dims) != hi - lo + 1 or len(diffs) != hi - lo + 1:
             raise ValueError("degree range does not match data length")
-        c = Complex(lo, hi, dims, diffs)
-        for k in range(lo, hi + 1):
-            d = diffs[k - lo]
-            if d.cols != dims[k - lo] or d.rows != c.dim(k + 1):
+        for k, d, n, above in zip(range(lo, hi + 1), diffs, dims, dims[1:] + (0,)):
+            if d.cols != n or d.rows != above:
                 raise ValueError("differential shape mismatch in degree %d" % k)
-        return c
+        super().__init__(lo, hi, dims, diffs)
 
     @staticmethod
     def zero(lo=0, hi=0) -> "Complex":
@@ -89,35 +86,30 @@ class Complex(Value):
 
 
 class ChainMap(Value, uncompared=("maps",)):
-    """Degree-preserving chain map given by per-degree matrices.
+    """Degree-preserving chain map given by per-degree matrices: maps[k]
+    sends degree k of the source to degree k of the target.  chain_map
+    checks commutation with the differentials on the nose."""
 
-    maps[k] sends degree k of the source to degree k + shift of the target;
-    chain_map checks commutation with the differentials on the nose.
-    """
-
-    __slots__ = ("source", "target", "shift", "maps")
+    __slots__ = ("source", "target", "maps")
 
     def mat(self, k) -> Matrix:
         m = self.maps.get(k)
         if m is None:
-            return Matrix.zero(self.target.dim(k + self.shift), self.source.dim(k))
+            return Matrix.zero(self.target.dim(k), self.source.dim(k))
         return m
 
-    def check(self, degrees=None):
-        degs = degrees if degrees is not None else self.source.degrees()
-        for k in degs:
+    def check(self):
+        for k in self.source.degrees():
             # the square holds between empty matrices
-            if not (self.source.dim(k) and self.target.dim(k + self.shift + 1)):
+            if not (self.source.dim(k) and self.target.dim(k + 1)):
                 continue
-            lhs = self.mat(k + 1) * self.source.d(k)
-            rhs = self.target.d(k + self.shift) * self.mat(k)
-            if lhs != rhs:
+            if self.mat(k + 1) * self.source.d(k) != self.target.d(k) * self.mat(k):
                 raise NotAComplex("chain map does not commute with d in degree %d" % k)
         return self
 
 
-def chain_map(source, target, maps, shift=0) -> ChainMap:
-    return ChainMap(source, target, shift, dict(maps)).check()
+def chain_map(source, target, maps) -> ChainMap:
+    return ChainMap(source, target, dict(maps)).check()
 
 
 def subcomplex(parent: Complex, bases: dict) -> tuple:
@@ -138,8 +130,8 @@ def subcomplex(parent: Complex, bases: dict) -> tuple:
             raise NotAComplex("subspace is not d-stable in degree %d" % k)
         dims.append(v.dim)
         diffs.append(coords)
-    sub = Complex.build(parent.lo, parent.hi, dims, diffs)
-    incl = ChainMap(sub, parent, 0, {k: spaces[k].basis for k in parent.degrees()})
+    sub = Complex(parent.lo, parent.hi, dims, diffs)
+    incl = ChainMap(sub, parent, {k: spaces[k].basis for k in parent.degrees()})
     return sub, incl
 
 
@@ -159,7 +151,7 @@ def quotient_complex(parent: Complex, bases: dict) -> tuple:
         else:
             diffs.append(Matrix.zero(nrows, q.dim))
         dims.append(q.dim)
-    quo = Complex.build(parent.lo, parent.hi, dims, diffs)
+    quo = Complex(parent.lo, parent.hi, dims, diffs)
     # induced differential must be well defined: projection is a chain map
     return quo, chain_map(parent, quo, {k: quots[k].projection for k in parent.degrees()})
 
@@ -206,10 +198,10 @@ class Cohomology:
         return Matrix.zero(self.complex.dim(k), 0) if q is None else q.lift
 
     def induced_map(self, other: "Cohomology", f: ChainMap, k) -> Matrix:
-        """Matrix of H^k(f): H^k(self) -> H^{k+shift}(other) for a chain map f."""
+        """Matrix of H^k(f): H^k(self) -> H^k(other) for a chain map f."""
         if not self.dim(k):
-            return Matrix.zero(other.dim(k + f.shift), 0)
-        return other.classes_of(k + f.shift, f.mat(k) * self.lifts(k))
+            return Matrix.zero(other.dim(k), 0)
+        return other.classes_of(k, f.mat(k) * self.lifts(k))
 
 
 class LongExactSequence(Value):
@@ -280,8 +272,6 @@ class SesData:
     map it inverts."""
 
     def __init__(self, i: ChainMap, s: ChainMap):
-        if i.shift != 0 or s.shift != 0:
-            raise NotExact("SES maps must preserve degree")
         if i.target is not s.source:
             raise NotExact("middle complexes differ")
         self.i, self.s = i, s

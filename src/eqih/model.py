@@ -194,9 +194,9 @@ class ModelInstance(Value, uncompared=("metadata",)):
         """The value of thunk(), computed once per key for this model: the
         memo behind per_model, keyed by a builder's kind or (kind, *args).
         The kinds are space_axioms, flevel, ambient_complexes, perverse,
-        omega, cogysin_ses, eub, eq1, eq1_shift, gysin_maps, gysin_ses,
-        equivariant, eq_gysin, localized, spectral, e3 and
-        fixed_point_preconditions.  Cached values are shared, never modified."""
+        omega, cogysin_ses, eub, eq1, eq1_shift, gysin_maps, equivariant,
+        localized, spectral, e3 and fixed_point_preconditions.  Cached
+        values are shared, never modified."""
         if key not in self._cache:
             self._cache[key] = thunk()
         return self._cache[key]

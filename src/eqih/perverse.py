@@ -22,7 +22,7 @@ from .errors import InputError, InternalInvariantViolation, WitnessNotFound
 from .homalg import (ChainMap, Cohomology, Complex, LongExactSequence, SesData, chain_map,
                      quotient_complex, subcomplex)
 from .model import ModelInstance, Perversity, check_axioms, per_model
-from .ratla import Matrix, Subspace, block_matrix, preimage, quotient
+from .ratla import Matrix, Subspace, block_matrix, image, preimage, quotient
 from .value import Value
 
 
@@ -47,8 +47,8 @@ def ambient_complexes(m: ModelInstance) -> tuple:
     that passes has d.d = 0 on A and, E being a chain map, on P."""
     check_axioms(m)
     a, top = m.ambient, m.ambient.top_degree
-    amb = Complex.build(0, top, a.dims, a.d)
-    pair = Complex.build(0, top + 1, [a.dim(k) + a.dim(k - 1) for k in range(top + 2)],
+    amb = Complex(0, top, a.dims, a.d)
+    pair = Complex(0, top + 1, [a.dim(k) + a.dim(k - 1) for k in range(top + 2)],
                          [_pair_d(a, k) for k in range(top + 2)])
     return amb, pair
 
@@ -101,14 +101,14 @@ def perverse_complex(m: ModelInstance, p: Perversity) -> PerverseComplex:
     gysin_in_omega = {}
     for k in amb.degrees():
         # F^{k+2} + d(F^{k+1}), spanned at once
-        allowance = Subspace.from_matrix(m.filtration_level(p, k + 2).basis.hstack(
+        allowance = image(m.filtration_level(p, k + 2).basis.hstack(
             a.diff(k + 1) * m.filtration_level(p, k + 1).basis))
         gysin_spaces[k] = preimage(a.euler(k), allowance, within=lower[k])
         coords = spaces[k].coords_of(gysin_spaces[k].basis)
         if coords is None:
             raise InternalInvariantViolation(
                 "Gysin term escapes the perverse complex in degree %d" % k)
-        gysin_in_omega[k] = Subspace.from_matrix(coords)
+        gysin_in_omega[k] = image(coords)
 
     omega, omega_incl = subcomplex(amb, spaces)
     gysin, gysin_incl = subcomplex(omega, gysin_in_omega)

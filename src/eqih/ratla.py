@@ -14,9 +14,10 @@ products are ``Matrix.__mul__``, which runs on integers (each factor's rows
 scaled to integer rows, each sum divided once by both scales, the way
 ``rref_integer_rows`` eliminates), ``Subspace.coords_of`` reads the
 coordinates of every column at the pivots, and ``Matrix.solve`` solves for
-a whole matrix of right-hand sides with a single elimination.  One routine,
-``_row_span``, canonicalizes a span given by rows; ``Subspace.from_matrix``,
-``Subspace.from_vectors`` and the levels of a model document end in it.
+a whole matrix of right-hand sides with a single elimination, the one of
+``inverse`` too.  One routine, ``_row_span``, canonicalizes a span given by
+rows; ``image``, ``Subspace.from_vectors`` and the levels of a model
+document end in it.
 ``kernel``, ``preimage`` and ``intersect`` need no such second elimination:
 one rref of the column-reversed matrix puts every free column f at the head
 of its own kernel vector, so those vectors, cut to the domain, already are
@@ -45,10 +46,11 @@ An integral entry is a Python ``int`` on either backend, and any other
 entry a ``QNUM``: ``rat`` gives that form, and so do the product, ``rref``,
 ``kernel``, ``zero``, ``identity`` and ``divide``, the exact quotient of two
 entries.  A sum or a scaling may leave an integral ``QNUM``, which every
-routine here reads by its value.  The public ``Matrix(rows, cols, entries)``
-coerces each entry through ``rat`` and checks the declared shape; the
-private ``Matrix._of`` does neither, so it is used only for entries that come
-out of scalar arithmetic or out of existing matrices.  Only this module
+routine here reads by its value.  A ``Matrix`` is a ``value.Value`` over
+its fields rows, cols and entries.  The public ``Matrix(rows, cols,
+entries)`` coerces each entry through ``rat`` and checks the declared shape;
+the private ``Matrix._of`` does neither, so it is used only for entries that
+come out of scalar arithmetic or out of existing matrices.  Only this module
 calls ``QNUM(...)`` or divides, so no entry is a float.
 """
 
@@ -87,7 +89,7 @@ def divide(a, b):
     return _ratio(-n, -d) if d < 0 else _ratio(n, d)
 
 
-class Matrix:
+class Matrix(Value):
     """Immutable dense matrix over the rationals."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -96,22 +98,18 @@ class Matrix:
         entries = tuple(tuple(rat(x) for x in row) for row in entries)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
-        _SET_ROWS(self, rows)
-        _SET_COLS(self, cols)
-        _SET_ENTRIES(self, entries)
+        super().__init__(rows, cols, entries)
 
     @classmethod
     def _of(cls, rows, cols, entries) -> "Matrix":
         """Matrix over a tuple of tuples of entries, taken without coercion
         or shape check."""
         m = object.__new__(cls)
-        _SET_ROWS(m, rows)
-        _SET_COLS(m, cols)
-        _SET_ENTRIES(m, entries)
+        set_rows, set_cols, set_entries = cls._setters
+        set_rows(m, rows)
+        set_cols(m, cols)
+        set_entries(m, entries)
         return m
-
-    def __setattr__(self, *a):
-        raise AttributeError("Matrix is immutable")
 
     @staticmethod
     def from_rows(rows_list) -> "Matrix":
@@ -134,13 +132,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
         return Matrix._of(self.cols, self.rows, entries)
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return "Matrix(%d, %d, %s)" % (
@@ -268,11 +259,6 @@ class Matrix:
         for r, pc in enumerate(pivots):
             x[pc] = red.entries[r][self.cols:]
         return Matrix._of(self.cols, rhs.cols, tuple(x))
-
-
-# the slots' own setters, since Matrix.__setattr__ refuses every assignment
-_SET_ROWS, _SET_COLS, _SET_ENTRIES = (
-    getattr(Matrix, name).__set__ for name in Matrix.__slots__)
 
 
 def _ratio(n, d):
@@ -420,11 +406,6 @@ class Subspace(Value):
                  "_pivots")
 
     @staticmethod
-    def from_matrix(m: Matrix) -> "Subspace":
-        """Column span of m, canonicalized."""
-        return _row_span(m.rows, m.transpose().entries)
-
-    @staticmethod
     def from_vectors(ambient_dim, vectors) -> "Subspace":
         """Span of vectors given as sequences of anything ``rat`` takes."""
         rows = [tuple(map(rat, v)) for v in vectors]
@@ -514,13 +495,14 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def image(m: Matrix) -> Subspace:
-    return Subspace.from_matrix(m)
+    """Column span of m, canonicalized."""
+    return _row_span(m.rows, m.transpose().entries)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch(a.ambient_dim, b.ambient_dim)
-    return Subspace.from_matrix(a.basis.hstack(b.basis))
+    return image(a.basis.hstack(b.basis))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -575,7 +557,7 @@ def map_image(m: Matrix, v: Subspace) -> Subspace:
     """Image m(v) of a subspace under a matrix."""
     if m.cols != v.ambient_dim:
         raise AmbientMismatch(m.cols, v.ambient_dim)
-    return Subspace.from_matrix(m * v.basis)
+    return image(m * v.basis)
 
 
 class QuotientSpace(Value):
@@ -624,8 +606,8 @@ def quotient(v: Subspace, w: Subspace) -> QuotientSpace:
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    red, pivots = m.hstack(Matrix.identity(m.rows)).rref()
-    if len(pivots) != m.rows or pivots != list(range(m.rows)):
+    x = m.solve(Matrix.identity(m.rows))
+    if x is None:
         raise ValueError("matrix is singular")
-    return Matrix._of(m.rows, m.rows, tuple(row[m.rows:] for row in red.entries))
+    return x
 

@@ -4,13 +4,15 @@ A value class names its fields in ``__slots__``.  ``Value.__init__`` takes
 one argument per public field and sets them in slot order, since
 ``Value.__setattr__`` refuses every assignment; a class that checks or
 defaults an argument keeps a short ``__init__`` that ends in
-``super().__init__(...)``.  Two values are equal when they are of the same
-class and their compared fields are equal, and a value hashes as the tuple
-of those fields.  The compared fields are the slots in order, less the
-names a class passes as ``uncompared``; a slot named ``_name`` is private,
-neither compared nor shown nor set by ``Value.__init__``, and a ``memo``
-keeps its value in one.  ``_set`` stores a private slot past
-``__setattr__``.
+``super().__init__(...)``: ``Matrix``, ``Complex``, ``Stratum``,
+``Perversity``, ``ModelInstance`` and ``ModelIso``.  ``Value`` is the one
+class that defines ``__setattr__``, ``__eq__`` and ``__hash__``.  Two values
+are equal when they are of the same class and their compared fields are
+equal, and a value hashes as the tuple of those fields.  The compared
+fields are the slots in order, less the names a class passes as
+``uncompared``; a slot named ``_name`` is private, neither compared nor
+shown nor set by ``Value.__init__``, and a ``memo`` keeps its value in one.
+``_set`` stores a private slot past ``__setattr__``.
 """
 
 from operator import attrgetter
@@ -33,8 +35,8 @@ class Value:
         if len(fields) != len(setters):
             raise TypeError("%s takes %d fields (%s), not %d" % (
                 type(self).__name__, len(setters), ", ".join(self._shown), len(fields)))
-        for put, field in zip(setters, fields):
-            put(self, field)
+        for i in range(len(setters)):
+            setters[i](self, fields[i])
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)

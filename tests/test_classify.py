@@ -1,5 +1,6 @@
 import pytest
 
+from eqih import classify
 from eqih.classify import (
     ModelIso,
     consequence_check,
@@ -8,9 +9,9 @@ from eqih.classify import (
     is_optimal,
     validate_iso,
 )
-from eqih.errors import InvalidIso
+from eqih.errors import InvalidIso, TheoremViolation
 from eqih.fixtures import cone2, hopf, noperv, rot
-from eqih.localize import lambda_u_module
+from eqih.localize import LocalizedModule, lambda_u_module
 from eqih.model import model_from_dict, model_to_dict
 from eqih.ratla import Matrix, rat
 
@@ -193,6 +194,21 @@ class TestConsequences:
         m1, m2 = noperv_plain(), noperv_shifted_euler()
         rep = consequence_check(identity_iso(m1), m1, m2)
         assert rep["all_equal"]
+
+    def test_a_disagreement_names_its_perversity_and_invariant(self, monkeypatch):
+        """The first perversity on which the models differ is named with the
+        invariant that differs."""
+        m1, m2 = cone2(), cone2()
+        real = classify.lambda_u_module
+
+        def localized(m, p):
+            return LocalizedModule(9, 9) if m is m2 and p.label() == "apex=1" else real(m, p)
+
+        monkeypatch.setattr(classify, "lambda_u_module", localized)
+        with pytest.raises(TheoremViolation, match=(
+                r"^related models disagree at perversity apex=1: "
+                r"localization_equal is false$")):
+            consequence_check(identity_iso(m1), m1, m2)
 
     def test_unrelated_pair_refused(self):
         # equal vanishing localizations, yet the Euler classes differ:

@@ -22,7 +22,7 @@ from eqih.ratla import Matrix, Subspace, image, kernel, quotient
 def two_term(n, mat_rows):
     """0 -> Q^n -> Q^m -> 0 in degrees 0,1."""
     d0 = Matrix.from_rows(mat_rows)
-    return Complex.build(0, 1, (n, d0.rows), (d0, Matrix.zero(0, d0.rows)))
+    return Complex(0, 1, (n, d0.rows), (d0, Matrix.zero(0, d0.rows)))
 
 
 class TestComplex:
@@ -37,14 +37,14 @@ class TestComplex:
     def test_dd_zero_enforced(self):
         d0 = Matrix.from_rows([[1]])
         d1 = Matrix.from_rows([[1]])
-        c = Complex.build(0, 2, (1, 1, 1), (d0, d1, Matrix.zero(0, 1)))
+        c = Complex(0, 2, (1, 1, 1), (d0, d1, Matrix.zero(0, 1)))
         with pytest.raises(NotAComplex):
             c.check_square()
 
     def test_hopf_ambient(self):
         # dims (1, 0, 1), zero differential: cohomology equals the spaces
-        c = Complex.build(0, 2, (1, 0, 1),
-                          (Matrix.zero(0, 1), Matrix.zero(1, 0), Matrix.zero(0, 1)))
+        c = Complex(0, 2, (1, 0, 1),
+                    (Matrix.zero(0, 1), Matrix.zero(1, 0), Matrix.zero(0, 1)))
         assert Cohomology(c).dims() == (1, 0, 1)
 
     def test_classes_of_refuses_a_non_cocycle(self):
@@ -119,7 +119,7 @@ def _random_complex(rng, dims):
         d = rand * q.projection if q.dim else Matrix.zero(nrows, dims[k])
         diffs.append(d)
         prev = d
-    return Complex.build(0, len(dims) - 1, dims, diffs)
+    return Complex(0, len(dims) - 1, dims, diffs)
 
 
 class TestSubQuotient:
@@ -149,7 +149,7 @@ def split_ses(a: Complex, c: Complex):
         for i in range(dc.rows):
             rows.append([0] * da.cols + list(dc.entries[i]))
         diffs.append(Matrix(da.rows + dc.rows, da.cols + dc.cols, rows))
-    b = Complex.build(a.lo, a.hi, dims, diffs)
+    b = Complex(a.lo, a.hi, dims, diffs)
     inc = {}
     prj = {}
     for k in a.degrees():
@@ -229,9 +229,9 @@ class TestLes:
 
     def test_connecting_nontrivial_and_lift_independent(self):
         # 0 -> Q[1] -> (Q -> Q, d=1) -> Q[0] -> 0 : connecting is an iso
-        a = Complex.build(0, 1, (0, 1), (Matrix.zero(1, 0), Matrix.zero(0, 1)))
+        a = Complex(0, 1, (0, 1), (Matrix.zero(1, 0), Matrix.zero(0, 1)))
         b = two_term(1, [[1]])
-        c = Complex.build(0, 1, (1, 0), (Matrix.zero(0, 1), Matrix.zero(0, 0)))
+        c = Complex(0, 1, (1, 0), (Matrix.zero(0, 1), Matrix.zero(0, 0)))
         i = chain_map(a, b, {1: Matrix.identity(1)})
         s = chain_map(b, c, {0: Matrix.identity(1)})
         ses = SesData(i, s)

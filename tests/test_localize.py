@@ -3,9 +3,10 @@ import random
 import pytest
 
 from eqih.equivariant import build_equivariant
-from eqih.errors import NotAConeModel
+from eqih.errors import NotAConeModel, TheoremViolation
 from eqih.fixtures import cone2, hopf, noperv, random_model, rot
 from eqih.localize import (
+    LocalizedModule,
     PolyMatrix,
     cone_formula_check,
     lambda_u_module,
@@ -233,6 +234,17 @@ class TestLocalizedGysin:
             m = random_model(seed)
             for p in m.perversity_set:
                 assert localized_gysin(m, p)["exact"], (seed, p.label())
+
+    def test_a_rank_mismatch_names_its_parity(self, monkeypatch):
+        """The first parity whose localized rank is not the predicted one is
+        named with both ranks."""
+        rep = localized_gysin(cone2(), P(apex=2))
+        even, odd = (e["localized_rank"] for e in rep["parities"])
+        monkeypatch.setattr(LocalizedModule, "ranks", lambda self: (even, odd + 5))
+        with pytest.raises(TheoremViolation, match=(
+                r"^localized Gysin sequence rank bookkeeping fails on parity 1: "
+                r"predicted rank %d, localized rank %d$" % (odd, odd + 5))):
+            localized_gysin(cone2(), P(apex=2))
 
     def test_report_shape(self):
         rep = localized_gysin(cone2(), P(apex=2))

@@ -256,7 +256,7 @@ def nested_pairs(draw, ambient=4):
     v = draw(subspaces(ambient))
     coeffs = draw(st.lists(st.lists(small_entries, min_size=v.dim, max_size=v.dim),
                            max_size=v.dim + 1))
-    inner = Subspace.from_matrix(v.basis * columns_matrix(v.dim, coeffs))
+    inner = image(v.basis * columns_matrix(v.dim, coeffs))
     return v, draw(st.sampled_from([inner, v, Subspace.zero(ambient)]))
 
 
@@ -298,7 +298,7 @@ def eliminated_intersection(a, b):
         return Subspace.zero(a.ambient_dim)
     stacked = a.basis.hstack(b.basis.scale(-1))
     coeffs = [k[:a.dim] for k in stacked.kernel_basis()]
-    return Subspace.from_matrix(a.basis * columns_matrix(a.dim, coeffs))
+    return image(a.basis * columns_matrix(a.dim, coeffs))
 
 
 def seeded_subspace(rng, n, dim):
@@ -314,7 +314,7 @@ def intersection_pairs(seed):
     a = seeded_subspace(rng, n, rng.randint(0, n))
     b = seeded_subspace(rng, n, rng.randint(0, n))
     coeffs = [[rng.randint(-2, 2) for _ in range(a.dim)] for _ in range(rng.randint(0, a.dim))]
-    inner = Subspace.from_matrix(a.basis * columns_matrix(a.dim, coeffs))
+    inner = image(a.basis * columns_matrix(a.dim, coeffs))
     full, zero = Subspace.full(n), Subspace.zero(n)
     return [(a, b), (a, full), (b, full), (full, full), (a, zero),
             (full, zero), (a, a), (a, inner)]
@@ -576,9 +576,9 @@ def test_integral_qnum_entries_give_the_results_of_ints(m, data):
     """Operands whose integral entries are partly QNUMs give the entries,
     and the strs, that the all-int operands give."""
     b = data.draw(rational_matrices(rows=m.cols, max_dim=5))
-    w = Subspace.from_matrix(data.draw(rational_matrices(rows=m.rows, max_dim=3)))
-    a = Subspace.from_matrix(data.draw(rational_matrices(rows=m.rows, max_dim=3)))
-    v = Subspace.from_matrix(data.draw(rational_matrices(rows=m.cols, max_dim=3)))
+    w = image(data.draw(rational_matrices(rows=m.rows, max_dim=3)))
+    a = image(data.draw(rational_matrices(rows=m.rows, max_dim=3)))
+    v = image(data.draw(rational_matrices(rows=m.cols, max_dim=3)))
     m2, b2 = blurred(m, data), blurred(b, data)
     w2, a2, v2 = (blurred_space(x, data) for x in (w, a, v))
     assert same_entries((m2 * b2).entries, (m * b).entries)
@@ -925,19 +925,19 @@ def image_containments(draw):
     e's last columns, and w is drawn, or spanned by e(v) and drawn vectors,
     or by part of e(v), so that both answers occur."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    v = Subspace.from_matrix(draw(rational_matrices(rows=n, cols=draw(st.integers(1, 3)))))
+    v = image(draw(rational_matrices(rows=n, cols=draw(st.integers(1, 3)))))
     e = draw(rational_matrices(rows=m, cols=n))
     zeroed = min(n, draw(st.sampled_from([0, 0, 1, 2])))
     e = Matrix(m, n, [row[:n - zeroed] + (0,) * zeroed for row in e.entries])
     moved = e * v.basis
     kind = draw(st.sampled_from(["drawn", "spans the image", "spans part of the image"]))
     if kind == "drawn":
-        return Subspace.from_matrix(draw(rational_matrices(rows=m, max_dim=2))), e, v
+        return image(draw(rational_matrices(rows=m, max_dim=2))), e, v
     keep = moved.cols
     if kind == "spans part of the image":
         keep = draw(st.integers(0, max(keep - 1, 0)))
     part = Matrix(m, keep, [row[:keep] for row in moved.entries])
-    return Subspace.from_matrix(part.hstack(draw(rational_matrices(rows=m, max_dim=1)))), e, v
+    return image(part.hstack(draw(rational_matrices(rows=m, max_dim=1)))), e, v
 
 
 @settings(max_examples=150, deadline=None)

@@ -495,6 +495,35 @@ def test_the_checks_see_a_field_stored_past_the_constructor():
                                  ("B.__init__", "items"), ("put", None)]
 
 
+VALUE_METHODS = {"__setattr__", "__eq__", "__hash__"}
+
+
+def value_method_owners(tree):
+    """The name of every class of tree, at any depth, that defines
+    ``__setattr__``, ``__eq__`` or ``__hash__``, by a def or an
+    assignment."""
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(getattr(f, "name", None) in VALUE_METHODS
+                    or any(getattr(t, "id", None) in VALUE_METHODS
+                           for t in getattr(f, "targets", ()))
+                    for f in node.body)]
+
+
+def test_only_value_defines_equality_hash_and_assignment():
+    """Every immutable class takes them from value.Value."""
+    found = {(name, cls) for name, tree in TREES.items() for cls in value_method_owners(tree)}
+    assert found == {("value.py", "Value")}
+
+
+def test_the_checks_see_a_class_with_its_own_equality():
+    tree = ast.parse("class Value:\n    def __eq__(self, other):\n        return True\n\n"
+                     "class A(Value):\n    __hash__ = None\n\n"
+                     "def f():\n    class B:\n"
+                     "        def __setattr__(self, *a):\n            pass\n    return B\n\n"
+                     "class C(Value):\n    def __repr__(self):\n        return 'C'\n")
+    assert value_method_owners(tree) == ["Value", "A", "B"]
+
+
 def imported_modules(tree):
     """The top-level name of every module an import statement names."""
     out = set()

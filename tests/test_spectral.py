@@ -1,7 +1,9 @@
 import functools
+import json
 
 import pytest
 
+from eqih.cli import main
 from eqih.equivariant import (
     LambdaExtension,
     build_equivariant,
@@ -10,7 +12,7 @@ from eqih.equivariant import (
 )
 from eqih.errors import IdentificationFails
 from eqih.fixtures import cone, cone2, hopf, make, noperv, random_model, rot, sphere
-from eqih.model import Perversity, model_from_dict, model_to_dict, validate
+from eqih.model import Perversity, model_from_dict, model_to_dict, save_model, validate
 from eqih.perverse import cogysin_cohomology, omega_cohomology, perverse_complex
 from eqih.ratla import (
     Matrix,
@@ -19,6 +21,7 @@ from eqih.ratla import (
     map_image,
     preimage,
     quotient,
+    rat,
     subspace_sum,
 )
 from eqih.spectral import (
@@ -272,6 +275,26 @@ class TestD3:
             m = random_model(seed)
             for p in m.perversity_set:
                 assert d3_check(m, p)["all_equal"]
+
+    def test_a_mismatch_spells_both_matrices_as_reports_do(self, tmp_path, capsys,
+                                                           monkeypatch):
+        """The witness's third differential halved: ``spectral --d3-check``
+        exits 1, naming the cell and both matrices by their report
+        entries, the same on either scalar backend."""
+        path = str(tmp_path / "witness.json")
+        save_model(witness_d3_model(), path)
+        d_matrix = SpectralSequence.d_matrix
+
+        def halved(self, r, i, j):
+            return d_matrix(self, r, i, j).scale(rat("1/2"))
+
+        monkeypatch.setattr(SpectralSequence, "d_matrix", halved)
+        assert main(["spectral", path, "-p", "apex=1", "--d3-check"]) == 1
+        out, err = capsys.readouterr()
+        report = json.loads(err)
+        assert not out and report["error"] == "TheoremViolation"
+        assert report["detail"] == ("third differential mismatch at cell (1, 2): "
+                                    "engine [['1/2']], expected [['1']]")
 
 
 class TestSkjelbred:

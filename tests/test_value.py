@@ -21,6 +21,7 @@ def built(m):
     pc = perverse.perverse_complex(m, p)
     v = Subspace.from_vectors(3, [[1, 2, 0], [0, 1, 1]])
     return {
+        "Matrix": pc.omega_incl.mat(1),
         "Subspace": v,
         "QuotientSpace": quotient(Subspace.full(3), v),
         "Complex": pc.omega,
@@ -40,8 +41,8 @@ def built(m):
     }
 
 
-HASHABLE = {"Subspace", "QuotientSpace", "Complex", "ChainMap", "Stratum", "Perversity",
-            "PolyMatrix", "LocalizedModule"}
+HASHABLE = {"Matrix", "Subspace", "QuotientSpace", "Complex", "ChainMap", "Stratum",
+            "Perversity", "PolyMatrix", "LocalizedModule"}
 CLASSES = sorted(HASHABLE | {"LongExactSequence", "AmbientModel", "ModelInstance",
                              "PerverseComplex", "Eq1Complex", "SpectralPage", "NormalForm",
                              "ModelIso"})
@@ -84,7 +85,8 @@ def test_a_field_that_differs_or_another_class_is_unequal():
     assert Stratum("s", "mobile") != Stratum("t", "mobile")
     assert Subspace.zero(2) != Subspace.full(2)
     c = Complex.zero()
-    assert c != ChainMap(c, c, 0, {}) and c != (0, 0, (0,), (Matrix.zero(0, 0),))
+    assert c != ChainMap(c, c, {}) and c != (0, 0, (0,), (Matrix.zero(0, 0),))
+    assert Matrix.zero(1, 2) != Matrix.zero(2, 1) and Matrix.zero(0, 0) != ((),)
 
 
 def test_model_equality_ignores_metadata_and_the_memo():
@@ -102,16 +104,16 @@ def test_model_equality_ignores_metadata_and_the_memo():
 
 
 def test_chain_map_equality_ignores_the_maps():
-    c = Complex.build(0, 0, [1], [Matrix.zero(0, 1)])
-    f = ChainMap(c, c, 0, {0: Matrix.identity(1)})
-    g = ChainMap(c, c, 0, {0: Matrix.zero(1, 1)})
+    c = Complex(0, 0, [1], [Matrix.zero(0, 1)])
+    f = ChainMap(c, c, {0: Matrix.identity(1)})
+    g = ChainMap(c, c, {0: Matrix.zero(1, 1)})
     assert f == g and hash(f) == hash(g)
-    assert f != ChainMap(c, c, 1, {0: Matrix.identity(1)})
+    assert f != ChainMap(c, Complex.zero(), {0: Matrix.identity(1)})
 
 
 def test_memo_is_kept_and_not_compared():
-    c = Complex.build(0, 1, [1, 1], [Matrix.identity(1), Matrix.zero(0, 1)])
-    fresh = Complex.build(0, 1, [1, 1], [Matrix.identity(1), Matrix.zero(0, 1)])
+    c = Complex(0, 1, [1, 1], [Matrix.identity(1), Matrix.zero(0, 1)])
+    fresh = Complex(0, 1, [1, 1], [Matrix.identity(1), Matrix.zero(0, 1)])
     assert c.cohomology is c.cohomology
     assert c == fresh and hash(c) == hash(fresh)
     with pytest.raises(AttributeError):
@@ -133,6 +135,15 @@ def test_a_wrong_number_of_fields_is_refused():
         Subspace(2, Matrix.zero(2, 0), None)
 
 
+def test_a_complex_of_the_wrong_shape_is_refused():
+    with pytest.raises(ValueError, match="^degree range does not match data length$"):
+        Complex(0, 1, [1], [Matrix.zero(0, 1)])
+    with pytest.raises(ValueError, match="^differential shape mismatch in degree 1$"):
+        Complex(1, 2, [1, 2], [Matrix.zero(1, 1), Matrix.zero(0, 2)])
+    with pytest.raises(ValueError, match="^differential shape mismatch in degree 2$"):
+        Complex(1, 2, [1, 1], [Matrix.identity(1), Matrix.zero(1, 1)])
+
+
 def test_unknown_stratum_kind_is_refused():
     with pytest.raises(InputError, match="^unknown stratum kind 'bogus'$"):
         Stratum("s", "bogus")
@@ -141,4 +152,4 @@ def test_unknown_stratum_kind_is_refused():
 def test_only_a_class_that_checks_or_defaults_defines_a_constructor():
     """Every other value class is built by Value.__init__ alone."""
     own = {cls.__name__ for cls in Value.__subclasses__() if "__init__" in vars(cls)}
-    assert own == {"Stratum", "Perversity", "ModelInstance", "ModelIso"}
+    assert own == {"Matrix", "Complex", "Stratum", "Perversity", "ModelInstance", "ModelIso"}
