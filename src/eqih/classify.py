@@ -36,37 +36,35 @@ class ModelIso(Value):
     def mat(self, m1: ModelInstance, m2: ModelInstance, k: int) -> Matrix:
         got = self.mats.get(k)
         if got is None:
-            return Matrix.zero(m1.ambient.dim(k), m2.ambient.dim(k))
+            return Matrix.zero(m1.dim(k), m2.dim(k))
         return got
 
 
 def identity_iso(m: ModelInstance) -> ModelIso:
-    mats = {k: Matrix.identity(m.ambient.dim(k))
-            for k in range(m.ambient.top_degree + 1)}
+    mats = {k: Matrix.identity(m.dim(k)) for k in range(m.top_degree + 1)}
     return ModelIso(mats, {s: s for s in m.stratum_names()})
 
 
 def validate_iso(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> None:
     """Raise InvalidIso unless iso is a degreewise-invertible,
     filtration-preserving chain isomorphism m2 -> m1."""
-    a1, a2 = m1.ambient, m2.ambient
-    if a1.top_degree != a2.top_degree:
+    if m1.top_degree != m2.top_degree:
         raise InvalidIso("ambient top degrees differ: %d vs %d"
-                         % (a1.top_degree, a2.top_degree))
-    top = a1.top_degree
+                         % (m1.top_degree, m2.top_degree))
+    top = m1.top_degree
     for k in sorted(iso.mats):
         if not 0 <= k <= top:
             raise InvalidIso("iso degree %d is outside 0..%d" % (k, top))
     for k in range(top + 1):
         f = iso.mat(m1, m2, k)
-        if f.rows != a1.dim(k) or f.cols != a2.dim(k):
+        if f.rows != m1.dim(k) or f.cols != m2.dim(k):
             raise InvalidIso("degree-%d matrix has shape %dx%d, expected %dx%d"
-                             % (k, f.rows, f.cols, a1.dim(k), a2.dim(k)))
+                             % (k, f.rows, f.cols, m1.dim(k), m2.dim(k)))
         if f.rows != f.cols or f.rank() != f.rows:
             raise InvalidIso("degree-%d matrix is not invertible" % k)
     for k in range(top):
-        lhs = iso.mat(m1, m2, k + 1) * a2.diff(k)
-        rhs = a1.diff(k) * iso.mat(m1, m2, k)
+        lhs = iso.mat(m1, m2, k + 1) * m2.diff(k)
+        rhs = m1.diff(k) * iso.mat(m1, m2, k)
         if lhs != rhs:
             raise InvalidIso("not a chain map in degree %d" % k)
     if sorted(iso.strata.keys()) != sorted(m2.stratum_names()):
@@ -77,11 +75,11 @@ def validate_iso(iso: ModelIso, m1: ModelInstance, m2: ModelInstance) -> None:
                          % m1.name)
     # f is invertible, so f(src) = tgt exactly when dims agree and f(src) lies in tgt
     for s2, s1 in iso.strata.items():
-        kmax = max(len(a1.filtrations.get(s1, ())), len(a2.filtrations.get(s2, ())))
+        kmax = max(len(m1.filtrations.get(s1, ())), len(m2.filtrations.get(s2, ())))
         for level in range(-1, kmax + 1):
             for k in range(top + 1):
-                src = a2.filtration(s2, level, k)
-                tgt = a1.filtration(s1, level, k)
+                src = m2.filtration(s2, level, k)
+                tgt = m1.filtration(s1, level, k)
                 if src.dim != tgt.dim or not (tgt.is_full() or tgt.coords_of(
                         iso.mat(m1, m2, k) * src.basis) is not None):
                     raise InvalidIso(
@@ -111,13 +109,12 @@ def f_related(iso: ModelIso, m1: ModelInstance, m2: ModelInstance):
 
 def _witness(iso: ModelIso, m1: ModelInstance, m2: ModelInstance):
     """f_related for an iso already validated and optimal."""
-    a1, a2 = m1.ambient, m2.ambient
-    diff = iso.mat(m1, m2, 2) * a2.epsilon() - a1.epsilon()
+    diff = iso.mat(m1, m2, 2) * m2.epsilon() - m1.epsilon()
     if diff.is_zero():
-        return True, (0,) * a1.dim(1)
+        return True, (0,) * m1.dim(1)
     # diff is a non-zero degree-2 form, so degree 1 lies in 0..top
     omega1 = omega_spaces(m1, m1.euler_perversity())[1]
-    x = (a1.diff(1) * omega1.basis).solve(diff)
+    x = (m1.diff(1) * omega1.basis).solve(diff)
     if x is None:
         return False, None
     return True, (omega1.basis * x).transpose().entries[0]

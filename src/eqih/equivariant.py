@@ -32,7 +32,7 @@ from .value import Value
 
 
 def default_window(m: ModelInstance) -> int:
-    return m.ambient.top_degree + 6
+    return m.top_degree + 6
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +52,12 @@ class Eq1Complex(Value):
 @per_model("eq1")
 def build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
     m.check_perversity(p)
-    a = m.ambient
     _, pair = ambient_complexes(m)
     lower = omega_spaces(m, p.minus(m.characteristic_perversity()))
 
     spaces = {}
     for k in pair.degrees():
-        na, nb = a.dim(k), a.dim(k - 1)
+        na, nb = m.dim(k), m.dim(k - 1)
         fp = m.filtration_level(p, k)
         om = lower[k - 1].basis if k else Matrix.zero(0, 0)
         # product subspace F_p^k x Omega_{p-xbar}^{k-1}: two canonical bases
@@ -66,7 +65,7 @@ def build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
         prod = Subspace(na + nb, block_matrix(na + nb, fp.dim + om.cols,
                                               [(0, 0, fp.basis), (na, fp.dim, om)]))
         # pairs whose twisted differential head stays in level
-        head = Matrix._of(a.dim(k + 1), na + nb, pair.d(k).entries[:a.dim(k + 1)])
+        head = Matrix._of(m.dim(k + 1), na + nb, pair.d(k).entries[:m.dim(k + 1)])
         spaces[k] = preimage(head, m.filtration_level(p, k + 1), within=prod)
     cx, _ = subcomplex(pair, spaces)
     return Eq1Complex(cx, spaces)
@@ -76,14 +75,13 @@ def build_eq1(m: ModelInstance, p: Perversity) -> Eq1Complex:
 def pair_shift(m: ModelInstance, p: Perversity) -> dict:
     """The signed u-shift S_k: Eq1^k -> Eq1^{k-1}, (alpha, beta) |->
     sign(k) * (beta, 0), per pair degree k, in the pair-space bases."""
-    a = m.ambient
     eq1 = build_eq1(m, p)
     shift = {}
     for k in eq1.complex.degrees():
-        nb = a.dim(k - 1)
+        nb = m.dim(k - 1)
         # (alpha, beta) |-> (beta, 0) in ambient coords
-        s = block_matrix(nb + a.dim(k - 2), a.dim(k) + nb,
-                         [(0, a.dim(k), Matrix.identity(nb))])
+        s = block_matrix(nb + m.dim(k - 2), m.dim(k) + nb,
+                         [(0, m.dim(k), Matrix.identity(nb))])
         c = eq1.space(k - 1).coords_of(s * eq1.space(k).basis)
         if c is None:
             raise InternalInvariantViolation(
@@ -112,12 +110,11 @@ def gysin_maps(m: ModelInstance, p: Perversity):
     """
     pc = perverse_complex(m, p)
     eq1 = build_eq1(m, p)
-    a = m.ambient
 
     inc = {}
     quo = {}
     for k in eq1.complex.degrees():
-        na, nb = a.dim(k), a.dim(k - 1)
+        na, nb = m.dim(k), m.dim(k - 1)
         omega = pc.omega_space(k).basis
         pairs = block_matrix(na + nb, omega.cols, [(0, 0, omega)])
         inc[k] = eq1.space(k).coords_of(pairs)

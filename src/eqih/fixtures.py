@@ -50,12 +50,10 @@ from .errors import InputError, InternalInvariantViolation
 from .model import (
     CLAMP_FLOOR,
     STRATUM_KINDS,
-    AmbientModel,
     ModelInstance,
     Perversity,
     Stratum,
     model_from_dict,
-    zero_perversity,
 )
 from .ratla import (
     Matrix,
@@ -225,19 +223,19 @@ def _killing_projection(space: Subspace) -> Matrix:
     return quotient(Subspace.full(space.ambient_dim), space).projection
 
 
-def _solve_euler_op(rng, a: AmbientModel, filtration_constraints):
+def _solve_euler_op(rng, m: ModelInstance, filtration_constraints):
     """Random graded operator A^k -> A^{k+2} on the spaces and differentials
-    of a that is a chain map and respects every required filtration shift;
+    of m that is a chain map and respects every required filtration shift;
     found as a random element of the solution space of the combined linear
     system on its entries (see the module docstring)."""
-    n = a.top_degree + 1
+    n = m.top_degree + 1
     offsets = {}
     total = 0
     for k in range(n):
         offsets[k] = total
-        total += a.dim(k + 2) * a.dim(k)
+        total += m.dim(k + 2) * m.dim(k)
     if total == 0:
-        return [Matrix.zero(a.dim(k + 2), a.dim(k)) for k in range(n)]
+        return [Matrix.zero(m.dim(k + 2), m.dim(k)) for k in range(n)]
 
     # unknown (r, c) of E_k is column offsets[k] + r * dim(k) + c
     rows = []
@@ -245,9 +243,9 @@ def _solve_euler_op(rng, a: AmbientModel, filtration_constraints):
     # have their unknowns in different blocks, and only the non-zero
     # (column, value) terms are scaled to a primitive integer row
     for k in range(n):
-        d_in, d_out = a.diff(k).entries, a.diff(k + 2).entries
-        n0, n1 = a.dim(k), a.dim(k + 1)
-        for i in range(a.dim(k + 3)):
+        d_in, d_out = m.diff(k).entries, m.diff(k + 2).entries
+        n0, n1 = m.dim(k), m.dim(k + 1)
+        for i in range(m.dim(k + 3)):
             for j in range(n0):
                 terms = []
                 if k + 1 < n:
@@ -264,7 +262,7 @@ def _solve_euler_op(rng, a: AmbientModel, filtration_constraints):
     # E_j(V) inside W, i.e. y . E_j v = 0 for basis v of V and y of W's
     # annihilator; the outer product of two primitive rows is primitive
     for (j, src, tgt) in filtration_constraints:
-        if a.dim(j + 2) == 0 or src.dim == 0 or tgt.is_full():
+        if m.dim(j + 2) == 0 or src.dim == 0 or tgt.is_full():
             continue
         annihilator = [primitive_row(y) for y in tgt.basis.transpose().kernel_basis()]
         for v in map(primitive_row, src.vectors()):
@@ -272,7 +270,7 @@ def _solve_euler_op(rng, a: AmbientModel, filtration_constraints):
                 row = [0] * total
                 for t, coef in enumerate(y):
                     if coef:
-                        base = offsets[j] + t * a.dim(j)
+                        base = offsets[j] + t * m.dim(j)
                         for c, b in enumerate(v):
                             row[base + c] = coef * b
                 rows.append(row)
@@ -287,9 +285,9 @@ def _solve_euler_op(rng, a: AmbientModel, filtration_constraints):
         x[f] = rng.randint(-2, 2)
     for row, pc in zip(rows, pivots):
         x[pc] = divide(-sum(row[f] * x[f] for f in free if row[f]), row[pc])
-    return [Matrix(a.dim(k + 2), a.dim(k),
-                   [[x[offsets[k] + r * a.dim(k) + c] for c in range(a.dim(k))]
-                    for r in range(a.dim(k + 2))])
+    return [Matrix(m.dim(k + 2), m.dim(k),
+                   [[x[offsets[k] + r * m.dim(k) + c] for c in range(m.dim(k))]
+                    for r in range(m.dim(k + 2))])
             for k in range(n)]
 
 
@@ -314,30 +312,31 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
     n_strata = rng.randint(0, 2)
     strata = tuple(Stratum("s%d" % i, rng.choice(STRATUM_KINDS)) for i in range(n_strata))
     filtrations = {s.name: _random_filtration(rng, dims, rng.randint(1, 3)) for s in strata}
-    # the spaces, differentials and levels; the Euler data is solved for below
-    a = AmbientModel(top, tuple(dims), tuple(diffs), filtrations, (), (), None)
+    # a provisional model, with no Euler data or perversities: both are found below
+    m = ModelInstance("random-%d-%d" % (seed, size), top, tuple(dims), tuple(diffs), filtrations,
+                      (), (), None, strata, ())
 
     constraints = []
     for s in strata:
         for level in range(len(filtrations[s.name]) - s.ebar):
             for deg in range(top + 1):
-                constraints.append((deg, a.filtration(s.name, level, deg),
-                                    a.filtration(s.name, level + s.ebar, deg + 2)))
-    euler = _solve_euler_op(rng, a, constraints)
+                constraints.append((deg, m.filtration(s.name, level, deg),
+                                    m.filtration(s.name, level + s.ebar, deg + 2)))
+    euler = _solve_euler_op(rng, m, constraints)
 
     # closed cocycle inside every stratum's Euler level in degree 2
-    levels = Subspace.full(a.dim(2))
+    levels = Subspace.full(m.dim(2))
     for s in strata:
-        levels = intersect(levels, a.filtration(s.name, s.ebar, 2))
-    eps_space = preimage(a.diff(2), Subspace.zero(a.dim(3)), within=levels)
-    eps = [0] * a.dim(2)
+        levels = intersect(levels, m.filtration(s.name, s.ebar, 2))
+    eps_space = preimage(m.diff(2), Subspace.zero(m.dim(3)), within=levels)
+    eps = [0] * m.dim(2)
     for b in eps_space.vectors():
         c = rng.randint(-2, 2)
         eps = [x + c * y for x, y in zip(eps, b)]
 
     # perversity working set closed under subtracting the characteristic one
-    xbar = Perversity({s.name: s.xbar for s in strata})
-    todo = [zero_perversity(strata), Perversity({s.name: s.ebar for s in strata}),
+    xbar = m.characteristic_perversity()
+    todo = [m.zero_perversity(), m.euler_perversity(),
             Perversity({s.name: rng.randint(CLAMP_FLOOR, len(filtrations[s.name]) + 1)
                         for s in strata})]
     pset = []
@@ -348,9 +347,8 @@ def random_model(seed: int, size: int = 2) -> ModelInstance:
             todo.append(p.minus(xbar))
     pset.sort(key=lambda p: p.items)
 
-    ambient = AmbientModel(top, a.dims, a.d, filtrations, tuple(map(rat, eps)), tuple(euler),
-                           None)
-    return ModelInstance("random-%d-%d" % (seed, size), ambient, strata, tuple(pset))
+    return ModelInstance(m.name, top, m.dims, m.d, filtrations, tuple(map(rat, eps)),
+                         tuple(euler), None, strata, tuple(pset))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +364,8 @@ def oracle_cohomology(m: ModelInstance, p: Perversity, n_u: int) -> dict:
     rank-nullity and u-ranks by comparing cocycle images with coboundaries.
     Trustworthy in degrees <= n_u.
     """
-    a = m.ambient
     q = p.minus(m.characteristic_perversity())
-    top = a.top_degree
+    top = m.top_degree
 
     fp = {}
     fq = {}
@@ -379,7 +376,7 @@ def oracle_cohomology(m: ModelInstance, p: Perversity, n_u: int) -> dict:
     def flevel(table, k):
         if 0 <= k <= top:
             return table[k]
-        return Subspace.zero(a.dim(k))
+        return Subspace.zero(m.dim(k))
 
     def sign(k):
         return -1 if (k - 1) % 2 else 1
@@ -387,16 +384,16 @@ def oracle_cohomology(m: ModelInstance, p: Perversity, n_u: int) -> dict:
     def twisted(k):
         """(alpha, beta) -> (d alpha + sign(k) E beta, d beta) on the pairs
         of degree k."""
-        na, nb = a.dim(k), a.dim(k - 1)
-        return block_matrix(a.dim(k + 1) + na, na + nb,
-                            [(0, 0, a.diff(k)), (0, na, a.euler(k - 1).scale(sign(k))),
-                             (a.dim(k + 1), na, a.diff(k - 1))])
+        na, nb = m.dim(k), m.dim(k - 1)
+        return block_matrix(m.dim(k + 1) + na, na + nb,
+                            [(0, 0, m.diff(k)), (0, na, m.euler(k - 1).scale(sign(k))),
+                             (m.dim(k + 1), na, m.diff(k - 1))])
 
     # admissible pairs (alpha, beta) in degree k, as a subspace of
     # Q^{dim k + dim k-1}
     pairs = {}
     for k in range(0, top + 2):
-        na, nb = a.dim(k), a.dim(k - 1)
+        na, nb = m.dim(k), m.dim(k - 1)
         if na + nb == 0:
             pairs[k] = Subspace.zero(0)
             continue
@@ -413,16 +410,16 @@ def oracle_cohomology(m: ModelInstance, p: Perversity, n_u: int) -> dict:
         # beta in F_{p-xbar}^{k-1}
         add_block(flevel(fq, k - 1), Matrix.zero(nb, na), Matrix.identity(nb))
         # d beta in F_{p-xbar}^k
-        add_block(flevel(fq, k), Matrix.zero(na, na), a.diff(k - 1))
+        add_block(flevel(fq, k), Matrix.zero(na, na), m.diff(k - 1))
         # d alpha + sign * E beta in F_p^{k+1}
-        add_block(flevel(fp, k + 1), a.diff(k), a.euler(k - 1).scale(sign(k)))
+        add_block(flevel(fp, k + 1), m.diff(k), m.euler(k - 1).scale(sign(k)))
         if rows:
             pairs[k] = kernel(Matrix(len(rows), na + nb, rows))
         else:
             pairs[k] = Subspace.full(na + nb)
 
     def pair_space(k):
-        return pairs.get(k, Subspace.zero(a.dim(k) + a.dim(k - 1)))
+        return pairs.get(k, Subspace.zero(m.dim(k) + m.dim(k - 1)))
 
     def components(n):
         return [(j, n - 2 * j) for j in range(n // 2 + 1)
@@ -448,14 +445,14 @@ def oracle_cohomology(m: ModelInstance, p: Perversity, n_u: int) -> dict:
         blocks = []
         for j, k in components(n):
             basis = pair_space(k).basis
-            na, nb = a.dim(k), a.dim(k - 1)
+            na, nb = m.dim(k), m.dim(k - 1)
             dcoords = pair_space(k + 1).coords_of(twisted(k) * basis)
             if dcoords is None:
                 raise InternalInvariantViolation(
                     "differential left the admissible-pair space")
             if j in offs[n + 1]:
                 blocks.append((offs[n + 1][j], offs[n][j], dcoords))
-            to_beta = block_matrix(nb + a.dim(k - 2), na + nb, [(0, na, Matrix.identity(nb))])
+            to_beta = block_matrix(nb + m.dim(k - 2), na + nb, [(0, na, Matrix.identity(nb))])
             ucoords = pair_space(k - 1).coords_of(to_beta * basis)
             if ucoords is None:
                 raise InternalInvariantViolation(

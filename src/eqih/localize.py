@@ -111,7 +111,7 @@ def localized_connecting(m: ModelInstance, p: Perversity, parity) -> PolyMatrix:
     hg = gysin_cohomology(m, p)
     gysin_incl = perverse_complex(m, p).gysin_incl
     eub = euler_map(m, p)
-    degrees = range(parity, m.ambient.top_degree + 1, 2)
+    degrees = range(parity, m.top_degree + 1, 2)
     row_off, rows = {}, 0
     for k in degrees:
         row_off[k] = rows
@@ -135,7 +135,7 @@ def localized_gysin(m: ModelInstance, p: Perversity) -> dict:
     (cohomology of the periodic pair complex vs. fraction-field ranks of the
     connecting matrices) and compared.  A mismatch raises TheoremViolation.
     """
-    top = m.ambient.top_degree
+    top = m.top_degree
     ih = omega_cohomology(m, p)
     hg = gysin_cohomology(m, p)
     il = lambda_u_module(m, p)

@@ -1,10 +1,12 @@
-"""Domain model: strata, perversities, and the filtered ambient complex.
+"""Domain model: strata, perversities, and the model of the orbit space.
 
-An AmbientModel is a finite graded cochain model of the liftable forms of the
-orbit space, together with one nested subspace chain per singular stratum
-(the level-k set of forms of perverse degree <= k), an Euler 2-cocycle and
-the "multiply by the Euler form" operator.  validate() replays every axiom
-that is checkable at this level and reports counterexamples.
+A ModelInstance is the one model value: a finite graded cochain model of the
+liftable forms of the orbit space (the ambient complex A), its singular
+strata with one nested subspace chain each (the level-k set of forms of
+perverse degree <= k), an Euler 2-cocycle, the "multiply by the Euler form"
+operator, an optional product and the perversities to compute at.
+validate() replays every axiom that is checkable at this level and reports
+counterexamples.
 """
 
 from __future__ import annotations
@@ -87,18 +89,35 @@ class Perversity(Value):
         return ",".join("%s=%d" % (k, v) for k, v in self.items)
 
 
-def zero_perversity(strata) -> Perversity:
-    return Perversity({s.name: 0 for s in strata})
+def per_model(kind):
+    """Decorator: builder(m, *args), a function or a class, is built once per
+    model through m.cached, under the key kind when it takes no arguments
+    and (kind, *args) otherwise."""
+    def decorate(builder):
+        @wraps(builder, updated=())
+        def built_once(m, *args):
+            return m.cached((kind, *args) if args else kind, lambda: builder(m, *args))
+        return built_once
+    return decorate
 
 
-class AmbientModel(Value):
-    __slots__ = ("top_degree", "dims",
-                 "d",              # d[k]: dims[k+1] x dims[k], k = 0..top_degree
-                 "filtrations",    # stratum name -> levels 0..kmax-1, each a tuple of
-                                   # Subspace per degree; F is full from level kmax on
-                 "euler_cocycle",  # vector in degree 2
-                 "euler_op",       # E[k]: dims[k+2] x dims[k]
-                 "product")        # (i, j) -> Matrix dims[i+j] x dims[i]*dims[j], or None
+class ModelInstance(Value, uncompared=("metadata",)):
+    __slots__ = ("name", "top_degree", "dims",
+                 "d",               # d[k]: dims[k+1] x dims[k], k = 0..top_degree
+                 "filtrations",     # stratum name -> levels 0..kmax-1, each a tuple of
+                                    # Subspace per degree; F is full from level kmax on
+                 "euler_cocycle",   # vector in degree 2
+                 "euler_op",        # E[k]: dims[k+2] x dims[k]
+                 "product",         # (i, j) -> Matrix dims[i+j] x dims[i]*dims[j], or None
+                 "strata",          # of Stratum
+                 "perversity_set",  # of Perversity
+                 "metadata", "_cache")
+
+    def __init__(self, name, top_degree, dims, d, filtrations, euler_cocycle, euler_op,
+                 product, strata, perversity_set, metadata=None):
+        super().__init__(name, top_degree, dims, d, filtrations, euler_cocycle, euler_op,
+                         product, strata, perversity_set, {} if metadata is None else metadata)
+        _set(self, "_cache", {})
 
     def dim(self, k) -> int:
         if 0 <= k <= self.top_degree:
@@ -133,31 +152,6 @@ class AmbientModel(Value):
         """The Euler cocycle as a one-column matrix."""
         return Matrix._of(self.dim(2), 1, tuple((x,) for x in self.euler_cocycle))
 
-
-def per_model(kind):
-    """Decorator: builder(m, *args), a function or a class, is built once per
-    model through m.cached, under the key kind when it takes no arguments
-    and (kind, *args) otherwise."""
-    def decorate(builder):
-        @wraps(builder, updated=())
-        def built_once(m, *args):
-            return m.cached((kind, *args) if args else kind, lambda: builder(m, *args))
-        return built_once
-    return decorate
-
-
-class ModelInstance(Value, uncompared=("metadata",)):
-    __slots__ = ("name", "ambient",
-                 "strata",          # of Stratum
-                 "perversity_set",  # of Perversity
-                 "metadata", "_cache")
-
-    def __init__(self, name: str, ambient: AmbientModel, strata: tuple,
-                 perversity_set: tuple, metadata: dict = None):
-        super().__init__(name, ambient, strata, perversity_set,
-                         {} if metadata is None else metadata)
-        _set(self, "_cache", {})
-
     def stratum(self, name) -> Stratum:
         for s in self.strata:
             if s.name == name:
@@ -174,7 +168,7 @@ class ModelInstance(Value, uncompared=("metadata",)):
         return Perversity({s.name: s.ebar for s in self.strata})
 
     def zero_perversity(self) -> Perversity:
-        return zero_perversity(self.strata)
+        return Perversity({s.name: 0 for s in self.strata})
 
     def check_perversity(self, p: Perversity):
         if p.strata() != tuple(sorted(self.stratum_names())):
@@ -185,9 +179,9 @@ class ModelInstance(Value, uncompared=("metadata",)):
     def filtration_level(self, p: Perversity, degree: int) -> Subspace:
         """F_p in one degree: the intersection over strata of F_S^{p(S)}."""
         self.check_perversity(p)
-        space = Subspace.full(self.ambient.dim(degree))
+        space = Subspace.full(self.dim(degree))
         for s in self.strata:
-            space = intersect(space, self.ambient.filtration(s.name, p[s.name], degree))
+            space = intersect(space, self.filtration(s.name, p[s.name], degree))
         return space
 
     def cached(self, key, thunk):
@@ -216,21 +210,20 @@ def _space_axioms(m: ModelInstance) -> list:
     maps, in validate's order.  Every computation on the model assumes them,
     and validate and check_axioms both read them, so they are computed once
     per model."""
-    a = m.ambient
     rows = [("strata: unique names", len({s.name for s in m.strata}) == len(m.strata), ""),
             ("strata: filtration data present",
-             set(a.filtrations) == {s.name for s in m.strata},
-             "filtrations for %s" % sorted(a.filtrations))]
+             set(m.filtrations) == {s.name for s in m.strata},
+             "filtrations for %s" % sorted(m.filtrations))]
 
-    bad = next(("degree %d" % k for k in range(a.top_degree)
-                if not (a.diff(k + 1) * a.diff(k)).is_zero()), "")
+    bad = next(("degree %d" % k for k in range(m.top_degree)
+                if not (m.diff(k + 1) * m.diff(k)).is_zero()), "")
     rows.append(("differential: d.d = 0", not bad, bad))
 
     # the stored levels, read directly; level 0 is skipped, since every
     # space contains the zero space below it
     bad = ""
     for s in m.strata:
-        levels = a.filtrations[s.name]
+        levels = m.filtrations[s.name]
         for level in range(1, len(levels)):
             for deg, (lo, hi) in enumerate(zip(levels[level - 1], levels[level])):
                 if not hi.contains_subspace(lo):
@@ -239,16 +232,16 @@ def _space_axioms(m: ModelInstance) -> list:
 
     bad = ""
     for s in m.strata:
-        if not a.filtration(s.name, 0, 0).is_full():
+        if not m.filtration(s.name, 0, 0).is_full():
             bad = "stratum %s" % s.name
     rows.append(("filtration: degree-0 forms have perverse degree 0", not bad, bad))
 
-    bad = next(("degree %d" % k for k in range(a.top_degree + 1)
-                if a.euler(k + 1) * a.diff(k) != a.diff(k + 2) * a.euler(k)), "")
+    bad = next(("degree %d" % k for k in range(m.top_degree + 1)
+                if m.euler(k + 1) * m.diff(k) != m.diff(k + 2) * m.euler(k)), "")
     rows.append(("euler operator: chain map", not bad, bad))
 
-    eps = a.epsilon()
-    deps = a.diff(2) * eps
+    eps = m.epsilon()
+    deps = m.diff(2) * eps
     closed = deps.is_zero()
     rows.append(("euler cocycle: closed", closed, "" if closed else
                  "d(epsilon) = %s" % (vec_to_json(deps.transpose().entries[0]),)))
@@ -256,7 +249,7 @@ def _space_axioms(m: ModelInstance) -> list:
     bad = ""
     ebar = m.euler_perversity()
     for s in m.strata:
-        if a.filtration(s.name, ebar[s.name], 2).coords_of(eps) is None:
+        if m.filtration(s.name, ebar[s.name], 2).coords_of(eps) is None:
             bad = "stratum %s" % s.name
     rows.append(("euler cocycle: lies in the Euler-perversity level", not bad, bad))
     return rows
@@ -273,7 +266,6 @@ def check_axioms(m: ModelInstance):
 def validate(m: ModelInstance, strict: bool = False):
     """Axiom report for a model; strict mode adds the Euler-operator
     filtration shift and the product-compatibility axioms."""
-    a = m.ambient
     report = []
     for row in _space_axioms(m):
         _check(report, *row)
@@ -303,16 +295,16 @@ def validate(m: ModelInstance, strict: bool = False):
         bad = ""
         for s in m.strata:
             shift = ebar[s.name]
-            for level in range(-1, len(a.filtrations[s.name]) + 1):
-                for deg in range(a.top_degree + 1):
-                    src = a.filtration(s.name, level, deg)
-                    tgt = a.filtration(s.name, level + shift, deg + 2)
+            for level in range(-1, len(m.filtrations[s.name]) + 1):
+                for deg in range(m.top_degree + 1):
+                    src = m.filtration(s.name, level, deg)
+                    tgt = m.filtration(s.name, level + shift, deg + 2)
                     if not (src.is_zero() or tgt.is_full()
-                            or tgt.coords_of(a.euler(deg) * src.basis) is not None):
+                            or tgt.coords_of(m.euler(deg) * src.basis) is not None):
                         bad = "stratum %s level %d degree %d" % (s.name, level, deg)
         _check(report, "strict: euler operator shifts filtration by e-bar", not bad, bad)
 
-        if a.product is not None:
+        if m.product is not None:
             _validate_product(m, report)
 
     return report
@@ -322,31 +314,30 @@ def _validate_product(m: ModelInstance, report):
     """The product axioms, each as one matrix identity per degree tuple on
     the product tables P_ij: A^i (x) A^j -> A^{i+j}, whose column x * dim j
     + y is the product of the x-th basis vector of A^i and the y-th of A^j."""
-    a = m.ambient
-    top = a.top_degree
+    top = m.top_degree
     # an identity on a degree tuple with a zero factor holds between empty
     # matrices, so only tuples of degrees with forms are checked
-    degrees = [i for i in range(top + 1) if a.dim(i)]
+    degrees = [i for i in range(top + 1) if m.dim(i)]
     pairs = [(i, j) for i in degrees for j in degrees if i + j <= top]
 
     def table(i, j):
-        t = a.product.get((i, j))
-        return t if t is not None else Matrix.zero(a.dim(i + j), a.dim(i) * a.dim(j))
+        t = m.product.get((i, j))
+        return t if t is not None else Matrix.zero(m.dim(i + j), m.dim(i) * m.dim(j))
 
     def eye(i):
-        return Matrix.identity(a.dim(i))
+        return Matrix.identity(m.dim(i))
 
     def swap(i, j):
         """The commutation matrix A^i (x) A^j -> A^j (x) A^i."""
-        di, dj = a.dim(i), a.dim(j)
+        di, dj = m.dim(i), m.dim(j)
         units = Matrix.identity(di * dj).entries
         return Matrix._of(di * dj, di * dj,
                           tuple(units[x * dj + y] for y in range(dj) for x in range(di)))
 
     ok, bad = True, ""
-    eps = a.epsilon()
+    eps = m.epsilon()
     for i in degrees:
-        if table(i, 2) * kron(eye(i), eps) != a.euler(i):
+        if table(i, 2) * kron(eye(i), eps) != m.euler(i):
             ok, bad = False, "degree %d" % i
     _check(report, "strict: euler operator equals wedging with the euler cocycle",
            ok, bad)
@@ -370,13 +361,13 @@ def _validate_product(m: ModelInstance, report):
 
     ok, bad = True, ""
     for s in m.strata:
-        km = len(a.filtrations[s.name])
+        km = len(m.filtrations[s.name])
         for k in range(-1, km + 1):
             for l in range(-1, km + 1):
                 for i, j in pairs:
-                    fk = a.filtration(s.name, k, i).basis
-                    fl = a.filtration(s.name, l, j).basis
-                    tgt = a.filtration(s.name, k + l, i + j)
+                    fk = m.filtration(s.name, k, i).basis
+                    fl = m.filtration(s.name, l, j).basis
+                    tgt = m.filtration(s.name, k + l, i + j)
                     if fk.cols and fl.cols and \
                             tgt.coords_of(table(i, j) * kron(fk, fl)) is None:
                         ok, bad = False, ("stratum %s levels (%d, %d) degrees (%d, %d)"
@@ -477,30 +468,29 @@ class _Entries(dict):
 
 
 def model_to_dict(m: ModelInstance) -> dict:
-    a = m.ambient
     filt = {}
     for s in m.strata:
         levels = {}
-        for level in range(len(a.filtrations[s.name])):
+        for level in range(len(m.filtrations[s.name])):
             levels[str(level)] = [
-                [vec_to_json(v) for v in a.filtration(s.name, level, deg).vectors()]
-                for deg in range(a.top_degree + 1)
+                [vec_to_json(v) for v in m.filtration(s.name, level, deg).vectors()]
+                for deg in range(m.top_degree + 1)
             ]
         filt[s.name] = levels
     out = {
         "name": m.name,
-        "top_degree": a.top_degree,
-        "dims": list(a.dims),
-        "d": [mat_to_json(a.diff(k)) for k in range(a.top_degree + 1)],
+        "top_degree": m.top_degree,
+        "dims": list(m.dims),
+        "d": [mat_to_json(m.diff(k)) for k in range(m.top_degree + 1)],
         "strata": [{"name": s.name, "kind": s.kind} for s in m.strata],
         "filtrations": filt,
-        "euler_cocycle": vec_to_json(a.euler_cocycle),
-        "euler_op": [mat_to_json(a.euler(k)) for k in range(a.top_degree + 1)],
+        "euler_cocycle": vec_to_json(m.euler_cocycle),
+        "euler_op": [mat_to_json(m.euler(k)) for k in range(m.top_degree + 1)],
         "perversities": [dict(p.items) for p in m.perversity_set],
     }
-    if a.product is not None:
+    if m.product is not None:
         out["product"] = {
-            "%d,%d" % key: mat_to_json(mat) for key, mat in sorted(a.product.items())
+            "%d,%d" % key: mat_to_json(mat) for key, mat in sorted(m.product.items())
         }
     if m.metadata:
         out["metadata"] = m.metadata
@@ -606,8 +596,8 @@ def model_from_dict(data: dict) -> ModelInstance:
             {k: int_from_json(v, "perversity value") for k, v in entry.items()}))
 
     metadata = _typed(data.get("metadata", {}), dict, "metadata")
-    ambient = AmbientModel(n, dims, d, filtrations, euler_cocycle, euler_op, product)
-    return ModelInstance(_typed(data["name"], str, "name"), ambient, strata, tuple(perversities),
+    return ModelInstance(_typed(data["name"], str, "name"), n, dims, d, filtrations,
+                         euler_cocycle, euler_op, product, strata, tuple(perversities),
                          dict(metadata))
 
 

@@ -31,12 +31,12 @@ def _sign(k):
     return -1 if (k - 1) % 2 else 1
 
 
-def _pair_d(a, k) -> Matrix:
+def _pair_d(m: ModelInstance, k) -> Matrix:
     """(alpha, beta) |-> (d alpha + sign * E beta, d beta) in ambient coords."""
-    na, nb = a.dim(k), a.dim(k - 1)
-    return block_matrix(a.dim(k + 1) + na, na + nb,
-                        [(0, 0, a.diff(k)), (0, na, a.euler(k - 1).scale(_sign(k))),
-                         (a.dim(k + 1), na, a.diff(k - 1))])
+    na, nb = m.dim(k), m.dim(k - 1)
+    return block_matrix(m.dim(k + 1) + na, na + nb,
+                        [(0, 0, m.diff(k)), (0, na, m.euler(k - 1).scale(_sign(k))),
+                         (m.dim(k + 1), na, m.diff(k - 1))])
 
 
 @per_model("ambient_complexes")
@@ -46,10 +46,10 @@ def ambient_complexes(m: ModelInstance) -> tuple:
     that fails an axiom on its spaces and maps is malformed input, and one
     that passes has d.d = 0 on A and, E being a chain map, on P."""
     check_axioms(m)
-    a, top = m.ambient, m.ambient.top_degree
-    amb = Complex(0, top, a.dims, a.d)
-    pair = Complex(0, top + 1, [a.dim(k) + a.dim(k - 1) for k in range(top + 2)],
-                         [_pair_d(a, k) for k in range(top + 2)])
+    top = m.top_degree
+    amb = Complex(0, top, m.dims, m.d)
+    pair = Complex(0, top + 1, [m.dim(k) + m.dim(k - 1) for k in range(top + 2)],
+                   [_pair_d(m, k) for k in range(top + 2)])
     return amb, pair
 
 
@@ -85,14 +85,13 @@ class PerverseComplex(Value):
 def omega_spaces(m: ModelInstance, p: Perversity) -> dict:
     """The spaces of Omega_p, degree -> Subspace of the ambient degree: the
     forms in the p-level whose differential stays in the level."""
-    return {k: preimage(m.ambient.diff(k), m.filtration_level(p, k + 1),
+    return {k: preimage(m.diff(k), m.filtration_level(p, k + 1),
                         within=m.filtration_level(p, k))
-            for k in range(0, m.ambient.top_degree + 1)}
+            for k in range(0, m.top_degree + 1)}
 
 
 @per_model("perverse")
 def perverse_complex(m: ModelInstance, p: Perversity) -> PerverseComplex:
-    a = m.ambient
     amb, _ = ambient_complexes(m)
     spaces = omega_spaces(m, p)
     lower = omega_spaces(m, p.minus(m.characteristic_perversity()))
@@ -102,8 +101,8 @@ def perverse_complex(m: ModelInstance, p: Perversity) -> PerverseComplex:
     for k in amb.degrees():
         # F^{k+2} + d(F^{k+1}), spanned at once
         allowance = image(m.filtration_level(p, k + 2).basis.hstack(
-            a.diff(k + 1) * m.filtration_level(p, k + 1).basis))
-        gysin_spaces[k] = preimage(a.euler(k), allowance, within=lower[k])
+            m.diff(k + 1) * m.filtration_level(p, k + 1).basis))
+        gysin_spaces[k] = preimage(m.euler(k), allowance, within=lower[k])
         coords = spaces[k].coords_of(gysin_spaces[k].basis)
         if coords is None:
             raise InternalInvariantViolation(
@@ -185,15 +184,14 @@ class EulerMap:
         """The corrected Euler images of the columns of betas, ambient
         G_p-cocycles of degree k: the witnesses of all columns come from one
         solve against the level-killing projection of degree k+2."""
-        a = self.m.ambient
         if not betas.cols:
-            return Matrix.zero(a.dim(k + 2), 0)
+            return Matrix.zero(self.m.dim(k + 2), 0)
         s = _sign(k + 1)
         f1 = self.m.filtration_level(self.p, k + 1).basis
         f2 = self.m.filtration_level(self.p, k + 2)
-        ebetas = a.euler(k) * betas
-        killer = quotient(Subspace.full(a.dim(k + 2)), f2).projection
-        d_level = a.diff(k + 1) * f1
+        ebetas = self.m.euler(k) * betas
+        killer = quotient(Subspace.full(self.m.dim(k + 2)), f2).projection
+        d_level = self.m.diff(k + 1) * f1
         x = (killer * d_level).solve((killer * ebetas).scale(-s))
         if x is None:
             raise WitnessNotFound("no witness in degree %d" % (k + 1))

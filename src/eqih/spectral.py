@@ -420,7 +420,7 @@ def _component_pairs(eq, n, cochains: Matrix, j):
     k = n - 2 * j
     n = eq.ext.fold(n)
     pairs = eq.eq1.space(k).basis * eq.ext.component_of(n, cochains, (n - k) // 2)
-    na = eq.m.ambient.dim(k)
+    na = eq.m.dim(k)
     return (Matrix._of(na, pairs.cols, pairs.entries[:na]),
             Matrix._of(pairs.rows - na, pairs.cols, pairs.entries[na:]))
 
@@ -495,7 +495,8 @@ def d3_check(m: ModelInstance, p: Perversity) -> dict:
     u-powers beyond the first) the co-Gysin projection, under the third-page
     identifications.  Raises TheoremViolation naming the cell on mismatch.
     The cells of one fold key share one identification (e3_isomorphisms),
-    and each composite is built once per degree i and u-power class.
+    each distinct identification is inverted once, and each composite is
+    built once per degree i and u-power class.
     """
     ss = spectral_sequence(m, p)
     phi = e3_isomorphisms(m, p)
@@ -504,6 +505,7 @@ def d3_check(m: ModelInstance, p: Perversity) -> dict:
     hk = cogysin_cohomology(m, p)
     eub = euler_map(m, p)
     ses = cogysin_ses(m, p)
+    inverse_of = cache(inverse)
 
     @cache
     def expected(i, projected) -> Matrix:
@@ -519,7 +521,7 @@ def d3_check(m: ModelInstance, p: Perversity) -> dict:
         engine_raw = ss.d_matrix(3, i, 2 * j)
         composite = expected(i, j >= 2)
         if (i + 3, j - 1) in phi:
-            engine = phi[(i + 3, j - 1)] * engine_raw * inverse(src_phi)
+            engine = phi[(i + 3, j - 1)] * engine_raw * inverse_of(src_phi)
         else:
             # target cell lies outside the first quadrant window: both the
             # engine differential and the composite must vanish
@@ -562,7 +564,6 @@ def fixed_point_preconditions(m: ModelInstance) -> list:
     q = zero.minus(m.characteristic_perversity())
     pc0 = perverse_complex(m, zero)
     pcq = perverse_complex(m, q)
-    a = m.ambient
     checks = []
     checks.append({
         "name": "gysin equals lower perverse complex",
@@ -578,7 +579,7 @@ def fixed_point_preconditions(m: ModelInstance) -> list:
     checks.append({
         "name": "euler operator preserves the lower perverse complex",
         "passed": all(low[k].is_zero() or pcq.omega_space(k + 2).is_full()
-                      or pcq.omega_space(k + 2).coords_of(a.euler(k) * low[k].basis) is not None
+                      or pcq.omega_space(k + 2).coords_of(m.euler(k) * low[k].basis) is not None
                       for k in pc0.ambient.degrees()),
     })
     return checks

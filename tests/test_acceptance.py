@@ -75,7 +75,7 @@ def test_criterion_1_free_action_fixture():
     # u-matrix is the negative of the wedge-with-epsilon matrix
     pc = perverse_complex(m, p)
     amb = pc.omega_incl.mat(0) * ih.lifts(0)
-    prod = m.ambient.product[(2, 0)] * kron(m.ambient.epsilon(), amb)
+    prod = m.product[(2, 0)] * kron(m.epsilon(), amb)
     e_mult = ih.classes_of(2, pc.omega_spaces[2].coords_of(prod))
     assert eq.u_cohomology_matrix(0) == Matrix.from_rows(
         [[-x for x in row] for row in e_mult.entries])

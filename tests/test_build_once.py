@@ -343,6 +343,23 @@ def test_each_fold_key_is_identified_once(tmp_path, calls):
     assert counted["_component_pairs"] == per_key < per_cell
 
 
+def test_each_identification_is_inverted_once(monkeypatch):
+    """``d3_check`` inverts each distinct E_3 identification once: on noperv
+    at apex=0 its three checked cells map out of two identifications of two
+    fold keys, and both are the matrix [[1]]."""
+    m = fixtures.noperv()
+    p = next(p for p in m.perversity_set if p.label() == "apex=0")
+    inverted = []
+
+    def inverse(phi):
+        inverted.append(phi)
+        return ratla.inverse(phi)
+
+    monkeypatch.setattr(spectral, "inverse", inverse)
+    assert spectral.d3_check(m, p)["all_equal"]
+    assert len(inverted) == len(set(inverted)) == 1
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_skjelbred_reads_each_folded_block_once(tmp_path, calls, name):
     """``skjelbred`` reads the u-power components behind a block of its
@@ -362,7 +379,7 @@ def test_equal_levels_load_as_one_space(tmp_path):
     path = tmp_path / "cone2.json"
     save_model(fixtures.cone2(), str(path))
     loaded = model.load_model(str(path))
-    levels = loaded.ambient.filtrations["apex"]
+    levels = loaded.filtrations["apex"]
     assert all(a is b for a, b in zip(levels[0], levels[1]))
     out = io.StringIO()
     save_model(loaded, out)
@@ -507,9 +524,9 @@ def test_a_level_in_another_basis_loads_to_the_same_space(calls, seed, size):
     rrefs = calls(ratla.Matrix, "rref")
     got = model.model_from_dict(doc)
     assert rrefs["rref"] > 0
-    for name, levels in m.ambient.filtrations.items():
+    for name, levels in m.filtrations.items():
         for level, spaces in enumerate(levels):
-            for a, b in zip(got.ambient.filtrations[name][level], spaces):
+            for a, b in zip(got.filtrations[name][level], spaces):
                 assert a == b and a.basis.entries == b.basis.entries
     assert saved_text(got) == saved_text(m)
 
@@ -650,7 +667,7 @@ def per_model_builders():
 def builder_arguments(m, p, kind):
     """The argument tuples a builder of this kind takes on m at p."""
     if kind == "flevel":
-        return [(p, k) for k in range(m.ambient.top_degree + 1)]
+        return [(p, k) for k in range(m.top_degree + 1)]
     if kind in ("space_axioms", "ambient_complexes", "fixed_point_preconditions"):
         return [()]
     return [(p,)]

@@ -157,7 +157,7 @@ class TestRelatedness:
         m1, m2 = noperv_plain(), noperv_shifted_euler()
         ok, gamma = f_related(identity_iso(m1), m1, m2)
         assert ok
-        d1 = m1.ambient.diff(1)
+        d1 = m1.diff(1)
         gamma = Matrix(len(gamma), 1, [[x] for x in gamma])
         assert d1 * gamma == Matrix.from_rows([[rat(2) - rat(1)]])
 

@@ -7,7 +7,7 @@ import pytest
 
 from eqih import cli, fixtures, homalg, localize
 from eqih.cli import main
-from eqih.fixtures import cone2, hopf, noperv, random_model
+from eqih.fixtures import cone2, hopf, noperv, random_model, sphere
 from eqih.model import model_from_dict, model_to_dict, save_model, validate
 
 
@@ -169,6 +169,27 @@ class TestCompare:
         assert code == 2 and not out
         assert json.loads(err) == {"schema": "eqih-report/1", "command": "compare",
                                    "error": "InputError", "detail": detail}
+
+    # a comparison refused before any invariant is computed names its fault:
+    # (the first and the second model, the iso document, error, detail)
+    @pytest.mark.parametrize("first, second, iso, error, detail", [
+        (hopf(), hopf(), [], "InputError", "iso document must be a JSON object"),
+        (hopf(), sphere(2, 1), {}, "InvalidIso", "ambient top degrees differ: 2 vs 4"),
+        (hopf(), hopf(), {"mats": {"0": [["1", "0"]]}}, "InvalidIso",
+         "degree-0 matrix has shape 1x2, expected 1x1"),
+        (cone2(), hopf(), {"mats": {"0": [["1"]], "2": [["1"]]}}, "InvalidIso",
+         "correspondence image does not cover the strata of 'cone2'"),
+    ])
+    def test_refused_comparison_names_its_fault(self, capsys, tmp_path, first, second, iso,
+                                                error, detail):
+        paths = [tmp_path / name for name in ("first.json", "second.json", "iso.json")]
+        save_model(first, str(paths[0]))
+        save_model(second, str(paths[1]))
+        paths[2].write_text(json.dumps(iso))
+        code, out, err = run(capsys, "compare", *map(str, paths[:2]), "--iso", str(paths[2]))
+        report = json.loads(err)
+        assert code == 2 and not out
+        assert (report["error"], report["detail"]) == (error, detail)
 
     @pytest.mark.parametrize("strata", [[1], "ab"])
     def test_malformed_iso_strata_exits_2(self, capsys, tmp_path, hopf_file, strata):
@@ -382,6 +403,7 @@ class TestErrors:
         ["selftest", "--seeds", "-2"],
         # past the upper bound
         ["spectral", "-p", "apex=2", "--pages", "1001"],
+        ["selftest", "--seeds", "1001"],
     ])
     def test_option_below_range_exits_2(self, capsys, cone_file, argv):
         if argv[0] == "spectral":
@@ -415,6 +437,34 @@ class TestErrors:
         code, out, err = run(capsys, "validate", str(path), "--strict")
         assert code == 2 and not out
         assert json.loads(err)["error"] == "InputError"
+
+    # the refusal of a document's shape names it: (command options after the
+    # path, edit of the cone2 document, error, detail)
+    @pytest.mark.parametrize("options, edit, error, detail", [
+        (["--strict"], lambda d: d["dims"].pop(), "InputError",
+         "dims must have top_degree + 1 entries"),
+        (["--strict"], lambda d: d.update(dims=[1, 0, -1]), "InputError",
+         "dims must not be negative"),
+        (["--strict"], lambda d: d["d"].pop(), "InputError", "d must list one matrix per degree"),
+        (["--strict"], lambda d: d["filtrations"]["apex"]["1"].pop(), "InputError",
+         "filtration of 'apex' level 1 must list every degree"),
+        (["--strict"], lambda d: d["euler_op"].pop(), "InputError",
+         "euler_op must list one matrix per degree"),
+        (["-p", "apex=1", "--cone-check"],
+         lambda d: d["metadata"]["cone"].update(apex_stratum="nope"), "NotAConeModel",
+         "perversity does not mention the apex stratum 'nope'"),
+    ])
+    def test_malformed_model_names_its_fault(self, capsys, tmp_path, options, edit, error,
+                                             detail):
+        data = model_to_dict(cone2())
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        command = "localize" if "--cone-check" in options else "validate"
+        code, out, err = run(capsys, command, str(path), *options)
+        report = json.loads(err)
+        assert code == 2 and not out
+        assert (report["error"], report["detail"]) == (error, detail)
 
     @pytest.mark.parametrize("apex, field, value", [
         ("2", "link_quotient_ih", [1, 0, 0.4]),

@@ -57,9 +57,9 @@ class TestEq1:
             for p in m.perversity_set:
                 eq1 = build_eq1(m, p)
                 pc = perverse_complex(m, p)
-                for k in range(m.ambient.top_degree + 1):
+                for k in range(m.top_degree + 1):
                     omega = pc.omega_spaces[k].basis
-                    pairs = block_matrix(omega.rows + m.ambient.dim(k - 1), omega.cols,
+                    pairs = block_matrix(omega.rows + m.dim(k - 1), omega.cols,
                                          [(0, 0, omega)])
                     assert eq1.space(k).coords_of(pairs) is not None
 
@@ -195,7 +195,7 @@ class TestEquivariantGysin:
             for p in m.perversity_set:
                 gy = EquivariantGysin(m, p)
                 hi = gy.eq.hi
-                assert hi == m.ambient.top_degree + 8
+                assert hi == m.top_degree + 8
                 hc, ha = gy.ses.hc, gy.ses.ha
                 # H^{n+3} of the head is the highest degree read, and the
                 # complexes are exact below their top degree hi

@@ -116,7 +116,7 @@ class TestRandomModels:
 
     def test_size_parameter(self):
         m = random_model(0, size=3)
-        assert max(m.ambient.dims) <= 3
+        assert max(m.dims) <= 3
         assert all(r["passed"] for r in validate(m, strict=True))
 
 

@@ -10,7 +10,6 @@ from eqih.errors import InputError, StrataMismatch, UnknownStratum
 from eqih.fixtures import cone2, hopf, noperv
 from eqih.model import (
     Perversity,
-    Stratum,
     _Entries,
     json_text,
     load_model,
@@ -20,17 +19,14 @@ from eqih.model import (
     rat_from_json,
     save_model,
     validate,
-    zero_perversity,
 )
 from eqih.ratla import QNUM, rat
 
 
 class TestPerversity:
-    strata = (Stratum("a", "fixed_perverse"), Stratum("b", "mobile"))
-
     def test_zero_is_unit(self):
         p = Perversity({"a": 3, "b": -1})
-        z = zero_perversity(self.strata)
+        z = Perversity({"a": 0, "b": 0})
         assert p.minus(z) == p
 
     def test_fixed_perverse_euler_minus_characteristic(self):
@@ -91,17 +87,16 @@ class TestDistinguishedPerversities:
 class TestFiltrationAccess:
     def test_clamping(self):
         m = cone2()
-        a = m.ambient
-        assert a.filtration("apex", -1, 0).is_zero()
-        assert a.filtration("apex", -5, 0).is_zero()
-        assert a.filtration("apex", 2, 2).is_full()
-        assert a.filtration("apex", 99, 2).is_full()
-        assert a.filtration("apex", 0, 2).is_zero()
-        assert a.filtration("apex", 0, 0).is_full()
+        assert m.filtration("apex", -1, 0).is_zero()
+        assert m.filtration("apex", -5, 0).is_zero()
+        assert m.filtration("apex", 2, 2).is_full()
+        assert m.filtration("apex", 99, 2).is_full()
+        assert m.filtration("apex", 0, 2).is_zero()
+        assert m.filtration("apex", 0, 0).is_full()
 
     def test_unknown_stratum(self):
         with pytest.raises(UnknownStratum):
-            cone2().ambient.filtration("nope", 0, 0)
+            cone2().filtration("nope", 0, 0)
 
     def test_perversity_level_intersection(self):
         m = cone2()
@@ -156,8 +151,8 @@ class TestValidate:
             "euler_op": [[], []],
             "perversities": [{"s": -1}, {"s": 0}],
         })
-        f0 = m.ambient.filtration("s", 0, 1)
-        assert f0.coords_of(m.ambient.diff(0)) is None
+        f0 = m.filtration("s", 0, 1)
+        assert f0.coords_of(m.diff(0)) is None
         assert all(r["passed"] for r in validate(m, strict=True))
 
     def test_perversity_set_closure_checked(self):

@@ -51,7 +51,7 @@ class TestOmega:
     def test_no_strata_gives_full_ambient(self):
         m = hopf()
         omega = perverse_complex(m, Perversity({})).omega
-        assert omega.dims == m.ambient.dims
+        assert omega.dims == m.dims
 
     def test_cone_low_perversity(self):
         omega = perverse_complex(cone2(), P(apex=0)).omega
@@ -97,7 +97,7 @@ class TestOmega:
 class TestGysin:
     def test_free_action_full(self):
         m = hopf()
-        assert perverse_complex(m, Perversity({})).gysin.dims == m.ambient.dims
+        assert perverse_complex(m, Perversity({})).gysin.dims == m.dims
 
     def test_zero_euler_gives_lower_omega(self):
         m = rot()
@@ -126,7 +126,7 @@ class TestGysin:
             m = random_model(seed)
             for p in m.perversity_set:
                 pc = perverse_complex(m, p)  # builders assert both properties
-                for k in range(m.ambient.top_degree + 1):
+                for k in range(m.top_degree + 1):
                     assert pc.omega_spaces[k].contains_subspace(pc.gysin_spaces[k])
 
     def test_gysin_monotone(self):
@@ -204,13 +204,12 @@ class TestEulerMap:
                 eub = euler_map(m, p)
                 ih = omega_cohomology(m, p)
                 pc = perverse_complex(m, p)
-                a = m.ambient
-                for k in range(m.ambient.top_degree - 1):
+                for k in range(m.top_degree - 1):
                     betas = pc.gysin_ambient_mat(k) * eub.hg.lifts(k)
                     base = eub.cochain_images(k, betas)
                     f1 = m.filtration_level(p, k + 1).basis
-                    d_level = a.diff(k + 1) * f1
-                    killer = quotient(Subspace.full(a.dim(k + 2)),
+                    d_level = m.diff(k + 1) * f1
+                    killer = quotient(Subspace.full(m.dim(k + 2)),
                                       m.filtration_level(p, k + 2)).projection
                     shifts = (killer * d_level).kernel_basis()
                     if not shifts or not betas.cols:
@@ -236,7 +235,7 @@ class TestEulerMap:
                 eub = euler_map(m, p)
                 ih = omega_cohomology(m, p)
                 pc = perverse_complex(m, p)
-                for k in range(1, m.ambient.top_degree - 1):
+                for k in range(1, m.top_degree - 1):
                     betas = pc.gysin_ambient_mat(k) * eub.hg.lifts(k)
                     # perturb by Gysin-term coboundaries
                     gmat = pc.gysin_ambient_mat(k - 1)
@@ -245,7 +244,7 @@ class TestEulerMap:
                     gamma = gmat * Matrix(gmat.cols, betas.cols,
                                           [[rng.randint(-2, 2) for _ in range(betas.cols)]
                                            for _ in range(gmat.cols)])
-                    moved = betas + m.ambient.diff(k - 1) * gamma
+                    moved = betas + m.diff(k - 1) * gamma
                     omega = pc.omega_spaces[k + 2]
                     c1 = ih.classes_of(k + 2, omega.coords_of(eub.cochain_images(k, betas)))
                     c2 = ih.classes_of(k + 2, omega.coords_of(eub.cochain_images(k, moved)))
@@ -263,7 +262,7 @@ class TestEulerMap:
                 ihq = omega_cohomology(m, q)
                 gi = gysin_inclusion(m, p, q)
                 oi = inclusion_map(m, p, q)
-                for k in range(m.ambient.top_degree + 1):
+                for k in range(m.top_degree + 1):
                     on_g = hgp.induced_map(hgq, gi, k)
                     on_ih = ihp.induced_map(ihq, oi, k + 2)
                     assert eq_.mat(k) * on_g == on_ih * ep.mat(k)
@@ -307,14 +306,13 @@ class TestGysinLes:
 class TestWedgeCompatibility:
     def test_product_respects_perversity_sum(self):
         for m in (cone2(), noperv()):
-            a = m.ambient
             for p in m.perversity_set:
                 for q in m.perversity_set:
                     pq = Perversity({k: v + q[k] for k, v in p.items})
                     cp = perverse_complex(m, p)
                     cq = perverse_complex(m, q)
-                    for (i, j), table in a.product.items():
-                        if i + j > a.top_degree:
+                    for (i, j), table in m.product.items():
+                        if i + j > m.top_degree:
                             continue
                         # the products of every pair of basis forms, at once
                         xy = kron(cp.omega_spaces[i].basis, cq.omega_spaces[j].basis)

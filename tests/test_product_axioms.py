@@ -37,11 +37,11 @@ def contains(space, vec):
     return space.coords_of(Matrix(len(vec), 1, [[x] for x in vec])) is not None
 
 
-def wedge(a, i, j, x, y):
+def wedge(m, i, j, x, y):
     """Product of a degree-i and a degree-j vector; zero without a table."""
-    table = a.product.get((i, j))
+    table = m.product.get((i, j))
     if table is None:
-        return (0,) * a.dim(i + j)
+        return (0,) * m.dim(i + j)
     return apply(table, [s * t for s in x for t in y])
 
 
@@ -51,29 +51,28 @@ def units(n):
 
 def per_vector_report(m):
     """Reference: the report entries of AXIOMS, one vector at a time."""
-    a = m.ambient
-    top = a.top_degree
+    top = m.top_degree
     out = []
 
     def check(axiom, ok, detail):
         out.append({"axiom": axiom, "passed": ok, "detail": detail})
 
-    eps = a.euler_cocycle
-    deps = apply(a.diff(2), eps) if a.dim(2) else ()
+    eps = m.euler_cocycle
+    deps = apply(m.diff(2), eps) if m.dim(2) else ()
     closed = all(x == 0 for x in deps)
     check(AXIOMS[0], closed, "" if closed else "d(epsilon) = %s" % (vec_to_json(deps),))
 
     ok, bad = True, ""
     ebar = m.euler_perversity()
     for s in m.strata:
-        if not contains(a.filtration(s.name, ebar[s.name], 2), eps):
+        if not contains(m.filtration(s.name, ebar[s.name], 2), eps):
             ok, bad = False, "stratum %s" % s.name
     check(AXIOMS[1], ok, bad)
 
     ok, bad = True, ""
     for i in range(top + 1):
-        for x in units(a.dim(i)):
-            if wedge(a, i, 2, x, eps) != apply(a.euler(i), x):
+        for x in units(m.dim(i)):
+            if wedge(m, i, 2, x, eps) != apply(m.euler(i), x):
                 ok, bad = False, "degree %d" % i
     check(AXIOMS[2], ok, bad)
 
@@ -81,9 +80,9 @@ def per_vector_report(m):
     for i in range(top + 1):
         for j in range(top + 1 - i):
             sign = -1 if (i % 2 and j % 2) else 1
-            for x in units(a.dim(i)):
-                for y in units(a.dim(j)):
-                    if wedge(a, i, j, x, y) != tuple(sign * v for v in wedge(a, j, i, y, x)):
+            for x in units(m.dim(i)):
+                for y in units(m.dim(j)):
+                    if wedge(m, i, j, x, y) != tuple(sign * v for v in wedge(m, j, i, y, x)):
                         ok, bad = False, "degrees (%d, %d)" % (i, j)
     check(AXIOMS[3], ok, bad)
 
@@ -91,26 +90,26 @@ def per_vector_report(m):
     for i in range(top + 1):
         for j in range(top + 1 - i):
             for k in range(top + 1 - i - j):
-                for x in units(a.dim(i)):
-                    for y in units(a.dim(j)):
-                        for z in units(a.dim(k)):
-                            lhs = wedge(a, i + j, k, wedge(a, i, j, x, y), z)
-                            rhs = wedge(a, i, j + k, x, wedge(a, j, k, y, z))
+                for x in units(m.dim(i)):
+                    for y in units(m.dim(j)):
+                        for z in units(m.dim(k)):
+                            lhs = wedge(m, i + j, k, wedge(m, i, j, x, y), z)
+                            rhs = wedge(m, i, j + k, x, wedge(m, j, k, y, z))
                             if lhs != rhs:
                                 ok, bad = False, "degrees (%d, %d, %d)" % (i, j, k)
     check(AXIOMS[4], ok, bad)
 
     ok, bad = True, ""
     for s in m.strata:
-        km = len(a.filtrations[s.name])
+        km = len(m.filtrations[s.name])
         for k in range(-1, km + 1):
             for l in range(-1, km + 1):
                 for i in range(top + 1):
                     for j in range(top + 1 - i):
-                        tgt = a.filtration(s.name, k + l, i + j)
-                        for x in a.filtration(s.name, k, i).vectors():
-                            for y in a.filtration(s.name, l, j).vectors():
-                                if not contains(tgt, wedge(a, i, j, x, y)):
+                        tgt = m.filtration(s.name, k + l, i + j)
+                        for x in m.filtration(s.name, k, i).vectors():
+                            for y in m.filtration(s.name, l, j).vectors():
+                                if not contains(tgt, wedge(m, i, j, x, y)):
                                     ok, bad = False, (
                                         "stratum %s levels (%d, %d) degrees (%d, %d)"
                                         % (s.name, k, l, i, j))

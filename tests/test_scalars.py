@@ -50,7 +50,7 @@ def test_selftest_and_compare_build_only_int_and_qnum_entries(tmp_path, monkeypa
 
     path, iso = tmp_path / "cone2.json", tmp_path / "iso.json"
     save_model(cone2(), str(path))
-    dims = cone2().ambient.dims
+    dims = cone2().dims
     iso.write_text(json.dumps({
         "mats": {str(k): [[str(int(i == j)) for j in range(n)] for i in range(n)]
                  for k, n in enumerate(dims)},

@@ -35,7 +35,9 @@ code at import and pulls in ``inspect``: a value class is a ``value.Value``,
 and importing ``eqih.cli`` loads neither module.  ``Value.__init__`` sets
 every public field of a value, so outside ``value.py`` a store past the
 refusing ``__setattr__`` sets only a private slot, the per-model memo
-``ModelInstance._cache``.
+``ModelInstance._cache``.  The package's lines, as ``wc -l src/eqih/*.py``
+counts them, stay within a recorded count, so the source size is tracked as
+speed is: a change that grows the package raises the count and says why.
 """
 
 import ast
@@ -555,3 +557,12 @@ def test_the_command_imports_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+# wc -l src/eqih/*.py after the last change that moved it
+SOURCE_LINES = 4371
+
+
+def test_the_package_stays_within_its_recorded_line_count():
+    lines = sum(path.read_text().count("\n") for path in MODULES)
+    assert lines <= SOURCE_LINES, "src/eqih has %d lines, %d recorded" % (lines, SOURCE_LINES)

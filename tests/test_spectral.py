@@ -392,7 +392,7 @@ class TestFold:
         for make, want in zip(makers, folded):
             m = make()
             p = next(iter(m.perversity_set))
-            assert build_equivariant(m, p).hi == m.ambient.top_degree + 8
+            assert build_equivariant(m, p).hi == m.top_degree + 8
             assert engine_outputs(m) == want, m.name
 
 

@@ -29,7 +29,6 @@ def built(m):
         "LongExactSequence": spectral.skjelbred(m),
         "Stratum": m.strata[0],
         "Perversity": p,
-        "AmbientModel": m.ambient,
         "ModelInstance": m,
         "PerverseComplex": pc,
         "Eq1Complex": equivariant.build_eq1(m, p),
@@ -43,7 +42,7 @@ def built(m):
 
 HASHABLE = {"Matrix", "Subspace", "QuotientSpace", "Complex", "ChainMap", "Stratum",
             "Perversity", "PolyMatrix", "LocalizedModule"}
-CLASSES = sorted(HASHABLE | {"LongExactSequence", "AmbientModel", "ModelInstance",
+CLASSES = sorted(HASHABLE | {"LongExactSequence", "ModelInstance",
                              "PerverseComplex", "Eq1Complex", "SpectralPage", "NormalForm",
                              "ModelIso"})
 
@@ -92,12 +91,14 @@ def test_a_field_that_differs_or_another_class_is_unequal():
 def test_model_equality_ignores_metadata_and_the_memo():
     m = fixtures.cone2()
     perverse.perverse_complex(m, m.zero_perversity())
-    other = ModelInstance(m.name, m.ambient, m.strata, m.perversity_set, {"note": 1})
+    data = (m.top_degree, m.dims, m.d, m.filtrations, m.euler_cocycle, m.euler_op, m.product,
+            m.strata, m.perversity_set)
+    other = ModelInstance(m.name, *data, {"note": 1})
     assert m._cache and not other._cache and m.metadata != other.metadata
     assert m == other
-    assert m != ModelInstance("other", m.ambient, m.strata, m.perversity_set)
+    assert m != ModelInstance("other", *data)
     # each model gets its own metadata and memo when none is given
-    bare = ModelInstance(m.name, m.ambient, m.strata, m.perversity_set)
+    bare = ModelInstance(m.name, *data)
     assert bare.metadata == {} and bare.metadata is not other.metadata
     assert bare._cache == {} and bare._cache is not other._cache
     assert "_cache" not in repr(bare) and "metadata={}" in repr(bare)
